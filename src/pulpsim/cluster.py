@@ -2,9 +2,10 @@
 
 One descriptor entry of kind "cluster" expands at build time into the
 processing elements with their private instruction caches, the shared
-second-level cache, the TCDM behind its interleaver, the cluster
-crossbar, peripherals (event unit, DMA, accelerator) and the clock
-crossings toward the SoC domain.  Everything is parameterized, so a
+second-level cache, the TCDM, the cluster crossbar, peripherals (event
+unit, DMA, accelerator) and the clock crossings toward the SoC domain.
+The crossbar, the DMA and every accelerator port bind straight to the
+TCDM's slave port, which does its own per-bank accounting.  Everything is parameterized, so a
 single `cluster.nb_cores=16` override regrows the whole subtree.
 
 The composite exposes two port aliases for top-level bindings:
@@ -82,9 +83,6 @@ class Cluster(Component):
         plat.add_component("%s/tcdm" % me, "banked-memory", {
             "base": tcdm["base"], "size": tcdm["size"], "banks": tcdm["banks"],
         }, cl_domain)
-        plat.add_component("%s/interleaver" % me, "interleaver", {
-            "in_ports": nb + 1 + p["accel"]["ports"],
-        }, cl_domain)
 
         mappings = [
             {"base": tcdm["base"], "size": tcdm["size"], "port": "tcdm"},
@@ -157,17 +155,16 @@ class Cluster(Component):
             plat.bind_paths("%s_icache.refill" % pe, "%s/l15.in" % me)
             plat.bind_paths("%s.data" % pe, "%s/xbar.in" % me)
         plat.bind_paths("%s/l15.refill" % me, "%s/bridge.in" % me)
-        plat.bind_paths("%s/xbar.tcdm" % me, "%s/interleaver.in" % me)
+        plat.bind_paths("%s/xbar.tcdm" % me, "%s/tcdm.in" % me)
         plat.bind_paths("%s/xbar.periph" % me, "%s/periph_bus.in" % me)
         plat.bind_paths("%s/xbar.ext" % me, "%s/bridge.in" % me)
-        plat.bind_paths("%s/interleaver.out" % me, "%s/tcdm.in" % me)
         plat.bind_paths("%s/periph_bus.eu" % me, "%s/event_unit.in" % me)
         plat.bind_paths("%s/periph_bus.dma" % me, "%s/dma.in" % me)
         plat.bind_paths("%s/periph_bus.accel" % me, "%s/accel.in" % me)
-        plat.bind_paths("%s/dma.tcdm" % me, "%s/interleaver.in" % me)
+        plat.bind_paths("%s/dma.tcdm" % me, "%s/tcdm.in" % me)
         plat.bind_paths("%s/dma.ext" % me, "%s/bridge.in" % me)
         for i in range(p["accel"]["ports"]):
-            plat.bind_paths("%s/accel.mem%d" % (me, i), "%s/interleaver.in" % me)
+            plat.bind_paths("%s/accel.mem%d" % (me, i), "%s/tcdm.in" % me)
         plat.bind_paths("%s/bridge.out" % me, "%s/out_xing.in" % me)
         plat.bind_paths("%s/in_xing.out" % me, "%s/xbar.in" % me)
 

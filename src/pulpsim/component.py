@@ -54,12 +54,16 @@ class Request:
         self.data = data
         self.initiator = initiator
         self.port_index = port_index
+        self.reset()
+        return self
+
+    def reset(self):
+        """Clear the response fields before the request is sent (again)."""
         self.latency = 0
         self.status = STATUS_OK
         self.contended = False
         self.sleep = False
         self.cache_miss = False
-        return self
 
     def __repr__(self):
         kind = "W" if self.is_write else "R"

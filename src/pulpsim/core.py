@@ -11,6 +11,17 @@ cycles.  Loads publish their result one write-back cycle after completion;
 a consumer arriving earlier stalls on the register scoreboard.  Blocking
 loads from synchronization registers put the core to sleep and are
 re-executed on wake-up, which is when their value is actually determined.
+
+Decoding is cached per instruction word, not per pc, so self-modifying
+code and fence.i need no invalidation.  Each cache entry is a flat tuple
+
+    (ins, handler, rs1, rs2, rd, 1 + latency, write-back latency if rd
+     else 0, is_branch)
+
+which the step unpacks instead of reading the table entry.  The fetch and
+data requests are built once with their fixed fields; each access sets
+the address (and size, direction and value for data) and clears the
+response fields with `Request.reset`.
 """
 
 from .component import Component, register, STATUS_OK, Request
@@ -84,7 +95,8 @@ def _sem_load(size, signed):
             return
         if signed:
             v = sext(v, size * 8) & M32
-        c.wr(i.rd, v)
+        if i.rd:
+            c.regs[i.rd] = v
     return sem
 
 def _sem_store(size):
@@ -95,12 +107,15 @@ def _sem_store(size):
 
 def _op_imm(fn):
     def sem(c, i):
-        c.wr(i.rd, fn(c.regs[i.rs1], i.imm) & M32)
+        if i.rd:
+            c.regs[i.rd] = fn(c.regs[i.rs1], i.imm) & M32
     return sem
 
 def _op_reg(fn):
     def sem(c, i):
-        c.wr(i.rd, fn(c.regs[i.rs1], c.regs[i.rs2]) & M32)
+        if i.rd:
+            regs = c.regs
+            regs[i.rd] = fn(regs[i.rs1], regs[i.rs2]) & M32
     return sem
 
 def _div(a, b):
@@ -156,7 +171,10 @@ def _sem_csr(write_always, op):
     return sem
 
 def _sem_mac(c, i):
-    c.wr(i.rd, (c.regs[i.rd] + c.regs[i.rs1] * c.regs[i.rs2]) & M32)
+    rd = i.rd
+    if rd:
+        regs = c.regs
+        regs[rd] = (regs[rd] + regs[i.rs1] * regs[i.rs2]) & M32
 
 def _sem_lwpost(c, i):
     addr = c.regs[i.rs1]
@@ -165,7 +183,8 @@ def _sem_lwpost(c, i):
         return
     if i.rs1 != 0 and i.rs1 != i.rd:
         c.regs[i.rs1] = (addr + i.imm) & M32
-    c.wr(i.rd, v)
+    if i.rd:
+        c.regs[i.rd] = v
 
 
 SEMANTICS = {
@@ -237,8 +256,8 @@ class RiscvCore(Component):
         self.semantics = dict(SEMANTICS)
         self._dcache = {}
         self.step_event = Event(self.path, self._step)
-        self._fetch_req = Request()
-        self._data_req = Request()
+        self._fetch_req = Request().setup(0, 4, False, initiator=self)
+        self._data_req = Request().setup(0, 0, False, initiator=self)
         self.regs = [0] * 32
         self.pc = 0
         self.mode = "halted"
@@ -296,11 +315,6 @@ class RiscvCore(Component):
         if rd:
             self.regs[rd] = value
 
-    def read_counter(self, name):
-        if name not in COUNTER_NAMES:
-            raise ConfigError("unknown counter '%s'" % name)
-        return getattr(self, name)
-
     def counters(self):
         return {name: getattr(self, name) for name in COUNTER_NAMES}
 
@@ -344,12 +358,7 @@ class RiscvCore(Component):
         req.size = size
         req.is_write = False
         req.value = 0
-        req.data = None
-        req.initiator = self
-        req.latency = 0
-        req.status = STATUS_OK
-        req.contended = False
-        req.sleep = False
+        req.reset()
         self._data_handler(req)
         if req.status != STATUS_OK:
             self.trap_info = (CAUSE_LOAD_FAULT, addr)
@@ -369,12 +378,7 @@ class RiscvCore(Component):
         req.size = size
         req.is_write = True
         req.value = value
-        req.data = None
-        req.initiator = self
-        req.latency = 0
-        req.status = STATUS_OK
-        req.contended = False
-        req.sleep = False
+        req.reset()
         self._data_handler(req)
         if req.status != STATUS_OK:
             self.trap_info = (CAUSE_STORE_FAULT, addr)
@@ -394,15 +398,7 @@ class RiscvCore(Component):
 
         freq = self._fetch_req
         freq.addr = pc
-        freq.size = 4
-        freq.is_write = False
-        freq.value = 0
-        freq.data = None
-        freq.initiator = self
-        freq.latency = 0
-        freq.status = STATUS_OK
-        freq.contended = False
-        freq.sleep = False
+        freq.reset()
         self._fetch_handler(freq)
         if freq.status != STATUS_OK:
             self._take_trap(CAUSE_IACCESS, pc, 1)
@@ -412,23 +408,22 @@ class RiscvCore(Component):
             self.icache_misses += 1
         word = freq.value
 
-        ins = self._dcache.get(word)
-        if ins is None:
-            ins = self._decode_slow(word)
-        if ins is _ILLEGAL:
+        dec = self._dcache.get(word)
+        if dec is None:
+            dec = self._decode_slow(word)
+        if dec is _ILLEGAL:
             self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
             return
+        ins, handler, rs1, rs2, rd, base, wb, is_branch = dec
 
         stall = 0
         sb = self.scoreboard
-        r = ins.rs1
-        if r:
-            d = sb[r] - C
+        if rs1:
+            d = sb[rs1] - C
             if d > stall:
                 stall = d
-        r = ins.rs2
-        if r:
-            d = sb[r] - C
+        if rs2:
+            d = sb[rs2] - C
             if d > stall:
                 stall = d
         if stall:
@@ -440,7 +435,7 @@ class RiscvCore(Component):
         self.sleep_flag = False
         self.mem_contended = False
         self.trap_info = None
-        ins.handler(self, ins)
+        handler(self, ins)
 
         if self._tr_insn:
             self.platform.trace(self.path + "/insn", dom, ins.text())
@@ -461,16 +456,15 @@ class RiscvCore(Component):
                 self.platform.vcd.core_activity(self, False)
             return
 
-        charge = 1 + ins.entry.latency + fetch_lat + stall + self.mem_lat
+        charge = base + fetch_lat + stall + self.mem_lat
         if self.taken:
             charge += self.branch_penalty
-            if ins.entry.klass == "branch":
+            if is_branch:
                 self.branches_taken += 1
         if self.mem_contended:
             self.tcdm_contentions += 1
-        wb = ins.entry.writeback_latency
-        if wb and ins.rd:
-            sb[ins.rd] = C + charge + wb
+        if wb:
+            sb[rd] = C + charge + wb
 
         self.pc = self.npc
         self.instr_retired += 1
@@ -482,16 +476,19 @@ class RiscvCore(Component):
             dom.enqueue(ev, charge)
 
     def _decode_slow(self, word):
+        """Decode `word` and cache its step tuple (module docstring) or _ILLEGAL."""
         ins = self.isa.decode(word)
         if ins is None:
-            self._dcache[word] = _ILLEGAL
-            return _ILLEGAL
-        handler = self.semantics.get(ins.entry.semantics)
-        if handler is None:
-            raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
-        ins.handler = handler
-        self._dcache[word] = ins
-        return ins
+            dec = _ILLEGAL
+        else:
+            e = ins.entry
+            handler = self.semantics.get(e.semantics)
+            if handler is None:
+                raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
+            dec = (ins, handler, ins.rs1, ins.rs2, ins.rd, 1 + e.latency,
+                   e.writeback_latency if ins.rd else 0, e.klass == "branch")
+        self._dcache[word] = dec
+        return dec
 
     def _take_trap(self, cause, tval, charge):
         self.total_cycles += charge

@@ -81,7 +81,17 @@ class ClockDomain:
         """Schedule `event` delta_cycles after the current cycle."""
         if delta_cycles < 0:
             raise StructuralError("negative delta for %r" % event)
-        self._put(event, self.cycle + delta_cycles)
+        if delta_cycles >= self.window:
+            self._put(event, self.cycle + delta_cycles)
+            return
+        if event.enqueued:
+            raise StructuralError("double enqueue of %r" % event)
+        abs_cycle = self.cycle + delta_cycles
+        event.enqueued = True
+        event.cycle = abs_cycle
+        event._in_overflow = False
+        self._slots[abs_cycle % self.window].append(event)
+        self._slot_count += 1
 
     def enqueue_at(self, event, abs_cycle):
         if abs_cycle < self.cycle:

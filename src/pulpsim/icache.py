@@ -3,8 +3,13 @@
 One class serves both levels: per-core private L1 instances refill from a
 shared L1.5 instance, which refills from L2 across the AXI bridge.  The
 shared level serializes simultaneous refills with the same busy-stamp
-scheme the memory banks use.  Lines carry real bytes, so a hit serves the
-instruction word without touching anything upstream.
+scheme the memory banks use.  Lines carry real data, kept as one
+little-endian int per line (filled at refill), so a hit serves its word by
+shift and mask without touching anything upstream.
+
+A lookup tries the set's most recently used way first; a hit there leaves
+the LRU order as it is, since that way already heads it.  Other hits and
+refills move their way to the head of the order.
 """
 
 from .component import Component, register, Request, STATUS_OK
@@ -41,7 +46,7 @@ class InstructionCache(Component):
 
     def _init_arrays(self):
         self.tags = [[None] * self.ways for _ in range(self.sets)]
-        self.data = [[b""] * self.ways for _ in range(self.sets)]
+        self.data = [[0] * self.ways for _ in range(self.sets)]
         self.lru = [list(range(self.ways)) for _ in range(self.sets)]
         self.busy_until = -1
         self.hits = 0
@@ -51,32 +56,48 @@ class InstructionCache(Component):
     def reset(self):
         self._init_arrays()
 
-    def _index(self, addr):
-        lineno = addr // self.line
-        return lineno % self.sets, lineno // self.sets
-
     def handle(self, req):
         addr = req.addr
+        size = req.size
         off = addr & (self.line - 1)
-        if off + req.size > self.line:
+        if off + size > self.line:
             req.status = "error"    # fetch may not straddle a line
             return
-        set_i, tag = self._index(addr)
+        lineno = addr // self.line
+        set_i = lineno % self.sets
+        tag = lineno // self.sets
         tags = self.tags[set_i]
         order = self.lru[set_i]
-        for way in range(self.ways):
-            if tags[way] == tag:
-                order.remove(way)
-                order.insert(0, way)
-                req.latency += self.hit_latency
-                self.hits += 1
-                self._serve(req, set_i, way, off)
-                return
-        # miss: refill the whole line through the upstream port
+        way = order[0]
+        if tags[way] == tag:        # MRU hit: the LRU order stays as it is
+            req.latency += self.hit_latency
+            self.hits += 1
+        else:
+            for way in order:
+                if tags[way] == tag:
+                    order.remove(way)
+                    order.insert(0, way)
+                    req.latency += self.hit_latency
+                    self.hits += 1
+                    break
+            else:
+                way = self._refill(req, set_i, tag, addr - off)
+                if way is None:
+                    return
+        value = self.data[set_i][way] >> (off << 3) & ((1 << (size << 3)) - 1)
+        if req.data is None:
+            req.value = value
+        else:
+            req.data[:size] = value.to_bytes(size, "little")
+
+    def _refill(self, req, set_i, tag, line_addr):
+        """Miss: fetch the line from upstream into the LRU way and make it
+        the MRU way.  Returns that way, or None when the refill failed; the
+        failure status is then copied to `req`."""
         self.misses += 1
         req.cache_miss = True
         rr = self._refill_req
-        rr.setup(addr - off, self.line, False, data=self._line_buf,
+        rr.setup(line_addr, self.line, False, data=self._line_buf,
                  initiator=req.initiator)
         rr.latency = req.latency + self.hit_latency
         if self.serialize:
@@ -89,35 +110,22 @@ class InstructionCache(Component):
         self.refill_port.send(rr)
         if rr.status != STATUS_OK:
             req.status = rr.status
-            return
+            return None
         self.refills += 1
-        victim = order[-1]
-        tags[victim] = tag
-        self.data[set_i][victim] = bytes(self._line_buf)
-        order.remove(victim)
+        order = self.lru[set_i]
+        victim = order.pop()
         order.insert(0, victim)
+        self.tags[set_i][victim] = tag
+        self.data[set_i][victim] = int.from_bytes(self._line_buf, "little")
         req.latency = rr.latency
         if rr.cache_miss:
             req.cache_miss = True
-        self._serve(req, set_i, victim, off)
-
-    def _serve(self, req, set_i, way, off):
-        chunk = self.data[set_i][way][off:off + req.size]
-        if req.data is None:
-            req.value = int.from_bytes(chunk, "little")
-        else:
-            req.data[:req.size] = chunk
+        return victim
 
     def flush(self):
         for s in range(self.sets):
             for w in range(self.ways):
                 self.tags[s][w] = None
-
-    def flush_line(self, addr):
-        set_i, tag = self._index(addr)
-        for w in range(self.ways):
-            if self.tags[set_i][w] == tag:
-                self.tags[set_i][w] = None
 
     def counters(self):
         return {"hits": self.hits, "misses": self.misses, "refills": self.refills}

@@ -1,10 +1,11 @@
-"""Interconnect components: routers, interleavers and clock-domain crossings.
+"""Interconnect components: routers and clock-domain crossings.
 
 Routers decode addresses to output ports, charge a traversal latency and
 model contention deterministically as bandwidth occupancy: each forwarded
 request holds the router busy for size/bandwidth cycles and later requests
-queue behind that stamp.  Interleavers fan core and DMA ports into memory
-banks by address and add no latency of their own.
+queue behind that stamp.  Banked memories take many masters on one slave
+port and do their own per-bank accounting, so no fan-in component sits in
+front of them.
 """
 
 from .component import Component, register, REQUIRED, STATUS_ERR
@@ -79,32 +80,10 @@ class Router(Component):
             self.queued_cycles += queuing
         req.latency += self.latency + queuing
         self.forwarded += 1
-        out.send(req)
+        out.binding.handler(req)
 
     def counters(self):
         return {"forwarded": self.forwarded, "queued_cycles": self.queued_cycles}
-
-
-@register
-class Interleaver(Component):
-    """Fan-in from cores/DMA to a banked memory; routes purely by address.
-
-    The banked memory does its own per-bank accounting, so this component
-    has a single output and exists to pin down the port topology (and the
-    dedicated-port counts of DMA and accelerators).
-    """
-
-    kind = "interleaver"
-    PARAMS = {
-        "in_ports": (int, 1),
-    }
-
-    def build(self):
-        self.add_slave("in", self.handle)
-        self.out = self.add_master("out")
-
-    def handle(self, req):
-        self.out.send(req)
 
 
 @register

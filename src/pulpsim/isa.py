@@ -48,7 +48,7 @@ class IsaEntry:
 class Instruction:
     """One decoded instruction: operands plus the table metadata."""
 
-    __slots__ = ("entry", "word", "rd", "rs1", "rs2", "imm", "csr", "handler")
+    __slots__ = ("entry", "word", "rd", "rs1", "rs2", "imm", "csr")
 
     def __init__(self, entry, word):
         self.entry = entry
@@ -58,7 +58,6 @@ class Instruction:
         self.rs2 = (word >> 20) & 31
         self.imm = 0
         self.csr = 0
-        self.handler = None
         fmt = entry.fmt
         if fmt == "I":
             self.imm = sext(word >> 20, 12)

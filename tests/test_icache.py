@@ -1,0 +1,97 @@
+"""Instruction cache against the reference LRU model (reference_cache.py).
+
+Seeded address streams mix re-hits on the most recently used line, hits
+on older ways, conflict misses (more tags per set than ways) and full
+flushes.  The hit/miss sequence must match the reference, and every
+served word or line must equal the backing memory.
+"""
+
+import json
+import random
+
+import pytest
+
+import pulpsim
+from pulpsim.component import Request
+
+from reference_cache import RefLruCache
+
+MEM_SIZE = 0x10000
+# (size, ways, line_bytes, hit_latency): the PE L1 and the shared L1.5
+GEOMETRIES = [(512, 2, 16, 0), (4096, 4, 16, 1)]
+
+
+def build_cache(size, ways, line, hit_latency, contents):
+    doc = {
+        "name": "icache-test",
+        "clock_domains": {"main": {"frequency_hz": 400000000, "event_window": 64}},
+        "components": {
+            "ic": {"kind": "icache", "domain": "main",
+                   "params": {"size": size, "ways": ways, "line_bytes": line,
+                              "hit_latency": hit_latency}},
+            "ram": {"kind": "banked-memory", "domain": "main",
+                    "params": {"base": 0, "size": MEM_SIZE, "banks": 4}},
+        },
+        "bindings": [["ic.refill", "ram.in"]],
+    }
+    plat = pulpsim.build(pulpsim.parse(json.dumps(doc)))
+    plat.poke(0, contents)
+    plat.reset()
+    return plat.lookup("ic")
+
+
+def stream(rng, sets, ways, line, count):
+    """Yields byte addresses of lines, or None for a flush."""
+    hot = rng.sample(range(sets), min(4, sets))
+    pool = [(s + t * sets) * line for s in hot for t in range(ways + 2)]
+    recent = [pool[0]]
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.01:
+            yield None
+            continue
+        if r < 0.35:
+            base = recent[-1]                   # MRU re-hit
+        elif r < 0.5 and len(recent) > 1:
+            base = recent[-2]                   # often a non-MRU way
+        else:
+            base = rng.choice(pool)             # conflicts beyond `ways`
+        recent = recent[-1:] + [base]
+        yield base
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=["l1", "l15"])
+def test_icache_matches_reference_lru(geometry, seed):
+    size, ways, line, hit_latency = geometry
+    rng = random.Random(seed)
+    contents = rng.randbytes(MEM_SIZE)
+    cache = build_cache(size, ways, line, hit_latency, contents)
+    ref = RefLruCache(size, ways, line)
+    hits = misses = flushes = 0
+    for base in stream(rng, ref.sets, ways, line, 4000):
+        if base is None:
+            cache.flush()
+            ref = RefLruCache(size, ways, line)
+            flushes += 1
+            continue
+        if line > 4 and rng.random() < 0.25:
+            addr, nbytes, buf = base, line, bytearray(line)     # a refill from below
+        else:
+            addr, nbytes, buf = base + rng.randrange(0, line, 4), 4, None
+        req = Request().setup(addr, nbytes, False, data=buf)
+        cache.ports["in"].handler(req)
+        hit = ref.access(addr)
+        assert req.status == "ok"
+        assert req.cache_miss == (not hit), hex(addr)
+        if hit:
+            hits += 1
+            assert req.latency == hit_latency
+        else:
+            misses += 1
+            assert req.latency > hit_latency
+        want = contents[addr:addr + nbytes]
+        got = bytes(buf) if buf is not None else req.value.to_bytes(4, "little")
+        assert got == want, hex(addr)
+    assert (cache.hits, cache.misses) == (hits, misses)
+    assert hits > 1000 and misses > 100 and flushes > 0
