@@ -4,7 +4,8 @@ import time
 
 from .component import COMPONENT_KINDS, bind
 from .engine import TimeEngine, ClockDomain
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError
+from .interconnect import resolve_mappings
 
 
 class Platform:
@@ -42,19 +43,12 @@ class Platform:
             if entry["kind"] == "router":
                 # resolve {"target": path} mappings against the descriptor and
                 # queue the implied binding to the target's input port
-                params = dict(params)
-                resolved = []
-                for m in params["mappings"]:
+                ranges = resolve_mappings(path, params["mappings"], descriptor.components)
+                for m, (_, _, port) in zip(params["mappings"], ranges):
                     if "target" in m:
-                        tp = descriptor.components[m["target"]]["params"]
-                        port = m["target"].replace("/", "_")
-                        resolved.append({"base": tp["base"], "size": tp["size"],
-                                         "port": port})
-                        pending_auto.append(("%s.%s" % (path, port),
-                                             m["target"] + ".in"))
-                    else:
-                        resolved.append(m)
-                params["mappings"] = resolved
+                        pending_auto.append(("%s.%s" % (path, port), m["target"] + ".in"))
+                params = dict(params, mappings=[{"base": base, "size": size, "port": port}
+                                                for base, size, port in ranges])
             self.add_component(path, entry["kind"], params, entry["domain"])
         for master, slave in descriptor.bindings:
             self.bind_paths(master, slave)

@@ -13,7 +13,7 @@ The composite exposes two port aliases for top-level bindings:
     <path>.out  master, requests toward the SoC interconnect
 """
 
-from .component import Component, register
+from .component import Component, as_int, register
 
 PERIPH_SPAN = 0x3000    # event unit + DMA + accelerator register blocks
 
@@ -54,7 +54,6 @@ class Cluster(Component):
         cl_domain = self.domain.name
         soc_domain = p["soc_domain"]
         nb = p["nb_cores"]
-        tcdm = p["tcdm"]
         periph = p["periph_base"]
         icp = p["icache"]
 
@@ -65,9 +64,9 @@ class Cluster(Component):
             plat.add_component(pe, "riscv-core", {
                 "hart_id": i,
                 "boot_addr": p["boot_addr"],
-                "isa": p["core"].get("isa", ["rv32im", "xdemo"]),
-                "branch_penalty": p["core"].get("branch_penalty", 2),
-                "trap_vector": p["core"].get("trap_vector", 0),
+                "isa": p["core"]["isa"],
+                "branch_penalty": p["core"]["branch_penalty"],
+                "trap_vector": p["core"]["trap_vector"],
             }, cl_domain)
             plat.add_component("%s_icache" % pe, "icache", {
                 "size": icp["l1_size"], "ways": icp["l1_ways"],
@@ -80,16 +79,19 @@ class Cluster(Component):
             "serialize_refills": True,
         }, cl_domain)
 
-        plat.add_component("%s/tcdm" % me, "banked-memory", {
-            "base": tcdm["base"], "size": tcdm["size"], "banks": tcdm["banks"],
-        }, cl_domain)
+        # the TCDM's own validated params, so 0x strings in the group become ints
+        tcdm = plat.add_component("%s/tcdm" % me, "banked-memory", {
+            "base": p["tcdm"]["base"], "size": p["tcdm"]["size"], "banks": p["tcdm"]["banks"],
+        }, cl_domain).params
 
         mappings = [
             {"base": tcdm["base"], "size": tcdm["size"], "port": "tcdm"},
             {"base": periph, "size": PERIPH_SPAN, "port": "periph"},
         ]
-        for r in p["external_ranges"]:
-            mappings.append({"base": r["base"], "size": r["size"], "port": "ext"})
+        where = "components.%s.params.external_ranges" % me
+        ext = [(as_int(r["base"], where), as_int(r["size"], where))
+               for r in p["external_ranges"]]
+        mappings += [{"base": base, "size": size, "port": "ext"} for base, size in ext]
         plat.add_component("%s/xbar" % me, "router", {
             "latency": p["xbar"]["latency"],
             "mappings": mappings,
@@ -132,8 +134,7 @@ class Cluster(Component):
             "event_line": p["accel"]["event_line"],
         }, cl_domain)
 
-        ext_mappings = [{"base": r["base"], "size": r["size"], "port": "out"}
-                        for r in p["external_ranges"]]
+        ext_mappings = [{"base": base, "size": size, "port": "out"} for base, size in ext]
         plat.add_component("%s/bridge" % me, "router", {
             "latency": p["bridge"]["latency"],
             "bandwidth_bytes_per_cycle": p["bridge"]["bandwidth_bytes_per_cycle"],

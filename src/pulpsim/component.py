@@ -7,6 +7,8 @@ chain; every component on the way may add to its latency, and the initiator
 turns the accumulated cycle count into stalls or events on return.
 """
 
+import copy
+
 from .errors import ConfigError, StructuralError
 
 REQUIRED = object()
@@ -97,12 +99,70 @@ class Port:
         return "<Port %s %s>" % (self.path, self.direction)
 
 
+def as_int(value, where):
+    """`value` as an int: decimal or 0x strings convert, booleans do not."""
+    if isinstance(value, bool):
+        raise ConfigError("%s: expected integer, got boolean" % where)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 0)
+        except ValueError:
+            pass
+    raise ConfigError("%s: expected integer, got %r" % (where, value))
+
+
+def _fresh(default):
+    return copy.deepcopy(default) if isinstance(default, (dict, list)) else default
+
+
+def fill_params(cls, path, given):
+    """Check `given` against cls.PARAMS and fill in the defaults.
+
+    Names must be declared, REQUIRED ones present and every value of its
+    declared type; int params also take 0x strings.  A dict param with a
+    dict default is a nested group: it takes a subset of the default's
+    keys and the rest is filled from the default.  Container defaults are
+    copied; values the caller gave are not.
+    """
+    merged = {}
+    given = dict(given or {})
+    for name, (ptype, default) in cls.PARAMS.items():
+        if name not in given:
+            if default is REQUIRED:
+                raise ConfigError("components.%s: missing required param '%s'" % (path, name))
+            merged[name] = _fresh(default)
+            continue
+        value = given.pop(name)
+        where = "components.%s.params.%s" % (path, name)
+        if ptype is int:
+            if type(value) is not int:
+                value = as_int(value, where)
+        elif not isinstance(value, ptype):
+            raise ConfigError("%s: expected %s, got %r" % (where, ptype.__name__, value))
+        elif ptype is dict and isinstance(default, dict):
+            unknown = value.keys() - default.keys()
+            if unknown:
+                raise ConfigError("%s: unknown keys %s" % (where, sorted(unknown)))
+            value = {key: value[key] if key in value else _fresh(d)
+                     for key, d in default.items()}
+        merged[name] = value
+    if given:
+        raise ConfigError("components.%s: unknown params %s for kind '%s'" % (
+            path, sorted(given), cls.kind))
+    return merged
+
+
 class Component:
     """Base class: a named instance with ports, parameters and a domain.
 
     Subclasses declare `kind` and a PARAMS map of name -> (type, default);
-    REQUIRED as the default marks mandatory parameters.  Parameter values
-    land in self.params after validation.
+    REQUIRED as the default marks mandatory parameters.  Every instance,
+    whether named in the descriptor or added by a composite at build time,
+    runs its params through fill_params() and keeps the result in
+    self.params.  Router mappings are resolved and checked for overlaps by
+    the interconnect module, at parse time and again in Router.build().
     """
 
     kind = "abstract"
@@ -112,7 +172,7 @@ class Component:
         self.platform = platform
         self.path = path
         self.domain = domain
-        self.params = self._check_params(params)
+        self.params = fill_params(type(self), path, params)
         self.ports = {}
         self.build()
 
@@ -126,27 +186,6 @@ class Component:
 
     def reset(self):
         """Return to power-on state (counters, registers, schedules)."""
-
-    def _check_params(self, given):
-        merged = {}
-        given = dict(given or {})
-        for name, (ptype, default) in self.PARAMS.items():
-            if name in given:
-                value = given.pop(name)
-                if ptype is int and isinstance(value, str):
-                    value = int(value, 0)
-                if ptype is not None and not isinstance(value, ptype):
-                    raise ConfigError("%s: param '%s' expects %s, got %r" % (
-                        self.path, name, getattr(ptype, "__name__", ptype), value))
-                merged[name] = value
-            elif default is REQUIRED:
-                raise ConfigError("%s: missing required param '%s'" % (self.path, name))
-            else:
-                merged[name] = default
-        if given:
-            raise ConfigError("%s: unknown params %s for kind '%s'" % (
-                self.path, sorted(given), self.kind))
-        return merged
 
     # -- ports ----------------------------------------------------------
 

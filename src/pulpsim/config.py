@@ -6,9 +6,20 @@ A platform is one flat JSON file with three sections:
     components:     path -> {kind, domain, params}
     bindings:       [[master_path.port, slave_path.port], ...]
 
-Router mappings may name a {"target": path} instead of explicit
-base/size/port; the range is then taken from the target component's
-base/size params and the binding is made automatically.  Every parameter
+parse() normalises and checks a description before anything is built.
+Each component's params go through component.fill_params(), the one
+parameter validator; Component.__init__ runs it again for every instance,
+so the children a composite adds at build time get the same checks.
+Nested parameter groups (dict params with a dict default) are completed
+from their defaults and reject unknown keys; their values are checked by
+the children built from them.  Router mappings are resolved by
+interconnect.resolve_mappings() and checked by check_overlaps(), and
+explicit base/size strings such as "0x1000" are stored as ints.
+
+A mapping may name a {"target": path} instead of explicit base/size/port.
+It stays in the descriptor as written: the builder resolves it again when
+it builds the platform, so an override of the target's base/size moves
+the mapping, and binds the port to the target's input.  Every parameter
 can be overridden from the command line as `path.key=value`, which is what
 makes design-space sweeps possible without editing files.
 """
@@ -16,9 +27,10 @@ makes design-space sweeps possible without editing files.
 import copy
 import json
 
-from .component import COMPONENT_KINDS, REQUIRED
+from .component import COMPONENT_KINDS, as_int, fill_params
 from .engine import PS_PER_SEC
 from .errors import ConfigError
+from .interconnect import check_overlaps, resolve_mappings
 
 
 class ArchDescriptor:
@@ -40,79 +52,6 @@ class ArchDescriptor:
         return isinstance(other, ArchDescriptor) and self.to_dict() == other.to_dict()
 
 
-def _as_int(value, where):
-    if isinstance(value, bool):
-        raise ConfigError("%s: expected integer, got boolean" % where)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 0)
-        except ValueError:
-            pass
-    raise ConfigError("%s: expected integer, got %r" % (where, value))
-
-
-def _fill_params(kind, path, given):
-    """Merge declared defaults into `given`, checking names and types."""
-    cls = COMPONENT_KINDS[kind]
-    merged = {}
-    given = dict(given or {})
-    for name, (ptype, default) in cls.PARAMS.items():
-        if name in given:
-            value = given.pop(name)
-            if ptype is int:
-                value = _as_int(value, "%s.%s" % (path, name))
-            elif ptype is dict and isinstance(value, dict) and isinstance(default, dict):
-                base = copy.deepcopy(default)
-                base.update(value)
-                value = base
-            if ptype is not None and not isinstance(value, ptype):
-                raise ConfigError("components.%s.params.%s: expected %s, got %r" % (
-                    path, name, ptype.__name__, value))
-            merged[name] = value
-        elif default is REQUIRED:
-            raise ConfigError("components.%s: missing required param '%s'" % (path, name))
-        else:
-            merged[name] = copy.deepcopy(default)
-    if given:
-        raise ConfigError("components.%s: unknown params %s for kind '%s'" % (
-            path, sorted(given), kind))
-    return merged
-
-
-def _check_router_overlaps(path, params, components):
-    resolved = []
-    for i, m in enumerate(params.get("mappings", [])):
-        where = "components.%s.params.mappings[%d]" % (path, i)
-        if "target" in m:
-            target = m["target"]
-            entry = components.get(target)
-            if entry is None:
-                raise ConfigError("%s: unknown target '%s'" % (where, target))
-            tp = entry["params"]
-            if "base" not in tp or "size" not in tp:
-                raise ConfigError("%s: target '%s' has no base/size" % (where, target))
-            resolved.append((tp["base"], tp["size"], target))
-        else:
-            try:
-                base = _as_int(m["base"], where)
-                size = _as_int(m["size"], where)
-                name = m["port"]
-            except KeyError as e:
-                raise ConfigError("%s: mapping needs target or base/size/port (missing %s)"
-                                  % (where, e)) from None
-            resolved.append((base, size, name))
-    for i in range(len(resolved)):
-        for j in range(i + 1, len(resolved)):
-            b1, s1, n1 = resolved[i]
-            b2, s2, n2 = resolved[j]
-            if b1 < b2 + s2 and b2 < b1 + s1:
-                raise ConfigError(
-                    "components.%s: address ranges of '%s' [0x%x,0x%x) and "
-                    "'%s' [0x%x,0x%x) overlap" % (path, n1, b1, b1 + s1, n2, b2, b2 + s2))
-
-
 def parse(json_text):
     """Parse and validate a platform description; returns an ArchDescriptor."""
     try:
@@ -131,14 +70,14 @@ def parse(json_text):
         where = "clock_domains.%s" % name
         if not isinstance(entry, dict):
             raise ConfigError("%s: expected object" % where)
-        freq = _as_int(entry.get("frequency_hz", 0), where + ".frequency_hz")
+        freq = as_int(entry.get("frequency_hz", 0), where + ".frequency_hz")
         if freq <= 0:
             raise ConfigError("%s: frequency_hz must be positive" % where)
         if PS_PER_SEC % freq != 0:
             raise ConfigError(
                 "%s: frequency %d Hz has a non-integral period of %.6f ps" % (
                     where, freq, PS_PER_SEC / freq))
-        window = _as_int(entry.get("event_window", 64), where + ".event_window")
+        window = as_int(entry.get("event_window", 64), where + ".event_window")
         if window <= 0:
             raise ConfigError("%s: event_window must be positive" % where)
         unknown = set(entry) - {"frequency_hz", "event_window"}
@@ -163,12 +102,16 @@ def parse(json_text):
         unknown = set(entry) - {"kind", "domain", "params"}
         if unknown:
             raise ConfigError("%s: unknown keys %s" % (where, sorted(unknown)))
-        params = _fill_params(kind, path, entry.get("params"))
+        params = fill_params(COMPONENT_KINDS[kind], path, entry.get("params"))
         components[path] = {"kind": kind, "domain": domain, "params": params}
 
     for path, entry in components.items():
         if entry["kind"] == "router":
-            _check_router_overlaps(path, entry["params"], components)
+            params = entry["params"]
+            ranges = resolve_mappings(path, params["mappings"], components)
+            check_overlaps(path, ranges)
+            params["mappings"] = [m if "target" in m else dict(m, base=base, size=size)
+                                  for m, (base, size, _) in zip(params["mappings"], ranges)]
 
     bindings = []
     for i, pair in enumerate(raw.get("bindings") or []):

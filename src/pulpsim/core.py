@@ -253,7 +253,6 @@ class RiscvCore(Component):
         self.boot_pc = self.params["boot_addr"]
         self.branch_penalty = self.params["branch_penalty"]
         self.isa = IsaTable.load(self.params["isa"])
-        self.semantics = dict(SEMANTICS)
         self._dcache = {}
         self.step_event = Event(self.path, self._step)
         self._fetch_req = Request().setup(0, 4, False, initiator=self)
@@ -296,18 +295,6 @@ class RiscvCore(Component):
         if self.platform.vcd is not None:
             self.platform.vcd.core_activity(self, True)
             self.platform.vcd.core_pc(self, self.pc)
-
-    # -- extension mechanism -------------------------------------------
-
-    def register_extension(self, table_doc, semantics=None):
-        """Add a table fragment (dict or file/name) plus its callbacks."""
-        if semantics:
-            self.semantics.update(semantics)
-        if isinstance(table_doc, dict):
-            self.isa.extend(table_doc, table_doc.get("name", "extension"))
-        else:
-            self.isa = IsaTable.load(self.params["isa"] + [table_doc])
-        self._dcache.clear()
 
     # -- architectural helpers ------------------------------------------
 
@@ -482,7 +469,7 @@ class RiscvCore(Component):
             dec = _ILLEGAL
         else:
             e = ins.entry
-            handler = self.semantics.get(e.semantics)
+            handler = SEMANTICS.get(e.semantics)
             if handler is None:
                 raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
             dec = (ins, handler, ins.rs1, ins.rs2, ins.rd, 1 + e.latency,

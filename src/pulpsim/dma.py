@@ -161,6 +161,8 @@ class ClusterDma(Component):
         tr.event = Event(self.path, self._burst, tr)
         self.active[tid] = tr
         self.transfers += 1
+        if self.platform.vcd is not None:
+            self.platform.vcd.flag(self.path, True)
         self.domain.enqueue(tr.event, self.params["program_latency"])
         if self._tr:
             self.platform.trace(self.path, self.domain,
@@ -229,14 +231,6 @@ class ClusterDma(Component):
         if self.platform.vcd is not None:
             self.platform.vcd.flag(self.path, bool(self.active))
         self.event_unit.set_line(self.params["event_line"])
-
-    # -- direct API for tests ---------------------------------------------
-
-    def wait_status(self, tid):
-        """Polling view of spec-level wait(): 'done'/'error'/'active'/'unknown'."""
-        if tid in self.active:
-            return "active"
-        return self.finished.get(tid, "unknown")
 
     def counters(self):
         return {"transfers": self.transfers, "bytes": self.bytes_moved,

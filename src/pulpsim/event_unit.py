@@ -106,8 +106,6 @@ class EventUnit(Component):
                 st.wait_kind = None
                 st.core.wake()
 
-    irq_raise = set_line
-
     # -- memory-mapped interface --------------------------------------------
 
     def handle(self, req):

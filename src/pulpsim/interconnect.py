@@ -8,7 +8,7 @@ port and do their own per-bank accounting, so no fan-in component sits in
 front of them.
 """
 
-from .component import Component, register, REQUIRED, STATUS_ERR
+from .component import Component, register, as_int, REQUIRED, STATUS_ERR
 from .errors import ConfigError
 
 
@@ -20,13 +20,56 @@ def decode(mappings, addr):
     return None
 
 
+def resolve_mappings(path, mappings, components):
+    """Router `mappings` as [(base, size, port)], in order.
+
+    An explicit entry gives base/size (ints or 0x strings) and port.  A
+    {"target": path} entry takes base/size from that entry of `components`
+    (descriptor form, path -> {"kind", "domain", "params"}) and names its
+    port after the target, with "/" replaced by "_".
+    """
+    out = []
+    for i, m in enumerate(mappings):
+        where = "components.%s.params.mappings[%d]" % (path, i)
+        if not isinstance(m, dict):
+            raise ConfigError("%s: expected object, got %r" % (where, m))
+        if "target" in m:
+            target = m["target"]
+            entry = components.get(target)
+            if entry is None:
+                raise ConfigError("%s: unknown target '%s'" % (where, target))
+            tp = entry["params"]
+            if "base" not in tp or "size" not in tp:
+                raise ConfigError("%s: target '%s' has no base/size" % (where, target))
+            out.append((tp["base"], tp["size"], target.replace("/", "_")))
+        else:
+            try:
+                out.append((as_int(m["base"], where + ".base"),
+                            as_int(m["size"], where + ".size"), m["port"]))
+            except KeyError as e:
+                raise ConfigError("%s: mapping needs target or base/size/port (missing %s)"
+                                  % (where, e)) from None
+    return out
+
+
+def check_overlaps(path, ranges):
+    """Reject two (base, size, port) ranges of one router that intersect."""
+    for i, (b1, s1, n1) in enumerate(ranges):
+        for b2, s2, n2 in ranges[i + 1:]:
+            if b1 < b2 + s2 and b2 < b1 + s1:
+                raise ConfigError(
+                    "components.%s: address ranges of '%s' [0x%x,0x%x) and "
+                    "'%s' [0x%x,0x%x) overlap" % (path, n1, b1, b1 + s1, n2, b2, b2 + s2))
+
+
 @register
 class Router(Component):
     """Address-decoding crossbar with per-traversal latency and occupancy.
 
-    `mappings` is a list of {"base", "size", "port"} dicts; output ports are
-    created from it.  bandwidth_bytes_per_cycle = 0 disables occupancy
-    modeling (a fully parallel crossbar).
+    `mappings` is a list of {"base", "size", "port"} dicts with int base and
+    size (the builder resolves the descriptor's {"target"} entries); output
+    ports are created from it.  bandwidth_bytes_per_cycle = 0 disables
+    occupancy modeling (a fully parallel crossbar).
     """
 
     kind = "router"
@@ -39,21 +82,11 @@ class Router(Component):
     def build(self):
         self.latency = self.params["latency"]
         self.bandwidth = self.params["bandwidth_bytes_per_cycle"]
+        ranges = [(m["base"], m["size"], m["port"]) for m in self.params["mappings"]]
+        check_overlaps(self.path, ranges)
         self.mappings = []
-        seen = []
-        for i, m in enumerate(self.params["mappings"]):
-            base = m["base"] if isinstance(m["base"], int) else int(m["base"], 0)
-            size = m["size"] if isinstance(m["size"], int) else int(m["size"], 0)
-            port = m["port"]
-            for b2, s2, p2 in seen:
-                if base < b2 + s2 and b2 < base + size:
-                    raise ConfigError(
-                        "%s: mapping '%s' [0x%x,0x%x) overlaps '%s' [0x%x,0x%x)" % (
-                            self.path, port, base, base + size, p2, b2, b2 + s2))
-            seen.append((base, size, port))
-            out = self.ports.get(port)
-            if out is None:
-                out = self.add_master(port)
+        for base, size, port in ranges:
+            out = self.ports.get(port) or self.add_master(port)
             self.mappings.append((base, size, out))
         self.add_slave("in", self.handle)
         self.busy_until = -1

@@ -163,7 +163,9 @@ class MicroDma(Component):
             return
         self.status = UDMA_BUSY
         self.transfers += 1
-        start_ps = self.engine_now()
+        if self.platform.vcd is not None:
+            self.platform.vcd.flag(self.path, True)
+        start_ps = self.platform.engine.now_ps
         bw = self.device.params["bandwidth_bits_per_sec"]
         self._cur = {
             "tx": tx,
@@ -181,9 +183,6 @@ class MicroDma(Component):
                                 ("tx" if tx else "rx", self._regs[UDMA_L2_ADDR],
                                  ext, length))
         self._schedule_beat()
-
-    def engine_now(self):
-        return self.platform.engine.now_ps
 
     def _schedule_beat(self):
         cur = self._cur
@@ -229,6 +228,8 @@ class MicroDma(Component):
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
         self._cur = None
+        if self.platform.vcd is not None:
+            self.platform.vcd.flag(self.path, False)
         if self._tr:
             self.platform.trace(self.path, self.domain,
                                 "done status=%s" % ("error" if error else "ok"))

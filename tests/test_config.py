@@ -138,3 +138,47 @@ def test_elaborated_dump_matches_golden(tmp_path):
     golden = pathlib.Path(__file__).parent / "data" / "pulp_open_dump.txt"
     dump = build_pulp().dump()
     assert dump == golden.read_text()
+
+
+def _pulp_doc_with_cluster(**params):
+    doc = json.loads(serialize(pulp_descriptor()))
+    doc["components"]["cluster"]["params"].update(params)
+    return json.dumps(doc)
+
+
+def test_nested_group_rejects_unknown_key():
+    with pytest.raises(ConfigError, match="tcdm.*bnks"):
+        parse(_pulp_doc_with_cluster(tcdm={"bnks": 64}))
+
+
+def test_nested_group_filled_from_default():
+    desc = parse(_pulp_doc_with_cluster(tcdm={"banks": 32}))
+    assert desc.components["cluster"]["params"]["tcdm"] == {
+        "base": 0x10000000, "size": 0x20000, "banks": 32}
+
+
+@pytest.mark.parametrize("banks", [True, "x"])
+def test_composite_children_validated(banks):
+    with pytest.raises(ConfigError, match="cluster/tcdm"):
+        build(parse(_pulp_doc_with_cluster(tcdm={"banks": banks})))
+
+
+def test_target_mapping_follows_override():
+    plat = build_pulp(["hyper.size=0x400000"])
+    ranges = {out.name: (base, size) for base, size, out in plat.lookup("soc_ic").mappings}
+    assert ranges["hyper"] == (0x20000000, 0x400000)
+    assert plat.lookup("soc_ic").ports["hyper"].binding.owner.path == "hyper"
+
+
+def test_param_defaults_satisfy_declared_types():
+    from pulpsim.component import COMPONENT_KINDS, REQUIRED, fill_params
+    for kind, cls in COMPONENT_KINDS.items():
+        defaults = {name: default for name, (_, default) in cls.PARAMS.items()
+                    if default is not REQUIRED}
+        given = dict(defaults)
+        given.update({name: ptype() for name, (ptype, default) in cls.PARAMS.items()
+                      if default is REQUIRED})
+        filled = fill_params(cls, kind, given)
+        for name, default in defaults.items():
+            assert filled[name] == default and type(filled[name]) is type(default), \
+                (kind, name)
