@@ -91,8 +91,6 @@ class ConvAccelerator(Component):
         self._tr = self.platform.trace_enabled(self.path)
 
     def reset(self):
-        if self.job_event.enqueued:
-            self.domain.cancel(self.job_event)
         self._reset_state()
         self._tr = self.platform.trace_enabled(self.path)
 

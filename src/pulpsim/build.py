@@ -13,8 +13,8 @@ class Platform:
 
     Composite components (the cluster) add their children and internal
     bindings while being constructed, so after build() the component map is
-    fully elaborated.  Call reset() once (directly or via run()) after
-    attaching tracing.
+    fully elaborated.  Call reset() (directly or via run()) after attaching
+    tracing; a later reset() returns to power-on for another run.
     """
 
     def __init__(self, descriptor):
@@ -33,7 +33,7 @@ class Platform:
         self.was_reset = False
 
         for name, entry in descriptor.clock_domains.items():
-            dom = ClockDomain(name, entry["frequency_hz"], entry["event_window"])
+            dom = ClockDomain(name, entry["frequency_hz"])
             self.engine.add_domain(dom)
             self.domains[name] = dom
 
@@ -161,9 +161,14 @@ class Platform:
     # -- run ---------------------------------------------------------------
 
     def reset(self):
+        """Power-on: time 0, every domain at cycle 0 with no pending events,
+        then every component's reset (cores enqueue their first step here),
+        an empty console and no diagnostics.  Memory contents are kept."""
+        self.engine.reset()
         for comp in self.components.values():
             comp.reset()
         self.console.clear()
+        self.diagnostics.clear()
         self.was_reset = True
 
     def run(self, max_cycles=None):

@@ -2,7 +2,7 @@
 
 A platform is one flat JSON file with three sections:
 
-    clock_domains:  name -> {frequency_hz, event_window}
+    clock_domains:  name -> {frequency_hz}
     components:     path -> {kind, domain, params}
     bindings:       [[master_path.port, slave_path.port], ...]
 
@@ -77,13 +77,10 @@ def parse(json_text):
             raise ConfigError(
                 "%s: frequency %d Hz has a non-integral period of %.6f ps" % (
                     where, freq, PS_PER_SEC / freq))
-        window = as_int(entry.get("event_window", 64), where + ".event_window")
-        if window <= 0:
-            raise ConfigError("%s: event_window must be positive" % where)
-        unknown = set(entry) - {"frequency_hz", "event_window"}
+        unknown = set(entry) - {"frequency_hz"}
         if unknown:
             raise ConfigError("%s: unknown keys %s" % (where, sorted(unknown)))
-        domains[name] = {"frequency_hz": freq, "event_window": window}
+        domains[name] = {"frequency_hz": freq}
     if not domains:
         raise ConfigError("clock_domains: at least one domain is required")
 

@@ -289,8 +289,6 @@ class RiscvCore(Component):
         self.mode = "running"
         self._zero_state()
         self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
-        if self.step_event.enqueued:
-            self.domain.cancel(self.step_event)
         self.domain.enqueue(self.step_event, 0)
         if self.platform.vcd is not None:
             self.platform.vcd.core_activity(self, True)
@@ -495,25 +493,14 @@ class RiscvCore(Component):
             if self.platform.vcd is not None:
                 self.platform.vcd.core_activity(self, False)
 
-    # -- sleep / wake (event unit, DMA wait) --------------------------------
-
-    def sleep(self):
-        """Force sleep from outside an instruction (cancels pending step)."""
-        if self.mode != "running":
-            return
-        self.mode = "sleeping"
-        if self.step_event.enqueued:
-            self.domain.cancel(self.step_event)
-        self.sleep_from = self.domain.cycle
-        if self.platform.vcd is not None:
-            self.platform.vcd.core_activity(self, False)
+    # -- wake-up (event unit) -------------------------------------------------
 
     def wake(self):
         if self.mode != "sleeping":
             return
         self.mode = "running"
-        at = self.domain.enqueue_synced(self.step_event, 1)
-        slept = at - self.sleep_from
+        self.domain.enqueue(self.step_event, 1)
+        slept = self.step_event.cycle - self.sleep_from
         if slept > 0:
             self.total_cycles += slept
             self.barrier_wait_cycles += slept

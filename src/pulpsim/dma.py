@@ -88,7 +88,7 @@ class ClusterDma(Component):
         self.next_id = 1
         self.last_id = 0
         self.active = {}
-        self.finished = {}      # tid -> "done" | "error"
+        self.failed = set()     # tids of transfers that ended in a bus error
         self.transfers = 0
         self.bytes_moved = 0
         self.contentions = 0
@@ -130,11 +130,10 @@ class ClusterDma(Component):
     def transfer_status(self, tid):
         if tid in self.active:
             return 0
-        state = self.finished.get(tid)
-        if state == "done":
-            return 1
-        if state == "error":
+        if tid in self.failed:
             return 2
+        if 0 < tid < self.next_id:
+            return 1
         return 0xFFFFFFFF
 
     # -- transfer lifecycle ---------------------------------------------------
@@ -224,10 +223,11 @@ class ClusterDma(Component):
 
     def _finish(self, tr):
         del self.active[tr.tid]
-        self.finished[tr.tid] = "error" if tr.error else "done"
+        if tr.error:
+            self.failed.add(tr.tid)
         if self._tr:
             self.platform.trace(self.path, self.domain, "done id=%d status=%s" %
-                                (tr.tid, self.finished[tr.tid]))
+                                (tr.tid, "error" if tr.error else "done"))
         if self.platform.vcd is not None:
             self.platform.vcd.flag(self.path, bool(self.active))
         self.event_unit.set_line(self.params["event_line"])

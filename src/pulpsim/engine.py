@@ -4,6 +4,15 @@ A global time engine keeps track of picosecond time across any number of
 clock domains.  Each domain owns a forward-monotone cycle counter and an
 event store made of a circular buffer covering a fixed window of upcoming
 cycles plus an ordered overflow queue for events scheduled further out.
+
+The engine owns time.  `ClockDomain.enqueue` counts its delta from the
+domain's cycle at the engine's current time: the executing cycle when the
+caller runs in that domain, otherwise the first edge of the domain at or
+after `TimeEngine.now_ps` (a domain's own counter only advances when it
+executes, so it is stale while the domain sleeps).  Any domain may
+therefore schedule into any other.  `TimeEngine.reset` rewinds time to 0,
+every counter to cycle 0, and drops every pending event, so components
+never cancel events themselves.
 """
 
 import heapq
@@ -24,7 +33,7 @@ class Event:
     which is how components implement recurring activity.
     """
 
-    __slots__ = ("owner", "callback", "payload", "enqueued", "cycle", "_in_overflow")
+    __slots__ = ("owner", "callback", "payload", "enqueued", "cycle")
 
     def __init__(self, owner, callback, payload=None):
         self.owner = owner          # component path, for diagnostics
@@ -32,7 +41,6 @@ class Event:
         self.payload = payload
         self.enqueued = False
         self.cycle = 0              # absolute domain cycle while enqueued
-        self._in_overflow = False
 
     def __repr__(self):
         state = "enqueued@%d" % self.cycle if self.enqueued else "idle"
@@ -42,14 +50,16 @@ class Event:
 class ClockDomain:
     """A clock source: frequency, cycle counter and the event store.
 
-    The store is a ring of `window` slots, one per upcoming cycle; events
-    scheduled at least `window` cycles ahead wait in an overflow heap
+    `enqueue` is relative to this domain's cycle at the engine's current
+    time (module docstring), so it is safe from any domain.  The store is
+    a ring of `window` slots, one per upcoming cycle; events scheduled at
+    least `window` cycles ahead of the counter wait in an overflow heap
     ordered by (cycle, insertion sequence) and are promoted into the ring
     whenever the counter crosses a window-sized lap boundary (or when the
-    ring would otherwise run dry).
+    ring would otherwise run dry).  `reset` rewinds to cycle 0.
     """
 
-    def __init__(self, name, frequency_hz, event_window=64, engine=None):
+    def __init__(self, name, frequency_hz, event_window=64):
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive: %r" % frequency_hz)
         if PS_PER_SEC % frequency_hz != 0:
@@ -61,15 +71,27 @@ class ClockDomain:
         self.frequency_hz = frequency_hz
         self.period_ps = PS_PER_SEC // frequency_hz
         self.window = event_window
-        self.cycle = 0
-        self.engine = engine
-        self._ref_ps = 0            # global time of cycle 0
+        self.engine = None          # set by TimeEngine.add_domain
         self._slots = [[] for _ in range(event_window)]
-        self._slot_count = 0
         self._overflow = []         # heap of (abs_cycle, seq, event)
+        self.reset()
+
+    def reset(self):
+        """Rewind to cycle 0 with empty stores and zeroed statistics.
+
+        Every event still pending is dropped and marked not enqueued.
+        """
+        for lst in self._slots:
+            for ev in lst:
+                ev.enqueued = False
+            lst.clear()
+        for _, _, ev in self._overflow:
+            ev.enqueued = False
+        self._overflow.clear()
+        self.cycle = 0
+        self._slot_count = 0
         self._seq = 0
-        self._next_drain = event_window
-        self._exec_list = None      # slot list currently being executed
+        self._next_drain = self.window
         # statistics
         self.events_executed = 0
         self.laps_completed = 0
@@ -78,9 +100,12 @@ class ClockDomain:
     # -- scheduling ---------------------------------------------------
 
     def enqueue(self, event, delta_cycles):
-        """Schedule `event` delta_cycles after the current cycle."""
+        """Schedule `event` delta_cycles after this domain's current cycle."""
         if delta_cycles < 0:
             raise StructuralError("negative delta for %r" % event)
+        if self.engine.current is not self:
+            self._put(event, self.cycle_at_or_after(self.engine.now_ps) + delta_cycles)
+            return
         if delta_cycles >= self.window:
             self._put(event, self.cycle + delta_cycles)
             return
@@ -89,7 +114,6 @@ class ClockDomain:
         abs_cycle = self.cycle + delta_cycles
         event.enqueued = True
         event.cycle = abs_cycle
-        event._in_overflow = False
         self._slots[abs_cycle % self.window].append(event)
         self._slot_count += 1
 
@@ -98,23 +122,6 @@ class ClockDomain:
             raise StructuralError("cycle %d is in the past (now %d)" % (abs_cycle, self.cycle))
         self._put(event, abs_cycle)
 
-    def enqueue_synced(self, event, delta_cycles=1):
-        """Schedule relative to *global* time rather than this domain's counter.
-
-        Needed when the caller runs in another clock domain: this domain's
-        counter may be stale (it only advances when it executes events), so
-        deltas are applied to the first edge at or after the engine's
-        current time.  Returns the absolute cycle used.
-        """
-        base = self.cycle
-        if self.engine is not None:
-            synced = self.cycle_at_or_after(self.engine.now_ps)
-            if synced > base:
-                base = synced
-        abs_cycle = base + delta_cycles
-        self._put(event, abs_cycle)
-        return abs_cycle
-
     def _put(self, event, abs_cycle):
         if event.enqueued:
             raise StructuralError("double enqueue of %r" % event)
@@ -122,48 +129,22 @@ class ClockDomain:
         event.cycle = abs_cycle
         if abs_cycle - self.cycle < self.window:
             self._slots[abs_cycle % self.window].append(event)
-            event._in_overflow = False
             self._slot_count += 1
         else:
             self._seq += 1
             heapq.heappush(self._overflow, (abs_cycle, self._seq, event))
-            event._in_overflow = True
-
-    def cancel(self, event):
-        """Remove a pending event from whichever store holds it."""
-        if not event.enqueued:
-            raise StructuralError("cancel of non-enqueued %r" % event)
-        event.enqueued = False
-        if event._in_overflow:
-            for i, entry in enumerate(self._overflow):
-                if entry[2] is event:
-                    self._overflow.pop(i)
-                    heapq.heapify(self._overflow)
-                    break
-            else:
-                raise StructuralError("event flagged in overflow but not found: %r" % event)
-        else:
-            lst = self._slots[event.cycle % self.window]
-            if lst is self._exec_list:
-                # mid-execution of this very cycle: the flag alone makes the
-                # dispatch loop skip it; the list is cleared afterwards
-                self._slot_count -= 1
-                return
-            lst.remove(event)
-            self._slot_count -= 1
 
     # -- time conversion ----------------------------------------------
 
     def time_of_cycle(self, cycle_index):
         """Global picosecond time of a cycle edge of this domain."""
-        return self._ref_ps + self.period_ps * cycle_index
+        return self.period_ps * cycle_index
 
     def cycle_at_or_after(self, time_ps):
         """First cycle of this domain whose edge is at or after `time_ps`."""
-        dt = time_ps - self._ref_ps
-        if dt <= 0:
+        if time_ps <= 0:
             return 0
-        return -(-dt // self.period_ps)
+        return -(-time_ps // self.period_ps)
 
     # -- execution ----------------------------------------------------
 
@@ -195,19 +176,13 @@ class ClockDomain:
             self._drain_overflow(abs_cycle)
         self.cycle = abs_cycle
         lst = self._slots[abs_cycle % self.window]
-        self._exec_list = lst
-        i = 0
-        while i < len(lst):
-            ev = lst[i]
-            i += 1
-            if not ev.enqueued:
-                continue        # canceled mid-cycle
+        for ev in lst:          # also visits events appended during the loop
             ev.enqueued = False
-            self._slot_count -= 1
-            self.events_executed += 1
             ev.callback(ev)
+        n = len(lst)
+        self._slot_count -= n
+        self.events_executed += n
         lst.clear()
-        self._exec_list = None
 
     def _drain_overflow(self, target_cycle):
         lap_base = (target_cycle // self.window) * self.window
@@ -216,17 +191,11 @@ class ClockDomain:
         of = self._overflow
         while of and of[0][0] < limit:
             _, _, ev = heapq.heappop(of)
-            if not ev.enqueued:     # canceled while waiting (defensive)
-                continue
             self._slots[ev.cycle % self.window].append(ev)
-            ev._in_overflow = False
             self._slot_count += 1
             self.overflow_promotions += 1
         if limit > self._next_drain:
             self._next_drain = limit
-
-    def pending_events(self):
-        return self._slot_count + len(self._overflow)
 
     def __repr__(self):
         return "<ClockDomain %s %d Hz cycle=%d>" % (self.name, self.frequency_hz, self.cycle)
@@ -236,20 +205,28 @@ class TimeEngine:
     """Global event loop over all clock domains.
 
     Repeatedly picks the domain whose next pending event has the earliest
-    global time, advances `now_ps` to it and executes that whole cycle.
-    Ties break by domain registration order, which keeps runs deterministic.
+    global time, advances `now_ps` to it and executes that whole cycle,
+    with `current` naming the executing domain.  Ties break by domain
+    registration order, which keeps runs deterministic.
     """
 
     def __init__(self):
         self.domains = []
         self.now_ps = 0
-        self.running = False
+        self.current = None         # domain executing a cycle, inside run()
         self.exit_status = None
 
     def add_domain(self, domain):
         domain.engine = self
         self.domains.append(domain)
         return domain
+
+    def reset(self):
+        """Power-on: time 0, every domain at cycle 0 with empty stores."""
+        self.now_ps = 0
+        self.exit_status = None
+        for d in self.domains:
+            d.reset()
 
     def post_exit(self, status):
         """Request the run loop to stop after the current cycle completes."""
@@ -267,7 +244,6 @@ class TimeEngine:
             fastest = min(d.period_ps for d in self.domains)
             deadline_ps = max_cycles * fastest
         self.exit_status = None
-        self.running = True
         domains = self.domains
         try:
             while True:
@@ -280,7 +256,7 @@ class TimeEngine:
                     c = d.next_pending_cycle()
                     if c is None:
                         continue
-                    t = d.time_of_cycle(c)
+                    t = d.period_ps * c     # time_of_cycle, inlined
                     if best is None or t < best_t:
                         best, best_cycle, best_t = d, c, t
                 if best is None:
@@ -290,9 +266,10 @@ class TimeEngine:
                 if best_t < self.now_ps:
                     raise StructuralError("global time went backwards")
                 self.now_ps = best_t
+                self.current = best
                 best.execute_cycle(best_cycle)
         finally:
-            self.running = False
+            self.current = None
 
     def stats(self):
         return {

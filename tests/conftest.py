@@ -11,7 +11,7 @@ from pulpsim.asm import assemble
 MINIMAL_PLATFORM = {
     "name": "minimal",
     "clock_domains": {
-        "main": {"frequency_hz": 200000000, "event_window": 64},
+        "main": {"frequency_hz": 200000000},
     },
     "components": {
         "cpu": {"kind": "riscv-core", "domain": "main",

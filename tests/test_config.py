@@ -61,6 +61,13 @@ def test_non_integral_period_rejected_with_path():
         parse(json.dumps(doc))
 
 
+def test_clock_domain_accepts_only_frequency():
+    doc = json.loads(json.dumps(MINIMAL_PLATFORM))
+    doc["clock_domains"]["main"]["event_window"] = 64
+    with pytest.raises(ConfigError, match="clock_domains.main.*event_window"):
+        parse(json.dumps(doc))
+
+
 def test_serialize_roundtrip():
     desc = pulp_descriptor()
     again = parse(serialize(desc))

@@ -209,6 +209,14 @@ def test_bus_error_on_unmapped_address():
     assert cpu.csr_mtvec == 0
 
 
+def test_reset_forgets_the_previous_runs_diagnostics():
+    plat, cpu, _ = run_program("_start:\n    ebreak\n")
+    assert len(plat.diagnostics) == 1
+    plat.reset()
+    plat.run(max_cycles=1000)
+    assert len(plat.diagnostics) == 1 and cpu.mode == "halted"
+
+
 # -- randomized ISS equivalence ----------------------------------------------
 
 SCRATCH = 0x8000

@@ -1,14 +1,16 @@
-"""Clock engine tests: ring-buffer placement, overflow, cancel, time math."""
+"""Clock engine tests: ring-buffer placement, overflow, cross-domain
+scheduling, reset, time math."""
 
 import random
 from collections import Counter
 
 import pytest
 
-from pulpsim.engine import TimeEngine, ClockDomain, Event, EXIT_IDLE, EXIT_TIMEOUT
+from pulpsim.engine import (TimeEngine, ClockDomain, Event, EXIT_IDLE, EXIT_TIMEOUT,
+                            PS_PER_SEC)
 from pulpsim.errors import StructuralError
 
-from reference_engine import OrderedQueueEngine
+from reference_engine import GlobalTimeQueueEngine, OrderedQueueEngine
 
 
 def make_domain(window=8, freq=400_000_000):
@@ -18,23 +20,29 @@ def make_domain(window=8, freq=400_000_000):
     return eng, dom
 
 
+def at_cycle(eng, dom, cycle):
+    """Put the engine at an edge of `dom`, as if it had just executed it."""
+    dom.cycle = cycle
+    eng.now_ps = dom.time_of_cycle(cycle)
+
+
 def test_slot_placement_modular():
-    _, dom = make_domain(window=8)
-    dom.cycle = 5
+    eng, dom = make_domain(window=8)
+    at_cycle(eng, dom, 5)
     ev = Event("t", lambda e: None)
     dom.enqueue(ev, 3)
     assert ev.cycle == 8
     assert ev in dom._slots[(5 + 3) % 8]
-    assert not ev._in_overflow
+    assert not dom._overflow
 
 
 def test_enqueue_beyond_window_goes_to_overflow():
-    _, dom = make_domain(window=8)
-    dom.cycle = 5
+    eng, dom = make_domain(window=8)
+    at_cycle(eng, dom, 5)
     ev = Event("t", lambda e: None)
     dom.enqueue(ev, 10)
-    assert ev._in_overflow
-    assert dom._overflow[0][0] == 15
+    assert not any(ev in lst for lst in dom._slots)
+    assert dom._overflow[0][0] == 15 and dom._overflow[0][2] is ev
 
 
 def test_delta_zero_executes_same_cycle():
@@ -57,20 +65,6 @@ def test_double_enqueue_is_structural_error():
     dom.enqueue(ev, 1)
     with pytest.raises(StructuralError):
         dom.enqueue(ev, 2)
-
-
-def test_cancel_from_slot_and_overflow():
-    _, dom = make_domain(window=8)
-    ev = Event("t", lambda e: None)
-    dom.enqueue(ev, 5)
-    dom.cancel(ev)
-    assert dom.pending_events() == 0
-    dom.enqueue(ev, 10)     # window + 2
-    dom.cancel(ev)
-    assert dom.pending_events() == 0
-    assert not dom._overflow
-    with pytest.raises(StructuralError):
-        dom.cancel(ev)
 
 
 def test_same_cycle_events_run_before_next_cycle():
@@ -238,10 +232,115 @@ def test_cross_domain_synced_enqueue_never_in_past():
     hits = []
 
     def wake_slow(e):
-        # slow domain counter is stale here; synced enqueue must align to now
-        at = slow.enqueue_synced(Event("w", lambda ev: hits.append(eng.now_ps)), 1)
-        assert slow.time_of_cycle(at) >= eng.now_ps
+        # the slow counter is stale here; enqueue counts from the first slow
+        # edge at or after the engine's time
+        ev = Event("w", lambda ev: hits.append(eng.now_ps))
+        slow.enqueue(ev, 1)
+        assert slow.cycle == 0
+        assert ev.cycle == slow.cycle_at_or_after(eng.now_ps) + 1
+        assert slow.time_of_cycle(ev.cycle) >= eng.now_ps
 
     fast.enqueue(Event("k", wake_slow), 33)     # 82500 ps, not a slow edge
     eng.run()
     assert hits and hits[0] >= 82500
+
+
+# 400 MHz and 160 MHz: edges coincide every 12500 ps (5 and 2 cycles)
+TWO_DOMAINS = (("fast", 400_000_000), ("slow", 160_000_000))
+
+
+def _run_two_domain_pair(seed, window):
+    """Random schedules where every event may spawn into either domain.
+
+    Returns the reference log, the engine log and the engine's
+    (now_ps at enqueue, edge time of the enqueued cycle) pairs.
+    """
+    rng = random.Random(seed)
+    initial = [(rng.randrange(2), rng.randrange(0, 4 * window), i)
+               for i in range(rng.randrange(4, 24))]
+
+    def spawn(eid):
+        r = random.Random((seed << 24) ^ eid)
+        kids = []
+        if eid < (1 << 20) and r.random() < 0.45:
+            for k in range(r.randrange(1, 3)):
+                kids.append((r.randrange(2), r.randrange(0, 4 * window),
+                             (eid << 3) | (k + 1)))
+        return kids
+
+    ref = GlobalTimeQueueEngine([PS_PER_SEC // f for _, f in TWO_DOMAINS])
+    for d, delta, eid in initial:
+        ref.schedule(d, eid, delta)
+    ref_log = ref.run(spawn)
+
+    eng = TimeEngine()
+    doms = [eng.add_domain(ClockDomain(n, f, event_window=window)) for n, f in TWO_DOMAINS]
+    log = []
+    placed = []
+
+    def cb(e):
+        d, eid = e.payload
+        log.append((d, doms[d].cycle, eid))
+        for child_d, delta, child in spawn(eid):
+            ev = Event("t", cb, (child_d, child))
+            doms[child_d].enqueue(ev, delta)
+            placed.append((eng.now_ps, doms[child_d].time_of_cycle(ev.cycle)))
+
+    for d, delta, eid in initial:
+        doms[d].enqueue(Event("t", cb, (d, eid)), delta)
+    eng.run()
+    return ref_log, log, placed
+
+
+@pytest.mark.parametrize("window", [1, 8, 64])
+def test_cross_domain_enqueue_matches_global_time_queue(window):
+    for seed in range(40):
+        ref_log, log, placed = _run_two_domain_pair(seed * 17 + window, window)
+        assert Counter(log) == Counter(ref_log)
+        assert all(at >= now for now, at in placed)
+
+
+def _capped_run(eng, fast, slow, log):
+    """A fast loop, a slow overflow event and a cross-domain ping, capped."""
+    tick = Event("tick", None)
+
+    def on_tick(e):
+        log.append(("tick", eng.now_ps))
+        fast.enqueue(tick, 3)
+        if fast.cycle % 7 == 0:
+            slow.enqueue(Event("ping", lambda ev: log.append(("ping", eng.now_ps))), 1)
+
+    tick.callback = on_tick
+    fast.enqueue(tick, 0)
+    slow.enqueue(Event("far", lambda ev: log.append(("far", eng.now_ps))), 50)
+    return eng.run(max_cycles=100)
+
+
+def test_reset_rewinds_time_and_drops_pending_events():
+    eng = TimeEngine()
+    fast = eng.add_domain(ClockDomain("fast", 400_000_000, event_window=8))
+    slow = eng.add_domain(ClockDomain("slow", 100_000_000, event_window=8))
+    first = []
+    assert _capped_run(eng, fast, slow, first) == EXIT_TIMEOUT
+    pending = [ev for d in (fast, slow) for lst in d._slots for ev in lst]
+    pending += [entry[2] for d in (fast, slow) for entry in d._overflow]
+    assert any(ev.owner == "far" for ev in pending)     # still in overflow
+
+    eng.reset()
+    assert eng.now_ps == 0 and eng.exit_status is None
+    assert all(not ev.enqueued for ev in pending)
+    for d in (fast, slow):
+        assert d.cycle == 0 and d.next_pending_cycle() is None
+    assert eng.stats() == {"events_executed": 0, "laps_completed": 0,
+                           "overflow_promotions": 0}
+    assert eng.run() == EXIT_IDLE
+
+    eng.reset()
+    again = []
+    assert _capped_run(eng, fast, slow, again) == EXIT_TIMEOUT
+    assert again == first
+    fresh_eng = TimeEngine()
+    fresh = [fresh_eng.add_domain(ClockDomain(d.name, d.frequency_hz, event_window=8))
+             for d in (fast, slow)]
+    _capped_run(fresh_eng, *fresh, [])
+    assert eng.stats() == fresh_eng.stats()

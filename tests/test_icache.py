@@ -24,7 +24,7 @@ GEOMETRIES = [(512, 2, 16, 0), (4096, 4, 16, 1)]
 def build_cache(size, ways, line, hit_latency, contents):
     doc = {
         "name": "icache-test",
-        "clock_domains": {"main": {"frequency_hz": 400000000, "event_window": 64}},
+        "clock_domains": {"main": {"frequency_hz": 400000000}},
         "components": {
             "ic": {"kind": "icache", "domain": "main",
                    "params": {"size": size, "ways": ways, "line_bytes": line,

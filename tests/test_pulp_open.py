@@ -120,8 +120,7 @@ def _words(seed, count):
     return out
 
 
-def run_guest():
-    plat = build_pulp()
+def load_guest(plat):
     program = assemble(guest_source(), origin=L2)
     for addr, word in program.words.items():
         plat.poke(addr, word.to_bytes(4, "little"))
@@ -130,6 +129,12 @@ def run_guest():
     plat.poke(B, b"".join(w.to_bytes(4, "little") for w in b))
     plat.poke(FC_DATA, bytes(range(128)))
     plat.set_entry(program.entry)
+    return a, b
+
+
+def run_guest():
+    plat = build_pulp()
+    a, b = load_guest(plat)
     status = plat.run(max_cycles=200_000)
     return plat, status, a, b
 
@@ -160,3 +165,15 @@ def test_core_icache_misses_equal_l1_misses(guest_run):
         l1 = plat.lookup(core.ports["fetch"].binding.owner.path)
         assert l1.misses > 0, core.path
         assert core.icache_misses == l1.misses, core.path
+
+
+def test_reset_and_rerun_repeats_the_first_run(guest_run):
+    """Reset rewinds time, counters and pending events; memory is reloaded."""
+    first_plat, first_status, _, _ = guest_run
+    first = stable_stats(stats_report(first_plat, first_status))
+    plat, status, _, _ = run_guest()
+    plat.reset()
+    load_guest(plat)
+    status = plat.run(max_cycles=200_000)
+    assert status == 0 and not plat.diagnostics
+    assert stable_stats(stats_report(plat, status)) == first
