@@ -11,6 +11,8 @@ point (the `_start` label when defined), convertible to the memory-image
 format the loader reads.
 """
 
+import keyword
+
 from .errors import ConfigError
 
 ABI_REGS = ("zero ra sp gp tp t0 t1 t2 s0 s1 a0 a1 a2 a3 a4 a5 "
@@ -18,6 +20,9 @@ ABI_REGS = ("zero ra sp gp tp t0 t1 t2 s0 s1 a0 a1 a2 a3 a4 a5 "
 REGS = {name: i for i, name in enumerate(ABI_REGS)}
 REGS.update({"x%d" % i: i for i in range(32)})
 REGS["fp"] = 8
+
+# names that `eval` does not look up in the symbol table
+_NOT_SYMBOLS = frozenset(keyword.kwlist) | {"__debug__"}
 
 
 class AsmError(ConfigError):
@@ -197,6 +202,22 @@ def assemble(source, origin=0x1C000000, defines=None):
 
 
 def _eval_static(expr, symbols, lineno):
+    """Value of an operand expression.
+
+    A literal (`12`, `-3`, `0x1f`, `0b101`, `1_000`) is read with `int(expr, 0)`
+    and a bare name bound to an `int` (a label or `.equ` symbol) by a dict
+    lookup; only other expressions (`hi(sym)`, `a + 4`, ...) go to `eval`.
+    The fast paths take only what `eval` would read as the same int, so
+    words and error messages do not depend on them."""
+    if expr.isascii():
+        try:
+            return int(expr, 0)
+        except ValueError:
+            pass
+        name = expr.strip()
+        value = symbols.get(name)
+        if type(value) is int and name not in _NOT_SYMBOLS:
+            return value
     try:
         value = eval(expr, {"__builtins__": {}}, symbols)     # trusted input
     except Exception as e:

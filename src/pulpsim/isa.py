@@ -4,6 +4,11 @@ The ISA is described by JSON tables (one per extension) listing binary
 encodings plus metadata: operand format, instruction class, extra execute
 latency and write-back latency.  New extensions are additional tables; the
 loader rejects any encoding that conflicts with an already-registered one.
+
+Tables are parsed and conflict-checked once per process per table set (the
+set's table texts and labels, so an edited table file is read again);
+`IsaTable.load` returns an independent table each time, which the caller
+may `extend` without affecting later loads.
 """
 
 import json
@@ -137,6 +142,11 @@ def _table_text(name):
     return res.read_text(), name
 
 
+# (text, label) pairs of a table set -> the IsaTable that passed the conflict
+# check; loads copy its lists and share its IsaEntry objects, never mutated
+_LOADED = {}
+
+
 class IsaTable:
     def __init__(self):
         self.entries = []
@@ -144,22 +154,31 @@ class IsaTable:
 
     @classmethod
     def load(cls, names):
+        sources = tuple(_table_text(name) for name in names)
+        checked = _LOADED.get(sources)
+        if checked is None:
+            checked = cls()
+            for text, label in sources:
+                checked.extend(json.loads(text), label)
+            _LOADED[sources] = checked
         table = cls()
-        for name in names:
-            text, label = _table_text(name)
-            table.extend(json.loads(text), label)
+        table.entries = list(checked.entries)
+        table.tables = list(checked.tables)
         return table
 
     def extend(self, doc, label):
-        """Register a table fragment, rejecting encoding conflicts."""
+        """Register a table fragment, rejecting encoding conflicts.
+
+        Every new entry is checked against the registered ones and against
+        the fragment's earlier entries; on a conflict nothing is added."""
         new = [IsaEntry(d, doc.get("name", label)) for d in doc["entries"]]
-        for e in new:
-            for old in self.entries:
+        for i, e in enumerate(new):
+            for old in self.entries + new[:i]:
                 if e.conflicts(old):
                     raise ConfigError(
                         "ISA conflict: '%s' (%s) overlaps '%s' (%s)" % (
                             e.mnemonic, e.table, old.mnemonic, old.table))
-            self.entries.append(e)
+        self.entries.extend(new)
         self.tables.append(doc.get("name", label))
 
     def decode(self, word):

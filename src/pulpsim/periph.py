@@ -12,8 +12,11 @@ capacity, a bit rate and a fixed per-transfer setup time.  The sim-control
 device gives guest programs a way to stop the simulation and print.
 """
 
+import mmap
+
 from .component import Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR
 from .engine import Event, PS_PER_SEC
+from .errors import ConfigError
 
 UDMA_L2_ADDR = 0x00
 UDMA_EXT_ADDR = 0x04
@@ -30,7 +33,11 @@ SIMCTL_PUTC = 0x4
 
 @register
 class HyperRam(Component):
-    """Bandwidth-limited external memory with a direct (slow) window."""
+    """Bandwidth-limited external memory with a direct (slow) window.
+
+    Its contents are an anonymous memory map: zero pages mapped on demand,
+    so untouched bytes read as 0 and cost no host memory.  They survive
+    `Platform.reset`, like every memory's."""
 
     kind = "hyperram"
     PARAMS = {
@@ -43,7 +50,9 @@ class HyperRam(Component):
     def build(self):
         self.base = self.params["base"]
         self.size = self.params["size"]
-        self.contents = bytearray(self.size)
+        if self.size <= 0:
+            raise ConfigError("%s: size must be positive, got %d" % (self.path, self.size))
+        self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
         self.reads = 0
         self.writes = 0
