@@ -70,7 +70,7 @@ class ConvAccelerator(Component):
 
     def build(self):
         self.base = self.params["base"]
-        self.n_ports = self.params["ports"]
+        self.n_ports = self.positive_param("ports")
         self.add_slave("in", self.handle)
         self.mem_ports = [self.add_master("mem%d" % i) for i in range(self.n_ports)]
         self.job_event = Event(self.path, self._chunk)

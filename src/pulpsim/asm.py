@@ -193,6 +193,8 @@ def assemble(source, origin=0x1C000000, defines=None):
         try:
             encoded = _encode(mnem, rest, addr, evaluate)
         except AsmError as e:
+            if str(e).startswith("line %d: " % lineno):     # _eval_static's own
+                raise
             raise AsmError("line %d: %s" % (lineno, e)) from None
         for i, w in enumerate(encoded):
             words[addr + 4 * i] = w & 0xFFFFFFFF

@@ -56,6 +56,7 @@ class Platform:
             self.bind_paths(master, slave)
 
         self._check_bound()
+        self._check_hart_ids()
         for comp in list(self.components.values()):
             comp.finalize()
 
@@ -102,6 +103,13 @@ class Platform:
             for port in comp.ports.values():
                 if port.direction == "master" and port.binding is None:
                     raise ConfigError("unbound master port %s" % port.path)
+
+    def _check_hart_ids(self):
+        owner = {}
+        for core in self.cores():
+            other = owner.setdefault(core.hart_id, core.path)
+            if other != core.path:
+                raise ConfigError("%s and %s share hart id %d" % (other, core.path, core.hart_id))
 
     # -- lookups -----------------------------------------------------------
 

@@ -53,7 +53,7 @@ class Cluster(Component):
         me = self.path
         cl_domain = self.domain.name
         soc_domain = p["soc_domain"]
-        nb = p["nb_cores"]
+        nb = self.positive_param("nb_cores")
         periph = p["periph_base"]
         icp = p["icache"]
 

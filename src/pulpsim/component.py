@@ -187,6 +187,14 @@ class Component:
     def reset(self):
         """Return to power-on state (counters, registers, schedules)."""
 
+    def positive_param(self, name):
+        """The int param `name`, which must be at least 1 (a count or a size)."""
+        value = self.params[name]
+        if value < 1:
+            raise ConfigError("components.%s: %s must be positive, got %d" % (
+                self.path, name, value))
+        return value
+
     # -- ports ----------------------------------------------------------
 
     def add_master(self, name):

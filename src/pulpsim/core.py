@@ -1,13 +1,17 @@
 """Event-based RV32IM core with a three-stage timing model.
 
-Each instruction executes as one event: fetch through the instruction port
+Each instruction executes as one step: fetch through the instruction port
 (cache latency added), table decode, semantics callback, then the next
-step event is scheduled after
+step is due after
 
     1 + instruction latency + fetch latency + memory latency
       + hazard stalls + taken-branch penalty
 
-cycles.  Loads publish their result one write-back cycle after completion;
+cycles.  The step event is enqueued there, unless the next step falls
+strictly before the engine's horizon: then the core runs it inline in the
+same callback (`ClockDomain.run_ahead`, engine module docstring), which
+gives the same timing with one engine dispatch for many instructions.
+Loads publish their result one write-back cycle after completion;
 a consumer arriving earlier stalls on the register scoreboard.  Blocking
 loads from synchronization registers put the core to sleep and are
 re-executed on wake-up, which is when their value is actually determined.
@@ -379,86 +383,92 @@ class RiscvCore(Component):
     def _step(self, ev):
         dom = self.domain
         C = dom.cycle
-        pc = self.pc
+        while True:
+            pc = self.pc
 
-        freq = self._fetch_req
-        freq.addr = pc
-        freq.reset()
-        self._fetch_handler(freq)
-        if freq.status != STATUS_OK:
-            self._take_trap(CAUSE_IACCESS, pc, 1)
-            return
-        fetch_lat = freq.latency
-        if freq.cache_miss:
-            self.icache_misses += 1
-        word = freq.value
+            freq = self._fetch_req
+            freq.addr = pc
+            freq.reset()
+            self._fetch_handler(freq)
+            if freq.status != STATUS_OK:
+                self._take_trap(CAUSE_IACCESS, pc, 1)
+                return
+            fetch_lat = freq.latency
+            if freq.cache_miss:
+                self.icache_misses += 1
+            word = freq.value
 
-        dec = self._dcache.get(word)
-        if dec is None:
-            dec = self._decode_slow(word)
-        if dec is _ILLEGAL:
-            self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
-            return
-        ins, handler, rs1, rs2, rd, base, wb, is_branch = dec
+            dec = self._dcache.get(word)
+            if dec is None:
+                dec = self._decode_slow(word)
+            if dec is _ILLEGAL:
+                self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
+                return
+            ins, handler, rs1, rs2, rd, base, wb, is_branch = dec
 
-        stall = 0
-        sb = self.scoreboard
-        if rs1:
-            d = sb[rs1] - C
-            if d > stall:
-                stall = d
-        if rs2:
-            d = sb[rs2] - C
-            if d > stall:
-                stall = d
-        if stall:
-            self.load_stalls += stall
+            stall = 0
+            sb = self.scoreboard
+            if rs1:
+                d = sb[rs1] - C
+                if d > stall:
+                    stall = d
+            if rs2:
+                d = sb[rs2] - C
+                if d > stall:
+                    stall = d
+            if stall:
+                self.load_stalls += stall
 
-        self.npc = (pc + 4) & M32
-        self.mem_lat = 0
-        self.taken = False
-        self.sleep_flag = False
-        self.mem_contended = False
-        self.trap_info = None
-        handler(self, ins)
+            self.npc = (pc + 4) & M32
+            self.mem_lat = 0
+            self.taken = False
+            self.sleep_flag = False
+            self.mem_contended = False
+            self.trap_info = None
+            handler(self, ins)
 
-        if self._tr_insn:
-            self.platform.trace(self.path + "/insn", dom, ins.text())
+            if self._tr_insn:
+                self.platform.trace(self.path + "/insn", dom, ins.text())
 
-        if self.trap_info is not None:
-            cause, tval = self.trap_info
-            self._take_trap(cause, tval, 1 + fetch_lat + stall + self.mem_lat)
-            return
+            if self.trap_info is not None:
+                cause, tval = self.trap_info
+                self._take_trap(cause, tval, 1 + fetch_lat + stall + self.mem_lat)
+                return
 
-        if self.sleep_flag:
-            # blocking read: keep pc, do not retire; re-executed on wake
-            attempt = 1 + fetch_lat + stall + self.mem_lat
-            self.total_cycles += attempt
-            self.active_cycles += attempt
-            self.mode = "sleeping"
-            self.sleep_from = C + attempt
+            if self.sleep_flag:
+                # blocking read: keep pc, do not retire; re-executed on wake
+                attempt = 1 + fetch_lat + stall + self.mem_lat
+                self.total_cycles += attempt
+                self.active_cycles += attempt
+                self.mode = "sleeping"
+                self.sleep_from = C + attempt
+                if self.platform.vcd is not None:
+                    self.platform.vcd.core_activity(self, False)
+                return
+
+            charge = base + fetch_lat + stall + self.mem_lat
+            if self.taken:
+                charge += self.branch_penalty
+                if is_branch:
+                    self.branches_taken += 1
+            if self.mem_contended:
+                self.tcdm_contentions += 1
+            C += charge
+            if wb:
+                sb[rd] = C + wb
+
+            self.pc = self.npc
+            self.instr_retired += 1
+            self.total_cycles += charge
+            self.active_cycles += charge
             if self.platform.vcd is not None:
-                self.platform.vcd.core_activity(self, False)
-            return
-
-        charge = base + fetch_lat + stall + self.mem_lat
-        if self.taken:
-            charge += self.branch_penalty
-            if is_branch:
-                self.branches_taken += 1
-        if self.mem_contended:
-            self.tcdm_contentions += 1
-        if wb:
-            sb[rd] = C + charge + wb
-
-        self.pc = self.npc
-        self.instr_retired += 1
-        self.total_cycles += charge
-        self.active_cycles += charge
-        if self.platform.vcd is not None:
-            self.platform.vcd.core_pc(self, self.pc)
-        if self.mode == "running":
-            dom.enqueue(ev, charge)
+                self.platform.vcd.core_pc(self, self.pc)
+            if self.mode != "running":
+                return
+            # the next step runs here if it is the engine's next event
+            if C >= dom.horizon_cycle or not dom.run_ahead(C, charge):
+                dom.enqueue(ev, charge)
+                return
 
     def _decode_slow(self, word):
         """Decode `word` and cache its step tuple (module docstring) or _ILLEGAL."""

@@ -73,7 +73,8 @@ class ClusterDma(Component):
 
     def build(self):
         self.base = self.params["base"]
-        self.max_burst = self.params["max_burst"]
+        self.max_burst = self.positive_param("max_burst")
+        self.positive_param("channels")
         self.add_slave("in", self.handle)
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")

@@ -13,6 +13,25 @@ executes, so it is stale while the domain sleeps).  Any domain may
 therefore schedule into any other.  `TimeEngine.reset` rewinds time to 0,
 every counter to cycle 0, and drops every pending event, so components
 never cancel events themselves.
+
+Run-ahead.  While a callback runs, `TimeEngine.horizon_ps` bounds what
+can happen outside it: the global time of the earliest pending event in
+the other domains, capped by the `max_cycles` deadline, or "now" when the
+executing domain holds another pending event as well.  The engine sets it
+before each cycle from the scan that picks the cycle; an enqueue into
+another domain lowers it to the new event's time, and a posted exit
+lowers it below any time.  The executing domain's `horizon_cycle` is the
+same bound in its own cycles (its first cycle at or after the horizon), so
+that a consumer tests it with one integer comparison.  A callback whose
+next action lies strictly before the horizon, and which is still the only
+event of its domain, is the next thing the engine would run.  It may then
+perform that action inline, in the same callback, after
+`ClockDomain.run_ahead` has checked that it is alone and has moved the
+domain's cycle, the engine's time and the counters exactly as enqueueing
+it and executing that cycle would have.
+The cores (`RiscvCore._step`) and the micro-DMA (`MicroDma._beat`) do so;
+everything else enqueues itself.  Timing, traces and statistics are the
+same either way; only the number of engine dispatches drops.
 """
 
 import heapq
@@ -23,6 +42,8 @@ PS_PER_SEC = 10**12
 
 EXIT_TIMEOUT = "timeout"
 EXIT_IDLE = "idle-deadlock"
+
+_END_OF_TIME = 1 << 256     # ps; the horizon of a run without a deadline
 
 
 class Event:
@@ -57,6 +78,12 @@ class ClockDomain:
     ordered by (cycle, insertion sequence) and are promoted into the ring
     whenever the counter crosses a window-sized lap boundary (or when the
     ring would otherwise run dry).  `reset` rewinds to cycle 0.
+
+    `run_ahead` lets the executing callback, when it is alone in the store
+    and due before `horizon_cycle`, move on to its next cycle instead of
+    enqueueing itself (module docstring).  It counts this domain's events
+    itself, so only enqueues into other domains must lower the horizon,
+    and the hot same-domain in-window path leaves it alone.
     """
 
     def __init__(self, name, frequency_hz, event_window=64):
@@ -89,6 +116,7 @@ class ClockDomain:
             ev.enqueued = False
         self._overflow.clear()
         self.cycle = 0
+        self.horizon_cycle = 0      # set by the engine while this domain executes
         self._slot_count = 0
         self._seq = 0
         self._next_drain = self.window
@@ -133,6 +161,9 @@ class ClockDomain:
         else:
             self._seq += 1
             heapq.heappush(self._overflow, (abs_cycle, self._seq, event))
+        t = self.period_ps * abs_cycle
+        if t < self.engine.horizon_ps:     # needless, but harmless, if self is current
+            self.engine.lower_horizon(t)
 
     # -- time conversion ----------------------------------------------
 
@@ -184,6 +215,36 @@ class ClockDomain:
         self.events_executed += n
         lst.clear()
 
+    def run_ahead(self, abs_cycle, delta_cycles):
+        """Move the executing callback on to `abs_cycle`, if it is alone.
+
+        The caller is the callback the engine is executing, and its next
+        action is `delta_cycles` ahead of `self.cycle` and strictly before
+        `horizon_cycle`.  Returns False, changing nothing, when this
+        domain holds any other event; the caller then enqueues itself.
+        Otherwise does to the cycle, the engine's time and the counters what
+        enqueueing the caller there and executing that cycle would have (an
+        overflow promotion when the delta reaches past the ring, the lap
+        bookkeeping, one executed event) and returns True; the caller then
+        performs the action inline.
+        """
+        if self._slot_count != 1 or self._overflow:
+            return False
+        slots = self._slots
+        i = self.cycle % self.window
+        if slots[i]:
+            # first step ahead: execute_cycle is still iterating this slot's
+            # list, so events for a later lap of the slot must go elsewhere
+            slots[i] = []
+        if delta_cycles >= self.window:
+            self.overflow_promotions += 1
+        if abs_cycle >= self._next_drain:
+            self._drain_overflow(abs_cycle)     # nothing to promote: laps only
+        self.cycle = abs_cycle
+        self.engine.now_ps = self.period_ps * abs_cycle
+        self.events_executed += 1
+        return True
+
     def _drain_overflow(self, target_cycle):
         lap_base = (target_cycle // self.window) * self.window
         limit = lap_base + self.window
@@ -208,11 +269,20 @@ class TimeEngine:
     global time, advances `now_ps` to it and executes that whole cycle,
     with `current` naming the executing domain.  Ties break by domain
     registration order, which keeps runs deterministic.
+
+    Before each cycle it sets `horizon_ps` and the executing domain's
+    `horizon_cycle` from the same scan: the earliest next event of the
+    other domains, capped by the deadline, or `now_ps` when the executing
+    domain holds more than one event (`run_ahead` would refuse anyway; this
+    way a busy domain's callbacks stop at their one horizon comparison).
+    Enqueues and `post_exit` only lower them.  Outside `run` `horizon_ps`
+    is -1 (module docstring).
     """
 
     def __init__(self):
         self.domains = []
         self.now_ps = 0
+        self.horizon_ps = -1
         self.current = None         # domain executing a cycle, inside run()
         self.exit_status = None
 
@@ -224,6 +294,7 @@ class TimeEngine:
     def reset(self):
         """Power-on: time 0, every domain at cycle 0 with empty stores."""
         self.now_ps = 0
+        self.horizon_ps = -1
         self.exit_status = None
         for d in self.domains:
             d.reset()
@@ -231,6 +302,15 @@ class TimeEngine:
     def post_exit(self, status):
         """Request the run loop to stop after the current cycle completes."""
         self.exit_status = status
+        self.lower_horizon(-1)
+
+    def lower_horizon(self, time_ps):
+        """Lower `horizon_ps` to `time_ps`, and the executing domain's
+        `horizon_cycle` with it."""
+        self.horizon_ps = time_ps
+        cur = self.current
+        if cur is not None:
+            cur.horizon_cycle = cur.cycle_at_or_after(time_ps)
 
     def run(self, max_cycles=None):
         """Run until a component posts exit, stores drain, or the cap hits.
@@ -240,9 +320,10 @@ class TimeEngine:
         program-requested exit status).
         """
         deadline_ps = None
+        horizon_cap = _END_OF_TIME
         if max_cycles is not None:
             fastest = min(d.period_ps for d in self.domains)
-            deadline_ps = max_cycles * fastest
+            deadline_ps = horizon_cap = max_cycles * fastest
         self.exit_status = None
         domains = self.domains
         try:
@@ -251,14 +332,17 @@ class TimeEngine:
                     return self.exit_status
                 best = None
                 best_cycle = 0
-                best_t = 0
+                best_t = other_t = horizon_cap  # other_t: earliest outside `best`
                 for d in domains:
+                    if not d._slot_count and not d._overflow:
+                        continue            # idle: spare the call
                     c = d.next_pending_cycle()
-                    if c is None:
-                        continue
                     t = d.period_ps * c     # time_of_cycle, inlined
-                    if best is None or t < best_t:
+                    if t < best_t or best is None:
+                        other_t = best_t
                         best, best_cycle, best_t = d, c, t
+                    elif t < other_t:
+                        other_t = t
                 if best is None:
                     return EXIT_IDLE
                 if deadline_ps is not None and best_t >= deadline_ps:
@@ -266,10 +350,18 @@ class TimeEngine:
                 if best_t < self.now_ps:
                     raise StructuralError("global time went backwards")
                 self.now_ps = best_t
+                if best._slot_count > 1 or best._overflow:
+                    # `best` holds more than one event: the horizon is now
+                    self.horizon_ps = best_t
+                    best.horizon_cycle = best_cycle
+                else:
+                    self.horizon_ps = other_t
+                    best.horizon_cycle = -(-other_t // best.period_ps)
                 self.current = best
                 best.execute_cycle(best_cycle)
         finally:
             self.current = None
+            self.horizon_ps = -1
 
     def stats(self):
         return {

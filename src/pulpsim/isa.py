@@ -5,12 +5,14 @@ encodings plus metadata: operand format, instruction class, extra execute
 latency and write-back latency.  New extensions are additional tables; the
 loader rejects any encoding that conflicts with an already-registered one.
 
-Tables are parsed and conflict-checked once per process per table set (the
-set's table texts and labels, so an edited table file is read again);
-`IsaTable.load` returns an independent table each time, which the caller
-may `extend` without affecting later loads.
+Packaged tables are read once per process and tables given as file paths
+on every load.  Tables are parsed and conflict-checked once per process per
+table set (the set's table texts and labels, so an edited table file is
+checked again); `IsaTable.load` returns an independent table each time,
+which the caller may `extend` without affecting later loads.
 """
 
+import functools
 import json
 import importlib.resources
 
@@ -138,8 +140,13 @@ def _table_text(name):
     if "/" in name or name.endswith(".json"):
         with open(name) as fh:
             return fh.read(), name
-    res = importlib.resources.files("pulpsim").joinpath("isa/%s.json" % name)
-    return res.read_text(), name
+    return _packaged_text(name), name
+
+
+@functools.lru_cache(maxsize=None)
+def _packaged_text(name):
+    """A table shipped with the package: it cannot change, so read it once."""
+    return importlib.resources.files("pulpsim").joinpath("isa/%s.json" % name).read_text()
 
 
 # (text, label) pairs of a table set -> the IsaTable that passed the conflict

@@ -1,9 +1,11 @@
 """I/O subsystem: micro-DMA, HyperRAM-style external memory, sim control.
 
 The micro-DMA moves data between L2 and the external device in beat-sized
-events paced in the peripheral clock domain; the beat schedule follows the
+steps paced in the peripheral clock domain; the beat schedule follows the
 configured device bandwidth exactly (cumulative picosecond arithmetic, so
 quantization never drifts), with a floor of one beat per peripheral cycle.
+Each beat is an event, unless it falls before the engine's horizon: then
+the previous beat's callback moves it inline (`ClockDomain.run_ahead`).
 Transfer completion raises an interrupt line on the fabric controller's
 interrupt controller.
 
@@ -16,7 +18,6 @@ import mmap
 
 from .component import Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR
 from .engine import Event, PS_PER_SEC
-from .errors import ConfigError
 
 UDMA_L2_ADDR = 0x00
 UDMA_EXT_ADDR = 0x04
@@ -49,9 +50,7 @@ class HyperRam(Component):
 
     def build(self):
         self.base = self.params["base"]
-        self.size = self.params["size"]
-        if self.size <= 0:
-            raise ConfigError("%s: size must be positive, got %d" % (self.path, self.size))
+        self.size = self.positive_param("size")
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
         self.reads = 0
@@ -124,6 +123,7 @@ class MicroDma(Component):
         self._regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
         self.status = 0
         self.beat_event = Event(self.path, self._beat)
+        self._req = Request()       # reused by every beat, through setup()
         self._cur = None
         self.transfers = 0
         self.bytes_moved = 0
@@ -191,9 +191,9 @@ class MicroDma(Component):
                                 "start %s l2=0x%08x ext=0x%08x len=%d" %
                                 ("tx" if tx else "rx", self._regs[UDMA_L2_ADDR],
                                  ext, length))
-        self._schedule_beat()
+        self.domain.enqueue_at(self.beat_event, self._next_beat_cycle())
 
-    def _schedule_beat(self):
+    def _next_beat_cycle(self):
         cur = self._cur
         nbytes = min(self.params["beat_bytes"], cur["left"])
         done = cur["beat"] * self.params["beat_bytes"] + nbytes
@@ -203,36 +203,43 @@ class MicroDma(Component):
         if cycle <= cur["prev_cycle"]:
             cycle = cur["prev_cycle"] + 1      # at most one beat per cycle
         cur["prev_cycle"] = cycle
-        self.domain.enqueue_at(self.beat_event, cycle)
+        return cycle
 
     def _beat(self, ev):
+        """Move one beat; while the next beat is due before the engine's
+        horizon, move it here too (engine module docstring)."""
         cur = self._cur
-        nbytes = min(self.params["beat_bytes"], cur["left"])
-        if cur["tx"]:
-            req = Request().setup(cur["l2"], nbytes, False, initiator=self)
-            self.l2_port.send(req)
-            if req.status != STATUS_OK:
-                self._finish(error=True)
+        dom = self.domain
+        req = self._req
+        while True:
+            nbytes = min(self.params["beat_bytes"], cur["left"])
+            if cur["tx"]:
+                req.setup(cur["l2"], nbytes, False, initiator=self)
+                self.l2_port.send(req)
+                if req.status != STATUS_OK:
+                    self._finish(error=True)
+                    return
+                self.device.poke(cur["ext"], req.value.to_bytes(nbytes, "little"))
+            else:
+                data = self.device.peek(cur["ext"], nbytes)
+                req.setup(cur["l2"], nbytes, True, value=int.from_bytes(data, "little"),
+                          initiator=self)
+                self.l2_port.send(req)
+                if req.status != STATUS_OK:
+                    self._finish(error=True)
+                    return
+            self.bytes_moved += nbytes
+            cur["l2"] += nbytes
+            cur["ext"] += nbytes
+            cur["left"] -= nbytes
+            cur["beat"] += 1
+            if cur["left"] == 0:
+                self._finish(error=False)
                 return
-            self.device.poke(cur["ext"], req.value.to_bytes(nbytes, "little"))
-        else:
-            data = self.device.peek(cur["ext"], nbytes)
-            req = Request().setup(cur["l2"], nbytes, True,
-                                  value=int.from_bytes(data, "little"),
-                                  initiator=self)
-            self.l2_port.send(req)
-            if req.status != STATUS_OK:
-                self._finish(error=True)
+            cycle = self._next_beat_cycle()
+            if cycle >= dom.horizon_cycle or not dom.run_ahead(cycle, cycle - dom.cycle):
+                dom.enqueue_at(ev, cycle)
                 return
-        self.bytes_moved += nbytes
-        cur["l2"] += nbytes
-        cur["ext"] += nbytes
-        cur["left"] -= nbytes
-        cur["beat"] += 1
-        if cur["left"] == 0:
-            self._finish(error=False)
-        else:
-            self._schedule_beat()
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0

@@ -7,6 +7,7 @@ import pytest
 
 import pulpsim
 from pulpsim.asm import assemble
+from pulpsim.engine import ClockDomain, Event
 
 MINIMAL_PLATFORM = {
     "name": "minimal",
@@ -65,3 +66,19 @@ def build_pulp(overrides=()):
 @pytest.fixture
 def pulp():
     return build_pulp()
+
+
+def add_ticker(engine):
+    """Add a domain at the fastest frequency whose event ticks every cycle
+    while the other domains hold events.  The engine's horizon is then
+    always the next tick, so nothing runs ahead: this is the path without
+    run-ahead that differential tests compare against."""
+    others = list(engine.domains)
+    ticker = engine.add_domain(ClockDomain("ticker", max(d.frequency_hz for d in others)))
+
+    def tick(ev):
+        if any(d.next_pending_cycle() is not None for d in others):
+            ticker.enqueue(ev, 1)
+
+    ticker.enqueue(Event("ticker", tick), 0)
+    return ticker

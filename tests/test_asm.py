@@ -78,3 +78,16 @@ def test_error_text():
         assemble(".word nosuch")
     with pytest.raises(AsmError, match="line 1: 'hi' is not a value"):
         assemble(".word hi")
+
+
+@pytest.mark.parametrize("text,message", [
+    (".word nosuch", "line 1: cannot evaluate 'nosuch': name 'nosuch' is not defined"),
+    (".word hi", "line 1: 'hi' is not a value"),
+    ("nop\n    addi x1, x0, 5000", "line 2: I-immediate 5000 out of range"),
+    ("nop\nnop\n    addi x1, x0, nosuch", "line 3: cannot evaluate 'nosuch': "
+                                         "name 'nosuch' is not defined"),
+])
+def test_error_text_carries_one_line_prefix(text, message):
+    with pytest.raises(AsmError) as err:
+        assemble(text)
+    assert str(err.value) == message

@@ -189,3 +189,21 @@ def test_param_defaults_satisfy_declared_types():
         for name, default in defaults.items():
             assert filled[name] == default and type(filled[name]) is type(default), \
                 (kind, name)
+
+
+@pytest.mark.parametrize("override,message", [
+    ("cluster/accel.ports=0", "cluster/accel: ports must be positive, got 0"),
+    ("cluster.nb_cores=0", "cluster: nb_cores must be positive, got 0"),
+    ("cluster/dma.channels=0", "cluster/dma: channels must be positive, got 0"),
+    ("cluster/dma.max_burst=0", "cluster/dma: max_burst must be positive, got 0"),
+    ("cluster.nb_cores=33", "fc and cluster/pe32 share hart id 32"),
+])
+def test_override_that_builds_a_broken_platform_is_rejected(override, message):
+    with pytest.raises(ConfigError) as err:
+        build_pulp([override])
+    assert message in str(err.value)
+
+
+def test_largest_cluster_with_distinct_hart_ids_builds():
+    plat = build_pulp(["cluster.nb_cores=32"])
+    assert sorted(c.hart_id for c in plat.cores()) == list(range(33))

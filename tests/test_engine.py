@@ -10,6 +10,7 @@ from pulpsim.engine import (TimeEngine, ClockDomain, Event, EXIT_IDLE, EXIT_TIME
                             PS_PER_SEC)
 from pulpsim.errors import StructuralError
 
+from conftest import add_ticker
 from reference_engine import GlobalTimeQueueEngine, OrderedQueueEngine
 
 
@@ -344,3 +345,152 @@ def test_reset_rewinds_time_and_drops_pending_events():
              for d in (fast, slow)]
     _capped_run(fresh_eng, *fresh, [])
     assert eng.stats() == fresh_eng.stats()
+
+
+# -- run-ahead: a callback alone in its domain and due before the horizon
+#    moves on inline (engine module docstring) --------------------------------
+
+def _stepper(dom, log, deltas, on_step=None):
+    """An event that steps through `deltas` and runs ahead like the cores do.
+
+    Logs ("call",) per callback and ("step", cycle, now_ps) per step."""
+    todo = list(deltas)
+
+    def cb(ev):
+        log.append(("call",))
+        while True:
+            log.append(("step", dom.cycle, dom.engine.now_ps))
+            if on_step is not None:
+                on_step(dom.cycle)
+            if not todo:
+                return
+            d = todo.pop(0)
+            nxt = dom.cycle + d
+            if nxt >= dom.horizon_cycle or not dom.run_ahead(nxt, d):
+                dom.enqueue(ev, d)
+                return
+
+    return Event("stepper", cb)
+
+
+def _both_ways(build, max_cycles=None):
+    """Run `build(eng, log)` with and without a ticker; returns both results."""
+    out = []
+    for ticked in (False, True):
+        eng = TimeEngine()
+        log = []
+        doms = build(eng, log)
+        if ticked:
+            add_ticker(eng)
+        status = eng.run(max_cycles=max_cycles)
+        out.append((status, eng.now_ps, [d.cycle for d in doms],
+                    [(d.events_executed, d.laps_completed, d.overflow_promotions)
+                     for d in doms], log))
+    return out
+
+
+def _steps(log):
+    """The simulated happenings of a log: what ran, at which cycle and time."""
+    return [entry for entry in log if entry[0] not in ("call", "horizon")]
+
+
+def test_horizon_is_minus_one_outside_a_run():
+    eng, dom = make_domain()
+    seen = []
+    dom.enqueue(Event("t", lambda e: seen.append(eng.horizon_ps)), 0)
+    assert eng.horizon_ps == -1
+    eng.run(max_cycles=10)
+    assert seen == [10 * dom.period_ps]     # alone: capped by the deadline
+    assert dom.horizon_cycle == 10
+    assert eng.horizon_ps == -1
+
+
+def test_run_ahead_keeps_timing_and_counters():
+    def build(eng, log):
+        dom = eng.add_domain(ClockDomain("clk", 400_000_000, event_window=8))
+        dom.enqueue(_stepper(dom, log, [3, 1, 9, 2, 8, 20, 1, 5]), 0)
+        return [dom]
+
+    (status, now, cycles, counters, log), ref = _both_ways(build)
+    assert (status, now, cycles, counters) == ref[:4]
+    assert _steps(log) == _steps(ref[4])
+    assert log.count(("call",)) == 1            # every step after the first ran ahead
+    assert ref[4].count(("call",)) == 9
+    assert counters[0][2] == 3                  # the 9, 8 and 20 reach past the ring
+
+
+def test_run_ahead_ring_wrap_event_runs_at_its_own_cycle():
+    # from cycle 3 an event 5 cycles on lands at 8, the slot of cycle 0 whose
+    # list execute_cycle is still iterating
+    def build(eng, log):
+        dom = eng.add_domain(ClockDomain("clk", 400_000_000, event_window=8))
+        other = Event("other", lambda e: log.append(("other", dom.cycle, eng.now_ps)))
+
+        def on_step(cycle):
+            if cycle == 3:
+                dom.enqueue(other, 5)
+
+        dom.enqueue(_stepper(dom, log, [3, 3, 3, 3], on_step), 0)
+        return [dom]
+
+    plain, ref = _both_ways(build)
+    assert ("other", 8, 8 * 2500) in plain[4]
+    assert _steps(plain[4]) == _steps(ref[4])
+    assert plain[:4] == ref[:4]
+
+
+def test_exit_posted_during_run_ahead():
+    def build(eng, log):
+        dom = eng.add_domain(ClockDomain("clk", 400_000_000, event_window=8))
+
+        def on_step(cycle):
+            if cycle == 9:
+                eng.post_exit(7)
+
+        dom.enqueue(_stepper(dom, log, [3] * 10, on_step), 0)
+        return [dom]
+
+    plain, ref = _both_ways(build)
+    assert plain[0] == 7 and plain[1] == 9 * 2500 and plain[2] == [9]
+    assert plain[4].count(("call",)) == 1
+    assert _steps(plain[4]) == _steps(ref[4])
+    assert plain[:4] == ref[:4]
+
+
+def test_deadline_inside_run_ahead_times_out_at_the_same_time():
+    def build(eng, log):
+        dom = eng.add_domain(ClockDomain("clk", 400_000_000, event_window=8))
+        dom.enqueue(_stepper(dom, log, [3] * 10), 0)
+        return [dom]
+
+    plain, ref = _both_ways(build, max_cycles=10)
+    assert plain[0] == EXIT_TIMEOUT and plain[1] == 9 * 2500
+    assert plain[4].count(("call",)) == 1
+    assert _steps(plain[4]) == _steps(ref[4])
+    assert plain[:4] == ref[:4]
+
+
+def test_cross_domain_enqueue_stops_run_ahead_before_the_event():
+    # at fast cycle 3 (7500 ps) the stepper schedules a slow event at slow
+    # cycle 2 (20000 ps, fast cycle 8): run-ahead stops before cycle 8
+    def build(eng, log):
+        fast = eng.add_domain(ClockDomain("fast", 400_000_000, event_window=8))
+        slow = eng.add_domain(ClockDomain("slow", 100_000_000, event_window=8))
+        ping = Event("ping", lambda e: log.append(("ping", slow.cycle, eng.now_ps)))
+
+        def on_step(cycle):
+            if cycle == 3:
+                slow.enqueue(ping, 1)
+                log.append(("horizon", eng.horizon_ps, fast.horizon_cycle))
+
+        fast.enqueue(_stepper(fast, log, [1] * 10, on_step), 0)
+        return [fast, slow]
+
+    plain, ref = _both_ways(build)
+    log = plain[4]
+    assert ("horizon", 20000, 8) in log
+    steps = _steps(log)
+    assert steps.index(("ping", 2, 20000)) == steps.index(("step", 8, 20000)) + 1
+    assert log.index(("step", 7, 17500)) < log.index(("call",), 1) < log.index(("step", 8, 20000))
+    assert steps == _steps(ref[4])
+    assert plain[:4] == ref[:4]

@@ -83,3 +83,20 @@ def test_edited_table_file_is_read_again(tmp_path):
     assert IsaTable.load(["rv32im", str(path)]).decode(0xB).mnemonic == "fresh"
     path.write_text(json.dumps({"name": "ext", "entries": [dict(FRESH, mnemonic="newer")]}))
     assert IsaTable.load(["rv32im", str(path)]).decode(0xB).mnemonic == "newer"
+
+
+def test_packaged_table_is_read_once_per_process(monkeypatch):
+    desc = pulp_descriptor()
+    monkeypatch.setattr(isa, "_LOADED", {})
+    isa._packaged_text.cache_clear()
+    opened = []
+    files = isa.importlib.resources.files
+
+    def counted(package):
+        opened.append(package)
+        return files(package)
+
+    monkeypatch.setattr(isa.importlib.resources, "files", counted)
+    for _ in range(3):
+        pulpsim.build(desc)
+    assert len(opened) == 2                     # rv32im and xdemo

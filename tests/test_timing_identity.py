@@ -1,0 +1,102 @@
+"""Simulated timing of the benchmark guests is pinned.
+
+`tests/data/perfbench_digests.json` holds the `tracing.stable_stats` digest
+(`perfbench/run.py`'s `digest`) of every `perfbench/guests.py` workload, at
+full size on seed 1 and at `run.TINY_SIZES` on seeds 1-3.  A host-speed
+change leaves every digest unchanged, so a failure here means simulated
+timing moved.  Only a deliberate timing change (ROADMAP open item 1)
+regenerates the file, with
+
+    PYTHONPATH=src python tests/test_timing_identity.py --regenerate
+
+and the change that does so says why in CHANGES.md.
+
+The ticker test runs each workload once more with `conftest.add_ticker`'s
+extra clock domain, whose event ticks at the fastest frequency.  The
+engine's horizon is then always the next tick, so nothing runs ahead: that
+is the path without run-ahead.  Every stat except the engine counters, and
+every trace and VCD line, must equal the plain run's.
+"""
+
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from pulpsim.tracing import TraceSink, VcdWriter, stable_stats, stats_report
+
+from conftest import add_ticker
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data" / "perfbench_digests.json"
+TINY_SEEDS = (1, 2, 3)
+
+
+def _perfbench():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+run = _perfbench()
+CASES = [(name, 1, run.SIZES[name]) for name in run.guests.WORKLOADS] + [
+    (name, seed, run.TINY_SIZES[name]) for name in run.guests.WORKLOADS for seed in TINY_SEEDS]
+
+
+def case_key(name, seed, size):
+    return "%s/seed%d/size%d" % (name, seed, size)
+
+
+def plain_stats(name, seed, size):
+    guest = run.guests.WORKLOADS[name](seed, size)
+    plat, program, status, _ = run.run_once(guest)
+    assert guest.check(plat, status, program) == []
+    return stable_stats(stats_report(plat, status))
+
+
+def traced_run(name, ticked):
+    """Stats without the engine counters, trace and VCD of a tiny run on seed 1."""
+    guest = run.guests.WORKLOADS[name](1, run.TINY_SIZES[name])
+    plat, program, _ = run.setup(guest)
+    trace, vcd = io.StringIO(), io.StringIO()
+    plat.trace_sink = TraceSink(["*"], trace)
+    VcdWriter(vcd).attach(plat)
+    plat.reset()
+    if ticked:
+        ticker = add_ticker(plat.engine)
+    status = plat.run(max_cycles=guest.max_cycles())
+    assert guest.check(plat, status, program) == []
+    if ticked:
+        assert ticker.events_executed > 0
+    stats = stable_stats(stats_report(plat, status))
+    del stats["engine"]
+    return stats, trace.getvalue(), vcd.getvalue()
+
+
+@pytest.mark.parametrize("name,seed,size", CASES, ids=[case_key(*c) for c in CASES])
+def test_stats_digest_is_pinned(name, seed, size):
+    expected = json.loads(DATA.read_text())["digests"]
+    assert run.digest(plain_stats(name, seed, size)) == expected[case_key(name, seed, size)]
+
+
+@pytest.mark.parametrize("name", sorted(run.guests.WORKLOADS))
+def test_ticker_domain_leaves_stats_and_traces_unchanged(name):
+    assert traced_run(name, ticked=True) == traced_run(name, ticked=False)
+
+
+def regenerate():
+    digests = {case_key(*c): run.digest(plain_stats(*c)) for c in CASES}
+    DATA.write_text(json.dumps({
+        "note": "stable_stats digests of the perfbench guests; see tests/test_timing_identity.py",
+        "digests": digests}, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        raise SystemExit("usage: test_timing_identity.py --regenerate")
+    regenerate()
