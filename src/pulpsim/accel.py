@@ -71,6 +71,8 @@ class ConvAccelerator(Component):
     def build(self):
         self.base = self.params["base"]
         self.n_ports = self.positive_param("ports")
+        for name in ("macs_per_cycle", "weight_load_per_cycle", "chunk_cycles"):
+            self.positive_param(name)
         self.add_slave("in", self.handle)
         self.mem_ports = [self.add_master("mem%d" % i) for i in range(self.n_ports)]
         self.job_event = Event(self.path, self._chunk)
@@ -85,14 +87,13 @@ class ConvAccelerator(Component):
         self.shadow = None
         self.jobs_done = 0
         self.conflict_cycles = 0
+        self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
         self.event_unit = self.platform.lookup(self.params["event_unit"])
-        self._tr = self.platform.trace_enabled(self.path)
 
     def reset(self):
         self._reset_state()
-        self._tr = self.platform.trace_enabled(self.path)
 
     # -- latency model ---------------------------------------------------
 

@@ -28,8 +28,7 @@ class Request:
     """
 
     __slots__ = ("addr", "size", "is_write", "value", "data", "initiator",
-                 "port_index", "latency", "status", "contended", "sleep",
-                 "cache_miss")
+                 "latency", "status", "contended", "sleep", "cache_miss")
 
     def __init__(self):
         self.addr = 0
@@ -38,15 +37,13 @@ class Request:
         self.value = 0
         self.data = None
         self.initiator = None
-        self.port_index = 0
         self.latency = 0
         self.status = STATUS_OK
         self.contended = False
         self.sleep = False
         self.cache_miss = False
 
-    def setup(self, addr, size, is_write, value=0, data=None,
-              initiator=None, port_index=0):
+    def setup(self, addr, size, is_write, value=0, data=None, initiator=None):
         if data is not None and len(data) > MAX_REQUEST_BYTES:
             raise StructuralError("request exceeds %d bytes; split it" % MAX_REQUEST_BYTES)
         self.addr = addr
@@ -55,7 +52,6 @@ class Request:
         self.value = value
         self.data = data
         self.initiator = initiator
-        self.port_index = port_index
         self.reset()
         return self
 
@@ -93,7 +89,6 @@ class Port:
         if target is None:
             raise StructuralError("send on unbound port %s" % self.path)
         target.handler(req)
-        return req.status
 
     def __repr__(self):
         return "<Port %s %s>" % (self.path, self.direction)

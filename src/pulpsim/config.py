@@ -20,7 +20,8 @@ A mapping may name a {"target": path} instead of explicit base/size/port.
 It stays in the descriptor as written: the builder resolves it again when
 it builds the platform, so an override of the target's base/size moves
 the mapping, and binds the port to the target's input.  Every parameter
-can be overridden from the command line as `path.key=value`, which is what
+can be overridden from the command line as `path.key=value`, and every
+clock frequency as `clock_domains.<name>.frequency_hz=<Hz>`, which is what
 makes design-space sweeps possible without editing files.
 """
 
@@ -52,6 +53,25 @@ class ArchDescriptor:
         return isinstance(other, ArchDescriptor) and self.to_dict() == other.to_dict()
 
 
+def _clock_domain(name, entry):
+    """The checked entry of clock domain `name`: a positive frequency
+    whose period is a whole number of picoseconds, and no other key."""
+    where = "clock_domains.%s" % name
+    if not isinstance(entry, dict):
+        raise ConfigError("%s: expected object" % where)
+    freq = as_int(entry.get("frequency_hz", 0), where + ".frequency_hz")
+    if freq <= 0:
+        raise ConfigError("%s: frequency_hz must be positive" % where)
+    if PS_PER_SEC % freq != 0:
+        raise ConfigError(
+            "%s: frequency %d Hz has a non-integral period of %.6f ps" % (
+                where, freq, PS_PER_SEC / freq))
+    unknown = set(entry) - {"frequency_hz"}
+    if unknown:
+        raise ConfigError("%s: unknown keys %s" % (where, sorted(unknown)))
+    return {"frequency_hz": freq}
+
+
 def parse(json_text):
     """Parse and validate a platform description; returns an ArchDescriptor."""
     try:
@@ -65,22 +85,8 @@ def parse(json_text):
     if extra:
         raise ConfigError("unknown top-level keys: %s" % sorted(extra))
 
-    domains = {}
-    for name, entry in (raw.get("clock_domains") or {}).items():
-        where = "clock_domains.%s" % name
-        if not isinstance(entry, dict):
-            raise ConfigError("%s: expected object" % where)
-        freq = as_int(entry.get("frequency_hz", 0), where + ".frequency_hz")
-        if freq <= 0:
-            raise ConfigError("%s: frequency_hz must be positive" % where)
-        if PS_PER_SEC % freq != 0:
-            raise ConfigError(
-                "%s: frequency %d Hz has a non-integral period of %.6f ps" % (
-                    where, freq, PS_PER_SEC / freq))
-        unknown = set(entry) - {"frequency_hz"}
-        if unknown:
-            raise ConfigError("%s: unknown keys %s" % (where, sorted(unknown)))
-        domains[name] = {"frequency_hz": freq}
+    domains = {name: _clock_domain(name, entry)
+               for name, entry in (raw.get("clock_domains") or {}).items()}
     if not domains:
         raise ConfigError("clock_domains: at least one domain is required")
 
@@ -147,7 +153,8 @@ def apply_overrides(descriptor, overrides):
 
     The path may dive into nested parameter groups of composite components
     (e.g. `cluster/tcdm.banks=64` updates the `tcdm` group of the `cluster`
-    component).  Values must match the type they replace.
+    component).  Values must match the type they replace.  Clock domain
+    overrides `clock_domains.<name>.frequency_hz` are checked as in parse().
     """
     desc = ArchDescriptor(descriptor.name,
                           copy.deepcopy(descriptor.clock_domains),
@@ -161,6 +168,14 @@ def apply_overrides(descriptor, overrides):
             raise ConfigError("override '%s': expected path.key=value" % text)
         target_path, _, key = lhs.rpartition(".")
         value = parse_override_value(rhs)
+
+        if target_path.startswith("clock_domains."):
+            name = target_path[len("clock_domains."):]
+            if name not in desc.clock_domains:
+                raise ConfigError("override '%s': unknown clock domain '%s'" % (text, name))
+            desc.clock_domains[name] = _clock_domain(
+                name, dict(desc.clock_domains[name], **{key: value}))
+            continue
 
         entry = None
         remainder = None

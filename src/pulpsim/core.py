@@ -4,23 +4,33 @@ Each instruction executes as one step: fetch through the instruction port
 (cache latency added), table decode, semantics callback, then the next
 step is due after
 
-    1 + instruction latency + fetch latency + memory latency
-      + hazard stalls + taken-branch penalty
+    charge = base + fetch latency + load-use stall + data latency
+             (+ branch penalty when the callback returned a pc)
 
-cycles.  The step event is enqueued there, unless the next step falls
-strictly before the engine's horizon: then the core runs it inline in the
-same callback (`ClockDomain.run_ahead`, engine module docstring), which
-gives the same timing with one engine dispatch for many instructions.
-Loads publish their result one write-back cycle after completion;
-a consumer arriving earlier stalls on the register scoreboard.  Blocking
-loads from synchronization registers put the core to sleep and are
-re-executed on wake-up, which is when their value is actually determined.
+cycles, where base is 1 plus the table's execute latency.  The step event
+is enqueued there, unless the next step falls strictly before the
+engine's horizon: then the core runs it inline in the same callback
+(`ClockDomain.run_ahead`, engine module docstring), which gives the same
+timing with one engine dispatch for many instructions.  Loads publish
+their result one write-back cycle after completion; a consumer arriving
+earlier stalls on the register scoreboard.
+
+A semantics callback `(core, ins)` updates registers and memory and
+returns the next pc if it transfers control (jal, jalr, mret, a taken
+branch), else None.  It raises `Trap(cause, tval)` for ecall, ebreak, an
+illegal CSR access or a data access fault: the step charges 1 + fetch
+latency + stall and enters the trap vector.  Loads and stores make their
+one data access (isa module docstring) through `RiscvCore.access`, which
+leaves latency and contention on the reused data request for the step to
+charge, and raises `Sleep` for a blocking read from a synchronization
+register: the attempt is charged and the core sleeps without retiring,
+to re-execute the read on wake-up, when its value is determined.
 
 Decoding is cached per instruction word, not per pc, so self-modifying
 code and fence.i need no invalidation.  Each cache entry is a flat tuple
 
     (ins, handler, rs1, rs2, rd, 1 + latency, write-back latency if rd
-     else 0, is_branch)
+     else 0, is_branch, is_load_or_store)
 
 which the step unpacks instead of reading the table entry.  The fetch and
 data requests are built once with their fixed fields; each access sets
@@ -64,49 +74,54 @@ def _s32(v):
     return v - 0x100000000 if v & 0x80000000 else v
 
 
+class Trap(Exception):
+    """Raised during a semantics callback, with args (cause, tval)."""
+
+
+class Sleep(Exception):
+    """Raised by `RiscvCore.access` for a blocking read."""
+
+
 # -- instruction semantics -------------------------------------------------
-# Each callback mutates the core: registers, next pc, memory side effects.
-# The step loop owns timing; callbacks only flag taken branches and traps.
+# Each callback mutates registers and memory and returns the next pc or
+# None (module docstring).  The step loop owns timing.
 
 def _sem_lui(c, i):
-    c.wr(i.rd, i.imm & M32)
+    if i.rd:
+        c.regs[i.rd] = i.imm & M32
 
 def _sem_auipc(c, i):
-    c.wr(i.rd, (c.pc + i.imm) & M32)
+    if i.rd:
+        c.regs[i.rd] = (c.pc + i.imm) & M32
 
 def _sem_jal(c, i):
-    c.wr(i.rd, (c.pc + 4) & M32)
-    c.npc = (c.pc + i.imm) & M32
-    c.taken = True
+    if i.rd:
+        c.regs[i.rd] = (c.pc + 4) & M32
+    return (c.pc + i.imm) & M32
 
 def _sem_jalr(c, i):
     target = (c.regs[i.rs1] + i.imm) & M32 & ~1
-    c.wr(i.rd, (c.pc + 4) & M32)
-    c.npc = target
-    c.taken = True
+    if i.rd:
+        c.regs[i.rd] = (c.pc + 4) & M32
+    return target
 
 def _branch(cond):
     def sem(c, i):
         if cond(c.regs[i.rs1], c.regs[i.rs2]):
-            c.npc = (c.pc + i.imm) & M32
-            c.taken = True
+            return (c.pc + i.imm) & M32
     return sem
 
 def _sem_load(size, signed):
     def sem(c, i):
-        v = c.mem_read((c.regs[i.rs1] + i.imm) & M32, size)
-        if v is None:
-            return
-        if signed:
-            v = sext(v, size * 8) & M32
+        v = c.access((c.regs[i.rs1] + i.imm) & M32, size, False, 0)
         if i.rd:
-            c.regs[i.rd] = v
+            c.regs[i.rd] = sext(v, size * 8) & M32 if signed else v
     return sem
 
 def _sem_store(size):
     def sem(c, i):
-        c.mem_write((c.regs[i.rs1] + i.imm) & M32, size,
-                    c.regs[i.rs2] & ((1 << (size * 8)) - 1))
+        c.access((c.regs[i.rs1] + i.imm) & M32, size, True,
+                 c.regs[i.rs2] & ((1 << (size * 8)) - 1))
     return sem
 
 def _op_imm(fn):
@@ -141,14 +156,13 @@ def _rem(a, b):
     return -r if sa < 0 else r
 
 def _sem_ecall(c, i):
-    c.trap_info = (CAUSE_ECALL, 0)
+    raise Trap(CAUSE_ECALL, 0)
 
 def _sem_ebreak(c, i):
-    c.trap_info = (CAUSE_BREAK, c.pc)
+    raise Trap(CAUSE_BREAK, c.pc)
 
 def _sem_mret(c, i):
-    c.npc = c.csr_mepc
-    c.taken = True
+    return c.csr_mepc
 
 def _sem_fence(c, i):
     pass
@@ -163,15 +177,14 @@ def _sem_csr(write_always, op):
     def sem(c, i):
         old = c.csr_read(i.csr)
         if old is None:
-            c.trap_info = (CAUSE_ILLEGAL, i.word)
-            return
+            raise Trap(CAUSE_ILLEGAL, i.word)
         src = c.regs[i.rs1] if i.entry.fmt == "CSR" else i.imm
         if write_always or (i.entry.fmt == "CSR" and i.rs1 != 0) or (
                 i.entry.fmt == "CSRI" and i.imm != 0):
             if not c.csr_write(i.csr, op(old, src) & M32):
-                c.trap_info = (CAUSE_ILLEGAL, i.word)
-                return
-        c.wr(i.rd, old)
+                raise Trap(CAUSE_ILLEGAL, i.word)
+        if i.rd:
+            c.regs[i.rd] = old
     return sem
 
 def _sem_mac(c, i):
@@ -182,9 +195,7 @@ def _sem_mac(c, i):
 
 def _sem_lwpost(c, i):
     addr = c.regs[i.rs1]
-    v = c.mem_read(addr, 4)
-    if v is None:
-        return
+    v = c.access(addr, 4, False, 0)
     if i.rs1 != 0 and i.rs1 != i.rd:
         c.regs[i.rs1] = (addr + i.imm) & M32
     if i.rd:
@@ -268,12 +279,6 @@ class RiscvCore(Component):
 
     def _zero_state(self):
         self.scoreboard = [0] * 32
-        self.npc = 0
-        self.mem_lat = 0
-        self.taken = False
-        self.sleep_flag = False
-        self.mem_contended = False
-        self.trap_info = None
         self.sleep_from = 0
         self.csr_mtvec = self.params["trap_vector"]
         self.csr_mepc = 0
@@ -281,28 +286,23 @@ class RiscvCore(Component):
         self.csr_mtval = 0
         for name in COUNTER_NAMES:
             setattr(self, name, 0)
+        self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
 
     def finalize(self):
         self._fetch_handler = self.ports["fetch"].binding.handler
         self._data_handler = self.ports["data"].binding.handler
-        self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
 
     def reset(self):
         self.regs = [0] * 32
         self.pc = self.boot_pc & M32
         self.mode = "running"
         self._zero_state()
-        self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
         self.domain.enqueue(self.step_event, 0)
         if self.platform.vcd is not None:
             self.platform.vcd.core_activity(self, True)
             self.platform.vcd.core_pc(self, self.pc)
 
     # -- architectural helpers ------------------------------------------
-
-    def wr(self, rd, value):
-        if rd:
-            self.regs[rd] = value
 
     def counters(self):
         return {name: getattr(self, name) for name in COUNTER_NAMES}
@@ -341,42 +341,27 @@ class RiscvCore(Component):
 
     # -- memory access (within the current step) -------------------------
 
-    def mem_read(self, addr, size):
-        req = self._data_req
-        req.addr = addr
-        req.size = size
-        req.is_write = False
-        req.value = 0
-        req.reset()
-        self._data_handler(req)
-        if req.status != STATUS_OK:
-            self.trap_info = (CAUSE_LOAD_FAULT, addr)
-            return None
-        self.mem_lat += req.latency
-        if req.contended:
-            self.mem_contended = True
-        if req.sleep:
-            self.sleep_flag = True
-            return None
-        self.loads += 1
-        return req.value
+    def access(self, addr, size, is_write, value):
+        """The current instruction's data access; returns the value read.
 
-    def mem_write(self, addr, size, value):
+        Raises Trap on a bus error and Sleep on a blocking read.  The
+        step reads latency and contention from the data request."""
         req = self._data_req
         req.addr = addr
         req.size = size
-        req.is_write = True
+        req.is_write = is_write
         req.value = value
         req.reset()
         self._data_handler(req)
         if req.status != STATUS_OK:
-            self.trap_info = (CAUSE_STORE_FAULT, addr)
-            return False
-        self.mem_lat += req.latency
-        if req.contended:
-            self.mem_contended = True
-        self.stores += 1
-        return True
+            raise Trap(CAUSE_STORE_FAULT if is_write else CAUSE_LOAD_FAULT, addr)
+        if req.sleep:
+            raise Sleep
+        if is_write:
+            self.stores += 1
+        else:
+            self.loads += 1
+        return req.value
 
     # -- the per-instruction event ----------------------------------------
 
@@ -404,7 +389,7 @@ class RiscvCore(Component):
             if dec is _ILLEGAL:
                 self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
                 return
-            ins, handler, rs1, rs2, rd, base, wb, is_branch = dec
+            ins, handler, rs1, rs2, rd, base, wb, is_branch, is_mem = dec
 
             stall = 0
             sb = self.scoreboard
@@ -419,25 +404,14 @@ class RiscvCore(Component):
             if stall:
                 self.load_stalls += stall
 
-            self.npc = (pc + 4) & M32
-            self.mem_lat = 0
-            self.taken = False
-            self.sleep_flag = False
-            self.mem_contended = False
-            self.trap_info = None
-            handler(self, ins)
-
-            if self._tr_insn:
-                self.platform.trace(self.path + "/insn", dom, ins.text())
-
-            if self.trap_info is not None:
-                cause, tval = self.trap_info
-                self._take_trap(cause, tval, 1 + fetch_lat + stall + self.mem_lat)
+            try:
+                npc = handler(self, ins)
+            except Trap as trap:
+                self._take_trap(*trap.args, 1 + fetch_lat + stall)
                 return
-
-            if self.sleep_flag:
-                # blocking read: keep pc, do not retire; re-executed on wake
-                attempt = 1 + fetch_lat + stall + self.mem_lat
+            except Sleep:
+                # keep pc, do not retire: re-executed on wake
+                attempt = 1 + fetch_lat + stall + self._data_req.latency
                 self.total_cycles += attempt
                 self.active_cycles += attempt
                 self.mode = "sleeping"
@@ -445,26 +419,33 @@ class RiscvCore(Component):
                 if self.platform.vcd is not None:
                     self.platform.vcd.core_activity(self, False)
                 return
+            finally:
+                # every executed instruction is traced, also one that stops
+                if self._tr_insn:
+                    self.platform.trace(self.path + "/insn", dom, ins.text())
 
-            charge = base + fetch_lat + stall + self.mem_lat
-            if self.taken:
+            charge = base + fetch_lat + stall
+            if is_mem:
+                req = self._data_req
+                charge += req.latency
+                if req.contended:
+                    self.tcdm_contentions += 1
+            if npc is None:
+                npc = (pc + 4) & M32
+            else:
                 charge += self.branch_penalty
                 if is_branch:
                     self.branches_taken += 1
-            if self.mem_contended:
-                self.tcdm_contentions += 1
             C += charge
             if wb:
                 sb[rd] = C + wb
 
-            self.pc = self.npc
+            self.pc = npc
             self.instr_retired += 1
             self.total_cycles += charge
             self.active_cycles += charge
             if self.platform.vcd is not None:
-                self.platform.vcd.core_pc(self, self.pc)
-            if self.mode != "running":
-                return
+                self.platform.vcd.core_pc(self, npc)
             # the next step runs here if it is the engine's next event
             if C >= dom.horizon_cycle or not dom.run_ahead(C, charge):
                 dom.enqueue(ev, charge)
@@ -481,7 +462,8 @@ class RiscvCore(Component):
             if handler is None:
                 raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
             dec = (ins, handler, ins.rs1, ins.rs2, ins.rd, 1 + e.latency,
-                   e.writeback_latency if ins.rd else 0, e.klass == "branch")
+                   e.writeback_latency if ins.rd else 0, e.klass == "branch",
+                   e.klass in ("load", "store"))
         self._dcache[word] = dec
         return dec
 
@@ -493,8 +475,7 @@ class RiscvCore(Component):
             self.csr_mcause = cause
             self.csr_mtval = tval & M32
             self.pc = self.csr_mtvec
-            if self.mode == "running":
-                self.domain.enqueue(self.step_event, charge)
+            self.domain.enqueue(self.step_event, charge)
         else:
             self.mode = "halted"
             self.platform.diagnostic(

@@ -19,8 +19,10 @@ Register map (word offsets from `base`):
     0x24 TID_STATUS (1 done, 0 in flight, 2 error, 0xFFFFFFFF unknown)
 """
 
-from .component import Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR
+from .component import (Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR,
+                        MAX_REQUEST_BYTES)
 from .engine import Event
+from .errors import ConfigError
 
 REG_SRC = 0x00
 REG_DST = 0x04
@@ -74,6 +76,9 @@ class ClusterDma(Component):
     def build(self):
         self.base = self.params["base"]
         self.max_burst = self.positive_param("max_burst")
+        if self.max_burst > MAX_REQUEST_BYTES:
+            raise ConfigError("components.%s: max_burst must be at most %d, got %d" % (
+                self.path, MAX_REQUEST_BYTES, self.max_burst))
         self.positive_param("channels")
         self.add_slave("in", self.handle)
         self.tcdm_port = self.add_master("tcdm")
@@ -93,14 +98,13 @@ class ClusterDma(Component):
         self.transfers = 0
         self.bytes_moved = 0
         self.contentions = 0
+        self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
         self.event_unit = self.platform.lookup(self.params["event_unit"])
-        self._tr = self.platform.trace_enabled(self.path)
 
     def reset(self):
         self._reset_state()
-        self._tr = self.platform.trace_enabled(self.path)
 
     # -- register interface -------------------------------------------------
 

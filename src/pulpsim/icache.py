@@ -28,9 +28,9 @@ class InstructionCache(Component):
     }
 
     def build(self):
-        size = self.params["size"]
-        self.ways = self.params["ways"]
-        self.line = self.params["line_bytes"]
+        size = self.positive_param("size")
+        self.ways = self.positive_param("ways")
+        self.line = self.positive_param("line_bytes")
         if self.line & (self.line - 1):
             raise ConfigError("%s: line_bytes must be a power of two" % self.path)
         if size % (self.ways * self.line):

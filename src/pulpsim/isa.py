@@ -5,6 +5,11 @@ encodings plus metadata: operand format, instruction class, extra execute
 latency and write-back latency.  New extensions are additional tables; the
 loader rejects any encoding that conflicts with an already-registered one.
 
+The class is a timing contract with the core: an instruction of class
+`load` or `store` makes exactly one data access (unless it traps before
+it), and an instruction of any other class makes none.  The core charges
+the latency of that one access from its data request after the step.
+
 Packaged tables are read once per process and tables given as file paths
 on every load.  Tables are parsed and conflict-checked once per process per
 table set (the set's table texts and labels, so an edited table file is

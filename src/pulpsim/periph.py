@@ -51,6 +51,7 @@ class HyperRam(Component):
     def build(self):
         self.base = self.params["base"]
         self.size = self.positive_param("size")
+        self.positive_param("bandwidth_bits_per_sec")
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
         self.reads = 0
@@ -118,20 +119,16 @@ class MicroDma(Component):
 
     def build(self):
         self.base = self.params["base"]
+        self.positive_param("beat_bytes")
         self.add_slave("in", self.handle)
         self.l2_port = self.add_master("l2")
-        self._regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
-        self.status = 0
         self.beat_event = Event(self.path, self._beat)
         self._req = Request()       # reused by every beat, through setup()
-        self._cur = None
-        self.transfers = 0
-        self.bytes_moved = 0
+        self.reset()
 
     def finalize(self):
         self.device = self.platform.lookup(self.params["device"])
         self.itc = self.platform.lookup(self.params["itc"])
-        self._tr = self.platform.trace_enabled(self.path)
 
     def reset(self):
         self._regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}

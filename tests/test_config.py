@@ -105,6 +105,28 @@ def test_override_errors():
         apply_overrides(desc, ["cluster.nb_cores=fast"])
 
 
+def test_override_sets_clock_frequency():
+    desc = pulp_descriptor()
+    out = apply_overrides(desc, ["clock_domains.cluster.frequency_hz=200000000"])
+    assert out.clock_domains["cluster"] == {"frequency_hz": 200000000}
+    assert desc.clock_domains["cluster"] == {"frequency_hz": 400000000}
+    assert pulpsim.build(out).domain("cluster").period_ps == 5000
+
+
+@pytest.mark.parametrize("override,message", [
+    ("clock_domains.cluster.frequency_hz=0", "clock_domains.cluster: frequency_hz must be positive"),
+    ("clock_domains.cluster.frequency_hz=333333333", "clock_domains.cluster: frequency 333333333 Hz"
+                                                     " has a non-integral period"),
+    ("clock_domains.cluster.frequency_hz=fast", "clock_domains.cluster.frequency_hz: expected integer"),
+    ("clock_domains.gpu.frequency_hz=100000000", "unknown clock domain 'gpu'"),
+    ("clock_domains.cluster.voltage=1", "clock_domains.cluster: unknown keys ['voltage']"),
+])
+def test_clock_override_errors(override, message):
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(pulp_descriptor(), [override])
+    assert message in str(err.value)
+
+
 def test_override_changes_instance_count():
     import re
     plat = build_pulp(["cluster.nb_cores=16"])
@@ -197,6 +219,17 @@ def test_param_defaults_satisfy_declared_types():
     ("cluster/dma.channels=0", "cluster/dma: channels must be positive, got 0"),
     ("cluster/dma.max_burst=0", "cluster/dma: max_burst must be positive, got 0"),
     ("cluster.nb_cores=33", "fc and cluster/pe32 share hart id 32"),
+    ("cluster/icache.line_bytes=0", "cluster/pe0_icache: line_bytes must be positive, got 0"),
+    ("cluster/icache.l1_ways=0", "cluster/pe0_icache: ways must be positive, got 0"),
+    ("cluster/icache.l15_ways=0", "cluster/l15: ways must be positive, got 0"),
+    ("cluster/icache.l1_size=0", "cluster/pe0_icache: size must be positive, got 0"),
+    ("cluster/accel.macs_per_cycle=0", "cluster/accel: macs_per_cycle must be positive, got 0"),
+    ("cluster/accel.weight_load_per_cycle=0",
+     "cluster/accel: weight_load_per_cycle must be positive, got 0"),
+    ("cluster/accel.chunk_cycles=0", "cluster/accel: chunk_cycles must be positive, got 0"),
+    ("hyper.bandwidth_bits_per_sec=0", "hyper: bandwidth_bits_per_sec must be positive, got 0"),
+    ("udma.beat_bytes=0", "udma: beat_bytes must be positive, got 0"),
+    ("cluster/dma.max_burst=8192", "cluster/dma: max_burst must be at most 4096, got 8192"),
 ])
 def test_override_that_builds_a_broken_platform_is_rejected(override, message):
     with pytest.raises(ConfigError) as err:

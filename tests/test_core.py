@@ -209,6 +209,73 @@ def test_bus_error_on_unmapped_address():
     assert cpu.csr_mtvec == 0
 
 
+TRAP_GUEST = """
+_start:
+    li x10, 0x8000          # trap log: mcause, mepc, mtval per trap
+    li x1, 0xDEAD0000       # unmapped
+t_ecall:
+    ecall
+    addi x11, x11, 1        # each trap resumes at the next instruction
+t_ebreak:
+    ebreak
+    addi x11, x11, 1
+t_csr:
+    csrw 0xF14, x1          # mhartid is read-only
+    addi x11, x11, 1
+t_load:
+    lw x2, 0(x1)
+    addi x11, x11, 1
+t_store:
+    sw x2, 4(x1)
+    addi x11, x11, 1
+    csrw 0x305, x0          # unhook the vector: the next trap halts
+done:
+    ebreak
+.org 0x1100
+handler:
+    csrr x20, 0x342         # mcause
+    csrr x21, 0x341         # mepc
+    csrr x22, 0x343         # mtval
+    sw x20, 0(x10)
+    sw x21, 4(x10)
+    sw x22, 8(x10)
+    addi x10, x10, 12
+    addi x21, x21, 4
+    csrw 0x341, x21
+    mret
+"""
+
+
+def test_traps_through_trap_vector_resume_after_mret():
+    prog = assemble(TRAP_GUEST, origin=0x1000)
+    sym = prog.symbols
+    plat = build_minimal(cpu={"trap_vector": sym["handler"]})
+    _, cpu, _ = run_program(TRAP_GUEST, platform=plat)
+    log = plat.peek(0x8000, 5 * 12)
+    got = [tuple(int.from_bytes(log[i:i + 4], "little") for i in range(at, at + 12, 4))
+           for at in range(0, len(log), 12)]
+    assert got == [
+        (11, sym["t_ecall"], 0),
+        (3, sym["t_ebreak"], sym["t_ebreak"]),
+        (2, sym["t_csr"], prog.words[sym["t_csr"]]),
+        (5, sym["t_load"], 0xDEAD0000),
+        (7, sym["t_store"], 0xDEAD0004),
+    ]
+    assert cpu.regs[11] == 5
+    assert cpu.mode == "halted" and cpu.pc == sym["done"]
+    assert plat.diagnostics == [
+        "cpu: unhandled trap cause=3 tval=0x%08x at pc=0x%08x; core halted"
+        % (sym["done"], sym["done"])]
+    # 2 li pairs, 5 resumed addi and the unhooking csrw, plus 10 handler
+    # instructions per trap; the trapping instructions do not retire
+    assert cpu.instr_retired == 4 + 6 + 5 * 10
+    # one cycle each for the 60 retired instructions and the 6 traps, the
+    # branch penalty of 2 for each of the 5 mret, and one bank wait for
+    # each of 3 handler stores that meets the fetch in its bank
+    assert cpu.tcdm_contentions == 3
+    assert cpu.total_cycles == 60 + 6 + 5 * 2 + 3
+
+
 def test_reset_forgets_the_previous_runs_diagnostics():
     plat, cpu, _ = run_program("_start:\n    ebreak\n")
     assert len(plat.diagnostics) == 1
@@ -220,6 +287,7 @@ def test_reset_forgets_the_previous_runs_diagnostics():
 # -- randomized ISS equivalence ----------------------------------------------
 
 SCRATCH = 0x8000
+SCRATCH_WORDS = 0x1000 // 4
 SAFE_RD = [r for r in range(32) if r != 3]
 
 
@@ -249,10 +317,15 @@ def gen_program(rng, n_instr):
         elif kind < 0.78:
             op = rng.choice(["slli", "srli", "srai"])
             lines.append("%s x%d, x%d, %d" % (op, rd, rs1, rng.randrange(32)))
-        elif kind < 0.82:
+        elif kind < 0.81:
             lines.append("lui x%d, 0x%x" % (rd, rng.getrandbits(20)))
+        elif kind < 0.83:
+            lines.append("auipc x%d, 0x%x" % (rd, rng.getrandbits(20)))
+        elif kind < 0.84:
+            lines.append("fence")
         elif kind < 0.93:
-            sizes = [("lb", "sb", 1), ("lh", "sh", 2), ("lw", "sw", 4)]
+            sizes = [("lb", "sb", 1), ("lh", "sh", 2), ("lw", "sw", 4),
+                     ("lbu", "sb", 1), ("lhu", "sh", 2)]
             ld, st, size = rng.choice(sizes)
             off = rng.randrange(0, 2048 - 4)
             off -= off % size
@@ -266,10 +339,22 @@ def gen_program(rng, n_instr):
                          if rng.random() < 0.5 else
                          "p.lwpost x%d, %d(x3)" % (rd, off4))
         else:
-            # short forward branch over 1..2 instructions
-            op = rng.choice(["beq", "bne", "blt", "bge", "bltu", "bgeu"])
+            # short forward branch or jump over 1..2 instructions; the jumps
+            # link into rd, and jalr jumps relative to an auipc of its own
+            # pc, sometimes to an odd address that it must round down
             skip = rng.randrange(1, 3)
-            lines.append("%s x%d, x%d, fwd_%d" % (op, rs1, rs2, label))
+            jump = rng.random()
+            if jump < 0.25:
+                lines.append("jal x%d, fwd_%d" % (rd, label))
+            elif jump < 0.5:
+                base = rng.choice(SAFE_RD[1:])
+                lines.append("auipc x%d, 0" % base)
+                lines.append("jalr x%d, %d(x%d)" % (rd, 4 * (skip + 2) + rng.randrange(2),
+                                                    base))
+                i += 1
+            else:
+                op = rng.choice(["beq", "bne", "blt", "bge", "bltu", "bgeu"])
+                lines.append("%s x%d, x%d, fwd_%d" % (op, rs1, rs2, label))
             for _ in range(skip):
                 rdi = rng.choice(SAFE_RD)
                 lines.append("addi x%d, x%d, %d" % (rdi, rng.randrange(32),
@@ -279,6 +364,9 @@ def gen_program(rng, n_instr):
             label += 1
         i += 1
     lines.append("ecall")
+    # random data under the loads, so that sign and zero extension differ
+    lines.append(".org 0x%x" % SCRATCH)
+    lines += [".word 0x%08x" % rng.getrandbits(32) for _ in range(SCRATCH_WORDS)]
     return "\n".join(lines)
 
 
