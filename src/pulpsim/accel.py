@@ -73,6 +73,7 @@ class ConvAccelerator(Component):
         self.n_ports = self.positive_param("ports")
         for name in ("macs_per_cycle", "weight_load_per_cycle", "chunk_cycles"):
             self.positive_param(name)
+        self.positive_param("setup_cycles", 0)
         self.add_slave("in", self.handle)
         self.mem_ports = [self.add_master("mem%d" % i) for i in range(self.n_ports)]
         self.job_event = Event(self.path, self._chunk)
@@ -91,6 +92,7 @@ class ConvAccelerator(Component):
 
     def finalize(self):
         self.event_unit = self.platform.lookup(self.params["event_unit"])
+        self.event_unit.check_line_param(self, "event_line")
 
     def reset(self):
         self._reset_state()

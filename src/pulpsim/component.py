@@ -182,12 +182,14 @@ class Component:
     def reset(self):
         """Return to power-on state (counters, registers, schedules)."""
 
-    def positive_param(self, name):
-        """The int param `name`, which must be at least 1 (a count or a size)."""
+    def positive_param(self, name, least=1):
+        """The int param `name`, which must be at least `least`: 1 for a
+        count or a size, 0 for a latency or a cycle count."""
         value = self.params[name]
-        if value < 1:
-            raise ConfigError("components.%s: %s must be positive, got %d" % (
-                self.path, name, value))
+        if value < least:
+            raise ConfigError("components.%s: %s must be %s, got %d" % (
+                self.path, name, "positive" if least == 1 else "at least %d" % least,
+                value))
         return value
 
     # -- ports ----------------------------------------------------------

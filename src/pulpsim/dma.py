@@ -80,6 +80,8 @@ class ClusterDma(Component):
             raise ConfigError("components.%s: max_burst must be at most %d, got %d" % (
                 self.path, MAX_REQUEST_BYTES, self.max_burst))
         self.positive_param("channels")
+        self.positive_param("program_latency", 0)
+        self.positive_param("burst_latency", 0)
         self.add_slave("in", self.handle)
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
@@ -102,6 +104,7 @@ class ClusterDma(Component):
 
     def finalize(self):
         self.event_unit = self.platform.lookup(self.params["event_unit"])
+        self.event_unit.check_line_param(self, "event_line")
 
     def reset(self):
         self._reset_state()

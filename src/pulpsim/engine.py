@@ -1,9 +1,10 @@
 """Event-driven simulation kernel.
 
 A global time engine keeps track of picosecond time across any number of
-clock domains.  Each domain owns a forward-monotone cycle counter and an
-event store made of a circular buffer covering a fixed window of upcoming
-cycles plus an ordered overflow queue for events scheduled further out.
+clock domains.  Each domain owns a forward-monotone cycle counter and one
+event store: a dict from absolute cycle to the events due then, in
+insertion order, plus a heap of the cycles that have events.  The engine
+reads each domain's next pending cycle off its heap's head.
 
 The engine owns time.  `ClockDomain.enqueue` counts its delta from the
 domain's cycle at the engine's current time: the executing cycle when the
@@ -32,6 +33,13 @@ it and executing that cycle would have.
 The cores (`RiscvCore._step`) and the micro-DMA (`MicroDma._beat`) do so;
 everything else enqueues itself.  Timing, traces and statistics are the
 same either way; only the number of engine dispatches drops.
+
+Lap counters.  `TimeEngine.stats` still reports the `laps_completed` and
+`overflow_promotions` of the 64-slot ring (one lap) and overflow heap that
+the store replaced, as the benchmark and golden stats pin them: the sum
+over domains of `cycle // 64`, and the events put at least 64 cycles past
+their domain's counter, each counted once that counter reaches its lap,
+plus run-ahead steps of 64 cycles or more.  Scheduling never reads them.
 """
 
 import heapq
@@ -44,14 +52,18 @@ EXIT_TIMEOUT = "timeout"
 EXIT_IDLE = "idle-deadlock"
 
 _END_OF_TIME = 1 << 256     # ps; the horizon of a run without a deadline
+_LAP = 64                   # cycles; see ClockDomain's lap counters
+_FAR = "far"                # Event.enqueued of an event put a lap or more ahead
 
 
 class Event:
     """A callback scheduled at some cycle of one clock domain.
 
     An event lives in at most one store at a time; `enqueued` tracks that
-    exactly.  The same Event object may be re-enqueued after it executed,
-    which is how components implement recurring activity.
+    exactly: True, or `_FAR` when put a lap or more ahead (module
+    docstring, lap counters), while stored.  The same Event object may be
+    re-enqueued after it executed, which is how components implement
+    recurring activity.
     """
 
     __slots__ = ("owner", "callback", "payload", "enqueued", "cycle")
@@ -72,98 +84,86 @@ class ClockDomain:
     """A clock source: frequency, cycle counter and the event store.
 
     `enqueue` is relative to this domain's cycle at the engine's current
-    time (module docstring), so it is safe from any domain.  The store is
-    a ring of `window` slots, one per upcoming cycle; events scheduled at
-    least `window` cycles ahead of the counter wait in an overflow heap
-    ordered by (cycle, insertion sequence) and are promoted into the ring
-    whenever the counter crosses a window-sized lap boundary (or when the
-    ring would otherwise run dry).  `reset` rewinds to cycle 0.
+    time (module docstring), so it is safe from any domain.  The store
+    maps each absolute cycle that has events to the list of them, in
+    insertion order, and keeps those cycles in a heap, so the next pending
+    cycle is the heap's head.  `reset` rewinds to cycle 0.  The last
+    block derives the lap counters (module docstring) from the counter,
+    the stored `_FAR` events and `_far`, the count of far puts and steps.
 
     `run_ahead` lets the executing callback, when it is alone in the store
     and due before `horizon_cycle`, move on to its next cycle instead of
     enqueueing itself (module docstring).  It counts this domain's events
-    itself, so only enqueues into other domains must lower the horizon,
-    and the hot same-domain in-window path leaves it alone.
+    itself, so only enqueues into other domains must lower the horizon.
     """
 
-    def __init__(self, name, frequency_hz, event_window=64):
+    def __init__(self, name, frequency_hz):
         if frequency_hz <= 0:
             raise ValueError("frequency must be positive: %r" % frequency_hz)
         if PS_PER_SEC % frequency_hz != 0:
             raise ValueError(
                 "frequency %d Hz has a non-integral period in picoseconds" % frequency_hz)
-        if event_window <= 0:
-            raise ValueError("event_window must be positive")
         self.name = name
         self.frequency_hz = frequency_hz
         self.period_ps = PS_PER_SEC // frequency_hz
-        self.window = event_window
         self.engine = None          # set by TimeEngine.add_domain
-        self._slots = [[] for _ in range(event_window)]
-        self._overflow = []         # heap of (abs_cycle, seq, event)
+        self._buckets = {}          # absolute cycle -> [Event, ...]
         self.reset()
 
     def reset(self):
-        """Rewind to cycle 0 with empty stores and zeroed statistics.
+        """Rewind to cycle 0 with an empty store and zeroed statistics.
 
         Every event still pending is dropped and marked not enqueued.
         """
-        for lst in self._slots:
+        for lst in self._buckets.values():
             for ev in lst:
                 ev.enqueued = False
-            lst.clear()
-        for _, _, ev in self._overflow:
-            ev.enqueued = False
-        self._overflow.clear()
+        self._buckets.clear()
+        self._cycles = []           # heap of the keys of _buckets
+        self._pending = 0           # stored events, the executing cycle's included
         self.cycle = 0
         self.horizon_cycle = 0      # set by the engine while this domain executes
-        self._slot_count = 0
-        self._seq = 0
-        self._next_drain = self.window
         # statistics
         self.events_executed = 0
-        self.laps_completed = 0
-        self.overflow_promotions = 0
+        self._far = 0               # far puts and far run-ahead steps (see below)
 
     # -- scheduling ---------------------------------------------------
 
     def enqueue(self, event, delta_cycles):
-        """Schedule `event` delta_cycles after this domain's current cycle."""
+        """Schedule `event` delta_cycles after this domain's cycle at `now_ps`."""
         if delta_cycles < 0:
             raise StructuralError("negative delta for %r" % event)
-        if self.engine.current is not self:
-            self._put(event, self.cycle_at_or_after(self.engine.now_ps) + delta_cycles)
-            return
-        if delta_cycles >= self.window:
-            self._put(event, self.cycle + delta_cycles)
-            return
         if event.enqueued:
             raise StructuralError("double enqueue of %r" % event)
-        abs_cycle = self.cycle + delta_cycles
-        event.enqueued = True
+        engine = self.engine
+        if engine.current is self:
+            abs_cycle = self.cycle + delta_cycles
+        else:
+            abs_cycle = self.cycle_at_or_after(engine.now_ps) + delta_cycles
+            t = self.period_ps * abs_cycle
+            if t < engine.horizon_ps:
+                engine.lower_horizon(t)
+        if abs_cycle - self.cycle < _LAP:
+            event.enqueued = True
+        else:
+            event.enqueued = _FAR
+            self._far += 1
         event.cycle = abs_cycle
-        self._slots[abs_cycle % self.window].append(event)
-        self._slot_count += 1
+        lst = self._buckets.get(abs_cycle)
+        if lst is None:
+            self._buckets[abs_cycle] = [event]
+            heapq.heappush(self._cycles, abs_cycle)
+        else:
+            lst.append(event)
+        self._pending += 1
 
     def enqueue_at(self, event, abs_cycle):
-        if abs_cycle < self.cycle:
-            raise StructuralError("cycle %d is in the past (now %d)" % (abs_cycle, self.cycle))
-        self._put(event, abs_cycle)
-
-    def _put(self, event, abs_cycle):
-        if event.enqueued:
-            raise StructuralError("double enqueue of %r" % event)
-        event.enqueued = True
-        event.cycle = abs_cycle
-        if abs_cycle - self.cycle < self.window:
-            self._slots[abs_cycle % self.window].append(event)
-            self._slot_count += 1
-        else:
-            self._seq += 1
-            heapq.heappush(self._overflow, (abs_cycle, self._seq, event))
-        t = self.period_ps * abs_cycle
-        if t < self.engine.horizon_ps:     # needless, but harmless, if self is current
-            self.engine.lower_horizon(t)
+        """Schedule `event` at an absolute cycle, no earlier than the one
+        `enqueue` counts from (the executing cycle is at `now_ps`)."""
+        base = self.cycle_at_or_after(self.engine.now_ps)
+        if abs_cycle < base:
+            raise StructuralError("cycle %d is in the past (now %d)" % (abs_cycle, base))
+        self.enqueue(event, abs_cycle - base)
 
     # -- time conversion ----------------------------------------------
 
@@ -180,40 +180,29 @@ class ClockDomain:
     # -- execution ----------------------------------------------------
 
     def next_pending_cycle(self):
-        """Earliest absolute cycle with work, or None when the store is empty."""
-        best = None
-        if self._slot_count:
-            base = self.cycle
-            for d in range(self.window):
-                if self._slots[(base + d) % self.window]:
-                    best = base + d
-                    break
-        if self._overflow:
-            o = self._overflow[0][0]
-            if best is None or o < best:
-                best = o
-        return best
+        """Earliest absolute cycle with work, or None when the store is empty.
+
+        The cycle executing now is no longer pending."""
+        return self._cycles[0] if self._cycles else None
 
     def execute_cycle(self, abs_cycle):
-        """Advance to `abs_cycle` and run every event stored for it.
+        """Advance to `abs_cycle`, the heap's head, and run its events.
 
         Callbacks may enqueue new events, including at delta 0 (same
         cycle); those run before the cycle ends, in insertion order.
         """
         if abs_cycle < self.cycle:
             raise StructuralError("time went backwards: %d < %d" % (abs_cycle, self.cycle))
-        if abs_cycle >= self._next_drain or (
-                self._overflow and self._overflow[0][0] <= abs_cycle):
-            self._drain_overflow(abs_cycle)
+        heapq.heappop(self._cycles)
         self.cycle = abs_cycle
-        lst = self._slots[abs_cycle % self.window]
+        lst = self._buckets[abs_cycle]
         for ev in lst:          # also visits events appended during the loop
             ev.enqueued = False
             ev.callback(ev)
+        del self._buckets[abs_cycle]
         n = len(lst)
-        self._slot_count -= n
+        self._pending -= n
         self.events_executed += n
-        lst.clear()
 
     def run_ahead(self, abs_cycle, delta_cycles):
         """Move the executing callback on to `abs_cycle`, if it is alone.
@@ -223,40 +212,32 @@ class ClockDomain:
         `horizon_cycle`.  Returns False, changing nothing, when this
         domain holds any other event; the caller then enqueues itself.
         Otherwise does to the cycle, the engine's time and the counters what
-        enqueueing the caller there and executing that cycle would have (an
-        overflow promotion when the delta reaches past the ring, the lap
-        bookkeeping, one executed event) and returns True; the caller then
-        performs the action inline.
+        enqueueing the caller there and executing that cycle would have and
+        returns True; the caller then performs the action inline.
         """
-        if self._slot_count != 1 or self._overflow:
+        if self._pending != 1:
             return False
-        slots = self._slots
-        i = self.cycle % self.window
-        if slots[i]:
-            # first step ahead: execute_cycle is still iterating this slot's
-            # list, so events for a later lap of the slot must go elsewhere
-            slots[i] = []
-        if delta_cycles >= self.window:
-            self.overflow_promotions += 1
-        if abs_cycle >= self._next_drain:
-            self._drain_overflow(abs_cycle)     # nothing to promote: laps only
+        if delta_cycles >= _LAP:
+            self._far += 1
         self.cycle = abs_cycle
         self.engine.now_ps = self.period_ps * abs_cycle
         self.events_executed += 1
         return True
 
-    def _drain_overflow(self, target_cycle):
-        lap_base = (target_cycle // self.window) * self.window
-        limit = lap_base + self.window
-        self.laps_completed += target_cycle // self.window - self.cycle // self.window
-        of = self._overflow
-        while of and of[0][0] < limit:
-            _, _, ev = heapq.heappop(of)
-            self._slots[ev.cycle % self.window].append(ev)
-            self._slot_count += 1
-            self.overflow_promotions += 1
-        if limit > self._next_drain:
-            self._next_drain = limit
+    # -- lap counters (module docstring) --------------------------------
+    # Never read by scheduling; this block goes away with the benchmark
+    # change that drops the two counters.
+
+    @property
+    def laps_completed(self):
+        return self.cycle // _LAP
+
+    @property
+    def overflow_promotions(self):
+        lap = self.cycle // _LAP
+        waiting = sum(1 for lst in self._buckets.values() for ev in lst
+                      if ev.enqueued is _FAR and ev.cycle // _LAP > lap)
+        return self._far - waiting
 
     def __repr__(self):
         return "<ClockDomain %s %d Hz cycle=%d>" % (self.name, self.frequency_hz, self.cycle)
@@ -334,9 +315,9 @@ class TimeEngine:
                 best_cycle = 0
                 best_t = other_t = horizon_cap  # other_t: earliest outside `best`
                 for d in domains:
-                    if not d._slot_count and not d._overflow:
-                        continue            # idle: spare the call
-                    c = d.next_pending_cycle()
+                    if not d._cycles:
+                        continue            # idle
+                    c = d._cycles[0]        # next_pending_cycle, inlined
                     t = d.period_ps * c     # time_of_cycle, inlined
                     if t < best_t or best is None:
                         other_t = best_t
@@ -350,7 +331,7 @@ class TimeEngine:
                 if best_t < self.now_ps:
                     raise StructuralError("global time went backwards")
                 self.now_ps = best_t
-                if best._slot_count > 1 or best._overflow:
+                if best._pending > 1:
                     # `best` holds more than one event: the horizon is now
                     self.horizon_ps = best_t
                     best.horizon_cycle = best_cycle

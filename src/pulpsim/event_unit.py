@@ -60,7 +60,7 @@ class EventUnit(Component):
 
     def build(self):
         self.base = self.params["base"]
-        self.n_lines = self.params["n_lines"]
+        self.n_lines = self.positive_param("n_lines")
         self.add_slave("in", self.handle)
         self.states = []
         self.index_of = {}
@@ -93,6 +93,13 @@ class EventUnit(Component):
         self.events_set = 0
 
     # -- wires from other components (DMA, accelerator, micro-DMA) ---------
+
+    def check_line_param(self, comp, name):
+        """Reject `comp`'s int param `name` unless it is one of our lines."""
+        line = comp.params[name]
+        if not 0 <= line < self.n_lines:
+            raise ConfigError("components.%s: %s must be a line of %s (0 to %d), got %d" % (
+                comp.path, name, self.path, self.n_lines - 1, line))
 
     def set_line(self, line):
         """Mark a line pending for every core and wake cores blocked on it."""

@@ -36,7 +36,7 @@ class InstructionCache(Component):
         if size % (self.ways * self.line):
             raise ConfigError("%s: size %d not divisible by ways*line" % (self.path, size))
         self.sets = size // (self.ways * self.line)
-        self.hit_latency = self.params["hit_latency"]
+        self.hit_latency = self.positive_param("hit_latency", 0)
         self.serialize = self.params["serialize_refills"]
         self.add_slave("in", self.handle)
         self.refill_port = self.add_master("refill")

@@ -80,8 +80,8 @@ class Router(Component):
     }
 
     def build(self):
-        self.latency = self.params["latency"]
-        self.bandwidth = self.params["bandwidth_bytes_per_cycle"]
+        self.latency = self.positive_param("latency", 0)
+        self.bandwidth = self.positive_param("bandwidth_bytes_per_cycle", 0)
         ranges = [(m["base"], m["size"], m["port"]) for m in self.params["mappings"]]
         check_overlaps(self.path, ranges)
         self.mappings = []
@@ -137,6 +137,7 @@ class ClockCrossing(Component):
     }
 
     def build(self):
+        self.positive_param("crossing_latency", 0)
         self.add_slave("in", self.handle)
         self.out = self.add_master("out")
         self.src = None                 # resolved in finalize

@@ -32,7 +32,7 @@ class BankedMemory(Component):
         self.size = size
         self.banks = banks
         self.bank_mask = banks - 1
-        self.latency = self.params["access_latency"]
+        self.latency = self.positive_param("access_latency", 0)
         self.contents = bytearray(size)
         self.bank_busy = [-1] * banks   # absolute domain cycle each bank is held through
         self.reads = 0

@@ -52,6 +52,7 @@ class HyperRam(Component):
         self.base = self.params["base"]
         self.size = self.positive_param("size")
         self.positive_param("bandwidth_bits_per_sec")
+        self.positive_param("setup_ns", 0)
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
         self.reads = 0
@@ -129,6 +130,7 @@ class MicroDma(Component):
     def finalize(self):
         self.device = self.platform.lookup(self.params["device"])
         self.itc = self.platform.lookup(self.params["itc"])
+        self.itc.check_line_param(self, "itc_line")
 
     def reset(self):
         self._regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}

@@ -1,9 +1,10 @@
 """Naive reference event engines: a single fully-ordered priority queue.
 
-Used to cross-check the circular-buffer clock engine: both run the same
-randomized schedule and must execute the same multiset of events at every
-cycle (intra-cycle order is not compared).  OrderedQueueEngine has one
-domain; GlobalTimeQueueEngine orders several domains by global time.
+Used to cross-check the clock engine: both run the same randomized
+schedule.  OrderedQueueEngine has one domain, and the engine must execute
+the same events in the same order.  GlobalTimeQueueEngine orders several
+domains by global time, and the engine must execute the same multiset of
+events at every cycle (intra-cycle order is not compared).
 """
 
 import heapq

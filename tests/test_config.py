@@ -230,6 +230,27 @@ def test_param_defaults_satisfy_declared_types():
     ("hyper.bandwidth_bits_per_sec=0", "hyper: bandwidth_bits_per_sec must be positive, got 0"),
     ("udma.beat_bytes=0", "udma: beat_bytes must be positive, got 0"),
     ("cluster/dma.max_burst=8192", "cluster/dma: max_burst must be at most 4096, got 8192"),
+    ("cluster/icache.l15_latency=-5", "cluster/l15: hit_latency must be at least 0, got -5"),
+    ("cluster/xbar.latency=-3", "cluster/xbar: latency must be at least 0, got -3"),
+    ("cluster/bridge.latency=-10", "cluster/bridge: latency must be at least 0, got -10"),
+    ("cluster/core.branch_penalty=-5", "cluster/pe0: branch_penalty must be at least 0, got -5"),
+    ("cluster/dma.program_latency=-4",
+     "cluster/dma: program_latency must be at least 0, got -4"),
+    ("cluster/dma.burst_latency=-1", "cluster/dma: burst_latency must be at least 0, got -1"),
+    ("cluster/accel.setup_cycles=-1", "cluster/accel: setup_cycles must be at least 0, got -1"),
+    ("soc_ic.bandwidth_bytes_per_cycle=-1",
+     "soc_ic: bandwidth_bytes_per_cycle must be at least 0, got -1"),
+    ("udma_xing.crossing_latency=-2", "udma_xing: crossing_latency must be at least 0, got -2"),
+    ("l2.access_latency=-2", "l2: access_latency must be at least 0, got -2"),
+    ("hyper.setup_ns=-1", "hyper: setup_ns must be at least 0, got -1"),
+    ("cluster/event_unit.n_lines=0", "cluster/event_unit: n_lines must be positive, got 0"),
+    ("cluster/event_unit.n_lines=1",
+     "cluster/dma: event_line must be a line of cluster/event_unit (0 to 0), got 1"),
+    ("cluster/dma.event_line=40",
+     "cluster/dma: event_line must be a line of cluster/event_unit (0 to 15), got 40"),
+    ("cluster/accel.event_line=16",
+     "cluster/accel: event_line must be a line of cluster/event_unit (0 to 15), got 16"),
+    ("udma.itc_line=99", "udma: itc_line must be a line of fc_itc (0 to 15), got 99"),
 ])
 def test_override_that_builds_a_broken_platform_is_rejected(override, message):
     with pytest.raises(ConfigError) as err:
