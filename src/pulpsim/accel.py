@@ -2,9 +2,12 @@
 
 Programming writes the job registers and a trigger; a second job can be
 captured into a shadow slot while one runs and starts at its completion.
-The running job streams its tensors over dedicated TCDM ports in
-word-sized requests (a few words per cycle, matching the port count), so
-bank conflicts with the cores are observed and extend the job.
+The running job streams its tensors through the TCDM a few words per
+cycle, one word per port: each chunk moves its words with one
+`BankedMemory.stream` call per tensor it touches, so bank conflicts with
+the cores are observed and extend the job.  The `mem%d` ports must all be
+bound to the `in` port of one banked memory; they name that memory, and no
+request travels through them.
 
 The cycle cost is an analytical model: a fixed setup, a per-output-channel
 weight-load term amortized by the load width, and the MAC count divided by
@@ -16,7 +19,8 @@ reference convolution.
 
 import numpy as np
 
-from .component import Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR
+from .component import Component, register, REQUIRED, STATUS_ERR
+from .errors import ConfigError
 from .engine import Event
 
 REG_IN = 0x00
@@ -77,7 +81,6 @@ class ConvAccelerator(Component):
         self.add_slave("in", self.handle)
         self.mem_ports = [self.add_master("mem%d" % i) for i in range(self.n_ports)]
         self.job_event = Event(self.path, self._chunk)
-        self._req = Request()
         self._reset_state()
 
     def _reset_state(self):
@@ -91,8 +94,16 @@ class ConvAccelerator(Component):
         self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
-        self.event_unit = self.platform.lookup(self.params["event_unit"])
+        self.event_unit = self.platform.lookup(
+            self.params["event_unit"], "event-unit",
+            "components.%s.params.event_unit" % self.path)
         self.event_unit.check_line_param(self, "event_line")
+        slaves = {port.binding for port in self.mem_ports}
+        slave = slaves.pop()
+        if slaves or slave.name != "in" or slave.owner.kind != "banked-memory":
+            raise ConfigError("components.%s: ports mem0..mem%d must all be bound to the "
+                              "'in' port of one banked-memory" % (self.path, self.n_ports - 1))
+        self.mem = slave.owner
 
     def reset(self):
         self._reset_state()
@@ -119,6 +130,8 @@ class ConvAccelerator(Component):
         if min(job.ch_in, job.ch_out, job.h, job.w) < 1:
             return False
         base, size = self.params["tcdm_base"], self.params["tcdm_size"]
+        if job.out_ptr & 3:
+            return False                    # int32 outputs are stored whole words
         spans = [(job.in_ptr, job.ch_in * job.h * job.w),
                  (job.w_ptr, job.ch_out * job.ch_in * job.k * job.k),
                  (job.out_ptr, job.ch_out * job.h * job.w * 4)]
@@ -188,7 +201,7 @@ class ConvAccelerator(Component):
         job.words = traffic
         job.words_done = 0
         out = self._compute(job)
-        job.out_view = out.tobytes()
+        job.out_view = memoryview(out.tobytes())
         self.running = job
         self.status |= ST_BUSY
         if self._tr:
@@ -212,38 +225,27 @@ class ConvAccelerator(Component):
             self.domain.enqueue(ev, step + waits)
 
     def _stream(self, job, words):
-        """Issue `words` word-sized TCDM requests, `ports` per cycle slot.
+        """Stream the job's next `words` TCDM words, `ports` per cycle slot.
 
-        Returns extra cycles implied by bank conflicts.
+        The words run through the input, then the weights, then the output;
+        each segment the chunk touches is one `BankedMemory.stream` call,
+        with the word's index in the chunk as its slot.  Returns the extra
+        cycles implied by bank conflicts.
         """
-        if words <= 0:
-            return 0
-        in_words = -(-job.ch_in * job.h * job.w // 4)
-        w_words = -(-job.ch_out * job.ch_in * job.k * job.k // 4)
-        req = self._req
+        start = job.words_done
+        end = start + words
+        in_end = -(-job.ch_in * job.h * job.w // 4)
+        w_end = in_end + -(-job.ch_out * job.ch_in * job.k * job.k // 4)
         waits = 0
-        for i in range(words):
-            n = job.words_done + i
-            if n < in_words:
-                addr = job.in_ptr + 4 * n
-                write = False
-            elif n < in_words + w_words:
-                addr = job.w_ptr + 4 * (n - in_words)
-                write = False
-            else:
-                out_off = 4 * (n - in_words - w_words)
-                addr = job.out_ptr + out_off
-                write = True
-            port = self.mem_ports[i % self.n_ports]
-            pre = i // self.n_ports
-            req.setup(addr & ~3, 4, write, initiator=self)
-            if write:
-                req.value = int.from_bytes(job.out_view[out_off:out_off + 4], "little")
-            req.latency = pre
-            port.send(req)
-            if req.status == STATUS_OK and req.latency > pre:
-                waits += req.latency - pre
-        job.words_done += words
+        for first, last, base, out in ((0, in_end, job.in_ptr & ~3, None),
+                                       (in_end, w_end, job.w_ptr & ~3, None),
+                                       (w_end, end, job.out_ptr, job.out_view)):
+            lo, hi = max(first, start), min(last, end)
+            if lo < hi:
+                skip = 4 * (lo - first)
+                waits += self.mem.stream(base + skip, hi - lo, lo - start, self.n_ports,
+                                         None if out is None else out[skip:])
+        job.words_done = end
         return -(-waits // self.n_ports)
 
     def _complete(self, job):

@@ -119,11 +119,18 @@ class Platform:
         except KeyError:
             raise ConfigError("unknown clock domain '%s'" % name) from None
 
-    def lookup(self, path):
-        try:
-            return self.components[path]
-        except KeyError:
-            raise ConfigError("unknown component '%s'" % path) from None
+    def lookup(self, path, kind=None, where=None):
+        """The component at `path`.  With `kind` it must be of that kind;
+        `where` names the reference in errors, e.g. a parameter's
+        `components.<path>.params.<name>`."""
+        comp = self.components.get(path)
+        prefix = where + ": " if where else ""
+        if comp is None:
+            raise ConfigError("%sunknown component '%s'" % (prefix, path))
+        if kind is not None and comp.kind != kind:
+            raise ConfigError("%s'%s' has kind '%s', expected '%s'" % (
+                prefix, path, comp.kind, kind))
+        return comp
 
     def cores(self):
         return [c for c in self.components.values() if c.kind == "riscv-core"]

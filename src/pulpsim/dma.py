@@ -103,7 +103,9 @@ class ClusterDma(Component):
         self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
-        self.event_unit = self.platform.lookup(self.params["event_unit"])
+        self.event_unit = self.platform.lookup(
+            self.params["event_unit"], "event-unit",
+            "components.%s.params.event_unit" % self.path)
         self.event_unit.check_line_param(self, "event_line")
 
     def reset(self):

@@ -74,7 +74,8 @@ class EventUnit(Component):
         self.states = []
         self.index_of = {}
         for i, path in enumerate(self.params["cores"]):
-            core = self.platform.lookup(path)
+            core = self.platform.lookup(path, "riscv-core",
+                                        "components.%s.params.cores" % self.path)
             self.states.append(_CoreState(core))
             self.index_of[core] = i
         self.all_mask = (1 << len(self.states)) - 1

@@ -3,7 +3,8 @@
 Consecutive 4-byte words map to consecutive banks.  Each bank serves one
 access per cycle; simultaneous hits on the same bank serialize, each
 waiting access paying one cycle per access ahead of it.  Timing never
-affects the stored bytes.
+affects the stored bytes.  A streaming device serves a run of word
+accesses in one `stream` call, under the same rule as `handle`.
 """
 
 from .component import Component, register, REQUIRED, STATUS_ERR
@@ -99,6 +100,47 @@ class BankedMemory(Component):
                 req.value = int.from_bytes(self.contents[off:off + size], "little")
             else:
                 req.data[:size] = self.contents[off:off + size]
+
+    def stream(self, addr, words, slot, per_cycle, out=None):
+        """Serve `words` consecutive word accesses from `addr` on, in one call.
+
+        Word j is what `handle` makes of a 4-byte request at `addr + 4*j`
+        issued at cycle `domain.cycle + (slot + j) // per_cycle`: the same
+        bank wait, `bank_busy` stamp, counters and access latency.  With
+        `out` (at least 4*words bytes) the words are writes of
+        `out[4*j:4*j + 4]`, else reads whose data nobody needs.  Words outside the memory (or misaligned in it)
+        are skipped, as `handle` fails them.  Returns the summed cycles the
+        served words took beyond their issue cycle.
+        """
+        off = addr - self.base
+        if off & 3:
+            return 0
+        first = max(0, -off >> 2)
+        last = min(words, (self.size - off) >> 2)
+        if first >= last:
+            return 0
+        busy = self.bank_busy
+        mask = self.bank_mask
+        now = self.domain.cycle
+        word = off >> 2
+        waits = 0
+        contended = 0
+        for j in range(first, last):
+            at = now + (slot + j) // per_cycle
+            bank = (word + j) & mask
+            wait = busy[bank] - at + 1
+            if wait > 0:
+                waits += wait
+                contended += 1
+                at += wait
+            busy[bank] = at
+        self.contention_count += contended
+        if out is None:
+            self.reads += last - first
+        else:
+            self.writes += last - first
+            self.contents[off + 4 * first:off + 4 * last] = out[4 * first:4 * last]
+        return waits + (last - first) * self.latency
 
     # -- untimed access (loader, tests) -------------------------------------
 

@@ -6,6 +6,9 @@ configured device bandwidth exactly (cumulative picosecond arithmetic, so
 quantization never drifts), with a floor of one beat per peripheral cycle.
 Each beat is an event, unless it falls before the engine's horizon: then
 the previous beat's callback moves it inline (`ClockDomain.run_ahead`).
+Such a run of beats keeps the transfer state in locals, reuses one request
+and hands it straight to the handler bound to the `l2` port (the clock
+crossing toward L2); `_beat_cycle` holds the pacing rule for every beat.
 Transfer completion raises an interrupt line on the fabric controller's
 interrupt controller.
 
@@ -124,18 +127,19 @@ class MicroDma(Component):
         self.add_slave("in", self.handle)
         self.l2_port = self.add_master("l2")
         self.beat_event = Event(self.path, self._beat)
-        self._req = Request()       # reused by every beat, through setup()
+        self._req = Request()       # reused by every beat; `_beat` sets its fields
+        self._req.initiator = self
         self.reset()
 
     def finalize(self):
-        self.device = self.platform.lookup(self.params["device"])
-        self.itc = self.platform.lookup(self.params["itc"])
+        where = "components.%s.params." % self.path
+        self.device = self.platform.lookup(self.params["device"], "hyperram", where + "device")
+        self.itc = self.platform.lookup(self.params["itc"], "event-unit", where + "itc")
         self.itc.check_line_param(self, "itc_line")
 
     def reset(self):
         self._regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
         self.status = 0
-        self._cur = None
         self.transfers = 0
         self.bytes_moved = 0
         self._tr = self.platform.trace_enabled(self.path)
@@ -174,75 +178,76 @@ class MicroDma(Component):
         if self.platform.vcd is not None:
             self.platform.vcd.flag(self.path, True)
         start_ps = self.platform.engine.now_ps
-        bw = self.device.params["bandwidth_bits_per_sec"]
-        self._cur = {
-            "tx": tx,
-            "l2": self._regs[UDMA_L2_ADDR],
-            "ext": self.device.base + ext,
-            "left": length,
-            "beat": 0,
-            "t0": start_ps + self.device.params["setup_ns"] * 1000,
-            "bw": bw,
-            "prev_cycle": self.domain.cycle_at_or_after(start_ps),
-        }
+        # the transfer: direction, next L2 and device addresses, bytes left
+        # and moved, pacing origin and rate, and the previous beat's cycle
+        self._tx = tx
+        self._l2 = self._regs[UDMA_L2_ADDR]
+        self._ext = self.device.base + ext
+        self._left = length
+        self._done = 0
+        self._t0 = start_ps + self.device.params["setup_ns"] * 1000
+        self._bw = self.device.params["bandwidth_bits_per_sec"]
+        self._prev = self._beat_cycle(min(self.params["beat_bytes"], length),
+                                      self.domain.cycle_at_or_after(start_ps))
         if self._tr:
             self.platform.trace(self.path, self.domain,
                                 "start %s l2=0x%08x ext=0x%08x len=%d" %
                                 ("tx" if tx else "rx", self._regs[UDMA_L2_ADDR],
                                  ext, length))
-        self.domain.enqueue_at(self.beat_event, self._next_beat_cycle())
+        self.domain.enqueue_at(self.beat_event, self._prev)
 
-    def _next_beat_cycle(self):
-        cur = self._cur
-        nbytes = min(self.params["beat_bytes"], cur["left"])
-        done = cur["beat"] * self.params["beat_bytes"] + nbytes
-        # exact cumulative pacing: beat k ends when k*beat_bits/bandwidth has elapsed
-        t = cur["t0"] + -(-done * 8 * PS_PER_SEC // cur["bw"])
-        cycle = self.domain.cycle_at_or_after(t)
-        if cycle <= cur["prev_cycle"]:
-            cycle = cur["prev_cycle"] + 1      # at most one beat per cycle
-        cur["prev_cycle"] = cycle
-        return cycle
+    def _beat_cycle(self, done, prev):
+        """The cycle of the beat after which `done` bytes have moved, when
+        the previous beat was at cycle `prev`."""
+        # exact cumulative pacing: a beat ends when its bytes have crossed the link
+        cycle = self.domain.cycle_at_or_after(self._t0 + -(-done * 8 * PS_PER_SEC // self._bw))
+        return cycle if cycle > prev else prev + 1      # at most one beat per cycle
 
     def _beat(self, ev):
         """Move one beat; while the next beat is due before the engine's
-        horizon, move it here too (engine module docstring)."""
-        cur = self._cur
+        horizon, move it here too (engine module docstring).  The transfer
+        state lives in locals meanwhile and is written back on exit."""
         dom = self.domain
         req = self._req
+        l2_handler = self.l2_port.binding.handler
+        device = self.device
+        step = self.params["beat_bytes"]
+        tx = self._tx
+        l2, ext, left, done, prev = self._l2, self._ext, self._left, self._done, self._prev
+        req.is_write = not tx
         while True:
-            nbytes = min(self.params["beat_bytes"], cur["left"])
-            if cur["tx"]:
-                req.setup(cur["l2"], nbytes, False, initiator=self)
-                self.l2_port.send(req)
-                if req.status != STATUS_OK:
-                    self._finish(error=True)
-                    return
-                self.device.poke(cur["ext"], req.value.to_bytes(nbytes, "little"))
+            nbytes = step if step < left else left
+            req.addr = l2
+            req.size = nbytes
+            req.latency = 0
+            req.status = STATUS_OK
+            if tx:
+                l2_handler(req)
+                if req.status == STATUS_OK:
+                    device.poke(ext, req.value.to_bytes(nbytes, "little"))
             else:
-                data = self.device.peek(cur["ext"], nbytes)
-                req.setup(cur["l2"], nbytes, True, value=int.from_bytes(data, "little"),
-                          initiator=self)
-                self.l2_port.send(req)
-                if req.status != STATUS_OK:
-                    self._finish(error=True)
-                    return
-            self.bytes_moved += nbytes
-            cur["l2"] += nbytes
-            cur["ext"] += nbytes
-            cur["left"] -= nbytes
-            cur["beat"] += 1
-            if cur["left"] == 0:
-                self._finish(error=False)
-                return
-            cycle = self._next_beat_cycle()
-            if cycle >= dom.horizon_cycle or not dom.run_ahead(cycle, cycle - dom.cycle):
-                dom.enqueue_at(ev, cycle)
-                return
+                req.value = int.from_bytes(device.peek(ext, nbytes), "little")
+                l2_handler(req)
+            if req.status != STATUS_OK:
+                break
+            l2 += nbytes
+            ext += nbytes
+            left -= nbytes
+            done += nbytes
+            if not left:
+                break
+            prev = self._beat_cycle(done + (step if step < left else left), prev)
+            if prev >= dom.horizon_cycle or not dom.run_ahead(prev, prev - dom.cycle):
+                dom.enqueue_at(ev, prev)
+                break
+        self.bytes_moved += done - self._done
+        if left and req.status == STATUS_OK:
+            self._l2, self._ext, self._left, self._done, self._prev = l2, ext, left, done, prev
+        else:
+            self._finish(error=req.status != STATUS_OK)
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
-        self._cur = None
         if self.platform.vcd is not None:
             self.platform.vcd.flag(self.path, False)
         if self._tr:

@@ -251,6 +251,11 @@ def test_param_defaults_satisfy_declared_types():
     ("cluster/accel.event_line=16",
      "cluster/accel: event_line must be a line of cluster/event_unit (0 to 15), got 16"),
     ("udma.itc_line=99", "udma: itc_line must be a line of fc_itc (0 to 15), got 99"),
+    ("udma.device=l2",
+     "components.udma.params.device: 'l2' has kind 'banked-memory', expected 'hyperram'"),
+    ("udma.device=nosuch", "components.udma.params.device: unknown component 'nosuch'"),
+    ("udma.itc=hyper",
+     "components.udma.params.itc: 'hyper' has kind 'hyperram', expected 'event-unit'"),
 ])
 def test_override_that_builds_a_broken_platform_is_rejected(override, message):
     with pytest.raises(ConfigError) as err:
@@ -261,3 +266,62 @@ def test_override_that_builds_a_broken_platform_is_rejected(override, message):
 def test_largest_cluster_with_distinct_hart_ids_builds():
     plat = build_pulp(["cluster.nb_cores=32"])
     assert sorted(c.hart_id for c in plat.cores()) == list(range(33))
+
+
+def _peripheral_platform(kind, params, bindings):
+    """One peripheral of `kind` beside a TCDM, an L2 and an event unit."""
+    return {
+        "clock_domains": {"main": {"frequency_hz": 200000000}},
+        "components": {
+            "tcdm": {"kind": "banked-memory", "domain": "main",
+                     "params": {"base": "0x10000000", "size": "0x10000"}},
+            "l2": {"kind": "banked-memory", "domain": "main",
+                   "params": {"base": "0x1C000000", "size": "0x10000"}},
+            "eu": {"kind": "event-unit", "domain": "main",
+                   "params": {"base": "0x10200000", "cores": []}},
+            "dev": {"kind": kind, "domain": "main",
+                    "params": dict({"base": "0x10201000", "tcdm_base": "0x10000000",
+                                    "tcdm_size": "0x10000", "event_unit": "eu"}, **params)},
+        },
+        "bindings": bindings,
+    }
+
+
+DMA_BINDINGS = [["dev.tcdm", "tcdm.in"], ["dev.ext", "l2.in"]]
+ACCEL_BINDINGS = [["dev.mem0", "tcdm.in"], ["dev.mem1", "tcdm.in"]]
+
+
+@pytest.mark.parametrize("kind,params,bindings,message", [
+    ("cluster-dma", {"event_unit": "l2"}, DMA_BINDINGS,
+     "components.dev.params.event_unit: 'l2' has kind 'banked-memory', expected 'event-unit'"),
+    ("conv-accel", {"ports": 2, "event_unit": "tcdm"}, ACCEL_BINDINGS,
+     "components.dev.params.event_unit: 'tcdm' has kind 'banked-memory', expected 'event-unit'"),
+    ("conv-accel", {"ports": 2}, [["dev.mem0", "tcdm.in"], ["dev.mem1", "l2.in"]],
+     "components.dev: ports mem0..mem1 must all be bound to the 'in' port of one banked-memory"),
+    ("conv-accel", {"ports": 1}, [["dev.mem0", "eu.in"]],
+     "components.dev: ports mem0..mem0 must all be bound to the 'in' port of one banked-memory"),
+], ids=["dma-event-unit", "accel-event-unit", "accel-two-memories", "accel-not-a-memory"])
+def test_peripheral_references_are_checked_by_kind(kind, params, bindings, message):
+    text = json.dumps(_peripheral_platform(kind, params, bindings))
+    with pytest.raises(ConfigError) as err:
+        build(parse(text))
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("kind,params,bindings", [
+    ("cluster-dma", {}, DMA_BINDINGS),
+    ("conv-accel", {"ports": 2}, ACCEL_BINDINGS),
+])
+def test_peripheral_platform_builds(kind, params, bindings):
+    plat = build(parse(json.dumps(_peripheral_platform(kind, params, bindings))))
+    assert plat.lookup("dev").event_unit is plat.lookup("eu")
+
+
+def test_event_unit_cores_must_be_cores():
+    doc = json.loads(json.dumps(MINIMAL_PLATFORM))
+    doc["components"]["eu"] = {"kind": "event-unit", "domain": "main",
+                               "params": {"base": "0x200000", "cores": ["cpu", "ram"]}}
+    with pytest.raises(ConfigError) as err:
+        build(parse(json.dumps(doc)))
+    assert "components.eu.params.cores: 'ram' has kind 'banked-memory', expected 'riscv-core'" \
+        in str(err.value)

@@ -35,6 +35,7 @@ EVT_MASK, EVT_WAIT = 0x00, 0x04
 DMA_SRC, DMA_DST, DMA_LEN, DMA_CFG, DMA_STATUS, DMA_ID, DMA_TID, DMA_TID_STATUS = \
     0x00, 0x04, 0x08, 0x14, 0x18, 0x1C, 0x20, 0x24
 ACC_TRIGGER, ACC_STATUS = 0x20, 0x24
+ST_ERROR = 4
 UDMA_L2, UDMA_EXT, UDMA_LEN, UDMA_CFG = 0x00, 0x04, 0x08, 0x0C
 
 
@@ -204,6 +205,20 @@ def test_fc_driven_accelerator_matches_nested_loop_conv(k):
     assert results(plat, 1) == [0]
     assert out_words(plat, TCDM + 0x800, len(want)) == want
     assert plat.lookup("cluster/accel").jobs_done == 1
+
+
+def test_unaligned_accelerator_output_is_rejected():
+    # a 1x1 kernel on one 2x2 channel: four int32 results.  Stored at
+    # `out & ~3`, they would clobber the two bytes before the buffer
+    out = TCDM + 0x202
+    regs, pokes, _ = conv_job(random.Random(5), 1, 1, 2, 2, 1, TCDM, TCDM + 0x100, out)
+    body = ["li a0, 0x%X" % CL_ACCEL] + acc_program(regs) + acc_wait("wait")
+    body += ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 0)
+    guard = bytes(range(0xE0, 0xF8))
+    plat = run(guest(body), pokes + [(out - 2, guard)])
+    assert results(plat, 1) == [ST_ERROR]
+    assert plat.lookup("cluster/accel").jobs_done == 0
+    assert plat.peek(out - 2, len(guard)) == guard
 
 
 # -- reset with work in flight -------------------------------------------

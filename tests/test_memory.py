@@ -1,6 +1,8 @@
-"""Banked memory: interleaving, contention serialization, peek/poke."""
+"""Banked memory: interleaving, contention serialization, peek/poke, streams."""
 
 import random
+
+from hypothesis import given, settings, strategies as st
 
 from pulpsim.component import Request
 from pulpsim.engine import TimeEngine, ClockDomain
@@ -140,3 +142,46 @@ def test_contention_monotone_in_bank_count_and_data_identical():
         contentions.append(mem.contention_count)
     assert all(f == finals[0] for f in finals)
     assert contentions == sorted(contentions, reverse=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_stream_matches_word_requests_through_handle(data):
+    banks = data.draw(st.sampled_from([1, 2, 4, 16]), "banks")
+    latency = data.draw(st.integers(0, 3), "access_latency")
+    size = banks * 4 * data.draw(st.integers(1, 6))
+    words = data.draw(st.integers(0, 48), "words")
+    # start word, from before the memory to past its end, sometimes misaligned
+    start = data.draw(st.integers(-6, size // 4 + 2), "start")
+    misalign = data.draw(st.sampled_from([0, 0, 0, 2]), "misalign")
+    slot = data.draw(st.integers(0, 9), "slot")
+    per_cycle = data.draw(st.integers(1, 5), "per_cycle")
+    write = data.draw(st.booleans(), "write")
+    cycle = data.draw(st.integers(0, 30), "cycle")
+    busy = data.draw(st.lists(st.integers(-1, cycle + 12), min_size=banks, max_size=banks),
+                     "bank_busy")
+    contents = data.draw(st.binary(min_size=size, max_size=size))
+    out = data.draw(st.binary(min_size=4 * words, max_size=4 * words)) if write else None
+
+    streamed, handled = make_mem(banks, size, latency), make_mem(banks, size, latency)
+    for mem, dom in (streamed, handled):
+        dom.cycle = cycle
+        mem.bank_busy = list(busy)
+        mem.contents[:] = contents
+    streamed, handled = streamed[0], handled[0]
+    addr = streamed.base + 4 * start + misalign
+
+    got = streamed.stream(addr, words, slot, per_cycle, out)
+    want = 0
+    for j in range(words):
+        pre = (slot + j) // per_cycle
+        value = int.from_bytes(out[4 * j:4 * j + 4], "little") if write else 0
+        req = Request().setup(addr + 4 * j, 4, write, value)
+        req.latency = pre
+        handled.handle(req)
+        if req.status == "ok":
+            want += req.latency - pre
+    assert got == want
+    assert streamed.bank_busy == handled.bank_busy
+    assert streamed.counters() == handled.counters()
+    assert streamed.contents == handled.contents
