@@ -1,11 +1,11 @@
 """Event-based RV32IM core with a three-stage timing model.
 
 Each instruction executes as one step: fetch through the instruction port
-(cache latency added), table decode, semantics callback, then the next
-step is due after
+(cache latency added), table decode, semantics, then the next step is due
+after
 
     charge = base + fetch latency + load-use stall + data latency
-             (+ branch penalty when the callback returned a pc)
+             (+ branch penalty when the semantics returned a pc)
 
 cycles, where base is 1 plus the table's execute latency.  The step event
 is enqueued there, unless the next step falls strictly before the
@@ -15,28 +15,46 @@ timing with one engine dispatch for many instructions.  Loads publish
 their result one write-back cycle after completion; a consumer arriving
 earlier stalls on the register scoreboard.
 
-A semantics callback `(core, ins)` updates registers and memory and
-returns the next pc if it transfers control (jal, jalr, mret, a taken
-branch), else None.  It raises `Trap(cause, tval)` for ecall, ebreak, an
-illegal CSR access or a data access fault: the step charges 1 + fetch
-latency + stall and enters the trap vector.  Loads and stores make their
-one data access (isa module docstring) through `RiscvCore.access`, which
-leaves latency and contention on the reused data request for the step to
-charge, and raises `Sleep` for a blocking read from a synchronization
-register: the attempt is charged and the core sleeps without retiring,
-to re-execute the read on wake-up, when its value is determined.
+Semantics are closures, bound once per instruction word and core.
+`SEMANTICS` maps each table name to a factory `make(core, ins)` that
+returns `run(pc)`: the word's register indices and immediate, the core's
+`regs` list and, for a data access, the core's reused data request and
+the data port's handler are bound in.  `run(pc)` updates registers and
+memory and returns the next pc if it transfers control (jal, jalr, mret,
+a taken branch), else None.  A word whose only effect is its write to rd
+gets the shared `_nop` when rd is x0.  `run` raises `Trap(cause, tval)`
+for ecall, ebreak, an illegal CSR access or a data access fault: the step
+charges 1 + fetch latency + stall and enters the trap vector.  Loads and
+stores make their one data access (isa module docstring) by setting the
+data request's fields and calling the handler, which leaves latency and
+contention on the request for the step to charge.  They raise `Sleep` for
+a blocking read from a synchronization register: the attempt is charged
+and the core sleeps without retiring, to re-execute the read on wake-up,
+when its value is determined.
 
 Decoding is cached per instruction word, not per pc, so self-modifying
 code and fence.i need no invalidation.  Each cache entry is a flat tuple
 
-    (ins, handler, rs1, rs2, rd, 1 + latency, write-back latency if rd
+    (ins, run, rs1, rs2, rd, 1 + latency, write-back latency if rd
      else 0, is_branch, is_load_or_store)
 
-which the step unpacks instead of reading the table entry.  The fetch and
-data requests are built once with their fixed fields; each access sets
-the address (and size, direction and value for data) and clears the
-response fields with `Request.reset`.
+which the step unpacks instead of reading the table entry; `ins` is kept
+for instruction traces.  The fetch and data requests are built once with
+their fixed fields, and an access clears only their `latency`.  The step
+clears each response field it reads where it reads it (a fetch's
+`cache_miss`, a data access's `contended`), and a trap or a sleep resets
+the request, so these fields are clear before every access.  Nothing
+reads a fetch's `contended` or `sleep`.
+
+Fetch lease.  A core whose fetch port is the only master bound to an
+instruction cache (its private L1) holds a lease on the line of its last
+fetch through that cache: the line's base, its data and the cache's
+epoch.  A fetch inside the leased line while the epoch holds is served by
+the step as the cache's MRU hit would serve it (icache module docstring);
+any other fetch goes through the cache and leases its line.
 """
+
+import operator
 
 from .component import Component, register, STATUS_OK, Request
 from .engine import Event
@@ -67,7 +85,7 @@ COUNTER_NAMES = (
     "stores", "barrier_wait_cycles",
 )
 
-_ILLEGAL = object()
+_NO_LEASE = (0, -1, 0, None)    # (line base, span, line data, epoch): matches no pc
 
 
 def _s32(v):
@@ -75,67 +93,124 @@ def _s32(v):
 
 
 class Trap(Exception):
-    """Raised during a semantics callback, with args (cause, tval)."""
+    """Raised by semantics, with args (cause, tval)."""
 
 
 class Sleep(Exception):
-    """Raised by `RiscvCore.access` for a blocking read."""
+    """Raised by a load's semantics for a blocking read."""
 
 
 # -- instruction semantics -------------------------------------------------
-# Each callback mutates registers and memory and returns the next pc or
-# None (module docstring).  The step loop owns timing.
+# Factories make(core, ins) -> run(pc) (module docstring).  The step loop
+# owns timing.
 
-def _sem_lui(c, i):
-    if i.rd:
-        c.regs[i.rd] = i.imm & M32
+def _nop(pc):
+    """The semantics of every word without effect."""
 
-def _sem_auipc(c, i):
-    if i.rd:
-        c.regs[i.rd] = (c.pc + i.imm) & M32
+def _rd_only(make):
+    """A factory whose semantics only write rd: with rd = x0, `_nop`."""
+    def factory(c, i):
+        return make(c, i) if i.rd else _nop
+    return factory
 
-def _sem_jal(c, i):
-    if i.rd:
-        c.regs[i.rd] = (c.pc + 4) & M32
-    return (c.pc + i.imm) & M32
+@_rd_only
+def _lui(c, i):
+    regs, rd, value = c.regs, i.rd, i.imm & M32
+    def run(pc):
+        regs[rd] = value
+    return run
 
-def _sem_jalr(c, i):
-    target = (c.regs[i.rs1] + i.imm) & M32 & ~1
-    if i.rd:
-        c.regs[i.rd] = (c.pc + 4) & M32
-    return target
+@_rd_only
+def _auipc(c, i):
+    regs, rd, imm = c.regs, i.rd, i.imm
+    def run(pc):
+        regs[rd] = (pc + imm) & M32
+    return run
+
+def _jal(c, i):
+    regs, rd, imm = c.regs, i.rd, i.imm
+    def run(pc):
+        if rd:
+            regs[rd] = (pc + 4) & M32
+        return (pc + imm) & M32
+    return run
+
+def _jalr(c, i):
+    regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
+    def run(pc):
+        target = (regs[rs1] + imm) & M32 & ~1
+        if rd:
+            regs[rd] = (pc + 4) & M32
+        return target
+    return run
 
 def _branch(cond):
-    def sem(c, i):
-        if cond(c.regs[i.rs1], c.regs[i.rs2]):
-            return (c.pc + i.imm) & M32
-    return sem
+    def make(c, i):
+        regs, rs1, rs2, imm = c.regs, i.rs1, i.rs2, i.imm
+        def run(pc):
+            if cond(regs[rs1], regs[rs2]):
+                return (pc + imm) & M32
+        return run
+    return make
 
-def _sem_load(size, signed):
-    def sem(c, i):
-        v = c.access((c.regs[i.rs1] + i.imm) & M32, size, False, 0)
-        if i.rd:
-            c.regs[i.rd] = sext(v, size * 8) & M32 if signed else v
-    return sem
+def _load(size, signed):
+    bits = size * 8
+    def make(c, i):
+        regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
+        req, handler = c._data_req, c._data_handler
+        def run(pc):
+            addr = (regs[rs1] + imm) & M32
+            req.addr = addr
+            req.size = size
+            req.is_write = False
+            req.latency = 0
+            handler(req)
+            if req.status != STATUS_OK:
+                raise Trap(CAUSE_LOAD_FAULT, addr)
+            if req.sleep:
+                raise Sleep
+            if rd:
+                regs[rd] = sext(req.value, bits) & M32 if signed else req.value
+        return run
+    return make
 
-def _sem_store(size):
-    def sem(c, i):
-        c.access((c.regs[i.rs1] + i.imm) & M32, size, True,
-                 c.regs[i.rs2] & ((1 << (size * 8)) - 1))
-    return sem
+def _store(size):
+    mask = (1 << (size * 8)) - 1
+    def make(c, i):
+        regs, rs1, rs2, imm = c.regs, i.rs1, i.rs2, i.imm
+        req, handler = c._data_req, c._data_handler
+        def run(pc):
+            addr = (regs[rs1] + imm) & M32
+            req.addr = addr
+            req.size = size
+            req.is_write = True
+            req.value = regs[rs2] & mask
+            req.latency = 0
+            handler(req)
+            if req.status != STATUS_OK:
+                raise Trap(CAUSE_STORE_FAULT, addr)
+            if req.sleep:
+                raise Sleep
+        return run
+    return make
 
 def _op_imm(fn):
-    def sem(c, i):
-        if i.rd:
-            c.regs[i.rd] = fn(c.regs[i.rs1], i.imm) & M32
-    return sem
+    @_rd_only
+    def make(c, i):
+        regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
+        def run(pc):
+            regs[rd] = fn(regs[rs1], imm) & M32
+        return run
+    return make
 
 def _op_reg(fn):
-    def sem(c, i):
-        if i.rd:
-            regs = c.regs
-            regs[i.rd] = fn(regs[i.rs1], regs[i.rs2]) & M32
-    return sem
+    @_rd_only
+    def make(c, i):
+        regs, rd, rs1, rs2 = c.regs, i.rd, i.rs1, i.rs2
+        def run(pc):
+            regs[rd] = fn(regs[rs1], regs[rs2]) & M32
+        return run
+    return make
 
 def _div(a, b):
     if b == 0:
@@ -155,98 +230,124 @@ def _rem(a, b):
     r = abs(sa) % abs(sb)
     return -r if sa < 0 else r
 
-def _sem_ecall(c, i):
-    raise Trap(CAUSE_ECALL, 0)
+def _ecall(c, i):
+    def run(pc):
+        raise Trap(CAUSE_ECALL, 0)
+    return run
 
-def _sem_ebreak(c, i):
-    raise Trap(CAUSE_BREAK, c.pc)
+def _ebreak(c, i):
+    def run(pc):
+        raise Trap(CAUSE_BREAK, pc)
+    return run
 
-def _sem_mret(c, i):
-    return c.csr_mepc
+def _mret(c, i):
+    def run(pc):
+        return c.csr_mepc
+    return run
 
-def _sem_fence(c, i):
-    pass
+def _fence(c, i):
+    return _nop
 
-def _sem_fence_i(c, i):
-    cache = c.ports["fetch"].binding
-    owner = cache.owner if cache is not None else None
-    if owner is not None and hasattr(owner, "flush"):
-        owner.flush()
+def _fence_i(c, i):
+    flush = getattr(c.ports["fetch"].binding.owner, "flush", None)
+    if flush is None:
+        return _nop
+    def run(pc):
+        flush()
+    return run
 
-def _sem_csr(write_always, op):
-    def sem(c, i):
-        old = c.csr_read(i.csr)
-        if old is None:
-            raise Trap(CAUSE_ILLEGAL, i.word)
-        src = c.regs[i.rs1] if i.entry.fmt == "CSR" else i.imm
-        if write_always or (i.entry.fmt == "CSR" and i.rs1 != 0) or (
-                i.entry.fmt == "CSRI" and i.imm != 0):
-            if not c.csr_write(i.csr, op(old, src) & M32):
-                raise Trap(CAUSE_ILLEGAL, i.word)
-        if i.rd:
-            c.regs[i.rd] = old
-    return sem
+def _csr(write_always, op):
+    def make(c, i):
+        regs, rd, rs1, imm, csr, word = c.regs, i.rd, i.rs1, i.imm, i.csr, i.word
+        from_reg = i.entry.fmt == "CSR"
+        writes = write_always or (from_reg and rs1 != 0) or (
+            i.entry.fmt == "CSRI" and imm != 0)
+        read, write = c.csr_read, c.csr_write
+        def run(pc):
+            old = read(csr)
+            if old is None:
+                raise Trap(CAUSE_ILLEGAL, word)
+            if writes and not write(csr, op(old, regs[rs1] if from_reg else imm) & M32):
+                raise Trap(CAUSE_ILLEGAL, word)
+            if rd:
+                regs[rd] = old
+        return run
+    return make
 
-def _sem_mac(c, i):
-    rd = i.rd
-    if rd:
-        regs = c.regs
-        regs[rd] = (regs[rd] + regs[i.rs1] * regs[i.rs2]) & M32
+@_rd_only
+def _mac(c, i):
+    regs, rd, rs1, rs2 = c.regs, i.rd, i.rs1, i.rs2
+    def run(pc):
+        regs[rd] = (regs[rd] + regs[rs1] * regs[rs2]) & M32
+    return run
 
-def _sem_lwpost(c, i):
-    addr = c.regs[i.rs1]
-    v = c.access(addr, 4, False, 0)
-    if i.rs1 != 0 and i.rs1 != i.rd:
-        c.regs[i.rs1] = (addr + i.imm) & M32
-    if i.rd:
-        c.regs[i.rd] = v
+def _lwpost(c, i):
+    regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
+    req, handler = c._data_req, c._data_handler
+    bump = rs1 != 0 and rs1 != rd      # the loaded value wins when rs1 is rd
+    def run(pc):
+        addr = regs[rs1]
+        req.addr = addr
+        req.size = 4
+        req.is_write = False
+        req.latency = 0
+        handler(req)
+        if req.status != STATUS_OK:
+            raise Trap(CAUSE_LOAD_FAULT, addr)
+        if req.sleep:
+            raise Sleep
+        if bump:
+            regs[rs1] = (addr + imm) & M32
+        if rd:
+            regs[rd] = req.value
+    return run
 
 
 SEMANTICS = {
-    "lui": _sem_lui, "auipc": _sem_auipc, "jal": _sem_jal, "jalr": _sem_jalr,
-    "beq": _branch(lambda a, b: a == b),
-    "bne": _branch(lambda a, b: a != b),
+    "lui": _lui, "auipc": _auipc, "jal": _jal, "jalr": _jalr,
+    "beq": _branch(operator.eq),
+    "bne": _branch(operator.ne),
     "blt": _branch(lambda a, b: _s32(a) < _s32(b)),
     "bge": _branch(lambda a, b: _s32(a) >= _s32(b)),
-    "bltu": _branch(lambda a, b: a < b),
-    "bgeu": _branch(lambda a, b: a >= b),
-    "lb": _sem_load(1, True), "lh": _sem_load(2, True), "lw": _sem_load(4, False),
-    "lbu": _sem_load(1, False), "lhu": _sem_load(2, False),
-    "sb": _sem_store(1), "sh": _sem_store(2), "sw": _sem_store(4),
-    "addi": _op_imm(lambda a, b: a + b),
-    "slti": _op_imm(lambda a, b: int(_s32(a) < b)),
-    "sltiu": _op_imm(lambda a, b: int(a < (b & M32))),
+    "bltu": _branch(operator.lt),
+    "bgeu": _branch(operator.ge),
+    "lb": _load(1, True), "lh": _load(2, True), "lw": _load(4, False),
+    "lbu": _load(1, False), "lhu": _load(2, False),
+    "sb": _store(1), "sh": _store(2), "sw": _store(4),
+    "addi": _op_imm(operator.add),
+    "slti": _op_imm(lambda a, b: _s32(a) < b),
+    "sltiu": _op_imm(lambda a, b: a < (b & M32)),
     "xori": _op_imm(lambda a, b: a ^ (b & M32)),
     "ori": _op_imm(lambda a, b: a | (b & M32)),
     "andi": _op_imm(lambda a, b: a & (b & M32)),
-    "slli": _op_imm(lambda a, b: a << b),
-    "srli": _op_imm(lambda a, b: a >> b),
+    "slli": _op_imm(operator.lshift),
+    "srli": _op_imm(operator.rshift),
     "srai": _op_imm(lambda a, b: _s32(a) >> b),
-    "add": _op_reg(lambda a, b: a + b),
-    "sub": _op_reg(lambda a, b: a - b),
+    "add": _op_reg(operator.add),
+    "sub": _op_reg(operator.sub),
     "sll": _op_reg(lambda a, b: a << (b & 31)),
-    "slt": _op_reg(lambda a, b: int(_s32(a) < _s32(b))),
-    "sltu": _op_reg(lambda a, b: int(a < b)),
-    "xor": _op_reg(lambda a, b: a ^ b),
+    "slt": _op_reg(lambda a, b: _s32(a) < _s32(b)),
+    "sltu": _op_reg(operator.lt),
+    "xor": _op_reg(operator.xor),
     "srl": _op_reg(lambda a, b: a >> (b & 31)),
     "sra": _op_reg(lambda a, b: _s32(a) >> (b & 31)),
-    "or": _op_reg(lambda a, b: a | b),
-    "and": _op_reg(lambda a, b: a & b),
-    "mul": _op_reg(lambda a, b: a * b),
+    "or": _op_reg(operator.or_),
+    "and": _op_reg(operator.and_),
+    "mul": _op_reg(operator.mul),
     "mulh": _op_reg(lambda a, b: (_s32(a) * _s32(b)) >> 32),
     "mulhsu": _op_reg(lambda a, b: (_s32(a) * b) >> 32),
     "mulhu": _op_reg(lambda a, b: (a * b) >> 32),
     "div": _op_reg(_div), "divu": _op_reg(lambda a, b: a // b if b else M32),
     "rem": _op_reg(_rem), "remu": _op_reg(lambda a, b: a % b if b else a),
-    "fence": _sem_fence, "fence_i": _sem_fence_i,
-    "ecall": _sem_ecall, "ebreak": _sem_ebreak, "mret": _sem_mret,
-    "csrrw": _sem_csr(True, lambda old, src: src),
-    "csrrs": _sem_csr(False, lambda old, src: old | src),
-    "csrrc": _sem_csr(False, lambda old, src: old & ~src),
-    "csrrwi": _sem_csr(True, lambda old, src: src),
-    "csrrsi": _sem_csr(False, lambda old, src: old | src),
-    "csrrci": _sem_csr(False, lambda old, src: old & ~src),
-    "p.mac": _sem_mac, "p.lwpost": _sem_lwpost,
+    "fence": _fence, "fence_i": _fence_i,
+    "ecall": _ecall, "ebreak": _ebreak, "mret": _mret,
+    "csrrw": _csr(True, lambda old, src: src),
+    "csrrs": _csr(False, lambda old, src: old | src),
+    "csrrc": _csr(False, lambda old, src: old & ~src),
+    "csrrwi": _csr(True, lambda old, src: src),
+    "csrrsi": _csr(False, lambda old, src: old | src),
+    "csrrci": _csr(False, lambda old, src: old & ~src),
+    "p.mac": _mac, "p.lwpost": _lwpost,
 }
 
 
@@ -286,14 +387,21 @@ class RiscvCore(Component):
         self.csr_mtval = 0
         for name in COUNTER_NAMES:
             setattr(self, name, 0)
+        self._lease = _NO_LEASE
         self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
 
     def finalize(self):
-        self._fetch_handler = self.ports["fetch"].binding.handler
+        fetch = self.ports["fetch"]
+        cache = fetch.binding
+        self._fetch_handler = cache.handler
         self._data_handler = self.ports["data"].binding.handler
+        # the private L1 (module docstring): only this core's fetches reach it
+        private = cache.owner.kind == "icache" and all(
+            m is fetch for m, s in self.platform.bindings if s is cache)
+        self._l1 = cache.owner if private else None
 
     def reset(self):
-        self.regs = [0] * 32
+        self.regs[:] = [0] * 32     # semantics closures hold this list
         self.pc = self.boot_pc & M32
         self.mode = "running"
         self._zero_state()
@@ -339,60 +447,56 @@ class RiscvCore(Component):
             return False    # counters and hart id are read-only
         return True
 
-    # -- memory access (within the current step) -------------------------
-
-    def access(self, addr, size, is_write, value):
-        """The current instruction's data access; returns the value read.
-
-        Raises Trap on a bus error and Sleep on a blocking read.  The
-        step reads latency and contention from the data request."""
-        req = self._data_req
-        req.addr = addr
-        req.size = size
-        req.is_write = is_write
-        req.value = value
-        req.reset()
-        self._data_handler(req)
-        if req.status != STATUS_OK:
-            raise Trap(CAUSE_STORE_FAULT if is_write else CAUSE_LOAD_FAULT, addr)
-        if req.sleep:
-            raise Sleep
-        if is_write:
-            self.stores += 1
-        else:
-            self.loads += 1
-        return req.value
-
     # -- the per-instruction event ----------------------------------------
 
     def _step(self, ev):
         dom = self.domain
         C = dom.cycle
+        pc = self.pc
+        sb = self.scoreboard
+        dreq = self._data_req
+        dcache = self._dcache
+        tr = self._tr_insn
+        vcd = self.platform.vcd
+        l1 = self._l1
+        lbase, lspan, ldata, lepoch = self._lease
         while True:
-            pc = self.pc
+            off = pc - lbase
+            if 0 <= off <= lspan and l1.epoch == lepoch:
+                # the leased line: what the cache's MRU hit does
+                fetch_lat = l1.hit_latency
+                l1.hits += 1
+                word = ldata >> (off << 3) & M32
+            else:
+                freq = self._fetch_req
+                freq.addr = pc
+                freq.latency = 0
+                self._fetch_handler(freq)
+                if freq.status != STATUS_OK:
+                    freq.reset()
+                    self._take_trap(CAUSE_IACCESS, pc, 1)
+                    return
+                fetch_lat = freq.latency
+                if freq.cache_miss:
+                    freq.cache_miss = False
+                    self.icache_misses += 1
+                word = freq.value
+                if l1 is not None:
+                    lbase = pc & -l1.line
+                    lspan = l1.line - 4
+                    ldata = l1.last_line
+                    lepoch = l1.epoch
+                    self._lease = (lbase, lspan, ldata, lepoch)
 
-            freq = self._fetch_req
-            freq.addr = pc
-            freq.reset()
-            self._fetch_handler(freq)
-            if freq.status != STATUS_OK:
-                self._take_trap(CAUSE_IACCESS, pc, 1)
-                return
-            fetch_lat = freq.latency
-            if freq.cache_miss:
-                self.icache_misses += 1
-            word = freq.value
-
-            dec = self._dcache.get(word)
+            dec = dcache.get(word)
             if dec is None:
                 dec = self._decode_slow(word)
-            if dec is _ILLEGAL:
-                self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
-                return
-            ins, handler, rs1, rs2, rd, base, wb, is_branch, is_mem = dec
+                if dec is None:
+                    self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
+                    return
+            ins, run, rs1, rs2, rd, base, wb, is_branch, is_mem = dec
 
             stall = 0
-            sb = self.scoreboard
             if rs1:
                 d = sb[rs1] - C
                 if d > stall:
@@ -405,31 +509,37 @@ class RiscvCore(Component):
                 self.load_stalls += stall
 
             try:
-                npc = handler(self, ins)
+                npc = run(pc)
             except Trap as trap:
+                dreq.reset()
                 self._take_trap(*trap.args, 1 + fetch_lat + stall)
                 return
             except Sleep:
                 # keep pc, do not retire: re-executed on wake
-                attempt = 1 + fetch_lat + stall + self._data_req.latency
+                attempt = 1 + fetch_lat + stall + dreq.latency
+                dreq.reset()
                 self.total_cycles += attempt
                 self.active_cycles += attempt
                 self.mode = "sleeping"
                 self.sleep_from = C + attempt
-                if self.platform.vcd is not None:
-                    self.platform.vcd.core_activity(self, False)
+                if vcd is not None:
+                    vcd.core_activity(self, False)
                 return
             finally:
                 # every executed instruction is traced, also one that stops
-                if self._tr_insn:
+                if tr:
                     self.platform.trace(self.path + "/insn", dom, ins.text())
 
             charge = base + fetch_lat + stall
             if is_mem:
-                req = self._data_req
-                charge += req.latency
-                if req.contended:
+                charge += dreq.latency
+                if dreq.contended:
+                    dreq.contended = False
                     self.tcdm_contentions += 1
+                if dreq.is_write:
+                    self.stores += 1
+                else:
+                    self.loads += 1
             if npc is None:
                 npc = (pc + 4) & M32
             else:
@@ -440,31 +550,31 @@ class RiscvCore(Component):
             if wb:
                 sb[rd] = C + wb
 
-            self.pc = npc
+            self.pc = pc = npc
             self.instr_retired += 1
             self.total_cycles += charge
             self.active_cycles += charge
-            if self.platform.vcd is not None:
-                self.platform.vcd.core_pc(self, npc)
+            if vcd is not None:
+                vcd.core_pc(self, npc)
             # the next step runs here if it is the engine's next event
             if C >= dom.horizon_cycle or not dom.run_ahead(C, charge):
                 dom.enqueue(ev, charge)
                 return
 
     def _decode_slow(self, word):
-        """Decode `word` and cache its step tuple (module docstring) or _ILLEGAL."""
+        """Decode `word`, bind its semantics and cache its step tuple
+        (module docstring); None for an illegal word, which is not cached."""
         ins = self.isa.decode(word)
         if ins is None:
-            dec = _ILLEGAL
-        else:
-            e = ins.entry
-            handler = SEMANTICS.get(e.semantics)
-            if handler is None:
-                raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
-            dec = (ins, handler, ins.rs1, ins.rs2, ins.rd, 1 + e.latency,
-                   e.writeback_latency if ins.rd else 0, e.klass == "branch",
-                   e.klass in ("load", "store"))
-        self._dcache[word] = dec
+            return None
+        e = ins.entry
+        make = SEMANTICS.get(e.semantics)
+        if make is None:
+            raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
+        dec = self._dcache[word] = (
+            ins, make(self, ins), ins.rs1, ins.rs2, ins.rd, 1 + e.latency,
+            e.writeback_latency if ins.rd else 0, e.klass == "branch",
+            e.klass in ("load", "store"))
         return dec
 
     def _take_trap(self, cause, tval, charge):

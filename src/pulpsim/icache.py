@@ -9,10 +9,22 @@ shift and mask without touching anything upstream.
 
 A lookup tries the set's most recently used way first; a hit there leaves
 the LRU order as it is, since that way already heads it.  Other hits and
-refills move their way to the head of the order.
+refills move their way to the head of the order.  `flush` (fence.i)
+invalidates this cache and the instruction cache it refills from.
+
+Fetch leases.  `handle` leaves the data of the line it served in
+`last_line`, and `flush` and `reset`, which change lines without a fetch,
+bump `epoch`.  A core that is the only master bound to this
+cache (its private L1, core module docstring) leases the line of each
+fetch it sends here.  While the epoch holds, it serves a fetch at most
+`line_bytes - 4` bytes past the line's base itself, exactly as the MRU hit
+here would: latency `hit_latency`, `hits` plus one and the word by shift
+and mask.  That is exact because nothing else reaches the cache: the
+leased line is still its set's MRU way, an MRU hit changes no state but
+`hits`, and any fetch outside the line comes here and leases again.
 """
 
-from .component import Component, register, Request, STATUS_OK
+from .component import Component, register, Request, STATUS_ERR, STATUS_OK
 from .errors import ConfigError
 
 
@@ -42,6 +54,8 @@ class InstructionCache(Component):
         self.refill_port = self.add_master("refill")
         self._refill_req = Request()
         self._line_buf = bytearray(self.line)
+        self.epoch = 0
+        self.last_line = 0
         self._init_arrays()
 
     def _init_arrays(self):
@@ -55,13 +69,14 @@ class InstructionCache(Component):
 
     def reset(self):
         self._init_arrays()
+        self.epoch += 1
 
     def handle(self, req):
         addr = req.addr
         size = req.size
         off = addr & (self.line - 1)
         if off + size > self.line:
-            req.status = "error"    # fetch may not straddle a line
+            req.status = STATUS_ERR     # fetch may not straddle a line
             return
         lineno = addr // self.line
         set_i = lineno % self.sets
@@ -84,7 +99,8 @@ class InstructionCache(Component):
                 way = self._refill(req, set_i, tag, addr - off)
                 if way is None:
                     return
-        value = self.data[set_i][way] >> (off << 3) & ((1 << (size << 3)) - 1)
+        self.last_line = line = self.data[set_i][way]
+        value = line >> (off << 3) & ((1 << (size << 3)) - 1)
         if req.data is None:
             req.value = value
         else:
@@ -123,9 +139,15 @@ class InstructionCache(Component):
         return victim
 
     def flush(self):
+        """Invalidate every line, here and in the instruction cache this
+        one refills from, so that a refill fetches memory's bytes."""
         for s in range(self.sets):
             for w in range(self.ways):
                 self.tags[s][w] = None
+        self.epoch += 1
+        upstream = self.refill_port.binding.owner
+        if upstream.kind == self.kind:
+            upstream.flush()
 
     def counters(self):
         return {"hits": self.hits, "misses": self.misses, "refills": self.refills}

@@ -7,8 +7,12 @@ affects the stored bytes.  A streaming device serves a run of word
 accesses in one `stream` call, under the same rule as `handle`.
 """
 
+import struct
+
 from .component import Component, register, REQUIRED, STATUS_ERR
 from .errors import ConfigError
+
+_WORD = struct.Struct("<I")     # a 4-byte `value` access packs in place
 
 
 @register
@@ -88,18 +92,23 @@ class BankedMemory(Component):
                 b = (bank + w) & self.bank_mask
                 if busy[b] < end:
                     busy[b] = end
+        data = req.data
         if req.is_write:
             self.writes += 1
-            if req.data is None:
-                self.contents[off:off + size] = req.value.to_bytes(size, "little")
+            if data is not None:
+                self.contents[off:off + size] = data[:size]
+            elif size == 4:
+                _WORD.pack_into(self.contents, off, req.value)
             else:
-                self.contents[off:off + size] = req.data[:size]
+                self.contents[off:off + size] = req.value.to_bytes(size, "little")
         else:
             self.reads += 1
-            if req.data is None:
-                req.value = int.from_bytes(self.contents[off:off + size], "little")
+            if data is not None:
+                data[:size] = self.contents[off:off + size]
+            elif size == 4:
+                req.value = _WORD.unpack_from(self.contents, off)[0]
             else:
-                req.data[:size] = self.contents[off:off + size]
+                req.value = int.from_bytes(self.contents[off:off + size], "little")
 
     def stream(self, addr, words, slot, per_cycle, out=None):
         """Serve `words` consecutive word accesses from `addr` on, in one call.

@@ -4,6 +4,7 @@ and randomized equivalence against the independent reference interpreter."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulpsim.isa import IsaTable
 from pulpsim.asm import assemble
@@ -401,3 +402,161 @@ def test_iss_matches_reference_randomized(seed):
     got = plat.peek(SCRATCH, 0x1000)
     assert got == bytes(ref.mem[SCRATCH:SCRATCH + 0x1000])
     assert cpu.instr_retired == ref.retired
+
+
+# -- word-level differential -----------------------------------------------
+# Random legal words straight from the ISA tables' mask/match, with operand
+# fields drawn so that the cases the bound semantics specialise come up
+# often: rd = x0, x0 sources, rs1 == rd for p.lwpost and negative
+# immediates.  x3 holds SCRATCH + 0x800 throughout, so that every load and
+# store stays in the scratch window; control transfers skip 1 or 2 words
+# forward.  Each word that writes a register is followed by a store of that
+# register to a log slot, so that a wrong result shows even when a later
+# word overwrites the register.
+
+M32 = 0xFFFFFFFF
+BASE = 3
+BASE_VALUE = SCRATCH + 0x800
+DRAWN = [e for e in IsaTable.load(["rv32im", "xdemo"]).entries
+         if e.klass not in ("system", "csr")]
+ENTRY = {e.mnemonic: e for e in DRAWN}
+MEMORY = [e for e in DRAWN if e.klass in ("load", "store")]    # drawn more often
+WRITABLE = [r for r in range(1, 32) if r != BASE]
+RD = st.one_of(st.just(0), st.sampled_from(WRITABLE), st.sampled_from(WRITABLE))
+SRC = st.one_of(st.just(0), st.integers(1, 31), st.integers(1, 31))
+IMM12 = st.one_of(st.integers(-2048, -1), st.integers(0, 2047))
+
+
+def put(word, lo, width, value):
+    """`word` with bits lo..lo+width-1 replaced by the low bits of `value`."""
+    mask = ((1 << width) - 1) << lo
+    return (word & ~mask) | ((value << lo) & mask)
+
+
+def with_imm(word, fmt, imm):
+    if fmt == "I":
+        return put(word, 20, 12, imm)
+    if fmt == "IS":
+        return put(word, 20, 5, imm)
+    if fmt == "S":
+        return put(put(word, 7, 5, imm), 25, 7, imm >> 5)
+    if fmt == "B":
+        word = put(put(word, 8, 4, imm >> 1), 25, 6, imm >> 5)
+        return put(put(word, 7, 1, imm >> 11), 31, 1, imm >> 12)
+    if fmt == "J":
+        word = put(put(word, 21, 10, imm >> 1), 20, 1, imm >> 11)
+        return put(put(word, 12, 8, imm >> 12), 31, 1, imm >> 20)
+    raise ValueError(fmt)
+
+
+def i_word(mnemonic, rd, rs1, imm):
+    return with_imm(put(put(ENTRY[mnemonic].match, 7, 5, rd), 15, 5, rs1), "I", imm)
+
+
+@st.composite
+def word_chunk(draw):
+    """One drawn word with the words it needs: a pointer set-up before a
+    p.lwpost, an auipc before a jalr, the words a forward jump skips, and
+    the store that logs its result."""
+    e = draw(st.one_of(st.sampled_from(DRAWN), st.sampled_from(MEMORY)))
+    fmt = e.fmt
+    word = e.match | (draw(st.integers(0, M32)) & ~e.mask)
+    if fmt in ("R", "I", "IS", "U", "J"):
+        word = put(word, 7, 5, draw(RD))
+    if fmt in ("R", "I", "IS", "S", "B"):
+        word = put(word, 15, 5, draw(SRC))
+    if fmt in ("R", "S", "B"):
+        word = put(word, 20, 5, draw(SRC))
+    if fmt in ("I", "IS"):
+        word = with_imm(word, fmt, draw(IMM12 if fmt == "I" else st.integers(0, 31)))
+    before, after = [], []
+    if e.semantics == "p.lwpost":
+        ptr = (word >> 15) & 31
+        if ptr == BASE:
+            word = put(word, 15, 5, ptr := draw(st.sampled_from(WRITABLE)))
+        if ptr:         # x0 as the pointer reads address 0
+            before.append(i_word("addi", ptr, BASE, draw(st.integers(-512, 511)) * 4))
+        if draw(st.booleans()):
+            word = put(word, 7, 5, ptr)     # rs1 == rd: the loaded value wins
+    elif e.klass in ("load", "store"):
+        size = 1 << ((word >> 12) & 3)
+        off = draw(st.integers(-2048, 2048 - size)) // size * size
+        word = with_imm(put(word, 15, 5, BASE), fmt, off)
+    elif e.klass in ("branch", "jump"):
+        skip = draw(st.integers(1, 2))
+        after = [i_word("addi", draw(RD), draw(SRC), draw(IMM12)) for _ in range(skip)]
+        if fmt == "I":      # jalr, relative to an auipc of its own pc
+            link = draw(st.sampled_from(WRITABLE))
+            before.append(put(ENTRY["auipc"].match, 7, 5, link))
+            word = with_imm(put(word, 15, 5, link), fmt, 4 * (skip + 2) + draw(st.integers(0, 1)))
+        else:
+            word = with_imm(word, fmt, 4 * (skip + 1))
+    rd = (word >> 7) & 31 if fmt in ("R", "I", "IS", "U", "J") else 0
+    if rd:
+        log = put(put(ENTRY["sw"].match, 15, 5, BASE), 20, 5, rd)
+        after.append(with_imm(log, "S", 1024 + 4 * draw(st.integers(0, 255))))
+    return before + [word] + after
+
+
+def run_both(source, scratch):
+    """Assemble at 0x1000 and run on RiscvCore and on the reference, with
+    `scratch` (0x1000 bytes) at SCRATCH."""
+    prog = assemble(source, origin=0x1000)
+    ref = RefCore(0, 0x100000)
+    for addr, word in prog.words.items():
+        ref.store(addr, 4, word)
+    ref.mem[SCRATCH:SCRATCH + 0x1000] = scratch
+    ref.pc = prog.entry
+    try:
+        ref.run(100_000)
+    except Halt:
+        pass
+    plat = build_minimal()
+    for addr, word in prog.words.items():
+        plat.poke(addr, word.to_bytes(4, "little"))
+    plat.poke(SCRATCH, scratch)
+    plat.set_entry(prog.entry)
+    plat.run(max_cycles=1_000_000)
+    return plat, plat.lookup("cpu"), ref
+
+
+def assert_same_state(plat, cpu, ref):
+    assert cpu.regs == ref.regs
+    assert cpu.pc == ref.pc
+    assert plat.peek(SCRATCH, 0x1000) == bytes(ref.mem[SCRATCH:SCRATCH + 0x1000])
+    assert cpu.instr_retired == ref.retired
+
+
+def prologue(values):
+    values = list(values)
+    values[BASE] = BASE_VALUE
+    return ["_start:"] + ["li x%d, 0x%x" % (r, values[r]) for r in range(1, 32)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(word_chunk(), min_size=8, max_size=40),
+       st.lists(st.integers(0, M32), min_size=32, max_size=32),
+       st.binary(min_size=16, max_size=16))
+def test_random_words_match_reference(chunks, values, seed):
+    lines = prologue(values)
+    lines += [".word 0x%08x" % w for chunk in chunks for w in chunk]
+    lines.append("ecall")
+    plat, cpu, ref = run_both("\n".join(lines), random.Random(seed).randbytes(0x1000))
+    assert_same_state(plat, cpu, ref)
+
+
+def test_every_shift_amount_matches_reference():
+    rng = random.Random(7)
+    lines = prologue(rng.getrandbits(32) for _ in range(32))
+    off = -2048
+    for amount in range(32):
+        lines.append("li x2, 0x%x" % (amount | rng.getrandbits(27) << 5))
+        for op, src in (("slli", amount), ("srli", amount), ("srai", amount),
+                        ("sll", "x2"), ("srl", "x2"), ("sra", "x2")):
+            lines.append("%s x5, x1, %s" % (op, src))
+            lines.append("sw x5, %d(x3)" % off)
+            off += 4
+    lines.append("ecall")
+    plat, cpu, ref = run_both("\n".join(lines), bytes(0x1000))
+    assert cpu.instr_retired > 32 * 12
+    assert_same_state(plat, cpu, ref)

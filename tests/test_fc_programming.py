@@ -10,6 +10,7 @@ must rewind the platform so that a rerun equals a fresh run.
 
 import random
 
+import numpy as np
 import pytest
 
 from pulpsim.asm import assemble
@@ -32,8 +33,9 @@ RESULTS = L2 + 0x10000      # words the FC stores for the test to read
 
 # event unit, cluster DMA, accelerator and micro-DMA registers
 EVT_MASK, EVT_WAIT = 0x00, 0x04
-DMA_SRC, DMA_DST, DMA_LEN, DMA_CFG, DMA_STATUS, DMA_ID, DMA_TID, DMA_TID_STATUS = \
-    0x00, 0x04, 0x08, 0x14, 0x18, 0x1C, 0x20, 0x24
+DMA_SRC, DMA_DST, DMA_LEN, DMA_STRIDE, DMA_COUNT, DMA_CFG, DMA_STATUS, DMA_ID, DMA_TID, \
+    DMA_TID_STATUS = 0x00, 0x04, 0x08, 0x0C, 0x10, 0x14, 0x18, 0x1C, 0x20, 0x24
+DMA_L1_TO_L2, DMA_2D, DMA_REJECT = 1, 2, 1 << 30
 ACC_TRIGGER, ACC_STATUS = 0x20, 0x24
 ST_ERROR = 4
 UDMA_L2, UDMA_EXT, UDMA_LEN, UDMA_CFG = 0x00, 0x04, 0x08, 0x0C
@@ -136,6 +138,52 @@ def test_dma_tid_status_and_bounded_state():
     assert results(plat, 8) == [3, 0, 1, 1, 1, 2, 0xFFFFFFFF, 0xFFFFFFFF]
     dma = plat.lookup("cluster/dma")
     assert dma.active == {} and dma.failed == {4}
+
+
+@pytest.mark.parametrize("l1_to_l2", [False, True], ids=["l2-to-tcdm", "tcdm-to-l2"])
+def test_fc_driven_2d_dma_matches_numpy_slicing(l1_to_l2):
+    """COUNT rows of LEN bytes, STRIDE apart on the L2 side and contiguous
+    in the TCDM; a row longer than max_burst takes two bursts."""
+    row_len, stride, count = 300, 512, 3
+    l2, tcdm = L2 + 0x20000, TCDM + 0x800
+    rng = random.Random(4)
+    l2_data, tcdm_data = rng.randbytes(stride * count), rng.randbytes(row_len * count)
+    src, dst = (tcdm, l2) if l1_to_l2 else (l2, tcdm)
+    body = ["li a0, 0x%X" % CL_DMA]
+    for reg, value in ((DMA_SRC, src), (DMA_DST, dst), (DMA_LEN, row_len),
+                       (DMA_STRIDE, stride), (DMA_COUNT, count)):
+        body += ["li a1, 0x%X" % value, "sw a1, %d(a0)" % reg]
+    body += ["li a1, %d" % (DMA_2D | (DMA_L1_TO_L2 if l1_to_l2 else 0)),
+             "sw a1, %d(a0)" % DMA_CFG] + dma_wait("wait")
+    plat = run(guest(body), [(l2, l2_data), (tcdm, tcdm_data)])
+    rows = np.frombuffer(l2_data, np.uint8).reshape(count, stride).copy()
+    if l1_to_l2:
+        rows[:, :row_len] = np.frombuffer(tcdm_data, np.uint8).reshape(count, row_len)
+        assert plat.peek(l2, stride * count) == rows.tobytes()    # gaps untouched
+        assert plat.peek(tcdm, row_len * count) == tcdm_data
+    else:
+        assert plat.peek(tcdm, row_len * count) == rows[:, :row_len].tobytes()
+    dma = plat.lookup("cluster/dma")
+    assert dma.transfers == 1 and dma.bytes_moved == row_len * count
+
+
+def test_dma_rejects_a_transfer_past_its_channels():
+    """Five starts in a row on four channels: the fifth sets the reject flag
+    and gets no id, and the four accepted transfers complete."""
+    src, dst, length = L2 + 0x20000, TCDM + 0x4000, 4096
+    data = random.Random(5).randbytes(length)
+    body = ["li a0, 0x%X" % CL_DMA]
+    body += dma_copy(src, dst, length)[:-1] + ["sw zero, %d(a0)" % DMA_CFG] * 5
+    body += ["lw a2, %d(a0)" % DMA_STATUS] + store("a2", 0)
+    body += ["lw a2, %d(a0)" % DMA_ID] + store("a2", 1) + dma_wait("wait")
+    for tid in range(1, 6):
+        body += tid_status(tid, 1 + tid)
+    plat = run(guest(body), [(src, data)])
+    dma = plat.lookup("cluster/dma")
+    assert dma.params["channels"] == 4
+    assert results(plat, 7) == [4 | DMA_REJECT, 4, 1, 1, 1, 1, 0xFFFFFFFF]
+    assert plat.peek(dst, length) == data
+    assert dma.transfers == 4 and dma.bytes_moved == 4 * length
 
 
 # -- conv accelerator ----------------------------------------------------
