@@ -6,8 +6,8 @@ The running job streams its tensors through the TCDM a few words per
 cycle, one word per port: each chunk moves its words with one
 `BankedMemory.stream` call per tensor it touches, so bank conflicts with
 the cores are observed and extend the job.  The `mem%d` ports must all be
-bound to the `in` port of one banked memory; they name that memory, and no
-request travels through them.
+bound to the `in` port of one banked memory; they name that memory, in
+which every job's tensors must lie, and no request travels through them.
 
 The cycle cost is an analytical model: a fixed setup, a per-output-channel
 weight-load term amortized by the load width, and the MAC count divided by
@@ -19,9 +19,10 @@ reference convolution.
 
 import numpy as np
 
-from .component import Component, register, REQUIRED, STATUS_ERR
-from .errors import ConfigError
+from .component import RegisterDevice, register, REQUIRED
 from .engine import Event
+from .event_unit import line_owner
+from .memory import bound_memory
 
 REG_IN = 0x00
 REG_W = 0x04
@@ -56,7 +57,7 @@ class _Job:
 
 
 @register
-class ConvAccelerator(Component):
+class ConvAccelerator(RegisterDevice):
     kind = "conv-accel"
     PARAMS = {
         "base": (int, REQUIRED),
@@ -66,26 +67,23 @@ class ConvAccelerator(Component):
         "setup_cycles": (int, 100),
         "weight_load_per_cycle": (int, 4),
         "chunk_cycles": (int, 128),
-        "tcdm_base": (int, REQUIRED),
-        "tcdm_size": (int, REQUIRED),
         "event_unit": (str, REQUIRED),
         "event_line": (int, 2),
     }
 
     def build(self):
-        self.base = self.params["base"]
+        super().build()
         self.n_ports = self.positive_param("ports")
         for name in ("macs_per_cycle", "weight_load_per_cycle", "chunk_cycles"):
             self.positive_param(name)
         self.positive_param("setup_cycles", 0)
-        self.add_slave("in", self.handle)
         self.mem_ports = [self.add_master("mem%d" % i) for i in range(self.n_ports)]
         self.job_event = Event(self.path, self._chunk)
-        self._reset_state()
+        self.reset()
 
-    def _reset_state(self):
-        self._regs = {REG_IN: 0, REG_W: 0, REG_OUT: 0, REG_CH_IN: 0,
-                      REG_CH_OUT: 0, REG_H: 0, REG_W_DIM: 0, REG_KSIZE: 0}
+    def reset(self):
+        self.regs = {REG_IN: 0, REG_W: 0, REG_OUT: 0, REG_CH_IN: 0,
+                     REG_CH_OUT: 0, REG_H: 0, REG_W_DIM: 0, REG_KSIZE: 0}
         self.status = 0
         self.running = None
         self.shadow = None
@@ -94,19 +92,9 @@ class ConvAccelerator(Component):
         self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
-        self.event_unit = self.platform.lookup(
-            self.params["event_unit"], "event-unit",
-            "components.%s.params.event_unit" % self.path)
-        self.event_unit.check_line_param(self, "event_line")
-        slaves = {port.binding for port in self.mem_ports}
-        slave = slaves.pop()
-        if slaves or slave.name != "in" or slave.owner.kind != "banked-memory":
-            raise ConfigError("components.%s: ports mem0..mem%d must all be bound to the "
-                              "'in' port of one banked-memory" % (self.path, self.n_ports - 1))
-        self.mem = slave.owner
-
-    def reset(self):
-        self._reset_state()
+        self.event_unit = line_owner(self, "event_unit", "event_line")
+        self.mem = bound_memory(self, self.mem_ports,
+                                "ports mem0..mem%d must all be" % (self.n_ports - 1))
 
     # -- latency model ---------------------------------------------------
 
@@ -129,7 +117,7 @@ class ConvAccelerator(Component):
             return False
         if min(job.ch_in, job.ch_out, job.h, job.w) < 1:
             return False
-        base, size = self.params["tcdm_base"], self.params["tcdm_size"]
+        base, size = self.mem.base, self.mem.size
         if job.out_ptr & 3:
             return False                    # int32 outputs are stored whole words
         spans = [(job.in_ptr, job.ch_in * job.h * job.w),
@@ -156,34 +144,14 @@ class ConvAccelerator(Component):
                 out += np.tensordot(wt[:, :, ky, kx], window, axes=([1], [0]))
         return out.astype(np.int32)
 
-    # -- register interface ---------------------------------------------
+    # -- register interface (RegisterDevice) ---------------------------
 
-    def handle(self, req):
-        off = req.addr - self.base
-        if req.size != 4:
-            req.status = STATUS_ERR
-            return
-        if req.is_write:
-            if off in self._regs:
-                self._regs[off] = req.value
-            elif off == REG_TRIGGER:
-                self._trigger()
-            else:
-                req.status = STATUS_ERR
-            return
-        if off in self._regs:
-            req.value = self._regs[off]
-        elif off == REG_STATUS:
-            req.value = self.status
-        else:
-            req.status = STATUS_ERR
-
-    def _trigger(self):
+    def _trigger(self, req):
         self.status &= ~ST_REJECT
         if self.running is not None and self.shadow is not None:
             self.status |= ST_REJECT        # both slots full: trigger ignored
             return
-        job = _Job(self._regs)
+        job = _Job(self.regs)
         if not self.job_valid(job):
             self.status |= ST_ERROR
             return
@@ -192,6 +160,9 @@ class ConvAccelerator(Component):
         else:
             self.shadow = job
             self.status |= ST_SHADOW
+
+    READS = {REG_STATUS: RegisterDevice.read_status}
+    WRITES = {REG_TRIGGER: _trigger}
 
     def _launch(self, job):
         total = self.job_cycles(job)

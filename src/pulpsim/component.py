@@ -182,14 +182,18 @@ class Component:
     def reset(self):
         """Return to power-on state (counters, registers, schedules)."""
 
-    def positive_param(self, name, least=1):
+    def positive_param(self, name, least=1, most=None):
         """The int param `name`, which must be at least `least`: 1 for a
-        count or a size, 0 for a latency or a cycle count."""
+        count or a size, 0 for a latency or a cycle count; and, if `most`
+        is given, at most `most`."""
         value = self.params[name]
         if value < least:
             raise ConfigError("components.%s: %s must be %s, got %d" % (
                 self.path, name, "positive" if least == 1 else "at least %d" % least,
                 value))
+        if most is not None and value > most:
+            raise ConfigError("components.%s: %s must be at most %d, got %d" % (
+                self.path, name, most, value))
         return value
 
     # -- ports ----------------------------------------------------------
@@ -222,6 +226,47 @@ class Component:
 
     def __repr__(self):
         return "<%s %s>" % (type(self).__name__, self.path)
+
+
+class RegisterDevice(Component):
+    """A component programmed through 4-byte registers mapped at `base`.
+
+    `build` reads `base` and adds the `in` slave port.  `self.regs` maps
+    the offsets of the plain registers to their values, which writes store
+    and reads return.  Other offsets go to the class's READS or WRITES map
+    from offset to a method taking `(self, req)`.  An access that is not 4
+    bytes, or to an offset in neither, fails with STATUS_ERR.
+    """
+
+    READS = {}
+    WRITES = {}
+
+    def build(self):
+        self.base = self.params["base"]
+        self.regs = {}
+        self.add_slave("in", self.handle)
+
+    def handle(self, req):
+        if req.size != 4:
+            req.status = STATUS_ERR
+            return
+        off = req.addr - self.base
+        regs = self.regs
+        if off in regs:
+            if req.is_write:
+                regs[off] = req.value
+            else:
+                req.value = regs[off]
+            return
+        method = (self.WRITES if req.is_write else self.READS).get(off)
+        if method is None:
+            req.status = STATUS_ERR
+        else:
+            method(self, req)
+
+    def read_status(self, req):
+        """A READS method for a register that reads `self.status`."""
+        req.value = self.status
 
 
 def bind(master_port, slave_port):

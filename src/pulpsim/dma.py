@@ -10,6 +10,9 @@ final burst raises a cluster event line.  An optional (stride, count) pair
 repeats the 1D transfer over strided rows on the L2 side, which is what
 double-buffered tiling needs.
 
+The TCDM window is the banked memory the `tcdm` port is bound to: a burst
+address inside it goes out on `tcdm`, any other on `ext`.
+
 Register map (word offsets from `base`):
     0x00 SRC   0x04 DST   0x08 LEN   0x0C STRIDE   0x10 COUNT
     0x14 CFG/START  (bit0: direction 1 = l1-to-l2, bit1: 2D enable)
@@ -19,10 +22,10 @@ Register map (word offsets from `base`):
     0x24 TID_STATUS (1 done, 0 in flight, 2 error, 0xFFFFFFFF unknown)
 """
 
-from .component import (Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR,
-                        MAX_REQUEST_BYTES)
+from .component import RegisterDevice, register, REQUIRED, Request, STATUS_OK, MAX_REQUEST_BYTES
 from .engine import Event
-from .errors import ConfigError
+from .event_unit import line_owner
+from .memory import bound_memory
 
 REG_SRC = 0x00
 REG_DST = 0x04
@@ -58,7 +61,7 @@ class _Transfer:
 
 
 @register
-class ClusterDma(Component):
+class ClusterDma(RegisterDevice):
     kind = "cluster-dma"
     PARAMS = {
         "base": (int, REQUIRED),
@@ -67,31 +70,24 @@ class ClusterDma(Component):
         "channels": (int, 4),
         "program_latency": (int, 1),
         "burst_latency": (int, 1),
-        "tcdm_base": (int, REQUIRED),
-        "tcdm_size": (int, REQUIRED),
         "event_unit": (str, REQUIRED),
         "event_line": (int, 1),
     }
 
     def build(self):
-        self.base = self.params["base"]
-        self.max_burst = self.positive_param("max_burst")
-        if self.max_burst > MAX_REQUEST_BYTES:
-            raise ConfigError("components.%s: max_burst must be at most %d, got %d" % (
-                self.path, MAX_REQUEST_BYTES, self.max_burst))
+        super().build()
+        self.max_burst = self.positive_param("max_burst", most=MAX_REQUEST_BYTES)
         self.positive_param("channels")
         self.positive_param("program_latency", 0)
         self.positive_param("burst_latency", 0)
-        self.add_slave("in", self.handle)
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
         self._buf = bytearray(self.max_burst)
-        self._regs = {}
-        self._reset_state()
+        self.reset()
 
-    def _reset_state(self):
-        self._regs = {REG_SRC: 0, REG_DST: 0, REG_LEN: 0, REG_STRIDE: 0,
-                      REG_COUNT: 1, REG_TID: 0}
+    def reset(self):
+        self.regs = {REG_SRC: 0, REG_DST: 0, REG_LEN: 0, REG_STRIDE: 0,
+                     REG_COUNT: 1, REG_TID: 0}
         self.flags = 0
         self.next_id = 1
         self.last_id = 0
@@ -103,69 +99,43 @@ class ClusterDma(Component):
         self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
-        self.event_unit = self.platform.lookup(
-            self.params["event_unit"], "event-unit",
-            "components.%s.params.event_unit" % self.path)
-        self.event_unit.check_line_param(self, "event_line")
+        self.event_unit = line_owner(self, "event_unit", "event_line")
+        self.tcdm = bound_memory(self, [self.tcdm_port], "port tcdm must be")
 
-    def reset(self):
-        self._reset_state()
+    # -- register interface (RegisterDevice) ---------------------------
 
-    # -- register interface -------------------------------------------------
+    def _read_status(self, req):
+        req.value = len(self.active) | self.flags
 
-    def handle(self, req):
-        off = req.addr - self.base
-        if req.size != 4:
-            req.status = STATUS_ERR
-            return
-        if req.is_write:
-            if off in self._regs:
-                self._regs[off] = req.value
-            elif off == REG_CFG:
-                self._start(req.value)
-            else:
-                req.status = STATUS_ERR
-            return
-        if off in self._regs:
-            req.value = self._regs[off]
-        elif off == REG_STATUS:
-            req.value = len(self.active) | self.flags
-        elif off == REG_ID:
-            req.value = self.last_id
-        elif off == REG_TID_STATUS:
-            req.value = self.transfer_status(self._regs[REG_TID])
-        else:
-            req.status = STATUS_ERR
+    def _read_id(self, req):
+        req.value = self.last_id
 
-    def transfer_status(self, tid):
-        if tid in self.active:
-            return 0
-        if tid in self.failed:
-            return 2
-        if 0 < tid < self.next_id:
-            return 1
-        return 0xFFFFFFFF
+    def _read_tid_status(self, req):
+        tid = self.regs[REG_TID]
+        req.value = (0 if tid in self.active else 2 if tid in self.failed
+                     else 1 if 0 < tid < self.next_id else 0xFFFFFFFF)
 
     # -- transfer lifecycle ---------------------------------------------------
 
-    def _start(self, cfg):
+    def _start(self, req):
+        cfg = req.value
         self.flags = 0
-        length = self._regs[REG_LEN]
+        length = self.regs[REG_LEN]
         if length == 0:
             self.flags |= FLAG_CONFIG
             return
         if len(self.active) >= self.params["channels"]:
             self.flags |= FLAG_REJECT
             return
-        count = self._regs[REG_COUNT] if cfg & 2 else 1
-        stride = self._regs[REG_STRIDE] if cfg & 2 else 0
+        count = self.regs[REG_COUNT] if cfg & 2 else 1
+        stride = self.regs[REG_STRIDE] if cfg & 2 else 0
         if count < 1:
             self.flags |= FLAG_CONFIG
             return
         tid = self.next_id
         self.next_id += 1
         self.last_id = tid
-        tr = _Transfer(tid, self._regs[REG_SRC], self._regs[REG_DST],
+        tr = _Transfer(tid, self.regs[REG_SRC], self.regs[REG_DST],
                        length, stride, count, bool(cfg & 1))
         tr.event = Event(self.path, self._burst, tr)
         self.active[tid] = tr
@@ -178,12 +148,12 @@ class ClusterDma(Component):
                                 "start id=%d src=0x%08x dst=0x%08x len=%d rows=%d" %
                                 (tid, tr.src, tr.dst, length, count))
 
-    def _in_tcdm(self, addr):
-        return self.params["tcdm_base"] <= addr < \
-            self.params["tcdm_base"] + self.params["tcdm_size"]
+    READS = {REG_STATUS: _read_status, REG_ID: _read_id, REG_TID_STATUS: _read_tid_status}
+    WRITES = {REG_CFG: _start}
 
     def _port_for(self, addr):
-        return self.tcdm_port if self._in_tcdm(addr) else self.ext_port
+        tcdm = self.tcdm
+        return self.tcdm_port if tcdm.base <= addr < tcdm.base + tcdm.size else self.ext_port
 
     def _burst(self, ev):
         tr = ev.payload

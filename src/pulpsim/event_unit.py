@@ -95,13 +95,6 @@ class EventUnit(Component):
 
     # -- wires from other components (DMA, accelerator, micro-DMA) ---------
 
-    def check_line_param(self, comp, name):
-        """Reject `comp`'s int param `name` unless it is one of our lines."""
-        line = comp.params[name]
-        if not 0 <= line < self.n_lines:
-            raise ConfigError("components.%s: %s must be a line of %s (0 to %d), got %d" % (
-                comp.path, name, self.path, self.n_lines - 1, line))
-
     def set_line(self, line):
         """Mark a line pending for every core and wake cores blocked on it."""
         if not 0 <= line < self.n_lines:
@@ -218,3 +211,14 @@ class EventUnit(Component):
     def counters(self):
         return {"barriers_passed": self.barriers_passed,
                 "events_set": self.events_set}
+
+
+def line_owner(comp, unit, line):
+    """The event unit that `comp`'s param `unit` names, once `comp`'s int
+    param `line` is checked to be one of its lines."""
+    owner = comp.platform.lookup(comp.params[unit], EventUnit.kind,
+                                 "components.%s.params.%s" % (comp.path, unit))
+    if not 0 <= comp.params[line] < owner.n_lines:
+        raise ConfigError("components.%s: %s must be a line of %s (0 to %d), got %d" % (
+            comp.path, line, owner.path, owner.n_lines - 1, comp.params[line]))
+    return owner

@@ -1,11 +1,12 @@
 """Set-associative instruction caches with LRU replacement.
 
 One class serves both levels: per-core private L1 instances refill from a
-shared L1.5 instance, which refills from L2 across the AXI bridge.  The
-shared level serializes simultaneous refills with the same busy-stamp
-scheme the memory banks use.  Lines carry real data, kept as one
-little-endian int per line (filled at refill), so a hit serves its word by
-shift and mask without touching anything upstream.
+shared L1.5 instance, which refills from L2 across the AXI bridge.  Every
+level serializes its refills with the same busy-stamp scheme the memory
+banks use; that only ever delays a shared level, since a private L1's core
+sends no fetch before its previous refill has issued.  Lines carry real
+data, kept as one little-endian int per line (filled at refill), so a hit
+serves its word by shift and mask without touching anything upstream.
 
 A lookup tries the set's most recently used way first; a hit there leaves
 the LRU order as it is, since that way already heads it.  Other hits and
@@ -24,7 +25,7 @@ leased line is still its set's MRU way, an MRU hit changes no state but
 `hits`, and any fetch outside the line comes here and leases again.
 """
 
-from .component import Component, register, Request, STATUS_ERR, STATUS_OK
+from .component import Component, register, Request, STATUS_ERR, STATUS_OK, MAX_REQUEST_BYTES
 from .errors import ConfigError
 
 
@@ -36,24 +37,22 @@ class InstructionCache(Component):
         "ways": (int, 2),
         "line_bytes": (int, 16),
         "hit_latency": (int, 0),
-        "serialize_refills": (bool, False),
     }
 
     def build(self):
         size = self.positive_param("size")
         self.ways = self.positive_param("ways")
-        self.line = self.positive_param("line_bytes")
+        self.line = self.positive_param("line_bytes", most=MAX_REQUEST_BYTES)
         if self.line & (self.line - 1):
             raise ConfigError("%s: line_bytes must be a power of two" % self.path)
         if size % (self.ways * self.line):
             raise ConfigError("%s: size %d not divisible by ways*line" % (self.path, size))
         self.sets = size // (self.ways * self.line)
         self.hit_latency = self.positive_param("hit_latency", 0)
-        self.serialize = self.params["serialize_refills"]
         self.add_slave("in", self.handle)
         self.refill_port = self.add_master("refill")
-        self._refill_req = Request()
         self._line_buf = bytearray(self.line)
+        self._refill_req = Request().setup(0, self.line, False, data=self._line_buf)
         self.epoch = 0
         self.last_line = 0
         self._init_arrays()
@@ -113,16 +112,16 @@ class InstructionCache(Component):
         self.misses += 1
         req.cache_miss = True
         rr = self._refill_req
-        rr.setup(line_addr, self.line, False, data=self._line_buf,
-                 initiator=req.initiator)
+        rr.addr = line_addr
+        rr.initiator = req.initiator
+        rr.reset()
         rr.latency = req.latency + self.hit_latency
-        if self.serialize:
-            at = self.domain.cycle + rr.latency
-            wait = self.busy_until - at + 1
-            if wait > 0:
-                rr.latency += wait
-                at += wait
-            self.busy_until = at
+        at = self.domain.cycle + rr.latency
+        wait = self.busy_until - at + 1
+        if wait > 0:
+            rr.latency += wait
+            at += wait
+        self.busy_until = at
         self.refill_port.send(rr)
         if rr.status != STATUS_OK:
             req.status = rr.status

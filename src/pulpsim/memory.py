@@ -168,3 +168,14 @@ class BankedMemory(Component):
     def counters(self):
         return {"reads": self.reads, "writes": self.writes,
                 "contentions": self.contention_count}
+
+
+def bound_memory(comp, ports, what):
+    """The banked memory whose `in` port every one of `comp`'s `ports` is
+    bound to; `what` names the ports in the error raised otherwise."""
+    slaves = {port.binding for port in ports}
+    slave = slaves.pop()
+    if slaves or slave.name != "in" or slave.owner.kind != BankedMemory.kind:
+        raise ConfigError("components.%s: %s bound to the 'in' port of one banked-memory" % (
+            comp.path, what))
+    return slave.owner

@@ -19,8 +19,10 @@ device gives guest programs a way to stop the simulation and print.
 
 import mmap
 
-from .component import Component, register, REQUIRED, Request, STATUS_OK, STATUS_ERR
+from .component import (Component, RegisterDevice, register, REQUIRED, Request, STATUS_OK,
+                        STATUS_ERR)
 from .engine import Event, PS_PER_SEC
+from .event_unit import line_owner
 
 UDMA_L2_ADDR = 0x00
 UDMA_EXT_ADDR = 0x04
@@ -108,7 +110,7 @@ class HyperRam(Component):
 
 
 @register
-class MicroDma(Component):
+class MicroDma(RegisterDevice):
     """Single-channel I/O DMA between L2 and the external device."""
 
     kind = "micro-dma"
@@ -122,9 +124,8 @@ class MicroDma(Component):
     }
 
     def build(self):
-        self.base = self.params["base"]
+        super().build()
         self.positive_param("beat_bytes")
-        self.add_slave("in", self.handle)
         self.l2_port = self.add_master("l2")
         self.beat_event = Event(self.path, self._beat)
         self._req = Request()       # reused by every beat; `_beat` sets its fields
@@ -132,44 +133,26 @@ class MicroDma(Component):
         self.reset()
 
     def finalize(self):
-        where = "components.%s.params." % self.path
-        self.device = self.platform.lookup(self.params["device"], "hyperram", where + "device")
-        self.itc = self.platform.lookup(self.params["itc"], "event-unit", where + "itc")
-        self.itc.check_line_param(self, "itc_line")
+        self.device = self.platform.lookup(self.params["device"], "hyperram",
+                                           "components.%s.params.device" % self.path)
+        self.itc = line_owner(self, "itc", "itc_line")
 
     def reset(self):
-        self._regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
+        self.regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
         self.status = 0
         self.transfers = 0
         self.bytes_moved = 0
         self._tr = self.platform.trace_enabled(self.path)
 
-    def handle(self, req):
-        off = req.addr - self.base
-        if req.size != 4:
-            req.status = STATUS_ERR
-            return
-        if req.is_write:
-            if off in self._regs:
-                self._regs[off] = req.value
-            elif off == UDMA_CFG:
-                self._program(bool(req.value & 1))
-            else:
-                req.status = STATUS_ERR
-        else:
-            if off in self._regs:
-                req.value = self._regs[off]
-            elif off == UDMA_STATUS:
-                req.value = self.status
-            else:
-                req.status = STATUS_ERR
+    # -- register interface (RegisterDevice) ---------------------------
 
-    def _program(self, tx):
+    def _program(self, req):
+        tx = bool(req.value & 1)
         if self.status & UDMA_BUSY:
             self.status |= UDMA_ERR
             return
-        length = self._regs[UDMA_LEN]
-        ext = self._regs[UDMA_EXT_ADDR]
+        length = self.regs[UDMA_LEN]
+        ext = self.regs[UDMA_EXT_ADDR]
         if length == 0 or ext + length > self.device.size:
             self.status |= UDMA_ERR
             return
@@ -181,7 +164,7 @@ class MicroDma(Component):
         # the transfer: direction, next L2 and device addresses, bytes left
         # and moved, pacing origin and rate, and the previous beat's cycle
         self._tx = tx
-        self._l2 = self._regs[UDMA_L2_ADDR]
+        self._l2 = self.regs[UDMA_L2_ADDR]
         self._ext = self.device.base + ext
         self._left = length
         self._done = 0
@@ -192,9 +175,12 @@ class MicroDma(Component):
         if self._tr:
             self.platform.trace(self.path, self.domain,
                                 "start %s l2=0x%08x ext=0x%08x len=%d" %
-                                ("tx" if tx else "rx", self._regs[UDMA_L2_ADDR],
+                                ("tx" if tx else "rx", self.regs[UDMA_L2_ADDR],
                                  ext, length))
         self.domain.enqueue_at(self.beat_event, self._prev)
+
+    READS = {UDMA_STATUS: RegisterDevice.read_status}
+    WRITES = {UDMA_CFG: _program}
 
     def _beat_cycle(self, done, prev):
         """The cycle of the beat after which `done` bytes have moved, when

@@ -230,6 +230,10 @@ def test_param_defaults_satisfy_declared_types():
     ("hyper.bandwidth_bits_per_sec=0", "hyper: bandwidth_bits_per_sec must be positive, got 0"),
     ("udma.beat_bytes=0", "udma: beat_bytes must be positive, got 0"),
     ("cluster/dma.max_burst=8192", "cluster/dma: max_burst must be at most 4096, got 8192"),
+    ("fc_icache.line_bytes=8192 fc_icache.size=16384",
+     "components.fc_icache: line_bytes must be at most 4096, got 8192"),
+    ("cluster/icache.line_bytes=8192 cluster/icache.l1_size=16384 cluster/icache.l15_size=32768",
+     "components.cluster/pe0_icache: line_bytes must be at most 4096, got 8192"),
     ("cluster/icache.l15_latency=-5", "cluster/l15: hit_latency must be at least 0, got -5"),
     ("cluster/xbar.latency=-3", "cluster/xbar: latency must be at least 0, got -3"),
     ("cluster/bridge.latency=-10", "cluster/bridge: latency must be at least 0, got -10"),
@@ -259,7 +263,7 @@ def test_param_defaults_satisfy_declared_types():
 ])
 def test_override_that_builds_a_broken_platform_is_rejected(override, message):
     with pytest.raises(ConfigError) as err:
-        build_pulp([override])
+        build_pulp(override.split())
     assert message in str(err.value)
 
 
@@ -280,8 +284,7 @@ def _peripheral_platform(kind, params, bindings):
             "eu": {"kind": "event-unit", "domain": "main",
                    "params": {"base": "0x10200000", "cores": []}},
             "dev": {"kind": kind, "domain": "main",
-                    "params": dict({"base": "0x10201000", "tcdm_base": "0x10000000",
-                                    "tcdm_size": "0x10000", "event_unit": "eu"}, **params)},
+                    "params": dict({"base": "0x10201000", "event_unit": "eu"}, **params)},
         },
         "bindings": bindings,
     }
@@ -294,13 +297,16 @@ ACCEL_BINDINGS = [["dev.mem0", "tcdm.in"], ["dev.mem1", "tcdm.in"]]
 @pytest.mark.parametrize("kind,params,bindings,message", [
     ("cluster-dma", {"event_unit": "l2"}, DMA_BINDINGS,
      "components.dev.params.event_unit: 'l2' has kind 'banked-memory', expected 'event-unit'"),
+    ("cluster-dma", {}, [["dev.tcdm", "eu.in"], ["dev.ext", "l2.in"]],
+     "components.dev: port tcdm must be bound to the 'in' port of one banked-memory"),
     ("conv-accel", {"ports": 2, "event_unit": "tcdm"}, ACCEL_BINDINGS,
      "components.dev.params.event_unit: 'tcdm' has kind 'banked-memory', expected 'event-unit'"),
     ("conv-accel", {"ports": 2}, [["dev.mem0", "tcdm.in"], ["dev.mem1", "l2.in"]],
      "components.dev: ports mem0..mem1 must all be bound to the 'in' port of one banked-memory"),
     ("conv-accel", {"ports": 1}, [["dev.mem0", "eu.in"]],
      "components.dev: ports mem0..mem0 must all be bound to the 'in' port of one banked-memory"),
-], ids=["dma-event-unit", "accel-event-unit", "accel-two-memories", "accel-not-a-memory"])
+], ids=["dma-event-unit", "dma-tcdm-not-a-memory", "accel-event-unit", "accel-two-memories",
+        "accel-not-a-memory"])
 def test_peripheral_references_are_checked_by_kind(kind, params, bindings, message):
     text = json.dumps(_peripheral_platform(kind, params, bindings))
     with pytest.raises(ConfigError) as err:
