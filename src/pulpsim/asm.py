@@ -1,19 +1,28 @@
-"""A small two-pass RV32IM assembler.
+"""A small two-pass assembler for the packaged ISA tables.
 
 Exists so the bundled guest programs (and the test suite) can be built
 without a cross toolchain.  Supports labels, `.org`, `.word`, `.space`,
-`.equ`, the usual pseudo-instructions (li/la/mv/j/call/ret/nop/beqz/...)
-and the demo extension (`p.mac`, `p.lwpost`).  `li`/`la` always expand to
-lui+addi so instruction addresses are known in the first pass.
+`.equ`/`.set`, every instruction of the tables in `pulpsim/isa` and the
+usual pseudo-instructions.
+
+Encodings come from those tables alone: a mnemonic names a table entry and
+`isa.encode` ORs the operands into the entry's `match` by its format.  This
+module knows only syntax: the operands each format is written with, and
+the pseudo-instructions, each a rewrite to one table instruction (`mv rd,
+rs` is `addi rd, rs, 0`, `bgt a, b, t` is `blt b, a, t`, `jal t` is `jal
+ra, t`).  `li`/`la` evaluate their value once and always expand to
+lui+addi, so instruction addresses are known in the first pass.
 
 Output is a mapping of word addresses to instruction words, plus the entry
 point (the `_start` label when defined), convertible to the memory-image
 format the loader reads.
 """
 
+import functools
 import keyword
 
 from .errors import ConfigError
+from .isa import IsaTable, encode, packaged_tables
 
 ABI_REGS = ("zero ra sp gp tp t0 t1 t2 s0 s1 a0 a1 a2 a3 a4 a5 "
             "a6 a7 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 t3 t4 t5 t6").split()
@@ -45,82 +54,82 @@ def _reg(tok):
         raise AsmError("unknown register %r" % tok) from None
 
 
-def _enc_r(funct7, rs2, rs1, funct3, rd, opcode):
-    return (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | \
-        (rd << 7) | opcode
+def _load(o, pc, ev):
+    off, base = _mem_operand(o[1], ev)
+    return _reg(o[0]), base, 0, off, 0
 
 
-def _enc_i(imm, rs1, funct3, rd, opcode):
-    if not -2048 <= imm <= 2047:
-        raise AsmError("I-immediate %d out of range" % imm)
-    return ((imm & 0xFFF) << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
+def _store(o, pc, ev):
+    off, base = _mem_operand(o[1], ev)
+    return 0, base, _reg(o[0]), off, 0
 
 
-def _enc_s(imm, rs2, rs1, funct3, opcode):
-    if not -2048 <= imm <= 2047:
-        raise AsmError("S-immediate %d out of range" % imm)
-    imm &= 0xFFF
-    return ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | \
-        (((imm & 0x1F)) << 7) | opcode
-
-
-def _enc_b(offset, rs2, rs1, funct3):
-    if offset % 2:
-        raise AsmError("branch target misaligned")
-    if not -4096 <= offset <= 4094:
-        raise AsmError("branch offset %d out of range" % offset)
-    v = offset & 0x1FFF
-    return (((v >> 12) & 1) << 31) | (((v >> 5) & 0x3F) << 25) | (rs2 << 20) | \
-        (rs1 << 15) | (funct3 << 12) | (((v >> 1) & 0xF) << 8) | \
-        (((v >> 11) & 1) << 7) | 0x63
-
-
-def _enc_u(imm20, rd, opcode):
-    return ((imm20 & 0xFFFFF) << 12) | (rd << 7) | opcode
-
-
-def _enc_j(offset, rd):
-    if offset % 2:
-        raise AsmError("jump target misaligned")
-    if not -(1 << 20) <= offset < (1 << 20):
-        raise AsmError("jump offset %d out of range" % offset)
-    v = offset & 0x1FFFFF
-    return (((v >> 20) & 1) << 31) | (((v >> 1) & 0x3FF) << 21) | \
-        (((v >> 11) & 1) << 20) | (((v >> 12) & 0xFF) << 12) | (rd << 7) | 0x6F
-
-
-_OP_R = {
-    "add": (0, 0), "sub": (0x20, 0), "sll": (0, 1), "slt": (0, 2),
-    "sltu": (0, 3), "xor": (0, 4), "srl": (0, 5), "sra": (0x20, 5),
-    "or": (0, 6), "and": (0, 7),
-    "mul": (1, 0), "mulh": (1, 1), "mulhsu": (1, 2), "mulhu": (1, 3),
-    "div": (1, 4), "divu": (1, 5), "rem": (1, 6), "remu": (1, 7),
+# format -> (operand count, the operands' syntax: a function of (operands,
+# pc, evaluate) returning isa.encode's fields rd, rs1, rs2, imm, csr); a
+# load is written `rd, imm(rs1)` and an I-format jump takes either form
+_SYNTAX = {
+    "R": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[1]), _reg(o[2]), 0, 0)),
+    "I": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[1]), 0, ev(o[2]), 0)),
+    "IS": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[1]), 0, ev(o[2]), 0)),
+    "S": (2, _store),
+    "B": (3, lambda o, pc, ev: (0, _reg(o[0]), _reg(o[1]), ev(o[2]) - pc, 0)),
+    "U": (2, lambda o, pc, ev: (_reg(o[0]), 0, 0, ev(o[1]) << 12, 0)),
+    "J": (2, lambda o, pc, ev: (_reg(o[0]), 0, 0, ev(o[1]) - pc, 0)),
+    "CSR": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[2]), 0, 0, ev(o[1]))),
+    "CSRI": (3, lambda o, pc, ev: (_reg(o[0]), 0, 0, ev(o[2]), ev(o[1]))),
+    "N": (0, lambda o, pc, ev: ()),
 }
-_OP_I = {"addi": 0, "slti": 2, "sltiu": 3, "xori": 4, "ori": 6, "andi": 7}
-_OP_LOAD = {"lb": 0, "lh": 1, "lw": 2, "lbu": 4, "lhu": 5}
-_OP_STORE = {"sb": 0, "sh": 1, "sw": 2}
-_OP_BRANCH = {"beq": 0, "bne": 1, "blt": 4, "bge": 5, "bltu": 6, "bgeu": 7}
-_OP_SHIFT = {"slli": (0, 1), "srli": (0, 5), "srai": (0x20, 5)}
-_OP_CSR = {"csrrw": 1, "csrrs": 2, "csrrc": 3, "csrrwi": 5, "csrrsi": 6, "csrrci": 7}
+
+# (pseudo-instruction, operand count) -> the table instruction it stands for
+# and that instruction's operands, made from the pseudo's operands `o`
+_PSEUDOS = {
+    ("nop", 0): ("addi", lambda o: ("x0", "x0", "0")),
+    ("mv", 2): ("addi", lambda o: (o[0], o[1], "0")),
+    ("not", 2): ("xori", lambda o: (o[0], o[1], "-1")),
+    ("j", 1): ("jal", lambda o: ("x0", o[0])),
+    ("call", 1): ("jal", lambda o: ("ra", o[0])),
+    ("jal", 1): ("jal", lambda o: ("ra", o[0])),
+    ("jr", 1): ("jalr", lambda o: ("x0", o[0], "0")),
+    ("jalr", 1): ("jalr", lambda o: ("ra", o[0], "0")),
+    ("ret", 0): ("jalr", lambda o: ("x0", "ra", "0")),
+    ("beqz", 2): ("beq", lambda o: (o[0], "x0", o[1])),
+    ("bnez", 2): ("bne", lambda o: (o[0], "x0", o[1])),
+    ("bgt", 3): ("blt", lambda o: (o[1], o[0], o[2])),
+    ("ble", 3): ("bge", lambda o: (o[1], o[0], o[2])),
+    ("csrr", 2): ("csrrs", lambda o: (o[0], o[1], "x0")),
+    ("csrw", 2): ("csrrw", lambda o: ("x0", o[0], o[1])),
+}
+_LOAD_IMMEDIATE = {("li", 2), ("la", 2)}     # lui + addi of an evaluated value
+
+
+@functools.lru_cache(maxsize=None)
+def _instructions():
+    """(mnemonic, operand count) -> (entry, operand syntax) for every
+    instruction of the packaged tables."""
+    forms = {}
+    for e in IsaTable.load(packaged_tables()).entries:
+        n, syntax = (2, _load) if e.klass == "load" else _SYNTAX[e.fmt]
+        forms[e.mnemonic, n] = e, syntax
+        if e.klass == "jump" and e.fmt == "I":
+            forms[e.mnemonic, 2] = e, _load
+    return forms
 
 
 def _split_operands(text):
-    out = []
-    depth = 0
-    cur = ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            out.append(cur.strip())
-            cur = ""
-        else:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            cur += ch
-    if cur.strip():
-        out.append(cur.strip())
-    return out
+    """The comma-separated operands; a comma inside parentheses does not
+    split, and an empty last operand is dropped."""
+    ops = text.split(",")
+    if "(" in text or ")" in text:
+        pieces, ops = ops, []
+        for piece in pieces:
+            if ops and ops[-1].count("(") != ops[-1].count(")"):
+                ops[-1] += "," + piece
+            else:
+                ops.append(piece)
+    ops = [op.strip() for op in ops]
+    if not ops[-1]:
+        ops.pop()
+    return ops
 
 
 def _mem_operand(tok, evaluate):
@@ -154,6 +163,7 @@ def assemble(source, origin=0x1C000000, defines=None):
 
     # pass 1: tokenize, place labels
     stmts = []      # (lineno, addr, mnemonic, operand_text)
+    labels = {}     # label -> line it is defined on
     addr = origin
     for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -164,6 +174,10 @@ def assemble(source, origin=0x1C000000, defines=None):
             label = head[:-1]
             if not label.isidentifier():
                 raise AsmError("line %d: bad label %r" % (lineno, label))
+            if label in labels:
+                raise AsmError("line %d: label %r already defined on line %d" % (
+                    lineno, label, labels[label]))
+            labels[label] = lineno
             symbols[label] = addr
             line = line[len(head):].strip()
         if not line:
@@ -192,12 +206,12 @@ def assemble(source, origin=0x1C000000, defines=None):
         evaluate = make_eval(lineno)
         try:
             encoded = _encode(mnem, rest, addr, evaluate)
-        except AsmError as e:
+        except ConfigError as e:
             if str(e).startswith("line %d: " % lineno):     # _eval_static's own
                 raise
             raise AsmError("line %d: %s" % (lineno, e)) from None
         for i, w in enumerate(encoded):
-            words[addr + 4 * i] = w & 0xFFFFFFFF
+            words[addr + 4 * i] = w
 
     entry = symbols.get("_start", origin)
     return Program(words, entry, symbols)
@@ -237,8 +251,8 @@ def _size_of(mnem, rest, lineno):
             n = int(rest, 0)
         except ValueError:
             raise AsmError("line %d: .space needs a literal byte count" % lineno) from None
-        if n % 4:
-            raise AsmError("line %d: .space must be word-aligned" % lineno)
+        if n < 0 or n % 4:
+            raise AsmError("line %d: .space must be a non-negative multiple of 4" % lineno)
         return n
     if mnem in ("li", "la"):
         return 8
@@ -247,104 +261,28 @@ def _size_of(mnem, rest, lineno):
 
 def _encode(mnem, rest, addr, ev):
     ops = _split_operands(rest)
-
     if mnem == ".word":
         return [ev(o) & 0xFFFFFFFF for o in ops]
     if mnem == ".space":
         return [0] * (int(rest, 0) // 4)
 
-    # pseudo-instructions
-    if mnem == "nop":
-        return [_enc_i(0, 0, 0, 0, 0x13)]
-    if mnem == "li" or mnem == "la":
+    forms = _instructions()
+    key = (mnem, len(ops))
+    if key in _PSEUDOS:
+        mnem, rewrite = _PSEUDOS[key]
+        ops = rewrite(ops)
+        key = (mnem, len(ops))
+    elif key in _LOAD_IMMEDIATE:
         rd = _reg(ops[0])
         value = ev(ops[1])
-        hi, lo = _hi(value), _lo(value)
-        return [_enc_u(hi, rd, 0x37), _enc_i(lo, rd, 0, rd, 0x13)]
-    if mnem == "mv":
-        return [_enc_i(0, _reg(ops[1]), 0, _reg(ops[0]), 0x13)]
-    if mnem == "not":
-        return [_enc_i(-1, _reg(ops[1]), 4, _reg(ops[0]), 0x13)]
-    if mnem == "j":
-        return [_enc_j(ev(ops[0]) - addr, 0)]
-    if mnem == "call":
-        return [_enc_j(ev(ops[0]) - addr, 1)]
-    if mnem == "jr":
-        return [_enc_i(0, _reg(ops[0]), 0, 0, 0x67)]
-    if mnem == "ret":
-        return [_enc_i(0, 1, 0, 0, 0x67)]
-    if mnem == "beqz":
-        return [_enc_b(ev(ops[1]) - addr, 0, _reg(ops[0]), 0)]
-    if mnem == "bnez":
-        return [_enc_b(ev(ops[1]) - addr, 0, _reg(ops[0]), 1)]
-    if mnem == "bgt":
-        return [_enc_b(ev(ops[2]) - addr, _reg(ops[0]), _reg(ops[1]), 4)]
-    if mnem == "ble":
-        return [_enc_b(ev(ops[2]) - addr, _reg(ops[0]), _reg(ops[1]), 5)]
-    if mnem == "csrr":
-        return [((ev(ops[1]) & 0xFFF) << 20) | (0 << 15) | (2 << 12) |
-                (_reg(ops[0]) << 7) | 0x73]
-    if mnem == "csrw":
-        return [((ev(ops[0]) & 0xFFF) << 20) | (_reg(ops[1]) << 15) | (1 << 12) | 0x73]
-
-    # real instructions
-    if mnem in _OP_R:
-        f7, f3 = _OP_R[mnem]
-        return [_enc_r(f7, _reg(ops[2]), _reg(ops[1]), f3, _reg(ops[0]), 0x33)]
-    if mnem in _OP_I:
-        return [_enc_i(ev(ops[2]), _reg(ops[1]), _OP_I[mnem], _reg(ops[0]), 0x13)]
-    if mnem in _OP_SHIFT:
-        f7, f3 = _OP_SHIFT[mnem]
-        sh = ev(ops[2])
-        if not 0 <= sh < 32:
-            raise AsmError("shift amount %d out of range" % sh)
-        return [_enc_r(f7, sh, _reg(ops[1]), f3, _reg(ops[0]), 0x13)]
-    if mnem in _OP_LOAD:
-        off, base = _mem_operand(ops[1], ev)
-        return [_enc_i(off, base, _OP_LOAD[mnem], _reg(ops[0]), 0x03)]
-    if mnem in _OP_STORE:
-        off, base = _mem_operand(ops[1], ev)
-        return [_enc_s(off, _reg(ops[0]), base, _OP_STORE[mnem], 0x23)]
-    if mnem in _OP_BRANCH:
-        return [_enc_b(ev(ops[2]) - addr, _reg(ops[1]), _reg(ops[0]),
-                       _OP_BRANCH[mnem])]
-    if mnem == "lui":
-        return [_enc_u(ev(ops[1]), _reg(ops[0]), 0x37)]
-    if mnem == "auipc":
-        return [_enc_u(ev(ops[1]), _reg(ops[0]), 0x17)]
-    if mnem == "jal":
-        if len(ops) == 1:
-            return [_enc_j(ev(ops[0]) - addr, 1)]
-        return [_enc_j(ev(ops[1]) - addr, _reg(ops[0]))]
-    if mnem == "jalr":
-        if len(ops) == 1:
-            return [_enc_i(0, _reg(ops[0]), 0, 1, 0x67)]
-        if len(ops) == 2 and "(" in ops[1]:
-            off, base = _mem_operand(ops[1], ev)
-            return [_enc_i(off, base, 0, _reg(ops[0]), 0x67)]
-        return [_enc_i(ev(ops[2]), _reg(ops[1]), 0, _reg(ops[0]), 0x67)]
-    if mnem in _OP_CSR:
-        f3 = _OP_CSR[mnem]
-        csr = ev(ops[1]) & 0xFFF
-        if mnem.endswith("i"):
-            src = ev(ops[2]) & 31
-        else:
-            src = _reg(ops[2])
-        return [(csr << 20) | (src << 15) | (f3 << 12) | (_reg(ops[0]) << 7) | 0x73]
-    if mnem == "ecall":
-        return [0x00000073]
-    if mnem == "ebreak":
-        return [0x00100073]
-    if mnem == "mret":
-        return [0x30200073]
-    if mnem == "fence":
-        return [0x0000000F]
-    if mnem == "fence.i":
-        return [0x0000100F]
-    if mnem == "p.mac":
-        return [_enc_r(1, _reg(ops[2]), _reg(ops[1]), 0, _reg(ops[0]), 0x0B)]
-    if mnem == "p.lwpost":
-        off, base = _mem_operand(ops[1], ev)
-        return [_enc_i(off, base, 2, _reg(ops[0]), 0x0B)]
-
-    raise AsmError("unknown mnemonic %r" % mnem)
+        return [encode(forms["lui", 2][0], rd=rd, imm=_hi(value) << 12),
+                encode(forms["addi", 3][0], rd=rd, rs1=rd, imm=_lo(value))]
+    form = forms.get(key)
+    if form is None:
+        counts = sorted(n for m, n in (*forms, *_PSEUDOS, *_LOAD_IMMEDIATE) if m == mnem)
+        if not counts:
+            raise AsmError("unknown mnemonic %r" % mnem)
+        raise AsmError("%s takes %s operands, got %d" % (
+            mnem, " or ".join(map(str, counts)), len(ops)))
+    entry, syntax = form
+    return [encode(entry, *syntax(ops, addr, ev))]

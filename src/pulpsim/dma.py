@@ -83,6 +83,9 @@ class ClusterDma(RegisterDevice):
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
         self._buf = bytearray(self.max_burst)
+        # reused by every burst; `_burst` sets their addr, size and data
+        self._read = Request().setup(0, 0, False, initiator=self)
+        self._write = Request().setup(0, 0, True, initiator=self)
         self.reset()
 
     def reset(self):
@@ -170,14 +173,18 @@ class ClusterDma(RegisterDevice):
             dst = tr.dst + row_lin + tr.row_off
 
         buf = memoryview(self._buf)[:chunk]
-        req = Request().setup(src, chunk, False, data=buf, initiator=self)
+        req = self._read
+        req.addr, req.size, req.data = src, chunk, buf
+        req.reset()
         self._port_for(src).send(req)
         cost = self.params["burst_latency"]
         if req.status == STATUS_OK:
             cost += req.latency
             if req.contended:
                 self.contentions += 1
-            wreq = Request().setup(dst, chunk, True, data=buf, initiator=self)
+            wreq = self._write
+            wreq.addr, wreq.size, wreq.data = dst, chunk, buf
+            wreq.reset()
             self._port_for(dst).send(wreq)
             if wreq.status == STATUS_OK:
                 cost += wreq.latency

@@ -1,9 +1,14 @@
-"""Table-driven instruction decoding.
+"""Table-driven instruction decoding and encoding.
 
 The ISA is described by JSON tables (one per extension) listing binary
 encodings plus metadata: operand format, instruction class, extra execute
 latency and write-back latency.  New extensions are additional tables; the
 loader rejects any encoding that conflicts with an already-registered one.
+
+The format owns the bit layout of the operands.  `Instruction.__init__`
+reads them out of a word; `encode` is its inverse and ORs them into an
+entry's `match`, which is how the assembler builds every instruction, so a
+table entry that decodes also assembles.
 
 The class is a timing contract with the core: an instruction of class
 `load` or `store` makes exactly one data access (unless it traps before
@@ -140,6 +145,53 @@ class Instruction:
         return "<Instruction %s word=0x%08x>" % (self.mnemonic, self.word)
 
 
+def _check(value, low, high, what, step=1):
+    if value % step:
+        raise ConfigError("%s %d misaligned" % (what, value))
+    if not low <= value <= high:
+        raise ConfigError("%s %d out of range" % (what, value))
+
+
+def encode(entry, rd=0, rs1=0, rs2=0, imm=0, csr=0):
+    """The word of `entry` with these operands, which `Instruction` decodes
+    back; a register field the format lacks must be 0, as it decodes.  A U
+    immediate is a multiple of 0x1000 whose upper 20 bits may be read as
+    signed or unsigned.  Raises ConfigError for an immediate or CSR number
+    the format cannot hold."""
+    fmt = entry.fmt
+    word = entry.match | rd << 7 | rs1 << 15 | rs2 << 20
+    if fmt == "R" or fmt == "N":
+        return word
+    if fmt == "I":
+        _check(imm, -2048, 2047, "I-immediate")
+        word |= (imm & 0xFFF) << 20
+    elif fmt == "IS":
+        _check(imm, 0, 31, "shift amount")
+        word |= imm << 20
+    elif fmt == "S":
+        _check(imm, -2048, 2047, "S-immediate")
+        word |= ((imm >> 5) & 0x7F) << 25 | (imm & 31) << 7
+    elif fmt == "B":
+        _check(imm, -4096, 4094, "branch offset", 2)
+        word |= ((imm >> 12) & 1) << 31 | ((imm >> 5) & 0x3F) << 25 | \
+            ((imm >> 1) & 0xF) << 8 | ((imm >> 11) & 1) << 7
+    elif fmt == "U":
+        _check(imm >> 12, -(1 << 19), (1 << 20) - 1, "U-immediate")
+        _check(imm & 0xFFF, 0, 0, "U-immediate low 12 bits")
+        word |= imm & 0xFFFFF000
+    elif fmt == "J":
+        _check(imm, -(1 << 20), (1 << 20) - 2, "jump offset", 2)
+        word |= ((imm >> 20) & 1) << 31 | ((imm >> 1) & 0x3FF) << 21 | \
+            ((imm >> 11) & 1) << 20 | ((imm >> 12) & 0xFF) << 12
+    elif fmt in ("CSR", "CSRI"):
+        _check(csr, 0, 0xFFF, "CSR number")
+        word |= csr << 20
+        if fmt == "CSRI":
+            _check(imm, 0, 31, "CSR immediate")
+            word |= imm << 15
+    return word
+
+
 def _table_text(name):
     """Load a table by short name from package data, or by file path."""
     if "/" in name or name.endswith(".json"):
@@ -152,6 +204,12 @@ def _table_text(name):
 def _packaged_text(name):
     """A table shipped with the package: it cannot change, so read it once."""
     return importlib.resources.files("pulpsim").joinpath("isa/%s.json" % name).read_text()
+
+
+def packaged_tables():
+    """Short names of the tables shipped with the package."""
+    folder = importlib.resources.files("pulpsim").joinpath("isa")
+    return sorted(f.name[:-5] for f in folder.iterdir() if f.name.endswith(".json"))
 
 
 # (text, label) pairs of a table set -> the IsaTable that passed the conflict

@@ -91,3 +91,47 @@ def test_error_text_carries_one_line_prefix(text, message):
     with pytest.raises(AsmError) as err:
         assemble(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("nop\n    add a0, a1", "line 2: add takes 3 operands, got 2"),
+    ("beq a0, a1", "line 1: beq takes 3 operands, got 2"),
+    ("addi a0, a1, 1, 2", "line 1: addi takes 3 operands, got 4"),
+    ("ecall a0", "line 1: ecall takes 0 operands, got 1"),
+    ("mv a0", "line 1: mv takes 2 operands, got 1"),
+    ("jal a0, 0, 4", "line 1: jal takes 1 or 2 operands, got 3"),
+])
+def test_operand_count_is_checked(text, message):
+    with pytest.raises(AsmError) as err:
+        assemble(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
+    ("lui a0, 0x100000", "line 1: U-immediate 1048576 out of range"),
+    ("auipc a0, -0x80001", "line 1: U-immediate -524289 out of range"),
+    ("csrrw a0, 0x1305, a1", "line 1: CSR number 4869 out of range"),
+    ("csrr a0, -1", "line 1: CSR number -1 out of range"),
+    ("csrrwi a0, 0x305, 40", "line 1: CSR immediate 40 out of range"),
+    ("csrrsi a0, 0x305, -1", "line 1: CSR immediate -1 out of range"),
+])
+def test_fields_are_range_checked(text, message):
+    with pytest.raises(AsmError) as err:
+        assemble(text)
+    assert str(err.value) == message
+
+
+def test_word_keeps_twos_complement():
+    assert assemble(".word -1, -0x80000000", origin=0).words == {0: 0xFFFFFFFF, 4: 0x80000000}
+
+
+def test_label_defined_twice_is_rejected():
+    with pytest.raises(AsmError) as err:
+        assemble("a: nop\nj a\na: addi a0, a0, 1")
+    assert str(err.value) == "line 3: label 'a' already defined on line 1"
+
+
+def test_negative_space_is_rejected():
+    with pytest.raises(AsmError) as err:
+        assemble("nop\n.space -4\nb: nop")
+    assert str(err.value) == "line 2: .space must be a non-negative multiple of 4"

@@ -1,0 +1,156 @@
+"""The assembler builds every word from the packaged ISA tables: each
+entry, with drawn operands, decodes back to itself and the same fields, and
+one line per mnemonic and per pseudo-instruction keeps its word."""
+
+import random
+
+import pytest
+
+from pulpsim.asm import assemble
+from pulpsim.isa import IsaTable, packaged_tables, sext
+
+ORIGIN = 0x100000      # a J target 1 MiB back is address 0
+TABLE = IsaTable.load(packaged_tables())
+
+
+def pick(rng, low, high):
+    return rng.choice((low, high, rng.randint(low, high)))
+
+
+def drawn(entry, rng):
+    """Operand text for `entry` and the (rd, rs1, rs2, imm, csr) it decodes to."""
+    rd, rs1, rs2 = (rng.randrange(32) for _ in range(3))
+    csr = pick(rng, 0, 0xFFF)
+    fmt = entry.fmt
+    if fmt == "R":
+        return "x%d, x%d, x%d" % (rd, rs1, rs2), (rd, rs1, rs2, 0, 0)
+    if fmt in ("I", "IS"):
+        imm = pick(rng, -2048, 2047) if fmt == "I" else pick(rng, 0, 31)
+        if entry.klass == "load":
+            return "x%d, %d(x%d)" % (rd, imm, rs1), (rd, rs1, 0, imm, 0)
+        return "x%d, x%d, %d" % (rd, rs1, imm), (rd, rs1, 0, imm, 0)
+    if fmt == "S":
+        imm = pick(rng, -2048, 2047)
+        return "x%d, %d(x%d)" % (rs2, imm, rs1), (0, rs1, rs2, imm, 0)
+    if fmt == "B":
+        imm = 2 * pick(rng, -2048, 2047)
+        return "x%d, x%d, %d" % (rs1, rs2, ORIGIN + imm), (0, rs1, rs2, imm, 0)
+    if fmt == "U":
+        upper = pick(rng, 0, 0xFFFFF)
+        return "x%d, %#x" % (rd, upper), (rd, 0, 0, sext(upper << 12, 32), 0)
+    if fmt == "J":
+        imm = 2 * pick(rng, -(1 << 19), (1 << 19) - 1)
+        return "x%d, %d" % (rd, ORIGIN + imm), (rd, 0, 0, imm, 0)
+    if fmt == "CSR":
+        return "x%d, %#x, x%d" % (rd, csr, rs1), (rd, rs1, 0, 0, csr)
+    if fmt == "CSRI":
+        imm = pick(rng, 0, 31)
+        return "x%d, %#x, %d" % (rd, csr, imm), (rd, 0, 0, imm, csr)
+    return "", (0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("entry", TABLE.entries, ids=lambda e: e.mnemonic)
+def test_drawn_operands_decode_back(entry):
+    rng = random.Random(entry.mnemonic)
+    for _ in range(60):
+        ops, fields = drawn(entry, rng)
+        word = assemble("%s %s" % (entry.mnemonic, ops), origin=ORIGIN).words[ORIGIN]
+        ins = TABLE.decode(word)
+        assert ins.mnemonic == entry.mnemonic, ops
+        assert (ins.rd, ins.rs1, ins.rs2, ins.imm, ins.csr) == fields, ops
+
+
+# one line per table mnemonic (jalr in both forms) and per pseudo-instruction,
+# assembled at 0x1000, with the words the assembler has always given them
+PINNED = [
+    ('add a0, a1, a2', 0x00C58533),
+    ('sub s0, s1, t0', 0x40548433),
+    ('sll t1, t2, a3', 0x00D39333),
+    ('slt a4, a5, a6', 0x0107A733),
+    ('sltu a7, s2, s3', 0x013938B3),
+    ('xor s4, s5, s6', 0x016ACA33),
+    ('srl s7, s8, s9', 0x019C5BB3),
+    ('sra s10, s11, t3', 0x41CDDD33),
+    ('or t4, t5, t6', 0x01FF6EB3),
+    ('and x1, x2, x3', 0x003170B3),
+    ('mul x4, x5, x6', 0x02628233),
+    ('mulh x7, x8, x9', 0x029413B3),
+    ('mulhsu x10, x11, x12', 0x02C5A533),
+    ('mulhu x13, x14, x15', 0x02F736B3),
+    ('div x16, x17, x18', 0x0328C833),
+    ('divu x19, x20, x21', 0x035A59B3),
+    ('rem x22, x23, x24', 0x038BEB33),
+    ('remu x25, x26, x27', 0x03BD7CB3),
+    ('p.mac x28, x29, x30', 0x03EE8E0B),
+    ('addi a0, a1, -2048', 0x80058513),
+    ('slti a0, a1, 2047', 0x7FF5A513),
+    ('sltiu t0, t1, 1', 0x00133293),
+    ('xori a2, a3, -1', 0xFFF6C613),
+    ('ori a4, a5, 0x7F0', 0x7F07E713),
+    ('andi a6, a7, 255', 0x0FF8F813),
+    ('slli a0, a1, 31', 0x01F59513),
+    ('srli a2, a3, 1', 0x0016D613),
+    ('srai a4, a5, 17', 0x4117D713),
+    ('lb a0, -4(sp)', 0xFFC10503),
+    ('lh a1, 2(gp)', 0x00219583),
+    ('lw a2, 2047(tp)', 0x7FF22603),
+    ('lbu a3, (s0)', 0x00044683),
+    ('lhu a4, -2048(fp)', 0x80045703),
+    ('p.lwpost a5, 4(a6)', 0x0048278B),
+    ('sb a0, -1(sp)', 0xFEA10FA3),
+    ('sh a1, 6(s1)', 0x00B49323),
+    ('sw a2, 2044(t0)', 0x7EC2AE23),
+    ('beq a0, a1, 0x1010', 0x00B50863),
+    ('bne a0, x0, 0x0FF0', 0xFE0518E3),
+    ('blt t0, t1, 0x1FFE', 0x7E62CFE3),
+    ('bge t2, s0, 0', 0x8083D063),
+    ('bltu a0, a1, 0x1002', 0x00B56163),
+    ('bgeu s1, s2, 0x1800', 0x0124F0E3),
+    ('lui a0, 0x12345', 0x12345537),
+    ('auipc t0, 0xFFFFF', 0xFFFFF297),
+    ('jal ra, 0x1100', 0x100000EF),
+    ('jal a0, 0x100FFE', 0x7FFFF56F),
+    ('jalr ra, 0(t0)', 0x000280E7),
+    ('jalr t1, t2, -8', 0xFF838367),
+    ('csrrw a0, 0x305, a1', 0x30559573),
+    ('csrrs t0, 0xF14, x0', 0xF14022F3),
+    ('csrrc a2, 0x300, a3', 0x3006B673),
+    ('csrrwi a0, 0x305, 31', 0x305FD573),
+    ('csrrsi x0, 0x300, 8', 0x30046073),
+    ('csrrci a1, 0x344, 0', 0x344075F3),
+    ('fence', 0x0000000F),
+    ('fence.i', 0x0000100F),
+    ('ecall', 0x00000073),
+    ('ebreak', 0x00100073),
+    ('mret', 0x30200073),
+    ('nop', 0x00000013),
+    ('li a0, 0x12345678', 0x12345537, 0x67850513),
+    ('li t0, -1', 0x000002B7, 0xFFF28293),
+    ('la a1, 0x1C000800', 0x1C0015B7, 0x80058593),
+    ('mv a0, a1', 0x00058513),
+    ('not t0, t1', 0xFFF34293),
+    ('j 0x1040', 0x0400006F),
+    ('call 0x0F00', 0xF01FF0EF),
+    ('jal 0x1008', 0x008000EF),
+    ('jalr t0', 0x000280E7),
+    ('jr ra', 0x00008067),
+    ('ret', 0x00008067),
+    ('beqz a0, 0x1020', 0x02050063),
+    ('bnez a1, 0x0FE0', 0xFE0590E3),
+    ('bgt a0, a1, 0x1010', 0x00A5C863),
+    ('ble t0, t1, 0x1004', 0x00535263),
+    ('csrr a0, 0xF14', 0xF1402573),
+    ('csrw 0x305, t0', 0x30529073),
+]
+
+
+def test_every_mnemonic_is_pinned():
+    pinned = {line.split()[0] for line, *_ in PINNED}
+    assert {e.mnemonic for e in TABLE.entries} <= pinned
+
+
+@pytest.mark.parametrize("line,words", [(line, words) for line, *words in PINNED],
+                         ids=[row[0] for row in PINNED])
+def test_pinned_words(line, words):
+    prog = assemble(line, origin=0x1000)
+    assert [prog.words[a] for a in sorted(prog.words)] == words

@@ -1,8 +1,10 @@
-"""The memory-mapped register protocol of the cluster DMA, the accelerator
-and the micro-DMA, driven straight through each device's `in` port."""
+"""The memory-mapped register protocol of the cluster DMA, the accelerator,
+the micro-DMA and the event unit, driven straight through each device's
+`in` port."""
 
 import pytest
 
+from pulpsim import event_unit as eu
 from pulpsim.component import Request, STATUS_ERR, STATUS_OK
 
 from conftest import build_pulp
@@ -39,9 +41,9 @@ DEVICES = {
 }
 
 
-def _access(dev, off, size=4, value=None):
+def _access(dev, off, size=4, value=None, initiator=None):
     req = Request().setup(dev.base + off, size, value is not None,
-                          value=value or 0)
+                          value=value or 0, initiator=initiator)
     dev.ports["in"].handler(req)
     return req
 
@@ -75,3 +77,66 @@ def test_register_protocol(kind):
 
     assert _access(dev, trigger, value=cfg).status == STATUS_OK
     assert _access(dev, status).value != 0        # the 4-byte trigger starts it
+
+
+def _event_unit():
+    """The cluster event unit, its 8 cores, and a core it does not serve."""
+    plat = build_pulp()
+    unit = plat.lookup("cluster/event_unit")
+    return unit, [st.core for st in unit.states], plat.lookup("fc")
+
+
+def test_event_unit_reads():
+    unit, cores, fc = _event_unit()
+    c0, c1 = cores[:2]
+
+    def read(off, initiator=None):
+        req = _access(unit, off, initiator=initiator)
+        assert req.status == STATUS_OK, hex(off)
+        return req.value
+
+    assert read(eu.NB_CORES) == 8
+    assert read(eu.BARRIER_MASK) == 0xFF
+    _access(unit, eu.BARRIER_MASK, value=0x103)           # kept to the 8 cores
+    assert read(eu.BARRIER_MASK) == 0x03
+
+    _access(unit, eu.EVT_MASK, value=0x10005, initiator=c0)     # kept to 16 lines
+    assert [read(eu.EVT_MASK, c) for c in (c0, c1, fc, None)] == [0x5, 0, 0, 0]
+
+    _access(unit, eu.EVT_SET, value=3, initiator=fc)      # anyone may set a line
+    _access(unit, eu.EVT_ACK, value=3, initiator=c0)
+    assert [read(eu.EVT_STATUS, c) for c in (c0, c1, fc)] == [0, 0x8, 0]
+
+    assert read(eu.BARRIER_STATUS) == 0
+    assert _access(unit, eu.BARRIER_TRIG, initiator=c1).sleep
+    assert read(eu.BARRIER_STATUS) == 0x2
+
+
+def test_event_unit_errors():
+    unit, cores, fc = _event_unit()
+    c0 = cores[0]
+    _access(unit, eu.BARRIER_MASK, value=0x2)
+    bad = [_access(unit, eu.EVT_STATUS, size=1, initiator=c0),
+           _access(unit, eu.EVT_STATUS, size=2, initiator=c0),
+           _access(unit, eu.EVT_SET, size=2, value=1),
+           # the per-core registers, from an initiator the unit does not serve
+           _access(unit, eu.EVT_ACK, value=1, initiator=fc),
+           _access(unit, eu.EVT_MASK, value=1, initiator=fc),
+           _access(unit, eu.EVT_WAIT, initiator=fc),
+           _access(unit, eu.BARRIER_TRIG, initiator=fc),
+           _access(unit, eu.BARRIER_TRIG, initiator=None),
+           # line numbers past the unit's 16 lines
+           _access(unit, eu.EVT_SET, value=16, initiator=c0),
+           _access(unit, eu.EVT_SET, value=0xFFFFFFFF),
+           _access(unit, eu.EVT_ACK, value=16, initiator=c0),
+           # a wait with nothing to wait for, a barrier the core is not in
+           _access(unit, eu.EVT_WAIT, initiator=c0),
+           _access(unit, eu.BARRIER_TRIG, initiator=c0),
+           # read-only and unmapped offsets
+           _access(unit, eu.EVT_STATUS, value=1, initiator=c0),
+           _access(unit, 0x24, initiator=c0),
+           _access(unit, 0x24, value=0, initiator=c0)]
+    assert [req.status for req in bad] == [STATUS_ERR] * len(bad)
+    assert [req.sleep for req in bad] == [False] * len(bad)
+    assert unit.events_set == 0 and unit.barrier_arrived == 0
+    assert [st.pending for st in unit.states] == [0] * 8
