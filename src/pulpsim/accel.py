@@ -180,7 +180,7 @@ class ConvAccelerator(RegisterDevice):
                                 "job ch_in=%d ch_out=%d %dx%d k=%d cycles=%d" %
                                 (job.ch_in, job.ch_out, job.h, job.w, job.k, total))
         if self.platform.vcd is not None:
-            self.platform.vcd.flag(self.path, True)
+            self.platform.vcd.flag(self, True)
         self.domain.enqueue(self.job_event, 1)
 
     def _chunk(self, ev):
@@ -231,7 +231,7 @@ class ConvAccelerator(RegisterDevice):
             self.status &= ~ST_SHADOW
             self._launch(nxt)
         elif self.platform.vcd is not None:
-            self.platform.vcd.flag(self.path, False)
+            self.platform.vcd.flag(self, False)
         self.event_unit.set_line(self.params["event_line"])
 
     def counters(self):

@@ -13,6 +13,10 @@ rs` is `addi rd, rs, 0`, `bgt a, b, t` is `blt b, a, t`, `jal t` is `jal
 ra, t`).  `li`/`la` evaluate their value once and always expand to
 lui+addi, so instruction addresses are known in the first pass.
 
+A name is either a label, defined once, or an `.equ`/`.set` symbol, which
+later `.equ`/`.set` lines may rebind; neither may be `hi` or `lo`, the
+helpers that split a value for `lui`+`addi`.
+
 Output is a mapping of word addresses to instruction words, plus the entry
 point (the `_start` label when defined), convertible to the memory-image
 format the loader reads.
@@ -32,6 +36,7 @@ REGS["fp"] = 8
 
 # names that `eval` does not look up in the symbol table
 _NOT_SYMBOLS = frozenset(keyword.kwlist) | {"__debug__"}
+_HELPERS = ("hi", "lo")     # functions every expression may call
 
 
 class AsmError(ConfigError):
@@ -164,6 +169,7 @@ def assemble(source, origin=0x1C000000, defines=None):
     # pass 1: tokenize, place labels
     stmts = []      # (lineno, addr, mnemonic, operand_text)
     labels = {}     # label -> line it is defined on
+    equs = {}       # .equ/.set symbol -> line it is first defined on
     addr = origin
     for lineno, raw in enumerate(source.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -177,6 +183,10 @@ def assemble(source, origin=0x1C000000, defines=None):
             if label in labels:
                 raise AsmError("line %d: label %r already defined on line %d" % (
                     lineno, label, labels[label]))
+            if label in equs:
+                raise AsmError("line %d: label %r already defined by .equ/.set on line %d" % (
+                    lineno, label, equs[label]))
+            _check_not_helper("label", label, lineno)
             labels[label] = lineno
             symbols[label] = addr
             line = line[len(head):].strip()
@@ -190,7 +200,13 @@ def assemble(source, origin=0x1C000000, defines=None):
             continue
         if mnem == ".equ" or mnem == ".set":
             name, _, expr = rest.partition(",")
-            symbols[name.strip()] = _eval_static(expr, symbols, lineno)
+            name = name.strip()
+            if name in labels:
+                raise AsmError("line %d: %s %r already defined as a label on line %d" % (
+                    lineno, mnem, name, labels[name]))
+            _check_not_helper(mnem, name, lineno)
+            equs.setdefault(name, lineno)
+            symbols[name] = _eval_static(expr, symbols, lineno)
             continue
         stmts.append((lineno, addr, mnem, rest))
         addr += _size_of(mnem, rest, lineno)
@@ -215,6 +231,11 @@ def assemble(source, origin=0x1C000000, defines=None):
 
     entry = symbols.get("_start", origin)
     return Program(words, entry, symbols)
+
+
+def _check_not_helper(kind, name, lineno):
+    if name in _HELPERS:
+        raise AsmError("line %d: %s %r would hide the built-in %s()" % (lineno, kind, name, name))
 
 
 def _eval_static(expr, symbols, lineno):

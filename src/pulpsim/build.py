@@ -1,4 +1,8 @@
-"""Platform elaboration: turn a descriptor into a runnable component graph."""
+"""Platform elaboration: turn a descriptor into a runnable component graph.
+
+The platform owns untimed memory access: `peek`/`poke` slice the byte store
+each memory registers at finalize, with no timing and no counters.
+"""
 
 import time
 
@@ -24,7 +28,7 @@ class Platform:
         self.components = {}
         self.bindings = []          # (master Port, slave Port), for the dump
         self.port_aliases = {}      # "path.port" -> Port, for composites
-        self.backing_stores = []    # (base, size, component) for peek/poke
+        self.backing_stores = []    # (base, a memory's byte store) for peek/poke
         self.trace_sink = None
         self.vcd = None
         self.console = bytearray()
@@ -95,8 +99,8 @@ class Platform:
     def alias_port(self, spec, port):
         self.port_aliases[spec] = port
 
-    def register_backing(self, base, size, comp):
-        self.backing_stores.append((base, size, comp))
+    def register_backing(self, base, contents):
+        self.backing_stores.append((base, contents))
 
     def _check_bound(self):
         for comp in self.components.values():
@@ -138,22 +142,26 @@ class Platform:
     # -- untimed memory access (loader, tests) -----------------------------
 
     def backing_for(self, addr, size):
-        for base, bsize, comp in self.backing_stores:
-            if base <= addr and addr + size <= base + bsize:
-                return comp
+        """(byte store, offset) holding all `size` bytes at `addr`, or None."""
+        for base, contents in self.backing_stores:
+            off = addr - base
+            if 0 <= off and off + size <= len(contents):
+                return contents, off
         return None
 
     def poke(self, addr, data):
-        comp = self.backing_for(addr, len(data))
-        if comp is None:
+        hit = self.backing_for(addr, len(data))
+        if hit is None:
             raise ConfigError("poke at 0x%08x+%d hits no mapped memory" % (addr, len(data)))
-        comp.poke(addr, data)
+        contents, off = hit
+        contents[off:off + len(data)] = data
 
     def peek(self, addr, size):
-        comp = self.backing_for(addr, size)
-        if comp is None:
+        hit = self.backing_for(addr, size)
+        if hit is None:
             raise ConfigError("peek at 0x%08x+%d hits no mapped memory" % (addr, size))
-        return comp.peek(addr, size)
+        contents, off = hit
+        return bytes(contents[off:off + size])
 
     def set_entry(self, pc):
         for core in self.cores():

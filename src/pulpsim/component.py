@@ -3,8 +3,10 @@
 Components are plain state machines living in one clock domain.  They talk
 through ports: a master port is bound to exactly one slave port, a slave
 port may serve many masters.  A Request travels synchronously down such a
-chain; every component on the way may add to its latency, and the initiator
-turns the accumulated cycle count into stalls or events on return.
+chain, each hop calling the handler of the slave port its master port is
+bound to; every component on the way may add to its latency, and the
+initiator turns the accumulated cycle count into stalls or events on
+return.  A request's payload is one int, `value`, whatever its size.
 """
 
 import copy
@@ -16,44 +18,27 @@ REQUIRED = object()
 STATUS_OK = "ok"
 STATUS_ERR = "error"
 
-MAX_REQUEST_BYTES = 4096
+MAX_REQUEST_BYTES = 4096        # the widest icache line or DMA burst
 
 
 class Request:
     """A latency-accumulating message between components.
 
-    Word-or-smaller transfers carry their payload in `value`; larger ones
-    use `data` (bytes for writes, a bytearray the handler fills for reads).
-    `latency` only ever grows while the request traverses the platform.
+    `value` is the payload of every transfer: a little-endian int of `size`
+    bytes, which a write carries and a read's handler fills in.  `latency`
+    only ever grows while the request traverses the platform.
     """
 
-    __slots__ = ("addr", "size", "is_write", "value", "data", "initiator",
+    __slots__ = ("addr", "size", "is_write", "value", "initiator",
                  "latency", "status", "contended", "sleep", "cache_miss")
 
-    def __init__(self):
-        self.addr = 0
-        self.size = 0
-        self.is_write = False
-        self.value = 0
-        self.data = None
-        self.initiator = None
-        self.latency = 0
-        self.status = STATUS_OK
-        self.contended = False
-        self.sleep = False
-        self.cache_miss = False
-
-    def setup(self, addr, size, is_write, value=0, data=None, initiator=None):
-        if data is not None and len(data) > MAX_REQUEST_BYTES:
-            raise StructuralError("request exceeds %d bytes; split it" % MAX_REQUEST_BYTES)
+    def __init__(self, addr=0, size=0, is_write=False, value=0, initiator=None):
         self.addr = addr
         self.size = size
         self.is_write = is_write
         self.value = value
-        self.data = data
         self.initiator = initiator
         self.reset()
-        return self
 
     def reset(self):
         """Clear the response fields before the request is sent (again)."""
@@ -82,13 +67,6 @@ class Port:
     @property
     def path(self):
         return "%s.%s" % (self.owner.path, self.name)
-
-    def send(self, req):
-        """Forward a request to the bound slave (master ports only)."""
-        target = self.binding
-        if target is None:
-            raise StructuralError("send on unbound port %s" % self.path)
-        target.handler(req)
 
     def __repr__(self):
         return "<Port %s %s>" % (self.path, self.direction)

@@ -371,8 +371,8 @@ class RiscvCore(Component):
         self.isa = IsaTable.load(self.params["isa"])
         self._dcache = {}
         self.step_event = Event(self.path, self._step)
-        self._fetch_req = Request().setup(0, 4, False, initiator=self)
-        self._data_req = Request().setup(0, 0, False, initiator=self)
+        self._fetch_req = Request(size=4, initiator=self)
+        self._data_req = Request(initiator=self)
         self.regs = [0] * 32
         self.pc = 0
         self.mode = "halted"

@@ -82,10 +82,9 @@ class ClusterDma(RegisterDevice):
         self.positive_param("burst_latency", 0)
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
-        self._buf = bytearray(self.max_burst)
-        # reused by every burst; `_burst` sets their addr, size and data
-        self._read = Request().setup(0, 0, False, initiator=self)
-        self._write = Request().setup(0, 0, True, initiator=self)
+        # reused by every burst; `_burst` sets their addr, size and value
+        self._read = Request(initiator=self)
+        self._write = Request(is_write=True, initiator=self)
         self.reset()
 
     def reset(self):
@@ -144,7 +143,7 @@ class ClusterDma(RegisterDevice):
         self.active[tid] = tr
         self.transfers += 1
         if self.platform.vcd is not None:
-            self.platform.vcd.flag(self.path, True)
+            self.platform.vcd.flag(self, True)
         self.domain.enqueue(tr.event, self.params["program_latency"])
         if self._tr:
             self.platform.trace(self.path, self.domain,
@@ -172,20 +171,19 @@ class ClusterDma(RegisterDevice):
             src = tr.src + row_ext + tr.row_off
             dst = tr.dst + row_lin + tr.row_off
 
-        buf = memoryview(self._buf)[:chunk]
         req = self._read
-        req.addr, req.size, req.data = src, chunk, buf
+        req.addr, req.size = src, chunk
         req.reset()
-        self._port_for(src).send(req)
+        self._port_for(src).binding.handler(req)
         cost = self.params["burst_latency"]
         if req.status == STATUS_OK:
             cost += req.latency
             if req.contended:
                 self.contentions += 1
             wreq = self._write
-            wreq.addr, wreq.size, wreq.data = dst, chunk, buf
+            wreq.addr, wreq.size, wreq.value = dst, chunk, req.value
             wreq.reset()
-            self._port_for(dst).send(wreq)
+            self._port_for(dst).binding.handler(wreq)
             if wreq.status == STATUS_OK:
                 cost += wreq.latency
                 if wreq.contended:
@@ -216,7 +214,7 @@ class ClusterDma(RegisterDevice):
             self.platform.trace(self.path, self.domain, "done id=%d status=%s" %
                                 (tr.tid, "error" if tr.error else "done"))
         if self.platform.vcd is not None:
-            self.platform.vcd.flag(self.path, bool(self.active))
+            self.platform.vcd.flag(self, bool(self.active))
         self.event_unit.set_line(self.params["event_line"])
 
     def counters(self):

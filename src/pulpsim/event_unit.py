@@ -62,13 +62,6 @@ class EventUnit(Component):
         self.base = self.params["base"]
         self.n_lines = self.positive_param("n_lines")
         self.add_slave("in", self.handle)
-        self.states = []
-        self.index_of = {}
-        self.barrier_mask = 0
-        self.barrier_arrived = 0
-        self.generation = 0
-        self.barriers_passed = 0
-        self.events_set = 0
 
     def finalize(self):
         self.states = []
@@ -79,7 +72,7 @@ class EventUnit(Component):
             self.states.append(_CoreState(core))
             self.index_of[core] = i
         self.all_mask = (1 << len(self.states)) - 1
-        self.barrier_mask = self.all_mask
+        self.reset()
 
     def reset(self):
         for st in self.states:

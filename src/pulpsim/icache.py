@@ -5,8 +5,9 @@ shared L1.5 instance, which refills from L2 across the AXI bridge.  Every
 level serializes its refills with the same busy-stamp scheme the memory
 banks use; that only ever delays a shared level, since a private L1's core
 sends no fetch before its previous refill has issued.  Lines carry real
-data, kept as one little-endian int per line (filled at refill), so a hit
-serves its word by shift and mask without touching anything upstream.
+data, kept as one little-endian int per line: the `value` of the refill
+that filled it.  A hit serves its word, or a whole line to the cache
+below, by shift and mask without touching anything upstream.
 
 A lookup tries the set's most recently used way first; a hit there leaves
 the LRU order as it is, since that way already heads it.  Other hits and
@@ -51,8 +52,7 @@ class InstructionCache(Component):
         self.hit_latency = self.positive_param("hit_latency", 0)
         self.add_slave("in", self.handle)
         self.refill_port = self.add_master("refill")
-        self._line_buf = bytearray(self.line)
-        self._refill_req = Request().setup(0, self.line, False, data=self._line_buf)
+        self._refill_req = Request(size=self.line)
         self.epoch = 0
         self.last_line = 0
         self._init_arrays()
@@ -99,11 +99,7 @@ class InstructionCache(Component):
                 if way is None:
                     return
         self.last_line = line = self.data[set_i][way]
-        value = line >> (off << 3) & ((1 << (size << 3)) - 1)
-        if req.data is None:
-            req.value = value
-        else:
-            req.data[:size] = value.to_bytes(size, "little")
+        req.value = line >> (off << 3) & ((1 << (size << 3)) - 1)
 
     def _refill(self, req, set_i, tag, line_addr):
         """Miss: fetch the line from upstream into the LRU way and make it
@@ -122,7 +118,7 @@ class InstructionCache(Component):
             rr.latency += wait
             at += wait
         self.busy_until = at
-        self.refill_port.send(rr)
+        self.refill_port.binding.handler(rr)
         if rr.status != STATUS_OK:
             req.status = rr.status
             return None
@@ -131,7 +127,7 @@ class InstructionCache(Component):
         victim = order.pop()
         order.insert(0, victim)
         self.tags[set_i][victim] = tag
-        self.data[set_i][victim] = int.from_bytes(self._line_buf, "little")
+        self.data[set_i][victim] = rr.value
         req.latency = rr.latency
         if rr.cache_miss:
             req.cache_miss = True

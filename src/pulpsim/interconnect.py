@@ -89,9 +89,7 @@ class Router(Component):
             out = self.ports.get(port) or self.add_master(port)
             self.mappings.append((base, size, out))
         self.add_slave("in", self.handle)
-        self.busy_until = -1
-        self.forwarded = 0
-        self.queued_cycles = 0
+        self.reset()
 
     def reset(self):
         self.busy_until = -1
@@ -137,14 +135,14 @@ class ClockCrossing(Component):
     }
 
     def build(self):
-        self.positive_param("crossing_latency", 0)
+        self.latency = self.positive_param("crossing_latency", 0)
         self.add_slave("in", self.handle)
         self.out = self.add_master("out")
         self.src = None                 # resolved in finalize
+        self.reset()
 
     def finalize(self):
         self.src = self.platform.domain(self.params["source_domain"])
-        self.crossings = 0
 
     def reset(self):
         self.crossings = 0
@@ -153,10 +151,10 @@ class ClockCrossing(Component):
         src = self.src
         dst = self.domain
         entry_ps = src.time_of_cycle(src.cycle + req.latency)
-        dst_entry = dst.cycle_at_or_after(entry_ps) + self.params["crossing_latency"]
+        dst_entry = dst.cycle_at_or_after(entry_ps) + self.latency
         src_latency = req.latency
         req.latency = dst_entry - dst.cycle     # arrival expressed in dst cycles
-        self.out.send(req)
+        self.out.binding.handler(req)
         done_ps = dst.time_of_cycle(dst.cycle + req.latency)
         req.latency = src.cycle_at_or_after(done_ps) - src.cycle
         if req.latency < src_latency:           # never lose already-paid cycles

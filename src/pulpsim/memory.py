@@ -3,8 +3,10 @@
 Consecutive 4-byte words map to consecutive banks.  Each bank serves one
 access per cycle; simultaneous hits on the same bank serialize, each
 waiting access paying one cycle per access ahead of it.  Timing never
-affects the stored bytes.  A streaming device serves a run of word
-accesses in one `stream` call, under the same rule as `handle`.
+affects the stored bytes, which a request of any size moves as one
+little-endian `value`, and which `Platform.peek`/`poke` slice untimed.  A
+streaming device serves a run of word accesses in one `stream` call, under
+the same rule as `handle`.
 """
 
 import struct
@@ -39,17 +41,14 @@ class BankedMemory(Component):
         self.bank_mask = banks - 1
         self.latency = self.positive_param("access_latency", 0)
         self.contents = bytearray(size)
-        self.bank_busy = [-1] * banks   # absolute domain cycle each bank is held through
-        self.reads = 0
-        self.writes = 0
-        self.contention_count = 0
         self.add_slave("in", self.handle)
+        self.reset()
 
     def finalize(self):
-        self.platform.register_backing(self.base, self.size, self)
+        self.platform.register_backing(self.base, self.contents)
 
     def reset(self):
-        self.bank_busy = [-1] * self.banks
+        self.bank_busy = [-1] * self.banks   # absolute domain cycle each bank is held through
         self.reads = 0
         self.writes = 0
         self.contention_count = 0
@@ -92,20 +91,15 @@ class BankedMemory(Component):
                 b = (bank + w) & self.bank_mask
                 if busy[b] < end:
                     busy[b] = end
-        data = req.data
         if req.is_write:
             self.writes += 1
-            if data is not None:
-                self.contents[off:off + size] = data[:size]
-            elif size == 4:
+            if size == 4:
                 _WORD.pack_into(self.contents, off, req.value)
             else:
                 self.contents[off:off + size] = req.value.to_bytes(size, "little")
         else:
             self.reads += 1
-            if data is not None:
-                data[:size] = self.contents[off:off + size]
-            elif size == 4:
+            if size == 4:
                 req.value = _WORD.unpack_from(self.contents, off)[0]
             else:
                 req.value = int.from_bytes(self.contents[off:off + size], "little")
@@ -150,20 +144,6 @@ class BankedMemory(Component):
             self.writes += last - first
             self.contents[off + 4 * first:off + 4 * last] = out[4 * first:4 * last]
         return waits + (last - first) * self.latency
-
-    # -- untimed access (loader, tests) -------------------------------------
-
-    def peek(self, addr, size):
-        off = addr - self.base
-        if off < 0 or off + size > self.size:
-            raise ValueError("%s: peek out of range 0x%x+%d" % (self.path, addr, size))
-        return bytes(self.contents[off:off + size])
-
-    def poke(self, addr, data):
-        off = addr - self.base
-        if off < 0 or off + len(data) > self.size:
-            raise ValueError("%s: poke out of range 0x%x+%d" % (self.path, addr, len(data)))
-        self.contents[off:off + len(data)] = data
 
     def counters(self):
         return {"reads": self.reads, "writes": self.writes,

@@ -9,6 +9,8 @@ the previous beat's callback moves it inline (`ClockDomain.run_ahead`).
 Such a run of beats keeps the transfer state in locals, reuses one request
 and hands it straight to the handler bound to the `l2` port (the clock
 crossing toward L2); `_beat_cycle` holds the pacing rule for every beat.
+On the device side a beat reads or writes the device's `contents` directly
+at the transfer's device offset, without going through its timed port.
 Transfer completion raises an interrupt line on the fabric controller's
 interrupt controller.
 
@@ -60,11 +62,10 @@ class HyperRam(Component):
         self.positive_param("setup_ns", 0)
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
-        self.reads = 0
-        self.writes = 0
+        self.reset()
 
     def finalize(self):
-        self.platform.register_backing(self.base, self.size, self)
+        self.platform.register_backing(self.base, self.contents)
 
     def reset(self):
         self.reads = 0
@@ -82,28 +83,10 @@ class HyperRam(Component):
         req.latency += -(-self.access_ps(req.size) // self.domain.period_ps)
         if req.is_write:
             self.writes += 1
-            if req.data is None:
-                self.contents[off:off + req.size] = req.value.to_bytes(req.size, "little")
-            else:
-                self.contents[off:off + req.size] = req.data[:req.size]
+            self.contents[off:off + req.size] = req.value.to_bytes(req.size, "little")
         else:
             self.reads += 1
-            if req.data is None:
-                req.value = int.from_bytes(self.contents[off:off + req.size], "little")
-            else:
-                req.data[:req.size] = self.contents[off:off + req.size]
-
-    def peek(self, addr, size):
-        off = addr - self.base
-        if off < 0 or off + size > self.size:
-            raise ValueError("%s: peek out of range" % self.path)
-        return bytes(self.contents[off:off + size])
-
-    def poke(self, addr, data):
-        off = addr - self.base
-        if off < 0 or off + len(data) > self.size:
-            raise ValueError("%s: poke out of range" % self.path)
-        self.contents[off:off + len(data)] = data
+            req.value = int.from_bytes(self.contents[off:off + req.size], "little")
 
     def counters(self):
         return {"reads": self.reads, "writes": self.writes}
@@ -159,13 +142,13 @@ class MicroDma(RegisterDevice):
         self.status = UDMA_BUSY
         self.transfers += 1
         if self.platform.vcd is not None:
-            self.platform.vcd.flag(self.path, True)
+            self.platform.vcd.flag(self, True)
         start_ps = self.platform.engine.now_ps
-        # the transfer: direction, next L2 and device addresses, bytes left
-        # and moved, pacing origin and rate, and the previous beat's cycle
+        # the transfer: direction, next L2 address and device offset, bytes
+        # left and moved, pacing origin and rate, and the previous beat's cycle
         self._tx = tx
         self._l2 = self.regs[UDMA_L2_ADDR]
-        self._ext = self.device.base + ext
+        self._ext = ext
         self._left = length
         self._done = 0
         self._t0 = start_ps + self.device.params["setup_ns"] * 1000
@@ -196,7 +179,7 @@ class MicroDma(RegisterDevice):
         dom = self.domain
         req = self._req
         l2_handler = self.l2_port.binding.handler
-        device = self.device
+        contents = self.device.contents
         step = self.params["beat_bytes"]
         tx = self._tx
         l2, ext, left, done, prev = self._l2, self._ext, self._left, self._done, self._prev
@@ -210,9 +193,9 @@ class MicroDma(RegisterDevice):
             if tx:
                 l2_handler(req)
                 if req.status == STATUS_OK:
-                    device.poke(ext, req.value.to_bytes(nbytes, "little"))
+                    contents[ext:ext + nbytes] = req.value.to_bytes(nbytes, "little")
             else:
-                req.value = int.from_bytes(device.peek(ext, nbytes), "little")
+                req.value = int.from_bytes(contents[ext:ext + nbytes], "little")
                 l2_handler(req)
             if req.status != STATUS_OK:
                 break
@@ -235,7 +218,7 @@ class MicroDma(RegisterDevice):
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
         if self.platform.vcd is not None:
-            self.platform.vcd.flag(self.path, False)
+            self.platform.vcd.flag(self, False)
         if self._tr:
             self.platform.trace(self.path, self.domain,
                                 "done status=%s" % ("error" if error else "ok"))

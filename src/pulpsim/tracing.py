@@ -111,12 +111,11 @@ class VcdWriter:
     def core_activity(self, core, active):
         self.change(core.path + "/active", int(active), core.platform.engine.now_ps)
 
-    def flag(self, path, value):
-        self.change(path + "/busy", int(value), self._platform.engine.now_ps)
+    def flag(self, comp, value):
+        self.change(comp.path + "/busy", int(value), comp.platform.engine.now_ps)
 
     def attach(self, platform):
         """Register the standard signal set and hook into the platform."""
-        self._platform = platform
         for comp in sorted(platform.components.values(), key=lambda c: c.path):
             if comp.kind == "riscv-core":
                 self.register(comp.path + "/pc", 32)

@@ -131,6 +131,27 @@ def test_label_defined_twice_is_rejected():
     assert str(err.value) == "line 3: label 'a' already defined on line 1"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a: nop\n.equ a, 0x40\nj a", "line 2: .equ 'a' already defined as a label on line 1"),
+    ("a: nop\n.set a, 0x40", "line 2: .set 'a' already defined as a label on line 1"),
+    (".equ K, 4\nK: nop", "line 2: label 'K' already defined by .equ/.set on line 1"),
+    ("lo: nop\nli a0, lo(5)", "line 1: label 'lo' would hide the built-in lo()"),
+    ("hi: nop", "line 1: label 'hi' would hide the built-in hi()"),
+    (".equ hi, 1", "line 1: .equ 'hi' would hide the built-in hi()"),
+    (".set lo, 2", "line 1: .set 'lo' would hide the built-in lo()"),
+])
+def test_labels_and_symbols_do_not_rebind_each_other(text, message):
+    with pytest.raises(AsmError) as err:
+        assemble(text)
+    assert str(err.value) == message
+
+
+def test_equ_and_set_rebind_their_own_names():
+    prog = assemble(".equ K, 4\n.set K, K + 1\n.equ K, K * 2\nli a0, K", origin=0)
+    assert prog.symbols["K"] == 10
+    assert prog.words == assemble("li a0, 10", origin=0).words
+
+
 def test_negative_space_is_rejected():
     with pytest.raises(AsmError) as err:
         assemble("nop\n.space -4\nb: nop")

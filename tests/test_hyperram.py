@@ -1,9 +1,9 @@
 """HyperRAM on pulp-open: zero pages mapped on demand.
 
 Never-written bytes read as 0 through the micro-DMA, the direct window and
-`peek`; the last byte of the device is reachable and the one past it is
-not; contents survive a reset; and building the platform does not commit
-the device's 8 MiB of host memory.
+`Platform.peek`; the last byte of the device is reachable and the one past
+it is not; contents survive a reset; and building the platform does not
+commit the device's 8 MiB of host memory.
 """
 
 import subprocess
@@ -83,15 +83,14 @@ def test_never_written_bytes_read_as_zero():
 
 def test_last_byte_is_reachable_and_past_it_is_not():
     plat = build_pulp()
-    hyper = plat.lookup("hyper")
-    hyper.poke(HYPER + SIZE - 1, b"\x5A")
-    assert hyper.peek(HYPER + SIZE - 2, 2) == b"\x00\x5A"
+    plat.poke(HYPER + SIZE - 1, b"\x5A")
+    assert plat.peek(HYPER + SIZE - 2, 2) == b"\x00\x5A"
+    assert plat.lookup("hyper").contents[SIZE - 1] == 0x5A
+    with pytest.raises(ConfigError):
+        plat.poke(HYPER + SIZE - 1, b"\x01\x02")
+    with pytest.raises(ConfigError):
+        plat.peek(HYPER + SIZE, 1)
     assert plat.peek(HYPER + SIZE - 1, 1) == b"\x5A"
-    with pytest.raises(ValueError):
-        hyper.poke(HYPER + SIZE - 1, b"\x01\x02")
-    with pytest.raises(ValueError):
-        hyper.peek(HYPER + SIZE, 1)
-    assert hyper.peek(HYPER + SIZE - 1, 1) == b"\x5A"
 
 
 def test_contents_survive_reset():

@@ -76,10 +76,10 @@ def test_icache_matches_reference_lru(geometry, seed):
             flushes += 1
             continue
         if line > 4 and rng.random() < 0.25:
-            addr, nbytes, buf = base, line, bytearray(line)     # a refill from below
+            addr, nbytes = base, line                           # a refill from below
         else:
-            addr, nbytes, buf = base + rng.randrange(0, line, 4), 4, None
-        req = Request().setup(addr, nbytes, False, data=buf)
+            addr, nbytes = base + rng.randrange(0, line, 4), 4
+        req = Request(addr, nbytes, False)
         cache.ports["in"].handler(req)
         hit = ref.access(addr)
         assert req.status == "ok"
@@ -91,7 +91,6 @@ def test_icache_matches_reference_lru(geometry, seed):
             misses += 1
             assert req.latency > hit_latency
         want = contents[addr:addr + nbytes]
-        got = bytes(buf) if buf is not None else req.value.to_bytes(4, "little")
-        assert got == want, hex(addr)
+        assert req.value.to_bytes(nbytes, "little") == want, hex(addr)
     assert (cache.hits, cache.misses) == (hits, misses)
     assert hits > 1000 and misses > 100 and flushes > 0

@@ -55,7 +55,7 @@ def test_decode_pure():
 
 def test_route_adds_latency_and_forwards():
     router, sink_a, sink_b, _ = make_router(latency=1)
-    req = Request().setup(0x1004, 4, False)
+    req = Request(0x1004, 4, False)
     router.handle(req)
     assert req.latency == 1
     assert sink_a.seen == [0x1004] and not sink_b.seen
@@ -63,7 +63,7 @@ def test_route_adds_latency_and_forwards():
 
 def test_route_miss_is_bus_error_without_occupancy():
     router, *_ = make_router(latency=1, bandwidth=8)
-    req = Request().setup(0x9000, 4, False)
+    req = Request(0x9000, 4, False)
     router.handle(req)
     assert req.status == "error"
     assert router.busy_until == -1
@@ -71,8 +71,8 @@ def test_route_miss_is_bus_error_without_occupancy():
 
 def test_bandwidth_queuing_back_to_back():
     router, *_ = make_router(latency=0, bandwidth=8)
-    first = Request().setup(0x1000, 32, False, data=bytearray(32))
-    second = Request().setup(0x1000, 32, False, data=bytearray(32))
+    first = Request(0x1000, 32, False)
+    second = Request(0x1000, 32, False)
     router.handle(first)
     router.handle(second)
     assert first.latency == 0
@@ -83,7 +83,7 @@ def test_occupancy_conservation_over_interval():
     router, sink_a, _, dom = make_router(latency=0, bandwidth=8)
     total = 0
     for i in range(50):
-        req = Request().setup(0x1000, 64, False, data=bytearray(64))
+        req = Request(0x1000, 64, False)
         router.handle(req)
         total += 64
     # all 50 requests are issued at cycle 0; the last one completes no
@@ -126,7 +126,7 @@ def test_crossing_aligns_to_next_destination_edge():
     # source clock only has integral edges, so model it via accumulated
     # latency instead: at source cycle 9, latency 1 -> leaves at 50000 ps
     src.cycle = 10
-    req = Request().setup(0x0, 4, False)
+    req = Request(0x0, 4, False)
     xing.handle(req)
     # left at exactly 50000 ps; that is dst cycle 20 (exact edge)
     assert dst.cycle_at_or_after(50000) == 20
@@ -158,7 +158,7 @@ def test_crossing_roundtrip_latency_in_source_cycles():
     bind(xing.ports["out"], delay.ports["in"])
     xing.finalize()
 
-    req = Request().setup(0x0, 4, False)
+    req = Request(0x0, 4, False)
     xing.handle(req)
     # 7 fast cycles = 17500 ps -> ceiling to source edges = 2 source cycles
     assert req.latency == 2

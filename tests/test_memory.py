@@ -1,20 +1,26 @@
-"""Banked memory: interleaving, contention serialization, peek/poke, streams."""
+"""Banked memory: interleaving, contention serialization, payloads of every
+size, untimed access through the platform, streams."""
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulpsim.component import Request
 from pulpsim.engine import TimeEngine, ClockDomain
+from pulpsim.errors import ConfigError
 from pulpsim.memory import BankedMemory
+from pulpsim.periph import HyperRam
+
+from conftest import build_minimal
 
 
 class FakePlatform:
     def __init__(self):
         self.backing = []
 
-    def register_backing(self, base, size, comp):
-        self.backing.append((base, size, comp))
+    def register_backing(self, base, contents):
+        self.backing.append((base, contents))
 
 
 def make_mem(banks=16, size=0x20000, latency=0):
@@ -28,7 +34,7 @@ def make_mem(banks=16, size=0x20000, latency=0):
 
 
 def rd(mem, addr, size=4, latency=0):
-    req = Request().setup(addr, size, False)
+    req = Request(addr, size, False)
     req.latency = latency
     mem.handle(req)
     return req
@@ -83,7 +89,7 @@ def test_serial_service_matches_bruteforce_oracle():
 
 def test_wide_request_charges_one_cycle_per_extra_word():
     mem, _ = make_mem()
-    req = Request().setup(0x10000000, 64, False, data=bytearray(64))
+    req = Request(0x10000000, 64, False)
     mem.handle(req)
     assert req.latency == 15
 
@@ -107,20 +113,25 @@ def test_out_of_range_is_error():
 
 
 def test_poke_peek_roundtrip_no_counters():
-    mem, _ = make_mem()
-    mem.poke(0x10000100, b"\x01\x02\x03\x04\x05\x06\x07\x08")
-    assert mem.peek(0x10000100, 8) == b"\x01\x02\x03\x04\x05\x06\x07\x08"
+    plat = build_minimal()
+    mem = plat.lookup("ram")
+    plat.poke(0x100, b"\x01\x02\x03\x04\x05\x06\x07\x08")
+    assert plat.peek(0x100, 8) == b"\x01\x02\x03\x04\x05\x06\x07\x08"
+    assert mem.contents[0x100:0x108] == b"\x01\x02\x03\x04\x05\x06\x07\x08"
     assert mem.reads == 0 and mem.writes == 0 and mem.contention_count == 0
 
 
 def test_peek_bounds():
-    mem, _ = make_mem(size=0x1000)
-    assert mem.peek(0x10000FFF, 1) == b"\x00"
-    try:
-        mem.peek(0x10000FFF, 2)
-        assert False
-    except ValueError:
-        pass
+    plat = build_minimal(ram={"size": 0x1000})
+    plat.poke(0xFFF, b"\x5A")
+    assert plat.peek(0xFFF, 1) == b"\x5A"
+    with pytest.raises(ConfigError):
+        plat.peek(0xFFF, 2)
+    with pytest.raises(ConfigError):
+        plat.poke(0xFFF, b"\x01\x02")
+    with pytest.raises(ConfigError):
+        plat.peek(0x1000, 1)
+    assert plat.peek(0xFFF, 1) == b"\x5A"
 
 
 def test_contention_monotone_in_bank_count_and_data_identical():
@@ -136,7 +147,7 @@ def test_contention_monotone_in_bank_count_and_data_identical():
             if i % 4 == 0:
                 cycle += 1
                 dom.cycle = cycle
-            req = Request().setup(0x10000000 + off, 4, bool(is_write), value=value)
+            req = Request(0x10000000 + off, 4, bool(is_write), value=value)
             mem.handle(req)
         finals.append(bytes(mem.contents))
         contentions.append(mem.contention_count)
@@ -176,7 +187,7 @@ def test_stream_matches_word_requests_through_handle(data):
     for j in range(words):
         pre = (slot + j) // per_cycle
         value = int.from_bytes(out[4 * j:4 * j + 4], "little") if write else 0
-        req = Request().setup(addr + 4 * j, 4, write, value)
+        req = Request(addr + 4 * j, 4, write, value)
         req.latency = pre
         handled.handle(req)
         if req.status == "ok":
@@ -185,3 +196,43 @@ def test_stream_matches_word_requests_through_handle(data):
     assert streamed.bank_busy == handled.bank_busy
     assert streamed.counters() == handled.counters()
     assert streamed.contents == handled.contents
+
+
+def _model_access(mem, model, addr, size, write, value):
+    """One request through `mem.handle`, mirrored on the bytearray `model`."""
+    req = Request(addr, size, write, value)
+    mem.handle(req)
+    assert req.status == "ok"
+    off = addr - mem.base
+    if write:
+        model[off:off + size] = value.to_bytes(size, "little")
+    else:
+        assert req.value == int.from_bytes(model[off:off + size], "little")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_narrow_and_wide_payloads_match_a_byte_model(data):
+    """Aligned narrow and wide (5..256 byte) requests move the bytes a flat
+    model does, each read returning them as one little-endian `value`."""
+    mem, dom = make_mem(banks=4, size=0x400)
+    hyper = HyperRam(FakePlatform(), "hyper", {"base": 0x20000000, "size": 0x400}, dom)
+    ops = []
+    for _ in range(data.draw(st.integers(1, 24), "ops")):
+        if data.draw(st.booleans(), "wide"):
+            size = data.draw(st.integers(5, 256), "size")
+            off = data.draw(st.integers(0, 0x400 - size), "off")
+        else:
+            size = data.draw(st.sampled_from([1, 2, 4]), "size")
+            off = size * data.draw(st.integers(0, 0x400 // size - 1), "slot")
+        write = data.draw(st.booleans(), "write")
+        value = data.draw(st.integers(0, (1 << (8 * size)) - 1), "value") if write else 0
+        ops.append((off, size, write, value))
+    model = bytearray(0x400)
+    for off, size, write, value in ops:
+        _model_access(mem, model, mem.base + off, size, write, value)
+    assert mem.contents == model
+    model = bytearray(0x400)
+    for off, size, write, value in ops[:4]:
+        _model_access(hyper, model, hyper.base + off, size, write, value)
+    assert hyper.contents[:] == model

@@ -42,8 +42,8 @@ DEVICES = {
 
 
 def _access(dev, off, size=4, value=None, initiator=None):
-    req = Request().setup(dev.base + off, size, value is not None,
-                          value=value or 0, initiator=initiator)
+    req = Request(dev.base + off, size, value is not None,
+                  value=value or 0, initiator=initiator)
     dev.ports["in"].handler(req)
     return req
 

@@ -2,9 +2,11 @@
 
 The FC programs one transfer (`UDMA_CFG` bit 0 set: L2 to HyperRAM, tx;
 clear: HyperRAM to L2, rx), polls the status register and exits.  Every
-beat is recorded at the device side (`HyperRam.poke` for tx, `peek` for
-rx) with the micro-DMA's cycle and checked against the pacing rule: beat
-k ends once its cumulative bytes have crossed the link,
+beat the device side sees (a tx beat whose L2 read succeeded, every rx
+beat) is recorded by a wrapper around the handler bound to the micro-DMA's
+`l2` port, with the micro-DMA's cycle and the beat's device address, and
+checked against the pacing rule: beat k ends once its cumulative bytes have
+crossed the link,
 
     cycle_k = max(ceil((t0 + ceil(done_k * 8e12 / bw)) / period), cycle_{k-1} + 1)
 
@@ -85,22 +87,16 @@ def run_transfer(tx, length, overrides=(), l2=L2_BUF):
     else:
         plat.poke(HYPER + EXT, pattern)
     plat.set_entry(program.entry)
-    udma, hyper = plat.lookup("udma"), plat.lookup("hyper")
+    udma = plat.lookup("udma")
     beats = []
-    if tx:
-        poke = hyper.poke
+    l2_in = udma.l2_port.binding
+    handler = l2_in.handler
 
-        def record(addr, data):
-            beats.append((udma.domain.cycle, addr, len(data)))
-            poke(addr, data)
-        hyper.poke = record
-    else:
-        peek = hyper.peek
-
-        def record(addr, size):
-            beats.append((udma.domain.cycle, addr, size))
-            return peek(addr, size)
-        hyper.peek = record
+    def record(req):
+        handler(req)
+        if req.status == "ok" or not tx:
+            beats.append((udma.domain.cycle, HYPER + EXT + req.addr - l2, req.size))
+    l2_in.handler = record
     trace = io.StringIO()
     plat.trace_sink = TraceSink(["udma"], trace)
     plat.reset()
