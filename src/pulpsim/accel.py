@@ -42,18 +42,25 @@ ST_REJECT = 8
 
 
 class _Job:
+    """A job's registers and shape: `spans` holds the (first byte, byte
+    count) of the int8 input, int8 weights and int32 output, and `words`
+    the words they stream, each span from its first byte's word on."""
+
     __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w",
-                 "k", "cycles_left", "chunks", "words", "words_done", "out_view")
+                 "k", "spans", "words", "cycles_left", "chunks", "words_done", "out_view")
 
     def __init__(self, regs):
         self.in_ptr = regs[REG_IN]
         self.w_ptr = regs[REG_W]
         self.out_ptr = regs[REG_OUT]
-        self.ch_in = regs[REG_CH_IN]
-        self.ch_out = regs[REG_CH_OUT]
-        self.h = regs[REG_H]
-        self.w = regs[REG_W_DIM]
-        self.k = regs[REG_KSIZE]
+        self.ch_in = cin = regs[REG_CH_IN]
+        self.ch_out = cout = regs[REG_CH_OUT]
+        self.h = h = regs[REG_H]
+        self.w = w = regs[REG_W_DIM]
+        self.k = k = regs[REG_KSIZE]
+        self.spans = ((self.in_ptr, cin * h * w), (self.w_ptr, cout * cin * k * k),
+                      (self.out_ptr, cout * h * w * 4))
+        self.words = sum(-(-n // 4) for _, n in self.spans)
 
 
 @register
@@ -70,6 +77,7 @@ class ConvAccelerator(RegisterDevice):
         "event_unit": (str, REQUIRED),
         "event_line": (int, 2),
     }
+    COUNTERS = ("jobs", "conflict_cycles")
 
     def build(self):
         super().build()
@@ -82,14 +90,12 @@ class ConvAccelerator(RegisterDevice):
         self.reset()
 
     def reset(self):
+        super().reset()
         self.regs = {REG_IN: 0, REG_W: 0, REG_OUT: 0, REG_CH_IN: 0,
                      REG_CH_OUT: 0, REG_H: 0, REG_W_DIM: 0, REG_KSIZE: 0}
         self.status = 0
         self.running = None
         self.shadow = None
-        self.jobs_done = 0
-        self.conflict_cycles = 0
-        self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
         self.event_unit = line_owner(self, "event_unit", "event_line")
@@ -103,14 +109,8 @@ class ConvAccelerator(RegisterDevice):
         filt = -(-job.ch_in * k2 // self.params["weight_load_per_cycle"])
         macs = -(-job.h * job.w * job.ch_in * k2 // self.params["macs_per_cycle"])
         model = self.params["setup_cycles"] + job.ch_out * (filt + macs)
-        fetch_floor = -(-self._traffic_words(job) // self.n_ports)
+        fetch_floor = -(-job.words // self.n_ports)
         return max(model, fetch_floor)
-
-    def _traffic_words(self, job):
-        in_b = job.ch_in * job.h * job.w
-        w_b = job.ch_out * job.ch_in * job.k * job.k
-        out_b = job.ch_out * job.h * job.w * 4
-        return -(-(in_b + w_b + out_b) // 4)
 
     def job_valid(self, job):
         if job.k not in (1, 3):
@@ -120,19 +120,16 @@ class ConvAccelerator(RegisterDevice):
         base, size = self.mem.base, self.mem.size
         if job.out_ptr & 3:
             return False                    # int32 outputs are stored whole words
-        spans = [(job.in_ptr, job.ch_in * job.h * job.w),
-                 (job.w_ptr, job.ch_out * job.ch_in * job.k * job.k),
-                 (job.out_ptr, job.ch_out * job.h * job.w * 4)]
-        return all(base <= a and a + n <= base + size for a, n in spans)
+        return all(base <= a and a + n <= base + size for a, n in job.spans)
 
     # -- functional convolution -------------------------------------------
 
     def _compute(self, job):
         plat = self.platform
         cin, cout, h, w, k = job.ch_in, job.ch_out, job.h, job.w, job.k
-        x = np.frombuffer(plat.peek(job.in_ptr, cin * h * w), dtype=np.int8)
+        x = np.frombuffer(plat.peek(*job.spans[0]), dtype=np.int8)
         x = x.reshape(cin, h, w).astype(np.int32)
-        wt = np.frombuffer(plat.peek(job.w_ptr, cout * cin * k * k), dtype=np.int8)
+        wt = np.frombuffer(plat.peek(*job.spans[1]), dtype=np.int8)
         wt = wt.reshape(cout, cin, k, k).astype(np.int32)
         pad = k // 2
         xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.int32)
@@ -166,21 +163,16 @@ class ConvAccelerator(RegisterDevice):
 
     def _launch(self, job):
         total = self.job_cycles(job)
-        traffic = self._traffic_words(job)
         job.chunks = max(1, -(-total // self.params["chunk_cycles"]))
         job.cycles_left = total
-        job.words = traffic
         job.words_done = 0
         out = self._compute(job)
         job.out_view = memoryview(out.tobytes())
         self.running = job
         self.status |= ST_BUSY
-        if self._tr:
-            self.platform.trace(self.path, self.domain,
-                                "job ch_in=%d ch_out=%d %dx%d k=%d cycles=%d" %
-                                (job.ch_in, job.ch_out, job.h, job.w, job.k, total))
-        if self.platform.vcd is not None:
-            self.platform.vcd.flag(self, True)
+        self.log("job ch_in=%d ch_out=%d %dx%d k=%d cycles=%d",
+                 job.ch_in, job.ch_out, job.h, job.w, job.k, total)
+        self.busy(True)
         self.domain.enqueue(self.job_event, 1)
 
     def _chunk(self, ev):
@@ -198,41 +190,36 @@ class ConvAccelerator(RegisterDevice):
     def _stream(self, job, words):
         """Stream the job's next `words` TCDM words, `ports` per cycle slot.
 
-        The words run through the input, then the weights, then the output;
-        each segment the chunk touches is one `BankedMemory.stream` call,
-        with the word's index in the chunk as its slot.  Returns the extra
-        cycles implied by bank conflicts.
+        The words run through the job's spans: the input, then the weights,
+        then the output.  Each span the chunk touches is one
+        `BankedMemory.stream` call, with the word's index in the chunk as
+        its slot.  Returns the extra cycles implied by bank conflicts.
         """
         start = job.words_done
         end = start + words
-        in_end = -(-job.ch_in * job.h * job.w // 4)
-        w_end = in_end + -(-job.ch_out * job.ch_in * job.k * job.k // 4)
         waits = 0
-        for first, last, base, out in ((0, in_end, job.in_ptr & ~3, None),
-                                       (in_end, w_end, job.w_ptr & ~3, None),
-                                       (w_end, end, job.out_ptr, job.out_view)):
+        first = 0
+        for (addr, nbytes), out in zip(job.spans, (None, None, job.out_view)):
+            last = first + -(-nbytes // 4)
             lo, hi = max(first, start), min(last, end)
             if lo < hi:
                 skip = 4 * (lo - first)
-                waits += self.mem.stream(base + skip, hi - lo, lo - start, self.n_ports,
+                waits += self.mem.stream((addr & ~3) + skip, hi - lo, lo - start, self.n_ports,
                                          None if out is None else out[skip:])
+            first = last
         job.words_done = end
         return -(-waits // self.n_ports)
 
     def _complete(self, job):
-        self.jobs_done += 1
+        self.jobs += 1
         self.running = None
         self.status &= ~ST_BUSY
-        if self._tr:
-            self.platform.trace(self.path, self.domain, "job done")
+        self.log("job done")
         if self.shadow is not None:
             nxt = self.shadow
             self.shadow = None
             self.status &= ~ST_SHADOW
             self._launch(nxt)
-        elif self.platform.vcd is not None:
-            self.platform.vcd.flag(self, False)
+        else:
+            self.busy(False)
         self.event_unit.set_line(self.params["event_line"])
-
-    def counters(self):
-        return {"jobs": self.jobs_done, "conflict_cycles": self.conflict_cycles}

@@ -136,10 +136,15 @@ class Component:
     runs its params through fill_params() and keeps the result in
     self.params.  Router mappings are resolved and checked for overlaps by
     the interconnect module, at parse time and again in Router.build().
+
+    COUNTERS names the int attributes the component exports as performance
+    counters: `reset` sets each to 0 and `counters()` returns them, in that
+    order.  A subclass with its own `reset` calls `super().reset()`.
     """
 
     kind = "abstract"
     PARAMS = {}
+    COUNTERS = ()
 
     def __init__(self, platform, path, params, domain):
         self.platform = platform
@@ -158,7 +163,10 @@ class Component:
         """Called once after all bindings are made, before reset."""
 
     def reset(self):
-        """Return to power-on state (counters, registers, schedules)."""
+        """Return to power-on state: here the counters; subclasses add
+        their registers and schedules."""
+        for name in self.COUNTERS:
+            setattr(self, name, 0)
 
     def positive_param(self, name, least=1, most=None):
         """The int param `name`, which must be at least `least`: 1 for a
@@ -186,17 +194,11 @@ class Component:
         self.ports[name] = port
         return port
 
-    def port(self, name):
-        try:
-            return self.ports[name]
-        except KeyError:
-            raise ConfigError("%s has no port '%s'" % (self.path, name)) from None
-
     # -- stats / dump -----------------------------------------------------
 
     def counters(self):
-        """Exported performance counters, name -> int."""
-        return {}
+        """Exported performance counters, name -> int, in COUNTERS order."""
+        return {name: getattr(self, name) for name in self.COUNTERS}
 
     def dump_params(self):
         items = sorted(self.params.items())
@@ -214,6 +216,10 @@ class RegisterDevice(Component):
     and reads return.  Other offsets go to the class's READS or WRITES map
     from offset to a method taking `(self, req)`.  An access that is not 4
     bytes, or to an offset in neither, fails with STATUS_ERR.
+
+    The devices run jobs that outlive the register write starting them:
+    `log` traces a job's start and end on the device's path, and `busy`
+    sets the device's `/busy` VCD signal while jobs run.
     """
 
     READS = {}
@@ -245,6 +251,18 @@ class RegisterDevice(Component):
     def read_status(self, req):
         """A READS method for a register that reads `self.status`."""
         req.value = self.status
+
+    def log(self, fmt, *args):
+        """Trace `fmt % args` if this device's path is traced."""
+        plat = self.platform
+        if plat.trace_enabled(self.path):
+            plat.trace(self.path, self.domain, fmt % args)
+
+    def busy(self, flag):
+        """Set this device's `/busy` VCD signal to `flag`, if a VCD is attached."""
+        vcd = self.platform.vcd
+        if vcd is not None:
+            vcd.change(self.path + "/busy", int(flag), self.platform.engine.now_ps)
 
 
 def bind(master_port, slave_port):

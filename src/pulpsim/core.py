@@ -361,6 +361,7 @@ class RiscvCore(Component):
         "branch_penalty": (int, 2),
         "trap_vector": (int, 0),    # 0: halt on unhandled trap
     }
+    COUNTERS = COUNTER_NAMES
 
     def build(self):
         self.add_master("fetch")
@@ -379,14 +380,13 @@ class RiscvCore(Component):
         self._zero_state()
 
     def _zero_state(self):
+        super().reset()             # the counters
         self.scoreboard = [0] * 32
         self.sleep_from = 0
         self.csr_mtvec = self.params["trap_vector"]
         self.csr_mepc = 0
         self.csr_mcause = 0
         self.csr_mtval = 0
-        for name in COUNTER_NAMES:
-            setattr(self, name, 0)
         self._lease = _NO_LEASE
         self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
 
@@ -411,9 +411,6 @@ class RiscvCore(Component):
             self.platform.vcd.core_pc(self, self.pc)
 
     # -- architectural helpers ------------------------------------------
-
-    def counters(self):
-        return {name: getattr(self, name) for name in COUNTER_NAMES}
 
     def csr_read(self, csr):
         if csr == CSR_CYCLE:

@@ -73,6 +73,7 @@ class ClusterDma(RegisterDevice):
         "event_unit": (str, REQUIRED),
         "event_line": (int, 1),
     }
+    COUNTERS = ("transfers", "bytes", "contentions")
 
     def build(self):
         super().build()
@@ -88,6 +89,7 @@ class ClusterDma(RegisterDevice):
         self.reset()
 
     def reset(self):
+        super().reset()
         self.regs = {REG_SRC: 0, REG_DST: 0, REG_LEN: 0, REG_STRIDE: 0,
                      REG_COUNT: 1, REG_TID: 0}
         self.flags = 0
@@ -95,10 +97,6 @@ class ClusterDma(RegisterDevice):
         self.last_id = 0
         self.active = {}
         self.failed = set()     # tids of transfers that ended in a bus error
-        self.transfers = 0
-        self.bytes_moved = 0
-        self.contentions = 0
-        self._tr = self.platform.trace_enabled(self.path)
 
     def finalize(self):
         self.event_unit = line_owner(self, "event_unit", "event_line")
@@ -142,13 +140,10 @@ class ClusterDma(RegisterDevice):
         tr.event = Event(self.path, self._burst, tr)
         self.active[tid] = tr
         self.transfers += 1
-        if self.platform.vcd is not None:
-            self.platform.vcd.flag(self, True)
+        self.busy(True)
         self.domain.enqueue(tr.event, self.params["program_latency"])
-        if self._tr:
-            self.platform.trace(self.path, self.domain,
-                                "start id=%d src=0x%08x dst=0x%08x len=%d rows=%d" %
-                                (tid, tr.src, tr.dst, length, count))
+        self.log("start id=%d src=0x%08x dst=0x%08x len=%d rows=%d",
+                 tid, tr.src, tr.dst, length, count)
 
     READS = {REG_STATUS: _read_status, REG_ID: _read_id, REG_TID_STATUS: _read_tid_status}
     WRITES = {REG_CFG: _start}
@@ -196,7 +191,7 @@ class ClusterDma(RegisterDevice):
         if tr.error:
             self._finish(tr)
             return
-        self.bytes_moved += chunk
+        self.bytes += chunk
         tr.row_off += chunk
         if tr.row_off >= tr.row_len:
             tr.row_off = 0
@@ -210,13 +205,6 @@ class ClusterDma(RegisterDevice):
         del self.active[tr.tid]
         if tr.error:
             self.failed.add(tr.tid)
-        if self._tr:
-            self.platform.trace(self.path, self.domain, "done id=%d status=%s" %
-                                (tr.tid, "error" if tr.error else "done"))
-        if self.platform.vcd is not None:
-            self.platform.vcd.flag(self, bool(self.active))
+        self.log("done id=%d status=%s", tr.tid, "error" if tr.error else "done")
+        self.busy(bool(self.active))
         self.event_unit.set_line(self.params["event_line"])
-
-    def counters(self):
-        return {"transfers": self.transfers, "bytes": self.bytes_moved,
-                "contentions": self.contentions}

@@ -57,6 +57,7 @@ class EventUnit(Component):
         "n_lines": (int, 16),
         "cores": (list, REQUIRED),
     }
+    COUNTERS = ("barriers_passed", "events_set")
 
     def build(self):
         self.base = self.params["base"]
@@ -75,6 +76,7 @@ class EventUnit(Component):
         self.reset()
 
     def reset(self):
+        super().reset()
         for st in self.states:
             st.mask = 0
             st.pending = 0
@@ -83,8 +85,6 @@ class EventUnit(Component):
         self.barrier_mask = self.all_mask
         self.barrier_arrived = 0
         self.generation = 0
-        self.barriers_passed = 0
-        self.events_set = 0
 
     # -- wires from other components (DMA, accelerator, micro-DMA) ---------
 
@@ -200,10 +200,6 @@ class EventUnit(Component):
         else:
             st.wait_kind = "barrier"
             req.sleep = True
-
-    def counters(self):
-        return {"barriers_passed": self.barriers_passed,
-                "events_set": self.events_set}
 
 
 def line_owner(comp, unit, line):

@@ -39,6 +39,7 @@ class InstructionCache(Component):
         "line_bytes": (int, 16),
         "hit_latency": (int, 0),
     }
+    COUNTERS = ("hits", "misses", "refills")
 
     def build(self):
         size = self.positive_param("size")
@@ -55,19 +56,14 @@ class InstructionCache(Component):
         self._refill_req = Request(size=self.line)
         self.epoch = 0
         self.last_line = 0
-        self._init_arrays()
+        self.reset()
 
-    def _init_arrays(self):
+    def reset(self):
+        super().reset()
         self.tags = [[None] * self.ways for _ in range(self.sets)]
         self.data = [[0] * self.ways for _ in range(self.sets)]
         self.lru = [list(range(self.ways)) for _ in range(self.sets)]
         self.busy_until = -1
-        self.hits = 0
-        self.misses = 0
-        self.refills = 0
-
-    def reset(self):
-        self._init_arrays()
         self.epoch += 1
 
     def handle(self, req):
@@ -143,6 +139,3 @@ class InstructionCache(Component):
         upstream = self.refill_port.binding.owner
         if upstream.kind == self.kind:
             upstream.flush()
-
-    def counters(self):
-        return {"hits": self.hits, "misses": self.misses, "refills": self.refills}

@@ -78,6 +78,7 @@ class Router(Component):
         "bandwidth_bytes_per_cycle": (int, 0),
         "mappings": (list, REQUIRED),
     }
+    COUNTERS = ("forwarded", "queued_cycles")
 
     def build(self):
         self.latency = self.positive_param("latency", 0)
@@ -92,9 +93,8 @@ class Router(Component):
         self.reset()
 
     def reset(self):
+        super().reset()
         self.busy_until = -1
-        self.forwarded = 0
-        self.queued_cycles = 0
 
     def handle(self, req):
         out = decode(self.mappings, req.addr)
@@ -113,9 +113,6 @@ class Router(Component):
         self.forwarded += 1
         out.binding.handler(req)
 
-    def counters(self):
-        return {"forwarded": self.forwarded, "queued_cycles": self.queued_cycles}
-
 
 @register
 class ClockCrossing(Component):
@@ -133,6 +130,7 @@ class ClockCrossing(Component):
         "source_domain": (str, REQUIRED),
         "crossing_latency": (int, 0),   # extra destination cycles per crossing
     }
+    COUNTERS = ("crossings",)
 
     def build(self):
         self.latency = self.positive_param("crossing_latency", 0)
@@ -143,9 +141,6 @@ class ClockCrossing(Component):
 
     def finalize(self):
         self.src = self.platform.domain(self.params["source_domain"])
-
-    def reset(self):
-        self.crossings = 0
 
     def handle(self, req):
         src = self.src
@@ -160,6 +155,3 @@ class ClockCrossing(Component):
         if req.latency < src_latency:           # never lose already-paid cycles
             req.latency = src_latency
         self.crossings += 1
-
-    def counters(self):
-        return {"crossings": self.crossings}

@@ -26,6 +26,7 @@ class BankedMemory(Component):
         "banks": (int, 16),
         "access_latency": (int, 0),     # constant cycles charged per access
     }
+    COUNTERS = ("reads", "writes", "contentions")
 
     def build(self):
         base = self.params["base"]
@@ -48,10 +49,8 @@ class BankedMemory(Component):
         self.platform.register_backing(self.base, self.contents)
 
     def reset(self):
+        super().reset()
         self.bank_busy = [-1] * self.banks   # absolute domain cycle each bank is held through
-        self.reads = 0
-        self.writes = 0
-        self.contention_count = 0
 
     def bank_of(self, addr):
         return (addr >> 2) & self.bank_mask
@@ -78,7 +77,7 @@ class BankedMemory(Component):
         if wait > 0:
             req.latency += wait
             req.contended = True
-            self.contention_count += 1
+            self.contentions += 1
             at += wait
         extra = words - 1               # one cycle per extra word of a wide request
         req.latency += extra + self.latency
@@ -137,17 +136,13 @@ class BankedMemory(Component):
                 contended += 1
                 at += wait
             busy[bank] = at
-        self.contention_count += contended
+        self.contentions += contended
         if out is None:
             self.reads += last - first
         else:
             self.writes += last - first
             self.contents[off + 4 * first:off + 4 * last] = out[4 * first:4 * last]
         return waits + (last - first) * self.latency
-
-    def counters(self):
-        return {"reads": self.reads, "writes": self.writes,
-                "contentions": self.contention_count}
 
 
 def bound_memory(comp, ports, what):

@@ -15,8 +15,10 @@ Transfer completion raises an interrupt line on the fabric controller's
 interrupt controller.
 
 The external memory is modeled at bandwidth/latency level only: a
-capacity, a bit rate and a fixed per-transfer setup time.  The sim-control
-device gives guest programs a way to stop the simulation and print.
+capacity, a bit rate and a fixed per-transfer setup time, which its
+`access_ps` turns into the one transfer time that its own accesses and the
+micro-DMA's beat schedule both use.  The sim-control device gives guest
+programs a way to stop the simulation and print.
 """
 
 import mmap
@@ -54,12 +56,13 @@ class HyperRam(Component):
         "bandwidth_bits_per_sec": (int, 1600000000),
         "setup_ns": (int, 300),
     }
+    COUNTERS = ("reads", "writes")
 
     def build(self):
         self.base = self.params["base"]
         self.size = self.positive_param("size")
-        self.positive_param("bandwidth_bits_per_sec")
-        self.positive_param("setup_ns", 0)
+        self.bandwidth = self.positive_param("bandwidth_bits_per_sec")
+        self.setup_ps = self.positive_param("setup_ns", 0) * 1000
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
         self.reset()
@@ -67,13 +70,10 @@ class HyperRam(Component):
     def finalize(self):
         self.platform.register_backing(self.base, self.contents)
 
-    def reset(self):
-        self.reads = 0
-        self.writes = 0
-
     def access_ps(self, nbytes):
-        bw = self.params["bandwidth_bits_per_sec"]
-        return self.params["setup_ns"] * 1000 + -(-nbytes * 8 * PS_PER_SEC // bw)
+        """Picoseconds to move `nbytes` over the link: the setup time, then
+        the bytes at the link's bit rate, rounded up."""
+        return self.setup_ps + -(-nbytes * 8 * PS_PER_SEC // self.bandwidth)
 
     def handle(self, req):
         off = req.addr - self.base
@@ -87,9 +87,6 @@ class HyperRam(Component):
         else:
             self.reads += 1
             req.value = int.from_bytes(self.contents[off:off + req.size], "little")
-
-    def counters(self):
-        return {"reads": self.reads, "writes": self.writes}
 
 
 @register
@@ -105,6 +102,7 @@ class MicroDma(RegisterDevice):
         "itc_line": (int, 1),
         "beat_bytes": (int, 4),
     }
+    COUNTERS = ("transfers", "bytes")
 
     def build(self):
         super().build()
@@ -121,11 +119,9 @@ class MicroDma(RegisterDevice):
         self.itc = line_owner(self, "itc", "itc_line")
 
     def reset(self):
+        super().reset()
         self.regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
         self.status = 0
-        self.transfers = 0
-        self.bytes_moved = 0
-        self._tr = self.platform.trace_enabled(self.path)
 
     # -- register interface (RegisterDevice) ---------------------------
 
@@ -141,25 +137,19 @@ class MicroDma(RegisterDevice):
             return
         self.status = UDMA_BUSY
         self.transfers += 1
-        if self.platform.vcd is not None:
-            self.platform.vcd.flag(self, True)
-        start_ps = self.platform.engine.now_ps
+        self.busy(True)
         # the transfer: direction, next L2 address and device offset, bytes
-        # left and moved, pacing origin and rate, and the previous beat's cycle
+        # left and moved, start time and the previous beat's cycle
         self._tx = tx
         self._l2 = self.regs[UDMA_L2_ADDR]
         self._ext = ext
         self._left = length
         self._done = 0
-        self._t0 = start_ps + self.device.params["setup_ns"] * 1000
-        self._bw = self.device.params["bandwidth_bits_per_sec"]
+        self._start_ps = start_ps = self.platform.engine.now_ps
         self._prev = self._beat_cycle(min(self.params["beat_bytes"], length),
                                       self.domain.cycle_at_or_after(start_ps))
-        if self._tr:
-            self.platform.trace(self.path, self.domain,
-                                "start %s l2=0x%08x ext=0x%08x len=%d" %
-                                ("tx" if tx else "rx", self.regs[UDMA_L2_ADDR],
-                                 ext, length))
+        self.log("start %s l2=0x%08x ext=0x%08x len=%d",
+                 "tx" if tx else "rx", self._l2, ext, length)
         self.domain.enqueue_at(self.beat_event, self._prev)
 
     READS = {UDMA_STATUS: RegisterDevice.read_status}
@@ -169,7 +159,7 @@ class MicroDma(RegisterDevice):
         """The cycle of the beat after which `done` bytes have moved, when
         the previous beat was at cycle `prev`."""
         # exact cumulative pacing: a beat ends when its bytes have crossed the link
-        cycle = self.domain.cycle_at_or_after(self._t0 + -(-done * 8 * PS_PER_SEC // self._bw))
+        cycle = self.domain.cycle_at_or_after(self._start_ps + self.device.access_ps(done))
         return cycle if cycle > prev else prev + 1      # at most one beat per cycle
 
     def _beat(self, ev):
@@ -209,7 +199,7 @@ class MicroDma(RegisterDevice):
             if prev >= dom.horizon_cycle or not dom.run_ahead(prev, prev - dom.cycle):
                 dom.enqueue_at(ev, prev)
                 break
-        self.bytes_moved += done - self._done
+        self.bytes += done - self._done
         if left and req.status == STATUS_OK:
             self._l2, self._ext, self._left, self._done, self._prev = l2, ext, left, done, prev
         else:
@@ -217,15 +207,9 @@ class MicroDma(RegisterDevice):
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
-        if self.platform.vcd is not None:
-            self.platform.vcd.flag(self, False)
-        if self._tr:
-            self.platform.trace(self.path, self.domain,
-                                "done status=%s" % ("error" if error else "ok"))
+        self.busy(False)
+        self.log("done status=%s", "error" if error else "ok")
         self.itc.set_line(self.params["itc_line"])
-
-    def counters(self):
-        return {"transfers": self.transfers, "bytes": self.bytes_moved}
 
 
 @register

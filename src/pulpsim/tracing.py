@@ -1,15 +1,22 @@
 """System traces, VCD waveforms and the end-of-run statistics report.
 
 Trace lines are `<ps>ps <domain>:<cycle> [<component path>] <message>`,
-emitted only for paths matching an enabled glob; components cache the
-enabled flag per path so disabled tracing costs nothing.  The VCD dump
-covers activity-level signals (per-core pc and active flag, DMA and
-accelerator busy flags) with a 1 ps timescale.
+emitted only for paths matching an enabled glob, whose answer the sink
+caches per path.  Cores trace each instruction on `<core>/insn`, and
+`RegisterDevice.log` traces the cluster DMA's, the accelerator's and the
+micro-DMA's job starts and ends on their own paths.
+
+The VCD dump covers activity-level signals with a 1 ps timescale: each
+`riscv-core` drives `<core>/pc` and `<core>/active`, and each
+`RegisterDevice` (cluster DMA, accelerator, micro-DMA) drives
+`<device>/busy` through `RegisterDevice.busy`.
 """
 
 import fnmatch
 import re
 import sys
+
+from .component import RegisterDevice
 
 
 class TraceSink:
@@ -111,16 +118,13 @@ class VcdWriter:
     def core_activity(self, core, active):
         self.change(core.path + "/active", int(active), core.platform.engine.now_ps)
 
-    def flag(self, comp, value):
-        self.change(comp.path + "/busy", int(value), comp.platform.engine.now_ps)
-
     def attach(self, platform):
         """Register the standard signal set and hook into the platform."""
         for comp in sorted(platform.components.values(), key=lambda c: c.path):
             if comp.kind == "riscv-core":
                 self.register(comp.path + "/pc", 32)
                 self.register(comp.path + "/active", 1)
-            elif comp.kind in ("cluster-dma", "micro-dma", "conv-accel"):
+            elif isinstance(comp, RegisterDevice):
                 self.register(comp.path + "/busy", 1)
         platform.vcd = self
 

@@ -210,6 +210,50 @@ def test_bus_error_on_unmapped_address():
     assert cpu.csr_mtvec == 0
 
 
+def test_event_counter_csrs_and_trap_csr_writes():
+    src = """
+    _start:
+        addi x1, x0, 1
+        sw x1, 0x100(x0)
+        csrr x5, 0x7C2      # instr_retired
+        csrr x6, 0x7C8      # stores
+        csrr x7, 0x7C0      # total_cycles
+        li x8, 0x55
+        csrw 0x342, x8      # mcause
+        csrw 0x343, x8      # mtval
+        csrr x9, 0x342
+        csrr x12, 0x343
+    t_bad:
+        csrr x13, 0x7CA     # one past the event counters: illegal
+        ecall
+    """
+    prog = assemble(src, origin=0x1000)
+    plat, cpu, _ = run_program(src)
+    bad = prog.symbols["t_bad"]
+    assert cpu.regs[5:8] == [2, 1, 4]   # one cycle per instruction before the read
+    assert cpu.regs[9] == cpu.regs[12] == 0x55
+    assert cpu.regs[13] == 0 and cpu.mode == "halted" and cpu.pc == bad
+    assert plat.diagnostics == [
+        "cpu: unhandled trap cause=2 tval=0x%08x at pc=0x%08x; core halted"
+        % (prog.words[bad], bad)]
+
+
+def test_fetch_from_an_unmapped_pc_is_an_access_fault():
+    plat, cpu, _ = run_program("_start:\n    li x1, 0xDEAD0000\n    jr x1\n")
+    assert cpu.mode == "halted" and cpu.pc == 0xDEAD0000
+    assert plat.diagnostics == [
+        "cpu: unhandled trap cause=1 tval=0xdead0000 at pc=0xdead0000; core halted"]
+
+
+def test_lwpost_fault_leaves_its_base_register():
+    src = "_start:\n    li x1, 0xDEAD0000\nt_lw:\n    p.lwpost x2, 4(x1)\n"
+    plat, cpu, _ = run_program(src)
+    at = assemble(src, origin=0x1000).symbols["t_lw"]
+    assert cpu.regs[1] == 0xDEAD0000 and cpu.regs[2] == 0
+    assert plat.diagnostics == [
+        "cpu: unhandled trap cause=5 tval=0xdead0000 at pc=0x%08x; core halted" % at]
+
+
 TRAP_GUEST = """
 _start:
     li x10, 0x8000          # trap log: mcause, mepc, mtval per trap

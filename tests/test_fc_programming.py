@@ -116,7 +116,7 @@ def test_fc_driven_dma_copies_l2_to_tcdm():
     plat = run(guest(body), [(src, data)])
     assert plat.peek(dst, 256) == data
     dma = plat.lookup("cluster/dma")
-    assert dma.transfers == 1 and dma.bytes_moved == 256
+    assert dma.transfers == 1 and dma.bytes == 256
 
 
 def test_dma_tid_status_and_bounded_state():
@@ -164,7 +164,7 @@ def test_fc_driven_2d_dma_matches_numpy_slicing(l1_to_l2):
     else:
         assert plat.peek(tcdm, row_len * count) == rows[:, :row_len].tobytes()
     dma = plat.lookup("cluster/dma")
-    assert dma.transfers == 1 and dma.bytes_moved == row_len * count
+    assert dma.transfers == 1 and dma.bytes == row_len * count
 
 
 def test_dma_rejects_a_transfer_past_its_channels():
@@ -183,7 +183,7 @@ def test_dma_rejects_a_transfer_past_its_channels():
     assert dma.params["channels"] == 4
     assert results(plat, 7) == [4 | DMA_REJECT, 4, 1, 1, 1, 1, 0xFFFFFFFF]
     assert plat.peek(dst, length) == data
-    assert dma.transfers == 4 and dma.bytes_moved == 4 * length
+    assert dma.transfers == 4 and dma.bytes == 4 * length
 
 
 # -- conv accelerator ----------------------------------------------------
@@ -252,7 +252,24 @@ def test_fc_driven_accelerator_matches_nested_loop_conv(k):
     plat = run(guest(body), pokes)
     assert results(plat, 1) == [0]
     assert out_words(plat, TCDM + 0x800, len(want)) == want
-    assert plat.lookup("cluster/accel").jobs_done == 1
+    assert plat.lookup("cluster/accel").jobs == 1
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1, 1), (1, 1, 1, 3, 1), (1, 2, 1, 1, 1),
+                                   (2, 1, 1, 3, 3), (5, 3, 1, 1, 1)])
+def test_accelerator_writes_every_output_word(shape):
+    # (cin, cout, h, w, k) whose input and weight byte counts both end in a
+    # partial word, the two remainders summing to at most 4: each tensor
+    # streams its own words, so the output's last word is still written
+    cin, cout, h, wd, k = shape
+    out = TCDM + 0x800
+    regs, pokes, want = conv_job(random.Random(sum(shape)), cin, cout, h, wd, k,
+                                 TCDM, TCDM + 0x400, out)
+    body = ["li a0, 0x%X" % CL_ACCEL] + acc_program(regs) + acc_wait("wait")
+    body += ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 0)
+    plat = run(guest(body), pokes + [(out, b"\xA5" * 4 * len(want))])
+    assert results(plat, 1) == [0]
+    assert out_words(plat, out, len(want)) == want
 
 
 def test_unaligned_accelerator_output_is_rejected():
@@ -265,7 +282,7 @@ def test_unaligned_accelerator_output_is_rejected():
     guard = bytes(range(0xE0, 0xF8))
     plat = run(guest(body), pokes + [(out - 2, guard)])
     assert results(plat, 1) == [ST_ERROR]
-    assert plat.lookup("cluster/accel").jobs_done == 0
+    assert plat.lookup("cluster/accel").jobs == 0
     assert plat.peek(out - 2, len(guard)) == guard
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from pulpsim.asm import assemble
+from pulpsim.component import Request, STATUS_ERR, STATUS_OK
 from pulpsim.errors import ConfigError
 
 from conftest import build_pulp
@@ -76,7 +77,7 @@ def test_never_written_bytes_read_as_zero():
     assert plat.run(max_cycles=200_000) == 0 and not plat.diagnostics
     assert plat.peek(IO_DST, IO_LEN) == bytes(IO_LEN)
     assert plat.peek(RESULT, 4) == bytes(4)
-    assert plat.lookup("udma").bytes_moved == IO_LEN
+    assert plat.lookup("udma").bytes == IO_LEN
     assert plat.lookup("hyper").reads == 1
     assert plat.peek(HYPER + IO_EXT, IO_LEN) == bytes(IO_LEN)
 
@@ -91,6 +92,20 @@ def test_last_byte_is_reachable_and_past_it_is_not():
     with pytest.raises(ConfigError):
         plat.peek(HYPER + SIZE, 1)
     assert plat.peek(HYPER + SIZE - 1, 1) == b"\x5A"
+
+
+def test_timed_access_past_the_end_fails():
+    hyper = build_pulp().lookup("hyper")
+    handle = hyper.ports["in"].handler
+    last = Request(HYPER + SIZE - 4, 4)
+    handle(last)
+    assert last.status == STATUS_OK and last.latency > 0
+    for addr in (HYPER + SIZE - 2, HYPER + SIZE):
+        for req in (Request(addr, 4), Request(addr, 4, True, 0x01020304)):
+            handle(req)
+            assert req.status == STATUS_ERR and req.latency == 0, hex(addr)
+    assert (hyper.reads, hyper.writes) == (1, 0)
+    assert hyper.contents[SIZE - 2:] == bytes(2)
 
 
 def test_contents_survive_reset():

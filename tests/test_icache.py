@@ -12,8 +12,10 @@ import random
 import pytest
 
 import pulpsim
-from pulpsim.component import Request
+from pulpsim.asm import assemble
+from pulpsim.component import Request, STATUS_ERR
 
+from conftest import build_pulp
 from reference_cache import RefLruCache
 
 MEM_SIZE = 0x10000
@@ -94,3 +96,41 @@ def test_icache_matches_reference_lru(geometry, seed):
         assert req.value.to_bytes(nbytes, "little") == want, hex(addr)
     assert (cache.hits, cache.misses) == (hits, misses)
     assert hits > 1000 and misses > 100 and flushes > 0
+
+
+def test_fetch_straddling_a_line_fails():
+    cache = build_cache(512, 2, 16, 0, bytes(MEM_SIZE))
+    for addr, nbytes in ((14, 4), (0, 32)):
+        req = Request(addr, nbytes, False)
+        cache.ports["in"].handler(req)
+        assert req.status == STATUS_ERR and not req.cache_miss
+    assert (cache.hits, cache.misses) == (0, 0)
+
+
+def test_failed_refill_reaches_the_core():
+    # the FC jumps to an address no router maps: its L1 misses, the refill
+    # fails, and the core takes an instruction-access fault there
+    plat = build_pulp()
+    prog = assemble("""
+    _start:
+        csrr t0, 0xF14
+        li t1, 32
+        beq t0, t1, fc_main
+    pe_park:
+        li t0, 0x10200000
+        addi t1, zero, 1
+        sw t1, 0(t0)
+        lw t1, 4(t0)
+        j pe_park
+    fc_main:
+        li t0, 0x30000000
+        jr t0
+    """, origin=0x1C000000)
+    for addr, word in prog.words.items():
+        plat.poke(addr, word.to_bytes(4, "little"))
+    plat.set_entry(prog.entry)
+    plat.run(max_cycles=100_000)
+    assert plat.diagnostics == [
+        "fc: unhandled trap cause=1 tval=0x30000000 at pc=0x30000000; core halted"]
+    cache = plat.lookup("fc_icache")
+    assert cache.misses == cache.refills + 1

@@ -62,7 +62,7 @@ def test_same_cycle_same_bank_serializes():
     assert first.latency == 0
     assert second.latency == 1 and second.contended
     assert third.latency == 2 and third.contended
-    assert mem.contention_count == 2
+    assert mem.contentions == 2
 
 
 def test_same_cycle_different_banks_parallel():
@@ -118,7 +118,7 @@ def test_poke_peek_roundtrip_no_counters():
     plat.poke(0x100, b"\x01\x02\x03\x04\x05\x06\x07\x08")
     assert plat.peek(0x100, 8) == b"\x01\x02\x03\x04\x05\x06\x07\x08"
     assert mem.contents[0x100:0x108] == b"\x01\x02\x03\x04\x05\x06\x07\x08"
-    assert mem.reads == 0 and mem.writes == 0 and mem.contention_count == 0
+    assert mem.reads == 0 and mem.writes == 0 and mem.contentions == 0
 
 
 def test_peek_bounds():
@@ -150,7 +150,7 @@ def test_contention_monotone_in_bank_count_and_data_identical():
             req = Request(0x10000000 + off, 4, bool(is_write), value=value)
             mem.handle(req)
         finals.append(bytes(mem.contents))
-        contentions.append(mem.contention_count)
+        contentions.append(mem.contentions)
     assert all(f == finals[0] for f in finals)
     assert contentions == sorted(contentions, reverse=True)
 

@@ -1,10 +1,10 @@
 """The memory-mapped register protocol of the cluster DMA, the accelerator,
-the micro-DMA and the event unit, driven straight through each device's
-`in` port."""
+the micro-DMA, the event unit and the sim control, driven straight through
+each device's `in` port."""
 
 import pytest
 
-from pulpsim import event_unit as eu
+from pulpsim import accel, dma, periph, event_unit as eu
 from pulpsim.component import Request, STATUS_ERR, STATUS_OK
 
 from conftest import build_pulp
@@ -140,3 +140,66 @@ def test_event_unit_errors():
     assert [req.sleep for req in bad] == [False] * len(bad)
     assert unit.events_set == 0 and unit.barrier_arrived == 0
     assert [st.pending for st in unit.states] == [0] * 8
+
+
+def _program(dev, regs, trigger, cfg):
+    """Write `regs` (offset -> value), then `cfg` to `trigger`."""
+    for off, value in regs.items():
+        _access(dev, off, value=value)
+    return _access(dev, trigger, value=cfg)
+
+
+def test_accelerator_job_errors_and_rejects():
+    path, _, _, job, (trigger, cfg) = DEVICES["conv-accel"]
+    plat = build_pulp()
+    acc = plat.lookup(path)
+    # an even kernel and each zero dimension: CH_IN, CH_OUT, H, W
+    for bad in ({0x1C: 2}, {0x0C: 0}, {0x10: 0}, {0x14: 0}, {0x18: 0}):
+        plat.reset()
+        assert _program(acc, {**job, **bad}, trigger, cfg).status == STATUS_OK
+        assert _access(acc, accel.REG_STATUS).value == accel.ST_ERROR, bad
+        assert acc.running is None
+    plat.reset()
+    statuses = []
+    for _ in range(3):
+        _program(acc, job, trigger, cfg)
+        statuses.append(_access(acc, accel.REG_STATUS).value)
+    busy, shadow = accel.ST_BUSY, accel.ST_SHADOW
+    assert statuses == [busy, busy | shadow, busy | shadow | accel.ST_REJECT]
+
+
+def test_dma_rejects_an_empty_transfer():
+    path, _, _, job, (trigger, cfg) = DEVICES["cluster-dma"]
+    plat = build_pulp()
+    dma_dev = plat.lookup(path)
+    for bad, cfg_bits in (({dma.REG_LEN: 0}, cfg), ({dma.REG_COUNT: 0}, cfg | 2)):
+        _program(dma_dev, {**job, **bad}, trigger, cfg_bits)
+        assert _access(dma_dev, dma.REG_STATUS).value == dma.FLAG_CONFIG, bad
+    assert dma_dev.transfers == 0 and not dma_dev.active
+
+
+def test_micro_dma_errors():
+    path, _, _, job, (trigger, cfg) = DEVICES["micro-dma"]
+    plat = build_pulp()
+    udma = plat.lookup(path)
+    size = udma.device.size
+    for bad in ({periph.UDMA_LEN: 0}, {periph.UDMA_EXT_ADDR: size - 8}):
+        plat.reset()
+        _program(udma, {**job, **bad}, trigger, cfg)
+        assert _access(udma, periph.UDMA_STATUS).value == periph.UDMA_ERR, bad
+        assert udma.transfers == 0
+    plat.reset()
+    _program(udma, job, trigger, cfg)
+    assert _access(udma, periph.UDMA_STATUS).value == periph.UDMA_BUSY
+    _program(udma, job, trigger, cfg)                    # again while busy
+    assert _access(udma, periph.UDMA_STATUS).value == periph.UDMA_BUSY | periph.UDMA_ERR
+    assert udma.transfers == 1
+
+
+def test_sim_control_reads_zero_and_maps_two_registers():
+    simctl = build_pulp().lookup("sim_ctrl")
+    for off in (periph.SIMCTL_EXIT, periph.SIMCTL_PUTC):
+        req = _access(simctl, off)
+        assert (req.status, req.value) == (STATUS_OK, 0), off
+    assert _access(simctl, 0x8).status == STATUS_ERR
+    assert _access(simctl, 0x8, value=1).status == STATUS_ERR
