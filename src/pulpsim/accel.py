@@ -43,11 +43,12 @@ ST_REJECT = 8
 
 class _Job:
     """A job's registers and shape: `spans` holds the (first byte, byte
-    count) of the int8 input, int8 weights and int32 output, and `words`
-    the words they stream, each span from its first byte's word on."""
+    count) of the int8 input, int8 weights and int32 output, `span_words`
+    the TCDM words each span's bytes touch, and `words` their sum."""
 
-    __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w",
-                 "k", "spans", "words", "cycles_left", "chunks", "words_done", "out_view")
+    __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w", "k",
+                 "spans", "span_words", "words", "cycles_left", "chunks", "words_done",
+                 "out_view")
 
     def __init__(self, regs):
         self.in_ptr = regs[REG_IN]
@@ -60,7 +61,8 @@ class _Job:
         self.k = k = regs[REG_KSIZE]
         self.spans = ((self.in_ptr, cin * h * w), (self.w_ptr, cout * cin * k * k),
                       (self.out_ptr, cout * h * w * 4))
-        self.words = sum(-(-n // 4) for _, n in self.spans)
+        self.span_words = tuple(-(-(ptr % 4 + n) // 4) for ptr, n in self.spans)
+        self.words = sum(self.span_words)
 
 
 @register
@@ -144,7 +146,7 @@ class ConvAccelerator(RegisterDevice):
     # -- register interface (RegisterDevice) ---------------------------
 
     def _trigger(self, req):
-        self.status &= ~ST_REJECT
+        self.status &= ~(ST_REJECT | ST_ERROR)
         if self.running is not None and self.shadow is not None:
             self.status |= ST_REJECT        # both slots full: trigger ignored
             return
@@ -199,8 +201,9 @@ class ConvAccelerator(RegisterDevice):
         end = start + words
         waits = 0
         first = 0
-        for (addr, nbytes), out in zip(job.spans, (None, None, job.out_view)):
-            last = first + -(-nbytes // 4)
+        for (addr, _), count, out in zip(job.spans, job.span_words,
+                                         (None, None, job.out_view)):
+            last = first + count
             lo, hi = max(first, start), min(last, end)
             if lo < hi:
                 skip = 4 * (lo - first)

@@ -78,6 +78,11 @@ def parse(json_text):
         raw = json.loads(json_text)
     except json.JSONDecodeError as e:
         raise ConfigError("invalid JSON: %s" % e) from None
+    return _checked(raw)
+
+
+def _checked(raw):
+    """The ArchDescriptor of a decoded description, after every check."""
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object")
     known = {"name", "clock_domains", "components", "bindings"}
@@ -154,12 +159,14 @@ def apply_overrides(descriptor, overrides):
     The path may dive into nested parameter groups of composite components
     (e.g. `cluster/tcdm.banks=64` updates the `tcdm` group of the `cluster`
     component).  Values must match the type they replace.  Clock domain
-    overrides `clock_domains.<name>.frequency_hz` are checked as in parse().
+    overrides are `clock_domains.<name>.frequency_hz`.  The edited
+    description then goes through every check of parse(), so an override
+    gives the descriptor that the same edit to the file would.
     """
-    desc = ArchDescriptor(descriptor.name,
-                          copy.deepcopy(descriptor.clock_domains),
-                          copy.deepcopy(descriptor.components),
-                          list(descriptor.bindings))
+    raw = descriptor.to_dict()
+    domains, components = raw["clock_domains"], raw["components"]
+    if not overrides:
+        return ArchDescriptor(descriptor.name, domains, components, list(descriptor.bindings))
     for text in overrides:
         if "=" not in text:
             raise ConfigError("override '%s': expected path.key=value" % text)
@@ -171,21 +178,20 @@ def apply_overrides(descriptor, overrides):
 
         if target_path.startswith("clock_domains."):
             name = target_path[len("clock_domains."):]
-            if name not in desc.clock_domains:
+            if name not in domains:
                 raise ConfigError("override '%s': unknown clock domain '%s'" % (text, name))
-            desc.clock_domains[name] = _clock_domain(
-                name, dict(desc.clock_domains[name], **{key: value}))
+            domains[name][key] = value
             continue
 
         entry = None
         remainder = None
-        if target_path in desc.components:
-            entry = desc.components[target_path]
+        if target_path in components:
+            entry = components[target_path]
             remainder = []
         else:
-            for path in sorted(desc.components, key=len, reverse=True):
+            for path in sorted(components, key=len, reverse=True):
                 if target_path.startswith(path + "/"):
-                    entry = desc.components[path]
+                    entry = components[path]
                     remainder = target_path[len(path) + 1:].split("/")
                     break
         if entry is None:
@@ -208,4 +214,4 @@ def apply_overrides(descriptor, overrides):
             raise ConfigError("override '%s': type mismatch (have %s, got %s)" % (
                 text, type(old).__name__, type(value).__name__))
         params[key] = value
-    return desc
+    return _checked(raw)

@@ -331,3 +331,26 @@ def test_event_unit_cores_must_be_cores():
         build(parse(json.dumps(doc)))
     assert "components.eu.params.cores: 'ram' has kind 'banked-memory', expected 'riscv-core'" \
         in str(err.value)
+
+
+def test_group_override_equals_textual_edit():
+    text = serialize(pulp_descriptor())
+    desc_a = apply_overrides(parse(text), ['cluster.tcdm={"banks":32}'])
+    edited = json.loads(text)
+    edited["components"]["cluster"]["params"]["tcdm"] = {"banks": 32}
+    assert desc_a == parse(json.dumps(edited))
+    assert desc_a.components["cluster"]["params"]["tcdm"]["size"] == 0x20000
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (['cluster.tcdm={"bnks":1}'], "components.cluster.params.tcdm: unknown keys ['bnks']"),
+    (["l2.base=0x1C040000", "hyper.base=0x1C000000"],
+     "components.soc_ic: address ranges of 'l2' [0x1c040000,0x1c0c0000) and 'hyper' "
+     "[0x1c000000,0x1c800000) overlap"),
+    (['soc_ic.mappings=[{"target":"nosuch"}]'],
+     "components.soc_ic.params.mappings[0]: unknown target 'nosuch'"),
+], ids=["misspelt-group-key", "overlapping-targets", "unknown-target"])
+def test_overrides_are_checked_like_the_file(overrides, message):
+    with pytest.raises(ConfigError) as err:
+        apply_overrides(pulp_descriptor(), overrides)
+    assert message in str(err.value)

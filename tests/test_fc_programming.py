@@ -37,7 +37,7 @@ DMA_SRC, DMA_DST, DMA_LEN, DMA_STRIDE, DMA_COUNT, DMA_CFG, DMA_STATUS, DMA_ID, D
     DMA_TID_STATUS = 0x00, 0x04, 0x08, 0x0C, 0x10, 0x14, 0x18, 0x1C, 0x20, 0x24
 DMA_L1_TO_L2, DMA_2D, DMA_REJECT = 1, 2, 1 << 30
 ACC_TRIGGER, ACC_STATUS = 0x20, 0x24
-ST_ERROR = 4
+ST_BUSY, ST_ERROR = 1, 4
 UDMA_L2, UDMA_EXT, UDMA_LEN, UDMA_CFG = 0x00, 0x04, 0x08, 0x0C
 
 
@@ -284,6 +284,33 @@ def test_unaligned_accelerator_output_is_rejected():
     assert results(plat, 1) == [ST_ERROR]
     assert plat.lookup("cluster/accel").jobs == 0
     assert plat.peek(out - 2, len(guard)) == guard
+
+
+def test_next_trigger_clears_the_accelerator_error():
+    # a refused k=2 job sets ST_ERROR; the valid job triggered next (two
+    # chunks long) reads ST_BUSY alone while it runs and 0 once done
+    regs, pokes, want = conv_job(random.Random(7), 3, 4, 6, 5, 3,
+                                 TCDM, TCDM + 0x400, TCDM + 0x800)
+    bad = regs[:7] + (2,)
+    body = ["li a0, 0x%X" % CL_ACCEL] + acc_program(bad)
+    body += ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 0)
+    body += acc_program(regs) + ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 1)
+    body += acc_wait("wait") + ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 2)
+    plat = run(guest(body), pokes)
+    assert results(plat, 3) == [ST_ERROR, ST_BUSY, 0]
+    assert out_words(plat, TCDM + 0x800, len(want)) == want
+
+
+def test_unaligned_input_streams_every_word_it_touches():
+    # a 2-byte input at TCDM + 3 lies in two words and the 1-byte weights
+    # in one: the job reads 3 TCDM words (and writes its 2 output words)
+    regs, pokes, want = conv_job(random.Random(9), 1, 1, 1, 2, 1,
+                                 TCDM + 3, TCDM + 0x100, TCDM + 0x200)
+    body = ["li a0, 0x%X" % CL_ACCEL] + acc_program(regs) + acc_wait("wait")
+    plat = run(guest(body), pokes)
+    assert out_words(plat, TCDM + 0x200, len(want)) == want
+    tcdm = plat.lookup("cluster/tcdm")
+    assert (tcdm.reads, tcdm.writes) == (3, 2)
 
 
 # -- reset with work in flight -------------------------------------------

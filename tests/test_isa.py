@@ -100,3 +100,10 @@ def test_packaged_table_is_read_once_per_process(monkeypatch):
     for _ in range(3):
         pulpsim.build(desc)
     assert len(opened) == 2                     # rv32im and xdemo
+
+
+def test_every_packaged_format_has_a_row():
+    for name in isa.packaged_tables():
+        doc = json.loads(isa._packaged_text(name))
+        for entry in doc["entries"]:
+            assert entry["fmt"] in isa.FORMATS, (name, entry["mnemonic"])
