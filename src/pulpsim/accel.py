@@ -46,9 +46,8 @@ class _Job:
     count) of the int8 input, int8 weights and int32 output, `span_words`
     the TCDM words each span's bytes touch, and `words` their sum."""
 
-    __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w", "k",
-                 "spans", "span_words", "words", "cycles_left", "chunks", "words_done",
-                 "out_view")
+    __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w", "k", "spans",
+                 "span_words", "words", "cycles_left", "chunks", "words_done", "out_view")
 
     def __init__(self, regs):
         self.in_ptr = regs[REG_IN]
@@ -201,8 +200,7 @@ class ConvAccelerator(RegisterDevice):
         end = start + words
         waits = 0
         first = 0
-        for (addr, _), count, out in zip(job.spans, job.span_words,
-                                         (None, None, job.out_view)):
+        for (addr, _), count, out in zip(job.spans, job.span_words, (None, None, job.out_view)):
             last = first + count
             lo, hi = max(first, start), min(last, end)
             if lo < hi:

@@ -5,13 +5,14 @@ without a cross toolchain.  Supports labels, `.org`, `.word`, `.space`,
 `.equ`/`.set`, every instruction of the tables in `pulpsim/isa` and the
 usual pseudo-instructions.
 
-Encodings come from those tables alone: a mnemonic names a table entry and
-`isa.encode` ORs the operands into the entry's `match` by its format.  This
-module knows only syntax: the operands each format is written with, and
-the pseudo-instructions, each a rewrite to one table instruction (`mv rd,
-rs` is `addi rd, rs, 0`, `bgt a, b, t` is `blt b, a, t`, `jal t` is `jal
-ra, t`).  `li`/`la` evaluate their value once and always expand to
-lui+addi, so instruction addresses are known in the first pass.
+Encodings come from those tables alone: a mnemonic names a table entry,
+the entry's format row in `isa.FORMATS` gives its written operands, and
+`isa.encode` ORs their values into the entry's `match`.  This module knows
+only how each kind of operand is read and the pseudo-instructions, each a
+rewrite to one table instruction (`mv rd, rs` is `addi rd, rs, 0`, `bgt
+a, b, t` is `blt b, a, t`, `jal t` is `jal ra, t`).  `li`/`la` evaluate
+their value once and always expand to lui+addi, so instruction addresses
+are known in the first pass.
 
 A name is either a label, defined once, or an `.equ`/`.set` symbol, which
 later `.equ`/`.set` lines may rebind; neither may be `hi` or `lo`, the
@@ -26,13 +27,14 @@ import functools
 import keyword
 
 from .errors import ConfigError
-from .isa import IsaTable, encode, packaged_tables
+from .isa import FIELDS, LAYOUT, LOAD, REGISTERS, IsaTable, encode, packaged_tables
 
 ABI_REGS = ("zero ra sp gp tp t0 t1 t2 s0 s1 a0 a1 a2 a3 a4 a5 "
             "a6 a7 s2 s3 s4 s5 s6 s7 s8 s9 s10 s11 t3 t4 t5 t6").split()
 REGS = {name: i for i, name in enumerate(ABI_REGS)}
 REGS.update({"x%d" % i: i for i in range(32)})
 REGS["fp"] = 8
+IMM, RS1 = FIELDS.index("imm"), FIELDS.index("rs1")
 
 # names that `eval` does not look up in the symbol table
 _NOT_SYMBOLS = frozenset(keyword.kwlist) | {"__debug__"}
@@ -59,32 +61,6 @@ def _reg(tok):
         raise AsmError("unknown register %r" % tok) from None
 
 
-def _load(o, pc, ev):
-    off, base = _mem_operand(o[1], ev)
-    return _reg(o[0]), base, 0, off, 0
-
-
-def _store(o, pc, ev):
-    off, base = _mem_operand(o[1], ev)
-    return 0, base, _reg(o[0]), off, 0
-
-
-# format -> (operand count, the operands' syntax: a function of (operands,
-# pc, evaluate) returning isa.encode's fields rd, rs1, rs2, imm, csr); a
-# load is written `rd, imm(rs1)` and an I-format jump takes either form
-_SYNTAX = {
-    "R": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[1]), _reg(o[2]), 0, 0)),
-    "I": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[1]), 0, ev(o[2]), 0)),
-    "IS": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[1]), 0, ev(o[2]), 0)),
-    "S": (2, _store),
-    "B": (3, lambda o, pc, ev: (0, _reg(o[0]), _reg(o[1]), ev(o[2]) - pc, 0)),
-    "U": (2, lambda o, pc, ev: (_reg(o[0]), 0, 0, ev(o[1]) << 12, 0)),
-    "J": (2, lambda o, pc, ev: (_reg(o[0]), 0, 0, ev(o[1]) - pc, 0)),
-    "CSR": (3, lambda o, pc, ev: (_reg(o[0]), _reg(o[2]), 0, 0, ev(o[1]))),
-    "CSRI": (3, lambda o, pc, ev: (_reg(o[0]), 0, 0, ev(o[2]), ev(o[1]))),
-    "N": (0, lambda o, pc, ev: ()),
-}
-
 # (pseudo-instruction, operand count) -> the table instruction it stands for
 # and that instruction's operands, made from the pseudo's operands `o`
 _PSEUDOS = {
@@ -109,15 +85,38 @@ _LOAD_IMMEDIATE = {("li", 2), ("la", 2)}     # lui + addi of an evaluated value
 
 @functools.lru_cache(maxsize=None)
 def _instructions():
-    """(mnemonic, operand count) -> (entry, operand syntax) for every
-    instruction of the packaged tables."""
+    """(mnemonic, operand count) -> (entry, operand reader) for every
+    instruction of the packaged tables; an I-format jump may also be written
+    as a load is."""
     forms = {}
     for e in IsaTable.load(packaged_tables()).entries:
-        n, syntax = (2, _load) if e.klass == "load" else _SYNTAX[e.fmt]
-        forms[e.mnemonic, n] = e, syntax
+        forms[e.mnemonic, len(e.operands)] = e, _reader(e.fmt, e.operands)
         if e.klass == "jump" and e.fmt == "I":
-            forms[e.mnemonic, 2] = e, _load
+            forms[e.mnemonic, len(LOAD)] = e, _reader(e.fmt, LOAD)
     return forms
+
+
+@functools.lru_cache(maxsize=None)
+def _reader(fmt, operands):
+    """A function of (operand texts, pc, evaluate) that returns `isa.encode`'s
+    operands for `fmt` written as `operands`.  It reads an offset and base
+    register first and the rest in `isa.FIELDS` order, which decides the
+    error of a line with two bad operands."""
+    where = {op: k for k, op in enumerate(operands)}
+    memory, offset = where.get("imm(rs1)"), where.get("pc+imm")
+    named = [(where[f], i, None if f in REGISTERS else LAYOUT[fmt][f].scale)
+             for i, f in enumerate(FIELDS) if f in where]
+
+    def read(texts, pc, ev):
+        out = [0, 0, 0, 0, 0]
+        if memory is not None:
+            out[IMM], out[RS1] = _mem_operand(texts[memory], ev)
+        for k, i, scale in named:       # an immediate written as its upper bits moves up
+            out[i] = _reg(texts[k]) if scale is None else ev(texts[k]) << scale
+        if offset is not None:
+            out[IMM] = ev(texts[offset]) - pc
+        return out
+    return read
 
 
 def _split_operands(text):
@@ -212,14 +211,10 @@ def assemble(source, origin=0x1C000000, defines=None):
         addr += _size_of(mnem, rest, lineno)
 
     # pass 2: encode
-    def make_eval(lineno):
-        def evaluate(expr):
-            return _eval_static(expr, symbols, lineno)
-        return evaluate
-
     words = {}
     for lineno, addr, mnem, rest in stmts:
-        evaluate = make_eval(lineno)
+        def evaluate(expr, lineno=lineno):
+            return _eval_static(expr, symbols, lineno)
         try:
             encoded = _encode(mnem, rest, addr, evaluate)
         except ConfigError as e:
@@ -294,10 +289,10 @@ def _encode(mnem, rest, addr, ev):
         ops = rewrite(ops)
         key = (mnem, len(ops))
     elif key in _LOAD_IMMEDIATE:
-        rd = _reg(ops[0])
-        value = ev(ops[1])
-        return [encode(forms["lui", 2][0], rd=rd, imm=_hi(value) << 12),
-                encode(forms["addi", 3][0], rd=rd, rs1=rd, imm=_lo(value))]
+        rd, value = _reg(ops[0]), ev(ops[1])
+        lo = _lo(value)     # addi adds lo(value) to what lui loads: the rest of the word
+        return [encode(forms["lui", 2][0], rd, 0, 0, (value - lo) & 0xFFFFFFFF),
+                encode(forms["addi", 3][0], rd, rd, 0, lo)]
     form = forms.get(key)
     if form is None:
         counts = sorted(n for m, n in (*forms, *_PSEUDOS, *_LOAD_IMMEDIATE) if m == mnem)
@@ -305,5 +300,5 @@ def _encode(mnem, rest, addr, ev):
             raise AsmError("unknown mnemonic %r" % mnem)
         raise AsmError("%s takes %s operands, got %d" % (
             mnem, " or ".join(map(str, counts)), len(ops)))
-    entry, syntax = form
-    return [encode(entry, *syntax(ops, addr, ev))]
+    entry, read = form
+    return [encode(entry, *read(ops, addr, ev))]

@@ -78,11 +78,6 @@ def parse(json_text):
         raw = json.loads(json_text)
     except json.JSONDecodeError as e:
         raise ConfigError("invalid JSON: %s" % e) from None
-    return _checked(raw)
-
-
-def _checked(raw):
-    """The ArchDescriptor of a decoded description, after every check."""
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object")
     known = {"name", "clock_domains", "components", "bindings"}
@@ -160,8 +155,8 @@ def apply_overrides(descriptor, overrides):
     (e.g. `cluster/tcdm.banks=64` updates the `tcdm` group of the `cluster`
     component).  Values must match the type they replace.  Clock domain
     overrides are `clock_domains.<name>.frequency_hz`.  The edited
-    description then goes through every check of parse(), so an override
-    gives the descriptor that the same edit to the file would.
+    description then goes through parse(), so an override gives the
+    descriptor that the same edit to the file would.
     """
     raw = descriptor.to_dict()
     domains, components = raw["clock_domains"], raw["components"]
@@ -214,4 +209,4 @@ def apply_overrides(descriptor, overrides):
             raise ConfigError("override '%s': type mismatch (have %s, got %s)" % (
                 text, type(old).__name__, type(value).__name__))
         params[key] = value
-    return _checked(raw)
+    return parse(json.dumps(raw))

@@ -5,10 +5,13 @@ encodings plus metadata: operand format, instruction class, extra execute
 latency and write-back latency.  New extensions are additional tables; the
 loader rejects any encoding that conflicts with an already-registered one.
 
-The format owns the bit layout of the operands.  `Instruction.__init__`
-reads them out of a word; `encode` is its inverse and ORs them into an
-entry's `match`, which is how the assembler builds every instruction, so a
-table entry that decodes also assembles.
+Each operand format is one row of `FORMATS`, and all else about it is read
+from the row: its fields (`LAYOUT`), how `Instruction.__init__` takes them
+out of a word and how `encode`, its inverse, checks them and ORs them into
+an entry's `match`, the trace text and the assembler's operand syntax; so
+a table entry that decodes also assembles.  Beside the rows stand two
+rules: a load is written `rd, imm(rs1)` (`LOAD`), and an I-format jump may
+be too.
 
 The class is a timing contract with the core: an instruction of class
 `load` or `store` makes exactly one data access (unless it traps before
@@ -25,10 +28,41 @@ which the caller may `extend` without affecting later loads.
 import functools
 import json
 import importlib.resources
+import re
 
 from .errors import ConfigError
 
-FORMATS = ("R", "I", "IS", "S", "B", "U", "J", "CSR", "CSRI", "N")
+# format -> (written operands, immediate).  An operand is a field name,
+# "imm(rs1)" (an offset from a base register) or "pc+imm" (an address, for
+# its offset from the pc; traces print the offset).  An immediate is (its
+# name in errors, signed, its (word bit, width, immediate bit) slices),
+# which give its range and alignment; U's, with signedness None, is written
+# and printed (in hex) as its upper bits, read as signed or unsigned.
+FORMATS = {
+    "R": (("rd", "rs1", "rs2"), None),
+    "I": (("rd", "rs1", "imm"), ("I-immediate", True, ((20, 12, 0),))),
+    "IS": (("rd", "rs1", "imm"), ("shift amount", False, ((20, 5, 0),))),
+    "S": (("rs2", "imm(rs1)"), ("S-immediate", True, ((7, 5, 0), (25, 7, 5)))),
+    "B": (("rs1", "rs2", "pc+imm"), ("branch offset", True,
+                                     ((8, 4, 1), (25, 6, 5), (7, 1, 11), (31, 1, 12)))),
+    "U": (("rd", "imm"), ("U-immediate", None, ((12, 20, 12),))),
+    "J": (("rd", "pc+imm"), ("jump offset", True,
+                             ((21, 10, 1), (20, 1, 11), (12, 8, 12), (31, 1, 20)))),
+    "CSR": (("rd", "csr", "rs1"), None),
+    "CSRI": (("rd", "csr", "imm"), ("CSR immediate", False, ((15, 5, 0),))),
+    "N": ((), None),
+}
+# the fields every format places alike: an immediate's shape, then the text form
+FIXED = {
+    "rd": ("rd", False, ((7, 5, 0),), "x%d"),
+    "rs1": ("rs1", False, ((15, 5, 0),), "x%d"),
+    "rs2": ("rs2", False, ((20, 5, 0),), "x%d"),
+    "csr": ("CSR number", False, ((20, 12, 0),), "0x%x"),
+}
+REGISTERS = ("rd", "rs1", "rs2")
+FIELDS = REGISTERS + ("imm", "csr")     # the order of encode's operands
+LOAD = ("rd", "imm(rs1)")               # how a load is written, whatever its format
+_NAMES = re.compile(r"[a-z]+\d?")
 
 
 def sext(value, bits):
@@ -36,9 +70,58 @@ def sext(value, bits):
     return (value ^ m) - m
 
 
+class Field:
+    """An operand field: read from a word's slices, packed back after a
+    check of its range and alignment, and printed."""
+
+    __slots__ = ("what", "signed", "parts", "top", "step", "low", "high", "scale", "form")
+
+    def __init__(self, what, signed, slices, form="%d"):
+        lsb = min(at for _, _, at in slices)
+        self.top = top = max(at + width for _, width, at in slices)
+        self.what, self.signed, self.step = what, signed, 1 << lsb
+        self.parts = tuple((bit, at, (1 << width) - 1) for bit, width, at in slices)
+        self.low = 0 if signed is False else -(1 << top - 1)
+        self.high = (1 << top - (signed is True)) - self.step
+        self.scale, self.form = (lsb, "0x%x") if signed is None else (0, form)
+
+    def decode(self, word):
+        value = sum((word >> bit & mask) << at for bit, at, mask in self.parts)
+        return value if self.signed is False else sext(value, self.top)
+
+    def pack(self, value):
+        """The word bits of `value`; raises ConfigError if the field cannot hold it."""
+        if value % self.step or not self.low <= value <= self.high:
+            raise ConfigError(self._misfit(value))
+        bits = 0
+        for bit, at, mask in self.parts:
+            bits |= (value >> at & mask) << bit
+        return bits
+
+    def _misfit(self, value):
+        upper = value >> self.scale     # U is checked on its upper bits, then its low ones
+        if self.scale and self.low >> self.scale <= upper <= self.high >> self.scale:
+            return "%s low %d bits %d out of range" % (self.what, self.scale, value % self.step)
+        if value % self.step and not self.scale:
+            return "%s %d misaligned" % (self.what, value)
+        return "%s %d out of range" % (self.what, upper)
+
+    def text(self, value):
+        if self.scale:
+            value = value >> self.scale & (1 << self.top - self.scale) - 1
+        return self.form % value
+
+
+# format -> name -> Field, for the fields that its written operands name
+LAYOUT = {fmt: {f: Field(*spec) for f, spec in dict(FIXED, imm=imm).items()
+                if f in _NAMES.findall(" ".join(operands))}
+          for fmt, (operands, imm) in FORMATS.items()}
+_RD, _RS1, _RS2 = (FIXED[r][2][0][0] for r in REGISTERS)     # each register's word bit
+
+
 class IsaEntry:
     __slots__ = ("mnemonic", "mask", "match", "fmt", "semantics", "klass",
-                 "latency", "writeback_latency", "table")
+                 "latency", "writeback_latency", "table", "operands", "text_form")
 
     def __init__(self, d, table_name):
         try:
@@ -56,6 +139,10 @@ class IsaEntry:
         self.latency = int(d.get("latency", 0))
         self.writeback_latency = int(d.get("writeback_latency", 0))
         self.table = table_name
+        self.operands = LOAD if self.klass == "load" else FORMATS[self.fmt][0]
+        written = ", ".join(self.operands).replace("pc+", "")
+        self.text_form = ((self.mnemonic + " " + _NAMES.sub("%s", written)).rstrip(),
+                          _NAMES.findall(written))
 
     def conflicts(self, other):
         common = self.mask & other.mask
@@ -70,125 +157,36 @@ class Instruction:
     def __init__(self, entry, word):
         self.entry = entry
         self.word = word
-        self.rd = (word >> 7) & 31
-        self.rs1 = (word >> 15) & 31
-        self.rs2 = (word >> 20) & 31
-        self.imm = 0
-        self.csr = 0
-        fmt = entry.fmt
-        if fmt == "I":
-            self.imm = sext(word >> 20, 12)
-            self.rs2 = 0
-        elif fmt == "IS":
-            self.imm = (word >> 20) & 31
-            self.rs2 = 0
-        elif fmt == "S":
-            self.imm = sext(((word >> 25) << 5) | ((word >> 7) & 31), 12)
-            self.rd = 0
-        elif fmt == "B":
-            v = (((word >> 31) & 1) << 12) | (((word >> 7) & 1) << 11) | \
-                (((word >> 25) & 0x3F) << 5) | (((word >> 8) & 0xF) << 1)
-            self.imm = sext(v, 13)
-            self.rd = 0
-        elif fmt == "U":
-            self.imm = sext(word & 0xFFFFF000, 32)
-            self.rs1 = 0
-            self.rs2 = 0
-        elif fmt == "J":
-            v = (((word >> 31) & 1) << 20) | (((word >> 12) & 0xFF) << 12) | \
-                (((word >> 20) & 1) << 11) | (((word >> 21) & 0x3FF) << 1)
-            self.imm = sext(v, 21)
-            self.rs1 = 0
-            self.rs2 = 0
-        elif fmt == "CSR":
-            self.csr = (word >> 20) & 0xFFF
-            self.rs2 = 0
-        elif fmt == "CSRI":
-            self.csr = (word >> 20) & 0xFFF
-            self.imm = (word >> 15) & 31
-            self.rs1 = 0
-            self.rs2 = 0
-        elif fmt == "N":
-            self.rd = self.rs1 = self.rs2 = 0
+        self.rd = self.rs1 = self.rs2 = self.imm = self.csr = 0
+        for name, field in LAYOUT[entry.fmt].items():
+            setattr(self, name, field.decode(word))
 
     @property
     def mnemonic(self):
         return self.entry.mnemonic
 
     def text(self):
-        """Assembly-style rendering, used by instruction traces."""
-        e = self.entry
-        f = e.fmt
-        if f == "R":
-            return "%s x%d, x%d, x%d" % (e.mnemonic, self.rd, self.rs1, self.rs2)
-        if f == "I":
-            if e.klass == "load":
-                return "%s x%d, %d(x%d)" % (e.mnemonic, self.rd, self.imm, self.rs1)
-            return "%s x%d, x%d, %d" % (e.mnemonic, self.rd, self.rs1, self.imm)
-        if f == "IS":
-            return "%s x%d, x%d, %d" % (e.mnemonic, self.rd, self.rs1, self.imm)
-        if f == "S":
-            return "%s x%d, %d(x%d)" % (e.mnemonic, self.rs2, self.imm, self.rs1)
-        if f == "B":
-            return "%s x%d, x%d, %d" % (e.mnemonic, self.rs1, self.rs2, self.imm)
-        if f == "U":
-            return "%s x%d, 0x%x" % (e.mnemonic, self.rd, (self.imm >> 12) & 0xFFFFF)
-        if f == "J":
-            return "%s x%d, %d" % (e.mnemonic, self.rd, self.imm)
-        if f == "CSR":
-            return "%s x%d, 0x%x, x%d" % (e.mnemonic, self.rd, self.csr, self.rs1)
-        if f == "CSRI":
-            return "%s x%d, 0x%x, %d" % (e.mnemonic, self.rd, self.csr, self.imm)
-        return e.mnemonic
+        """Assembly-style rendering, used by instruction traces: the written
+        operands, each field name standing for its text, "pc+" dropped."""
+        form, names = self.entry.text_form
+        fields = LAYOUT[self.entry.fmt]
+        return form % tuple(fields[n].text(getattr(self, n)) for n in names)
 
     def __repr__(self):
         return "<Instruction %s word=0x%08x>" % (self.mnemonic, self.word)
 
 
-def _check(value, low, high, what, step=1):
-    if value % step:
-        raise ConfigError("%s %d misaligned" % (what, value))
-    if not low <= value <= high:
-        raise ConfigError("%s %d out of range" % (what, value))
-
-
 def encode(entry, rd=0, rs1=0, rs2=0, imm=0, csr=0):
     """The word of `entry` with these operands, which `Instruction` decodes
-    back; a register field the format lacks must be 0, as it decodes.  A U
-    immediate is a multiple of 0x1000 whose upper 20 bits may be read as
-    signed or unsigned.  Raises ConfigError for an immediate or CSR number
-    the format cannot hold."""
-    fmt = entry.fmt
-    word = entry.match | rd << 7 | rs1 << 15 | rs2 << 20
-    if fmt == "R" or fmt == "N":
-        return word
-    if fmt == "I":
-        _check(imm, -2048, 2047, "I-immediate")
-        word |= (imm & 0xFFF) << 20
-    elif fmt == "IS":
-        _check(imm, 0, 31, "shift amount")
-        word |= imm << 20
-    elif fmt == "S":
-        _check(imm, -2048, 2047, "S-immediate")
-        word |= ((imm >> 5) & 0x7F) << 25 | (imm & 31) << 7
-    elif fmt == "B":
-        _check(imm, -4096, 4094, "branch offset", 2)
-        word |= ((imm >> 12) & 1) << 31 | ((imm >> 5) & 0x3F) << 25 | \
-            ((imm >> 1) & 0xF) << 8 | ((imm >> 11) & 1) << 7
-    elif fmt == "U":
-        _check(imm >> 12, -(1 << 19), (1 << 20) - 1, "U-immediate")
-        _check(imm & 0xFFF, 0, 0, "U-immediate low 12 bits")
-        word |= imm & 0xFFFFF000
-    elif fmt == "J":
-        _check(imm, -(1 << 20), (1 << 20) - 2, "jump offset", 2)
-        word |= ((imm >> 20) & 1) << 31 | ((imm >> 1) & 0x3FF) << 21 | \
-            ((imm >> 11) & 1) << 20 | ((imm >> 12) & 0xFF) << 12
-    elif fmt in ("CSR", "CSRI"):
-        _check(csr, 0, 0xFFF, "CSR number")
-        word |= csr << 20
-        if fmt == "CSRI":
-            _check(imm, 0, 31, "CSR immediate")
-            word |= imm << 15
+    back; a register field the format lacks must be 0, as it decodes.
+    Raises ConfigError for an immediate or CSR number the format cannot
+    hold."""
+    word = entry.match | rd << _RD | rs1 << _RS1 | rs2 << _RS2
+    fields = LAYOUT[entry.fmt]
+    if "csr" in fields:
+        word |= fields["csr"].pack(csr)
+    if "imm" in fields:
+        word |= fields["imm"].pack(imm)
     return word
 
 
