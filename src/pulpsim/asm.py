@@ -211,10 +211,14 @@ def assemble(source, origin=0x1C000000, defines=None):
         addr += _size_of(mnem, rest, lineno)
 
     # pass 2: encode
+    def make_eval(lineno):
+        def evaluate(expr):
+            return _eval_static(expr, symbols, lineno)
+        return evaluate
+
     words = {}
     for lineno, addr, mnem, rest in stmts:
-        def evaluate(expr, lineno=lineno):
-            return _eval_static(expr, symbols, lineno)
+        evaluate = make_eval(lineno)
         try:
             encoded = _encode(mnem, rest, addr, evaluate)
         except ConfigError as e:
