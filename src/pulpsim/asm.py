@@ -5,14 +5,13 @@ without a cross toolchain.  Supports labels, `.org`, `.word`, `.space`,
 `.equ`/`.set`, every instruction of the tables in `pulpsim/isa` and the
 usual pseudo-instructions.
 
-Encodings come from those tables alone: a mnemonic names a table entry,
-the entry's format row in `isa.FORMATS` gives its written operands, and
-`isa.encode` ORs their values into the entry's `match`.  This module knows
-only how each kind of operand is read and the pseudo-instructions, each a
-rewrite to one table instruction (`mv rd, rs` is `addi rd, rs, 0`, `bgt
-a, b, t` is `blt b, a, t`, `jal t` is `jal ra, t`).  `li`/`la` evaluate
-their value once and always expand to lui+addi, so instruction addresses
-are known in the first pass.
+Encodings come from those tables alone: a mnemonic names a table entry, its
+format's row in `isa.FORMATS` gives its written operands, and `isa.encode`
+ORs their values into its `match`.  This module knows only how each kind of
+operand is read and the pseudo-instructions, each a rewrite to one table
+instruction (`mv rd, rs` is `addi rd, rs, 0`, `bgt a, b, t` is `blt b, a,
+t`, `jal t` is `jal ra, t`).  `li`/`la` evaluate their value once and always
+expand to lui+addi, so instruction addresses are known in the first pass.
 
 A name is either a label, defined once, or an `.equ`/`.set` symbol, which
 later `.equ`/`.set` lines may rebind; neither may be `hi` or `lo`, the

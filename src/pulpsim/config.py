@@ -158,10 +158,11 @@ def apply_overrides(descriptor, overrides):
     description then goes through parse(), so an override gives the
     descriptor that the same edit to the file would.
     """
+    if not overrides:
+        return ArchDescriptor(descriptor.name, copy.deepcopy(descriptor.clock_domains),
+                              copy.deepcopy(descriptor.components), list(descriptor.bindings))
     raw = descriptor.to_dict()
     domains, components = raw["clock_domains"], raw["components"]
-    if not overrides:
-        return ArchDescriptor(descriptor.name, domains, components, list(descriptor.bindings))
     for text in overrides:
         if "=" not in text:
             raise ConfigError("override '%s': expected path.key=value" % text)

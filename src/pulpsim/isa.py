@@ -62,7 +62,7 @@ FIXED = {
 REGISTERS = ("rd", "rs1", "rs2")
 FIELDS = REGISTERS + ("imm", "csr")     # the order of encode's operands
 LOAD = ("rd", "imm(rs1)")               # how a load is written, whatever its format
-_NAMES = re.compile(r"[a-z]+\d?")
+_NAMES = re.compile(r"[a-z]+\d?")     # the names in a written operand
 
 
 def sext(value, bits):
@@ -92,19 +92,17 @@ class Field:
     def pack(self, value):
         """The word bits of `value`; raises ConfigError if the field cannot hold it."""
         if value % self.step or not self.low <= value <= self.high:
-            raise ConfigError(self._misfit(value))
+            what, shown = self.what, value >> self.scale
+            if self.scale and self.low >> self.scale <= shown <= self.high >> self.scale:
+                # U's upper bits fit, so its low bits are not 0
+                what, shown = "%s low %d bits" % (what, self.scale), value % self.step
+            elif value % self.step and not self.scale:
+                raise ConfigError("%s %d misaligned" % (what, value))
+            raise ConfigError("%s %d out of range" % (what, shown))
         bits = 0
         for bit, at, mask in self.parts:
             bits |= (value >> at & mask) << bit
         return bits
-
-    def _misfit(self, value):
-        upper = value >> self.scale     # U is checked on its upper bits, then its low ones
-        if self.scale and self.low >> self.scale <= upper <= self.high >> self.scale:
-            return "%s low %d bits %d out of range" % (self.what, self.scale, value % self.step)
-        if value % self.step and not self.scale:
-            return "%s %d misaligned" % (self.what, value)
-        return "%s %d out of range" % (self.what, upper)
 
     def text(self, value):
         if self.scale:
@@ -117,6 +115,7 @@ LAYOUT = {fmt: {f: Field(*spec) for f, spec in dict(FIXED, imm=imm).items()
                 if f in _NAMES.findall(" ".join(operands))}
           for fmt, (operands, imm) in FORMATS.items()}
 _RD, _RS1, _RS2 = (FIXED[r][2][0][0] for r in REGISTERS)     # each register's word bit
+_CHECKED = {fmt: (fields.get("csr"), fields.get("imm")) for fmt, fields in LAYOUT.items()}
 
 
 class IsaEntry:
@@ -182,11 +181,11 @@ def encode(entry, rd=0, rs1=0, rs2=0, imm=0, csr=0):
     Raises ConfigError for an immediate or CSR number the format cannot
     hold."""
     word = entry.match | rd << _RD | rs1 << _RS1 | rs2 << _RS2
-    fields = LAYOUT[entry.fmt]
-    if "csr" in fields:
-        word |= fields["csr"].pack(csr)
-    if "imm" in fields:
-        word |= fields["imm"].pack(imm)
+    csr_field, imm_field = _CHECKED[entry.fmt]
+    if csr_field is not None:
+        word |= csr_field.pack(csr)
+    if imm_field is not None:
+        word |= imm_field.pack(imm)
     return word
 
 
