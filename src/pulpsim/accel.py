@@ -2,12 +2,13 @@
 
 Programming writes the job registers and a trigger; a second job can be
 captured into a shadow slot while one runs and starts at its completion.
-The running job streams its tensors through the TCDM a few words per
-cycle, one word per port: each chunk moves its words with one
-`BankedMemory.stream` call per tensor it touches, so bank conflicts with
-the cores are observed and extend the job.  The `mem%d` ports must all be
-bound to the `in` port of one banked memory; they name that memory, in
-which every job's tensors must lie, and no request travels through them.
+The running job streams its tensors through the TCDM `ports` words per
+cycle: each chunk moves its words with one `BankedMemory.stream` call per
+tensor it touches, giving each word its issue cycle, so bank conflicts
+with the cores are observed and extend the job.  The `tcdm`
+port must be bound to the `in` port of one banked memory; it names that
+memory, in which every job's tensors must lie, and no request travels
+through it.
 
 The cycle cost is an analytical model: a fixed setup, a per-output-channel
 weight-load term amortized by the load width, and the MAC count divided by
@@ -44,10 +45,13 @@ ST_REJECT = 8
 class _Job:
     """A job's registers and shape: `spans` holds the (first byte, byte
     count) of the int8 input, int8 weights and int32 output, `span_words`
-    the TCDM words each span's bytes touch, and `words` their sum."""
+    the TCDM words each span's bytes touch, and `words` their sum.  Once
+    launched, `offsets` holds the cycle, counted from its chunk's start, at
+    which each word of a chunk issues."""
 
     __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w", "k", "spans",
-                 "span_words", "words", "cycles_left", "chunks", "words_done", "out_view")
+                 "span_words", "words", "cycles_left", "chunks", "offsets", "words_done",
+                 "out_view")
 
     def __init__(self, regs):
         self.in_ptr = regs[REG_IN]
@@ -86,7 +90,7 @@ class ConvAccelerator(RegisterDevice):
         for name in ("macs_per_cycle", "weight_load_per_cycle", "chunk_cycles"):
             self.positive_param(name)
         self.positive_param("setup_cycles", 0)
-        self.mem_ports = [self.add_master("mem%d" % i) for i in range(self.n_ports)]
+        self.tcdm_port = self.add_master("tcdm")
         self.job_event = Event(self.path, self._chunk)
         self.reset()
 
@@ -100,8 +104,7 @@ class ConvAccelerator(RegisterDevice):
 
     def finalize(self):
         self.event_unit = line_owner(self, "event_unit", "event_line")
-        self.mem = bound_memory(self, self.mem_ports,
-                                "ports mem0..mem%d must all be" % (self.n_ports - 1))
+        self.mem = bound_memory(self, self.tcdm_port, "port tcdm must be")
 
     # -- latency model ---------------------------------------------------
 
@@ -165,6 +168,7 @@ class ConvAccelerator(RegisterDevice):
     def _launch(self, job):
         total = self.job_cycles(job)
         job.chunks = max(1, -(-total // self.params["chunk_cycles"]))
+        job.offsets = [i // self.n_ports for i in range(-(-job.words // job.chunks))]
         job.cycles_left = total
         job.words_done = 0
         out = self._compute(job)
@@ -179,8 +183,7 @@ class ConvAccelerator(RegisterDevice):
     def _chunk(self, ev):
         job = self.running
         step = min(self.params["chunk_cycles"], job.cycles_left)
-        words = -(-job.words // job.chunks)
-        waits = self._stream(job, min(words, job.words - job.words_done))
+        waits = self._stream(job, min(len(job.offsets), job.words - job.words_done))
         self.conflict_cycles += waits
         job.cycles_left -= step
         if job.cycles_left <= 0:
@@ -189,15 +192,17 @@ class ConvAccelerator(RegisterDevice):
             self.domain.enqueue(ev, step + waits)
 
     def _stream(self, job, words):
-        """Stream the job's next `words` TCDM words, `ports` per cycle slot.
+        """Stream the job's next `words` TCDM words, `ports` per cycle.
 
         The words run through the job's spans: the input, then the weights,
         then the output.  Each span the chunk touches is one
-        `BankedMemory.stream` call, with the word's index in the chunk as
-        its slot.  Returns the extra cycles implied by bank conflicts.
+        `BankedMemory.stream` call; the chunk's word i issues `i // ports`
+        cycles from now.  Returns the extra cycles implied by bank conflicts.
         """
         start = job.words_done
         end = start + words
+        now = self.domain.cycle
+        cycles = [now + offset for offset in job.offsets[:words]]
         waits = 0
         first = 0
         for (addr, _), count, out in zip(job.spans, job.span_words, (None, None, job.out_view)):
@@ -205,8 +210,9 @@ class ConvAccelerator(RegisterDevice):
             lo, hi = max(first, start), min(last, end)
             if lo < hi:
                 skip = 4 * (lo - first)
-                waits += self.mem.stream((addr & ~3) + skip, hi - lo, lo - start, self.n_ports,
-                                         None if out is None else out[skip:])
+                waits += self.mem.stream((addr & ~3) + skip, 4 * (hi - lo), 4,
+                                         cycles[lo - start:hi - start],
+                                         None if out is None else out[skip:], out is not None)[1]
             first = last
         job.words_done = end
         return -(-waits // self.n_ports)

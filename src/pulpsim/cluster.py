@@ -4,8 +4,8 @@ One descriptor entry of kind "cluster" expands at build time into the
 processing elements with their private instruction caches, the shared
 second-level cache, the TCDM, the cluster crossbar, peripherals (event
 unit, DMA, accelerator) and the clock crossings toward the SoC domain.
-The crossbar, the DMA and every accelerator port bind straight to the
-TCDM's slave port, which does its own per-bank accounting.  Everything is
+The crossbar, the DMA and the accelerator bind straight to the TCDM's
+slave port, which does its own per-bank accounting.  Everything is
 parameterized, so a single `cluster.nb_cores=16` override regrows the whole
 subtree.
 
@@ -144,10 +144,8 @@ class Cluster(Component):
                   ("xbar.periph", "periph_bus.in"), ("xbar.ext", "bridge.in"),
                   ("periph_bus.eu", "event_unit.in"), ("periph_bus.dma", "dma.in"),
                   ("periph_bus.accel", "accel.in"), ("dma.tcdm", "tcdm.in"),
-                  ("dma.ext", "bridge.in")]
-        accel_ports = plat.lookup("%s/accel" % me).n_ports
-        wires += [("accel.mem%d" % i, "tcdm.in") for i in range(accel_ports)]
-        wires += [("bridge.out", "out_xing.in"), ("in_xing.out", "xbar.in")]
+                  ("dma.ext", "bridge.in"), ("accel.tcdm", "tcdm.in"),
+                  ("bridge.out", "out_xing.in"), ("in_xing.out", "xbar.in")]
         for master, slave in wires:
             plat.bind_paths("%s/%s" % (me, master), "%s/%s" % (me, slave))
 

@@ -100,7 +100,7 @@ class ClusterDma(RegisterDevice):
 
     def finalize(self):
         self.event_unit = line_owner(self, "event_unit", "event_line")
-        self.tcdm = bound_memory(self, [self.tcdm_port], "port tcdm must be")
+        self.tcdm = bound_memory(self, self.tcdm_port, "port tcdm must be")
 
     # -- register interface (RegisterDevice) ---------------------------
 

@@ -120,9 +120,10 @@ class ClockCrossing(Component):
 
     The request's accumulated source-side latency fixes its global arrival
     time; service on the destination side starts at the next destination
-    edge at or after it (plus an optional synchronizer penalty), and the
-    response converts back the same way.  The component lives in the
-    *destination* domain; `source_domain` names the other side.
+    edge at or after it (plus an optional synchronizer penalty), which
+    `arrival` computes for `handle` and for the micro-DMA's windows of
+    beats, and the response converts back the same way.  The component
+    lives in the *destination* domain; `source_domain` names the other side.
     """
 
     kind = "clock-crossing"
@@ -142,13 +143,17 @@ class ClockCrossing(Component):
     def finalize(self):
         self.src = self.platform.domain(self.params["source_domain"])
 
+    def arrival(self, src_cycle):
+        """The destination cycle at which a request that leaves the source
+        side at `src_cycle` is served; changes nothing."""
+        # `cycle_at_or_after` of the source edge's time
+        return -(-self.src.period_ps * src_cycle // self.domain.period_ps) + self.latency
+
     def handle(self, req):
         src = self.src
         dst = self.domain
-        entry_ps = src.time_of_cycle(src.cycle + req.latency)
-        dst_entry = dst.cycle_at_or_after(entry_ps) + self.latency
         src_latency = req.latency
-        req.latency = dst_entry - dst.cycle     # arrival expressed in dst cycles
+        req.latency = self.arrival(src.cycle + src_latency) - dst.cycle
         self.out.binding.handler(req)
         done_ps = dst.time_of_cycle(dst.cycle + req.latency)
         req.latency = src.cycle_at_or_after(done_ps) - src.cycle

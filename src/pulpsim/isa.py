@@ -178,8 +178,11 @@ class Instruction:
 def encode(entry, rd=0, rs1=0, rs2=0, imm=0, csr=0):
     """The word of `entry` with these operands, which `Instruction` decodes
     back; a register field the format lacks must be 0, as it decodes.
-    Raises ConfigError for an immediate or CSR number the format cannot
-    hold."""
+    Raises ConfigError for a register number outside 0..31 (a negative one
+    too) or an immediate or CSR number the format cannot hold."""
+    if (rd | rs1 | rs2) >> 5:
+        raise ConfigError("%s: register numbers must be 0..31, got x%d, x%d, x%d" % (
+            entry.mnemonic, rd, rs1, rs2))
     word = entry.match | rd << _RD | rs1 << _RS1 | rs2 << _RS2
     csr_field, imm_field = _CHECKED[entry.fmt]
     if csr_field is not None:

@@ -5,8 +5,9 @@ access per cycle; simultaneous hits on the same bank serialize, each
 waiting access paying one cycle per access ahead of it.  Timing never
 affects the stored bytes, which a request of any size moves as one
 little-endian `value`, and which `Platform.peek`/`poke` slice untimed.  A
-streaming device serves a run of word accesses in one `stream` call, under
-the same rule as `handle`.
+streaming device serves a run of equal-sized accesses in one `stream`
+call, each at an issue cycle the device gives: the timing is what `handle`
+gives each access, and the bytes move in one slice.
 """
 
 import struct
@@ -103,54 +104,86 @@ class BankedMemory(Component):
             else:
                 req.value = int.from_bytes(self.contents[off:off + size], "little")
 
-    def stream(self, addr, words, slot, per_cycle, out=None):
-        """Serve `words` consecutive word accesses from `addr` on, in one call.
-
-        Word j is what `handle` makes of a 4-byte request at `addr + 4*j`
-        issued at cycle `domain.cycle + (slot + j) // per_cycle`: the same
-        bank wait, `bank_busy` stamp, counters and access latency.  With
-        `out` (at least 4*words bytes) the words are writes of
-        `out[4*j:4*j + 4]`, else reads whose data nobody needs.  Words outside the memory (or misaligned in it)
-        are skipped, as `handle` fails them.  Returns the summed cycles the
-        served words took beyond their issue cycle.
-        """
+    def accepted(self, addr, nbytes, size):
+        """How many of the accesses that cut `nbytes` (> 0) bytes from `addr`
+        on into `size`-byte pieces, the last one shorter when `size` does
+        not divide `nbytes`, `handle` serves before it refuses one: for
+        lying outside the memory, or for a 1-, 2- or 4-byte access that is
+        not aligned to its size."""
         off = addr - self.base
-        if off & 3:
+        full = (nbytes - 1) // size         # the accesses before the last
+        if off < 0 or full and off & (size - 1) and size in (1, 2, 4):
             return 0
-        first = max(0, -off >> 2)
-        last = min(words, (self.size - off) >> 2)
-        if first >= last:
-            return 0
+        if off + nbytes > self.size:        # the first access that ends past the memory
+            return min(full, max((self.size - off) // size, 0))
+        last = off + size * full            # the last access: its offset and size
+        size = nbytes - size * full
+        return full if last & (size - 1) and size in (1, 2, 4) else full + 1
+
+    def stream(self, addr, nbytes, size, cycles, data=None, write=False):
+        """Serve the accesses `accepted` describes, access j at domain cycle
+        `cycles[j]`, in one call.
+
+        Each access gets what `handle` gives a request of its size issued
+        at that cycle: the bank wait, the bank sweep of a wide access, the
+        `bank_busy` stamp, the counters and the access latency.  The call
+        stops after `len(cycles)` accesses, or at the first one `handle`
+        would refuse.  A write stores the served bytes from `data`; a read
+        copies them into `data` when it is given.  Returns how many accesses
+        were served and the summed cycles they took beyond their issue
+        cycles.
+        """
+        served = min(len(cycles), self.accepted(addr, nbytes, size))
+        if not served:
+            return 0, 0
+        off = addr - self.base
         busy = self.bank_busy
         mask = self.bank_mask
-        now = self.domain.cycle
-        word = off >> 2
-        waits = 0
-        contended = 0
-        for j in range(first, last):
-            at = now + (slot + j) // per_cycle
-            bank = (word + j) & mask
-            wait = busy[bank] - at + 1
-            if wait > 0:
-                waits += wait
-                contended += 1
-                at += wait
-            busy[bank] = at
+        waits = contended = 0
+        offs = range(off, off + size * served, size)
+        if size <= 4:                   # one bank each: the bank of its word
+            word = off >> 2
+            words = range(word, word + served) if size == 4 else [o >> 2 for o in offs]
+            for word, at in zip(words, cycles):
+                bank = word & mask
+                wait = busy[bank] - at + 1
+                if wait > 0:
+                    waits += wait
+                    contended += 1
+                    at += wait
+                busy[bank] = at
+        else:                           # a wide access sweeps its banks
+            for o, at in zip(offs, cycles):
+                bank = (o >> 2) & mask
+                wait = busy[bank] - at + 1
+                if wait > 0:
+                    waits += wait
+                    contended += 1
+                    at += wait
+                words = -(-min(size, off + nbytes - o) // 4)
+                end = at + words - 1
+                waits += words - 1
+                for w in range(words):
+                    b = (bank + w) & mask
+                    if busy[b] < end:
+                        busy[b] = end
         self.contentions += contended
-        if out is None:
-            self.reads += last - first
+        moved = min(size * served, nbytes)
+        if write:
+            self.writes += served
+            self.contents[off:off + moved] = data[:moved]
         else:
-            self.writes += last - first
-            self.contents[off + 4 * first:off + 4 * last] = out[4 * first:4 * last]
-        return waits + (last - first) * self.latency
+            self.reads += served
+            if data is not None:
+                data[:moved] = self.contents[off:off + moved]
+        return served, waits + served * self.latency
 
 
-def bound_memory(comp, ports, what):
-    """The banked memory whose `in` port every one of `comp`'s `ports` is
-    bound to; `what` names the ports in the error raised otherwise."""
-    slaves = {port.binding for port in ports}
-    slave = slaves.pop()
-    if slaves or slave.name != "in" or slave.owner.kind != BankedMemory.kind:
+def bound_memory(comp, port, what):
+    """The banked memory whose `in` port `port` is bound to; `what` names
+    `comp`'s port in the error raised otherwise."""
+    slave = port.binding
+    if slave.name != "in" or slave.owner.kind != BankedMemory.kind:
         raise ConfigError("components.%s: %s bound to the 'in' port of one banked-memory" % (
             comp.path, what))
     return slave.owner

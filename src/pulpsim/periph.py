@@ -4,15 +4,19 @@ The micro-DMA moves data between L2 and the external device in beat-sized
 steps paced in the peripheral clock domain; the beat schedule follows the
 configured device bandwidth exactly (cumulative picosecond arithmetic, so
 quantization never drifts), with a floor of one beat per peripheral cycle.
-Each beat is an event, unless it falls before the engine's horizon: then
-the previous beat's callback moves it inline (`ClockDomain.run_ahead`).
-Such a run of beats keeps the transfer state in locals, reuses one request
-and hands it straight to the handler bound to the `l2` port (the clock
-crossing toward L2); `_beat_cycle` holds the pacing rule for every beat.
-On the device side a beat reads or writes the device's `contents` directly
-at the transfer's device offset, without going through its timed port.
-Transfer completion raises an interrupt line on the fabric controller's
-interrupt controller.
+A window of beats starts with a beat event and takes in each next beat
+due before the engine's horizon (`ClockDomain.run_ahead`).  No other
+master reaches L2 before the horizon, so a window's beats depend only on
+the transfer.  `_pace` computes their cycles in one loop under the pacing
+rule; `_beat` converts them with each clock crossing's `arrival` on the
+way to L2 and serves them with one `BankedMemory.stream` call, which stops
+at the first beat L2 refuses: that beat ends the transfer with an error.
+The `l2` port must reach the `in` port of one banked memory through zero
+or more clock crossings.
+On the device side the window's bytes move to or from the device's
+`contents` in one slice, without going through its timed port.  Transfer
+completion raises an interrupt line on the fabric controller's interrupt
+controller.
 
 The external memory is modeled at bandwidth/latency level only: a
 capacity, a bit rate and a fixed per-transfer setup time, which its
@@ -23,10 +27,12 @@ programs a way to stop the simulation and print.
 
 import mmap
 
-from .component import (Component, RegisterDevice, register, REQUIRED, Request, STATUS_OK,
-                        STATUS_ERR)
+from .component import Component, RegisterDevice, register, REQUIRED, STATUS_ERR
 from .engine import Event, PS_PER_SEC
+from .errors import ConfigError
 from .event_unit import line_owner
+from .interconnect import ClockCrossing
+from .memory import bound_memory
 
 UDMA_L2_ADDR = 0x00
 UDMA_EXT_ADDR = 0x04
@@ -109,14 +115,32 @@ class MicroDma(RegisterDevice):
         self.positive_param("beat_bytes")
         self.l2_port = self.add_master("l2")
         self.beat_event = Event(self.path, self._beat)
-        self._req = Request()       # reused by every beat; `_beat` sets its fields
-        self._req.initiator = self
         self.reset()
 
     def finalize(self):
         self.device = self.platform.lookup(self.params["device"], "hyperram",
                                            "components.%s.params.device" % self.path)
         self.itc = line_owner(self, "itc", "itc_line")
+        self.ext_view = memoryview(self.device.contents)  # what windows slice
+        # the crossings on the way to L2, each taking requests from the
+        # domain the one before it delivers them in, then L2 itself
+        self.hops = []
+        port = self.l2_port
+        domain = self.domain
+        while port.binding.owner.kind == ClockCrossing.kind:
+            hop = port.binding.owner
+            source = hop.params["source_domain"]
+            if source != domain.name:
+                raise ConfigError("components.%s: port l2 reaches %s, whose source_domain "
+                                  "'%s' is not '%s'" % (self.path, hop.path, source, domain.name))
+            self.hops.append(hop)
+            domain = hop.domain
+            port = hop.out
+        self.l2 = bound_memory(self, port, "port l2 must be, through clock-crossings,")
+        if self.l2.domain is not domain:
+            raise ConfigError("components.%s: port l2 reaches %s from domain '%s', not from "
+                              "its domain '%s'" % (self.path, self.l2.path, domain.name,
+                                                   self.l2.domain.name))
 
     def reset(self):
         super().reset()
@@ -138,72 +162,72 @@ class MicroDma(RegisterDevice):
         self.status = UDMA_BUSY
         self.transfers += 1
         self.busy(True)
-        # the transfer: direction, next L2 address and device offset, bytes
-        # left and moved, start time and the previous beat's cycle
+        # the transfer: direction, first L2 address and device offset,
+        # length, bytes moved, start time, and the beats it reaches: up to
+        # the first one L2 refuses, which ends it
         self._tx = tx
-        self._l2 = self.regs[UDMA_L2_ADDR]
+        self._l2 = l2 = self.regs[UDMA_L2_ADDR]
         self._ext = ext
-        self._left = length
+        self._length = length
         self._done = 0
         self._start_ps = start_ps = self.platform.engine.now_ps
-        self._prev = self._beat_cycle(min(self.params["beat_bytes"], length),
-                                      self.domain.cycle_at_or_after(start_ps))
-        self.log("start %s l2=0x%08x ext=0x%08x len=%d",
-                 "tx" if tx else "rx", self._l2, ext, length)
-        self.domain.enqueue_at(self.beat_event, self._prev)
+        step = self.params["beat_bytes"]
+        self._beats = min(-(-length // step), self.l2.accepted(l2, length, step) + 1)
+        self.log("start %s l2=0x%08x ext=0x%08x len=%d", "tx" if tx else "rx", l2, ext, length)
+        # under a horizon of 0 the first beat cannot run ahead: it is enqueued
+        self._pace(0, self.domain.cycle_at_or_after(start_ps), 1, 0)
 
     READS = {UDMA_STATUS: RegisterDevice.read_status}
     WRITES = {UDMA_CFG: _program}
 
-    def _beat_cycle(self, done, prev):
-        """The cycle of the beat after which `done` bytes have moved, when
-        the previous beat was at cycle `prev`."""
-        # exact cumulative pacing: a beat ends when its bytes have crossed the link
-        cycle = self.domain.cycle_at_or_after(self._start_ps + self.device.access_ps(done))
-        return cycle if cycle > prev else prev + 1      # at most one beat per cycle
+    def _pace(self, done, prev, count, horizon):
+        """Pace up to `count` next beats, after `done` bytes have moved and
+        with the beat before them at cycle `prev`.  Returns the cycles of
+        those that run ahead (due before cycle `horizon`, and
+        `ClockDomain.run_ahead` agrees), and enqueues the beat event at the
+        first one that does not."""
+        dom = self.domain
+        step = self.params["beat_bytes"]
+        end = self._length
+        start = self._start_ps
+        link = self.device.access_ps
+        period = dom.period_ps
+        run_ahead = dom.run_ahead
+        cycles = []
+        for done in range(done + step, done + step * (count + 1), step):
+            # exact cumulative pacing: a beat ends when its bytes have crossed
+            # the link (`cycle_at_or_after`), at most one beat per cycle
+            cycle = -(-(start + link(done if done < end else end)) // period)
+            prev = cycle if cycle > prev else prev + 1
+            if prev >= horizon or not run_ahead(prev, prev - dom.cycle):
+                dom.enqueue_at(self.beat_event, prev)
+                break
+            cycles.append(prev)
+        return cycles
 
     def _beat(self, ev):
-        """Move one beat; while the next beat is due before the engine's
-        horizon, move it here too (engine module docstring).  The transfer
-        state lives in locals meanwhile and is written back on exit."""
+        """Move one run-ahead window of beats: this beat, then each next
+        one due before the engine's horizon, up to the first beat L2
+        refuses (module docstring)."""
         dom = self.domain
-        req = self._req
-        l2_handler = self.l2_port.binding.handler
-        contents = self.device.contents
         step = self.params["beat_bytes"]
-        tx = self._tx
-        l2, ext, left, done, prev = self._l2, self._ext, self._left, self._done, self._prev
-        req.is_write = not tx
-        while True:
-            nbytes = step if step < left else left
-            req.addr = l2
-            req.size = nbytes
-            req.latency = 0
-            req.status = STATUS_OK
-            if tx:
-                l2_handler(req)
-                if req.status == STATUS_OK:
-                    contents[ext:ext + nbytes] = req.value.to_bytes(nbytes, "little")
-            else:
-                req.value = int.from_bytes(contents[ext:ext + nbytes], "little")
-                l2_handler(req)
-            if req.status != STATUS_OK:
-                break
-            l2 += nbytes
-            ext += nbytes
-            left -= nbytes
-            done += nbytes
-            if not left:
-                break
-            prev = self._beat_cycle(done + (step if step < left else left), prev)
-            if prev >= dom.horizon_cycle or not dom.run_ahead(prev, prev - dom.cycle):
-                dom.enqueue_at(ev, prev)
-                break
-        self.bytes += done - self._done
-        if left and req.status == STATUS_OK:
-            self._l2, self._ext, self._left, self._done, self._prev = l2, ext, left, done, prev
-        else:
-            self._finish(error=req.status != STATUS_OK)
+        done = self._done
+        cycles = [dom.cycle, *self._pace(done + step, dom.cycle, self._beats - done // step - 1,
+                                         dom.horizon_cycle)]
+        for hop in self.hops:
+            hop.crossings += len(cycles)
+            arrival = hop.arrival
+            cycles = [arrival(cycle) for cycle in cycles]
+        left = self._length - done
+        nbytes = min(step * len(cycles), left)
+        ext = self._ext + done
+        served, _ = self.l2.stream(self._l2 + done, nbytes, step, cycles,
+                                   self.ext_view[ext:ext + nbytes], not self._tx)
+        moved = min(step * served, left)
+        self.bytes += moved
+        self._done = done + moved
+        if served < len(cycles) or moved == left:
+            self._finish(error=served < len(cycles))
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0

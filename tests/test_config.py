@@ -291,7 +291,7 @@ def _peripheral_platform(kind, params, bindings):
 
 
 DMA_BINDINGS = [["dev.tcdm", "tcdm.in"], ["dev.ext", "l2.in"]]
-ACCEL_BINDINGS = [["dev.mem0", "tcdm.in"], ["dev.mem1", "tcdm.in"]]
+ACCEL_BINDINGS = [["dev.tcdm", "tcdm.in"]]
 
 
 @pytest.mark.parametrize("kind,params,bindings,message", [
@@ -301,11 +301,11 @@ ACCEL_BINDINGS = [["dev.mem0", "tcdm.in"], ["dev.mem1", "tcdm.in"]]
      "components.dev: port tcdm must be bound to the 'in' port of one banked-memory"),
     ("conv-accel", {"ports": 2, "event_unit": "tcdm"}, ACCEL_BINDINGS,
      "components.dev.params.event_unit: 'tcdm' has kind 'banked-memory', expected 'event-unit'"),
-    ("conv-accel", {"ports": 2}, [["dev.mem0", "tcdm.in"], ["dev.mem1", "l2.in"]],
-     "components.dev: ports mem0..mem1 must all be bound to the 'in' port of one banked-memory"),
-    ("conv-accel", {"ports": 1}, [["dev.mem0", "eu.in"]],
-     "components.dev: ports mem0..mem0 must all be bound to the 'in' port of one banked-memory"),
-], ids=["dma-event-unit", "dma-tcdm-not-a-memory", "accel-event-unit", "accel-two-memories",
+    ("conv-accel", {"ports": 2}, [["dev.tcdm", "dev.in"]],
+     "components.dev: port tcdm must be bound to the 'in' port of one banked-memory"),
+    ("conv-accel", {"ports": 1}, [["dev.tcdm", "eu.in"]],
+     "components.dev: port tcdm must be bound to the 'in' port of one banked-memory"),
+], ids=["dma-event-unit", "dma-tcdm-not-a-memory", "accel-event-unit", "accel-own-registers",
         "accel-not-a-memory"])
 def test_peripheral_references_are_checked_by_kind(kind, params, bindings, message):
     text = json.dumps(_peripheral_platform(kind, params, bindings))

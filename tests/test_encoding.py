@@ -9,6 +9,7 @@ import random
 import pytest
 
 from pulpsim.asm import assemble
+from pulpsim.errors import ConfigError
 from pulpsim.isa import Instruction, IsaTable, encode, packaged_tables, sext
 
 ORIGIN = 0x100000      # a J target 1 MiB back is address 0
@@ -268,3 +269,11 @@ def test_random_words_encode_back_from_their_fields(entry):
         ins = Instruction(entry, word)
         again = encode(entry, ins.rd, ins.rs1, ins.rs2, ins.imm, ins.csr)
         assert again & kept == word & kept, hex(word)
+
+
+@pytest.mark.parametrize("regs", [(32, 1, 2), (1, -1, 2), (1, 2, 33)], ids=str)
+def test_register_numbers_outside_the_file_are_refused(regs):
+    # unchecked, x32 in rd spilled into funct3: add x32 became sll x0
+    add = next(e for e in TABLE.entries if e.mnemonic == "add")
+    with pytest.raises(ConfigError, match="register numbers must be 0..31"):
+        encode(add, *regs)

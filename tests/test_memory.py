@@ -155,47 +155,74 @@ def test_contention_monotone_in_bank_count_and_data_identical():
     assert contentions == sorted(contentions, reverse=True)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_stream_matches_word_requests_through_handle(data):
+    """`stream` equals a `handle` loop over the same accesses, each issued at
+    its explicit cycle, up to the first access `handle` refuses."""
     banks = data.draw(st.sampled_from([1, 2, 4, 16]), "banks")
     latency = data.draw(st.integers(0, 3), "access_latency")
     size = banks * 4 * data.draw(st.integers(1, 6))
-    words = data.draw(st.integers(0, 48), "words")
-    # start word, from before the memory to past its end, sometimes misaligned
-    start = data.draw(st.integers(-6, size // 4 + 2), "start")
-    misalign = data.draw(st.sampled_from([0, 0, 0, 2]), "misalign")
-    slot = data.draw(st.integers(0, 9), "slot")
-    per_cycle = data.draw(st.integers(1, 5), "per_cycle")
-    write = data.draw(st.booleans(), "write")
+    access = data.draw(st.integers(1, 12), "access size")
+    nbytes = data.draw(st.integers(1, 60), "bytes")
+    count = -(-nbytes // access)
+    # first byte, from before the memory to past its end, at any alignment
+    start = data.draw(st.integers(-16, size + 8), "start")
     cycle = data.draw(st.integers(0, 30), "cycle")
+    cycles = data.draw(st.lists(st.integers(0, 4), min_size=count, max_size=count), "gaps")
+    for j in range(count):      # issue cycles never go down, as in a stream
+        cycle += cycles[j]
+        cycles[j] = cycle
+    cycles = cycles[:data.draw(st.integers(0, count), "issued")]
+    write = data.draw(st.booleans(), "write")
     busy = data.draw(st.lists(st.integers(-1, cycle + 12), min_size=banks, max_size=banks),
                      "bank_busy")
     contents = data.draw(st.binary(min_size=size, max_size=size))
-    out = data.draw(st.binary(min_size=4 * words, max_size=4 * words)) if write else None
+    payload = data.draw(st.binary(min_size=nbytes, max_size=nbytes))
 
-    streamed, handled = make_mem(banks, size, latency), make_mem(banks, size, latency)
-    for mem, dom in (streamed, handled):
-        dom.cycle = cycle
+    now = data.draw(st.integers(0, 30), "domain cycle")
+    streamed, handled, probe = (make_mem(banks, size, latency) for _ in range(3))
+    for mem, dom in (streamed, handled, probe):
+        dom.cycle = now
         mem.bank_busy = list(busy)
         mem.contents[:] = contents
-    streamed, handled = streamed[0], handled[0]
-    addr = streamed.base + 4 * start + misalign
+    streamed, handled, probe = streamed[0], handled[0], probe[0]
+    addr = streamed.base + start
+    buf = bytearray(payload)
 
-    got = streamed.stream(addr, words, slot, per_cycle, out)
-    want = 0
-    for j in range(words):
-        pre = (slot + j) // per_cycle
-        value = int.from_bytes(out[4 * j:4 * j + 4], "little") if write else 0
-        req = Request(addr + 4 * j, 4, write, value)
-        req.latency = pre
+    def request(j, at):
+        n = min(access, nbytes - access * j)
+        req = Request(addr + access * j, n, write,
+                      int.from_bytes(payload[access * j:access * j + n], "little"))
+        req.latency = at - now
+        return req
+
+    accepted = 0
+    while accepted < count:
+        req = request(accepted, now)
+        probe.handle(req)
+        if req.status != "ok":
+            break
+        accepted += 1
+    assert streamed.accepted(addr, nbytes, access) == accepted
+
+    got = streamed.stream(addr, nbytes, access, cycles, buf, write)
+    want_served = want_waits = 0
+    read = b""
+    for j, at in enumerate(cycles):
+        req = request(j, at)
         handled.handle(req)
-        if req.status == "ok":
-            want += req.latency - pre
-    assert got == want
+        if req.status != "ok":
+            break
+        want_served += 1
+        want_waits += req.latency - (at - now)
+        read += req.value.to_bytes(req.size, "little")
+    assert got == (want_served, want_waits)
     assert streamed.bank_busy == handled.bank_busy
     assert streamed.counters() == handled.counters()
     assert streamed.contents == handled.contents
+    if not write:
+        assert bytes(buf[:len(read)]) == read
 
 
 def _model_access(mem, model, addr, size, write, value):

@@ -16,6 +16,11 @@ extra clock domain, whose event ticks at the fastest frequency.  The
 engine's horizon is then always the next tick, so nothing runs ahead: that
 is the path without run-ahead.  Every stat except the engine counters, and
 every trace and VCD line, must equal the plain run's.
+
+The clock-scaling test slows every clock domain and the HyperRAM link by
+the same factor k.  Every cycle count must stay the same and global time
+must grow exactly k times: that holds for any timing model whose time
+conversions (clock crossings, the HyperRAM's link time) are exact.
 """
 
 import importlib.util
@@ -26,6 +31,8 @@ from pathlib import Path
 
 import pytest
 
+import pulpsim
+from pulpsim.asm import assemble
 from pulpsim.tracing import TraceSink, VcdWriter, stable_stats, stats_report
 
 from conftest import add_ticker
@@ -87,6 +94,37 @@ def test_stats_digest_is_pinned(name, seed, size):
 @pytest.mark.parametrize("name", sorted(run.guests.WORKLOADS))
 def test_ticker_domain_leaves_stats_and_traces_unchanged(name):
     assert traced_run(name, ticked=True) == traced_run(name, ticked=False)
+
+
+def scaled_stats(name, k):
+    """Stats of a tiny seed-1 run with every clock and the HyperRAM link k
+    times slower.  `max_cycles` counts cycles of the fastest domain, so the
+    same value is the same deadline."""
+    desc = pulpsim.parse(run.PLATFORM_TEXT)
+    overrides = ["clock_domains.%s.frequency_hz=%d" % (dom, spec["frequency_hz"] // k)
+                 for dom, spec in desc.clock_domains.items()]
+    hyper = desc.components["hyper"]["params"]
+    overrides += ["hyper.setup_ns=%d" % (hyper["setup_ns"] * k),
+                  "hyper.bandwidth_bits_per_sec=%d" % (hyper["bandwidth_bits_per_sec"] // k)]
+    plat = pulpsim.build(pulpsim.apply_overrides(desc, overrides))
+    guest = run.guests.WORKLOADS[name](1, run.TINY_SIZES[name])
+    program = assemble(guest.source, origin=run.guests.L2)
+    guest.load(plat, program)
+    plat.reset()
+    status = plat.run(max_cycles=guest.max_cycles())
+    assert guest.check(plat, status, program) == []
+    stats = stable_stats(stats_report(plat, status))
+    for dom in stats["domains"].values():
+        dom["frequency_hz"] *= k
+    return stats
+
+
+@pytest.mark.parametrize("k", [2, 5])
+@pytest.mark.parametrize("name", sorted(run.guests.WORKLOADS))
+def test_slower_clocks_keep_every_cycle_and_scale_time(name, k):
+    base, scaled = scaled_stats(name, 1), scaled_stats(name, k)
+    assert scaled.pop("global_time_ps") == k * base.pop("global_time_ps")
+    assert scaled == base
 
 
 def regenerate():
