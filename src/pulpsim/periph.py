@@ -226,8 +226,9 @@ class MicroDma(RegisterDevice):
         moved = min(step * served, left)
         self.bytes += moved
         self._done = done + moved
-        if served < len(cycles) or moved == left:
-            self._finish(error=served < len(cycles))
+        refused = served < len(cycles)
+        if refused or moved == left:
+            self._finish(error=refused)
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
