@@ -140,33 +140,24 @@ class BankedMemory(Component):
         busy = self.bank_busy
         mask = self.bank_mask
         waits = contended = 0
-        offs = range(off, off + size * served, size)
-        if size <= 4:                   # one bank each: the bank of its word
-            word = off >> 2
-            words = range(word, word + served) if size == 4 else [o >> 2 for o in offs]
-            for word, at in zip(words, cycles):
-                bank = word & mask
-                wait = busy[bank] - at + 1
-                if wait > 0:
-                    waits += wait
-                    contended += 1
-                    at += wait
+        narrow = size <= 4              # every access holds one bank, its word's
+        for o, at in zip(range(off, off + size * served, size), cycles):
+            bank = (o >> 2) & mask
+            wait = busy[bank] - at + 1
+            if wait > 0:
+                waits += wait
+                contended += 1
+                at += wait
+            if narrow:
                 busy[bank] = at
-        else:                           # a wide access sweeps its banks
-            for o, at in zip(offs, cycles):
-                bank = (o >> 2) & mask
-                wait = busy[bank] - at + 1
-                if wait > 0:
-                    waits += wait
-                    contended += 1
-                    at += wait
-                words = -(-min(size, off + nbytes - o) // 4)
-                end = at + words - 1
-                waits += words - 1
-                for w in range(words):
-                    b = (bank + w) & mask
-                    if busy[b] < end:
-                        busy[b] = end
+                continue
+            words = -(-min(size, off + nbytes - o) // 4)
+            end = at + words - 1        # a wide access sweeps its banks
+            waits += words - 1
+            for w in range(words):
+                b = (bank + w) & mask
+                if busy[b] < end:
+                    busy[b] = end
         self.contentions += contended
         moved = min(size * served, nbytes)
         if write:
