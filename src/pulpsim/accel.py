@@ -177,7 +177,7 @@ class ConvAccelerator(RegisterDevice):
         self.status |= ST_BUSY
         self.log("job ch_in=%d ch_out=%d %dx%d k=%d cycles=%d",
                  job.ch_in, job.ch_out, job.h, job.w, job.k, total)
-        self.busy(True)
+        self.signal("busy", True)
         self.domain.enqueue(self.job_event, 1)
 
     def _chunk(self, ev):
@@ -228,5 +228,5 @@ class ConvAccelerator(RegisterDevice):
             self.status &= ~ST_SHADOW
             self._launch(nxt)
         else:
-            self.busy(False)
+            self.signal("busy", False)
         self.event_unit.set_line(self.params["event_line"])

@@ -71,7 +71,6 @@ class Cluster(Component):
         p = self.params
         me = self.path
         cl_domain = self.domain.name
-        soc_domain = p["soc_domain"]
         nb = self.positive_param("nb_cores")
         periph = p["periph_base"]
         icp = p["icache"]
@@ -127,13 +126,9 @@ class Cluster(Component):
                            cl_domain)
 
         plat.add_component("%s/in_xing" % me, "clock-crossing", {
-            "source_domain": soc_domain,
-            "crossing_latency": p["crossing"]["in_latency"],
-        }, cl_domain)
+            "crossing_latency": p["crossing"]["in_latency"]}, cl_domain)
         plat.add_component("%s/out_xing" % me, "clock-crossing", {
-            "source_domain": cl_domain,
-            "crossing_latency": p["crossing"]["out_latency"],
-        }, soc_domain)
+            "crossing_latency": p["crossing"]["out_latency"]}, p["soc_domain"])
 
         # internal wiring, master -> slave, by paths below the cluster's
         wires = []

@@ -196,6 +196,13 @@ class Component:
 
     # -- stats / dump -----------------------------------------------------
 
+    def signal(self, name, value):
+        """Set this component's VCD signal `<path>/<name>` to `value`, if a
+        VCD is attached."""
+        vcd = self.platform.vcd
+        if vcd is not None:
+            vcd.change(self.path + "/" + name, int(value), self.platform.engine.now_ps)
+
     def counters(self):
         """Exported performance counters, name -> int, in COUNTERS order."""
         return {name: getattr(self, name) for name in self.COUNTERS}
@@ -218,8 +225,8 @@ class RegisterDevice(Component):
     bytes, or to an offset in neither, fails with STATUS_ERR.
 
     The devices run jobs that outlive the register write starting them:
-    `log` traces a job's start and end on the device's path, and `busy`
-    sets the device's `/busy` VCD signal while jobs run.
+    `log` traces a job's start and end on the device's path, and the
+    device sets its `busy` VCD signal (`signal`) while jobs run.
     """
 
     READS = {}
@@ -257,12 +264,6 @@ class RegisterDevice(Component):
         plat = self.platform
         if plat.trace_enabled(self.path):
             plat.trace(self.path, self.domain, fmt % args)
-
-    def busy(self, flag):
-        """Set this device's `/busy` VCD signal to `flag`, if a VCD is attached."""
-        vcd = self.platform.vcd
-        if vcd is not None:
-            vcd.change(self.path + "/busy", int(flag), self.platform.engine.now_ps)
 
 
 def bind(master_port, slave_port):

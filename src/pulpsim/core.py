@@ -27,10 +27,19 @@ for ecall, ebreak, an illegal CSR access or a data access fault: the step
 charges 1 + fetch latency + stall and enters the trap vector.  Loads and
 stores make their one data access (isa module docstring) by setting the
 data request's fields and calling the handler, which leaves latency and
-contention on the request for the step to charge.  They raise `Sleep` for
-a blocking read from a synchronization register: the attempt is charged
+contention on the request for the step to charge.  A load reads from
+rs1 + imm, or, in its post-increment mode (p.lwpost), from rs1 and then
+adds imm to rs1 unless rs1 is x0 or rd.  A load raises `Sleep` for a
+blocking read from a synchronization register: the attempt is charged
 and the core sleeps without retiring, to re-execute the read on wake-up,
-when its value is determined.
+when its value is determined.  Only such reads sleep, so stores never do.
+
+A CSR instruction reads and writes the core attribute that `CSRS` names
+for its CSR number, and a write keeps the bits `CSR_KEEP` gives.  Its
+source is regs[rs1] | imm, since a CSR word decodes imm and a CSRI word
+rs1 as 0.  An unknown CSR, or a write to one without `CSR_KEEP` bits,
+raises an illegal-instruction trap; csrrs and csrrc (and their immediate
+forms) write only with a non-zero source.
 
 Decoding is cached per instruction word, not per pc, so self-modifying
 code and fence.i need no invalidation.  Each cache entry is a flat tuple
@@ -63,15 +72,6 @@ from .isa import IsaTable, sext
 
 M32 = 0xFFFFFFFF
 
-CSR_CYCLE = 0xC00
-CSR_INSTRET = 0xC02
-CSR_MHARTID = 0xF14
-CSR_MTVEC = 0x305
-CSR_MEPC = 0x341
-CSR_MCAUSE = 0x342
-CSR_MTVAL = 0x343
-CSR_EVENT_BASE = 0x7C0
-
 CAUSE_IACCESS = 1
 CAUSE_ILLEGAL = 2
 CAUSE_BREAK = 3
@@ -84,6 +84,14 @@ COUNTER_NAMES = (
     "icache_misses", "tcdm_contentions", "branches_taken", "loads",
     "stores", "barrier_wait_cycles",
 )
+
+# CSR number -> the core attribute it reads: cycle, instret, mhartid, the
+# trap CSRs and, from 0x7C0 on, the counters; the writable ones -> the bits
+# a write keeps
+CSRS = {0xC00: "total_cycles", 0xC02: "instr_retired", 0xF14: "hart_id",
+        0x305: "csr_mtvec", 0x341: "csr_mepc", 0x342: "csr_mcause", 0x343: "csr_mtval",
+        **{0x7C0 + n: name for n, name in enumerate(COUNTER_NAMES)}}
+CSR_KEEP = {0x305: M32 & ~3, 0x341: M32 & ~3, 0x342: M32, 0x343: M32}
 
 _NO_LEASE = (0, -1, 0, None)    # (line base, span, line data, epoch): matches no pc
 
@@ -153,13 +161,16 @@ def _branch(cond):
         return run
     return make
 
-def _load(size, signed):
+def _load(size, signed=False, post=False):
     bits = size * 8
     def make(c, i):
-        regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
+        regs, rd, rs1 = c.regs, i.rd, i.rs1
+        offset, bump = i.imm, 0
+        if post:        # the loaded value wins when rs1 is rd
+            offset, bump = 0, i.imm if rs1 != 0 and rs1 != rd else 0
         req, handler = c._data_req, c._data_handler
         def run(pc):
-            addr = (regs[rs1] + imm) & M32
+            addr = (regs[rs1] + offset) & M32
             req.addr = addr
             req.size = size
             req.is_write = False
@@ -169,6 +180,8 @@ def _load(size, signed):
                 raise Trap(CAUSE_LOAD_FAULT, addr)
             if req.sleep:
                 raise Sleep
+            if bump:
+                regs[rs1] = (addr + bump) & M32
             if rd:
                 regs[rd] = sext(req.value, bits) & M32 if signed else req.value
         return run
@@ -189,8 +202,6 @@ def _store(size):
             handler(req)
             if req.status != STATUS_OK:
                 raise Trap(CAUSE_STORE_FAULT, addr)
-            if req.sleep:
-                raise Sleep
         return run
     return make
 
@@ -258,17 +269,17 @@ def _fence_i(c, i):
 
 def _csr(write_always, op):
     def make(c, i):
-        regs, rd, rs1, imm, csr, word = c.regs, i.rd, i.rs1, i.imm, i.csr, i.word
-        from_reg = i.entry.fmt == "CSR"
-        writes = write_always or (from_reg and rs1 != 0) or (
-            i.entry.fmt == "CSRI" and imm != 0)
-        read, write = c.csr_read, c.csr_write
+        regs, rd, rs1, imm, word = c.regs, i.rd, i.rs1, i.imm, i.word
+        name, keep = CSRS.get(i.csr), CSR_KEEP.get(i.csr)
+        writes = write_always or rs1 or imm
         def run(pc):
-            old = read(csr)
-            if old is None:
+            if name is None:
                 raise Trap(CAUSE_ILLEGAL, word)
-            if writes and not write(csr, op(old, regs[rs1] if from_reg else imm) & M32):
-                raise Trap(CAUSE_ILLEGAL, word)
+            old = getattr(c, name) & M32
+            if writes:
+                if keep is None:
+                    raise Trap(CAUSE_ILLEGAL, word)
+                setattr(c, name, op(old, regs[rs1] | imm) & keep)
             if rd:
                 regs[rd] = old
         return run
@@ -281,27 +292,6 @@ def _mac(c, i):
         regs[rd] = (regs[rd] + regs[rs1] * regs[rs2]) & M32
     return run
 
-def _lwpost(c, i):
-    regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
-    req, handler = c._data_req, c._data_handler
-    bump = rs1 != 0 and rs1 != rd      # the loaded value wins when rs1 is rd
-    def run(pc):
-        addr = regs[rs1]
-        req.addr = addr
-        req.size = 4
-        req.is_write = False
-        req.latency = 0
-        handler(req)
-        if req.status != STATUS_OK:
-            raise Trap(CAUSE_LOAD_FAULT, addr)
-        if req.sleep:
-            raise Sleep
-        if bump:
-            regs[rs1] = (addr + imm) & M32
-        if rd:
-            regs[rd] = req.value
-    return run
-
 
 SEMANTICS = {
     "lui": _lui, "auipc": _auipc, "jal": _jal, "jalr": _jalr,
@@ -311,8 +301,8 @@ SEMANTICS = {
     "bge": _branch(lambda a, b: _s32(a) >= _s32(b)),
     "bltu": _branch(operator.lt),
     "bgeu": _branch(operator.ge),
-    "lb": _load(1, True), "lh": _load(2, True), "lw": _load(4, False),
-    "lbu": _load(1, False), "lhu": _load(2, False),
+    "lb": _load(1, True), "lh": _load(2, True), "lw": _load(4),
+    "lbu": _load(1), "lhu": _load(2),
     "sb": _store(1), "sh": _store(2), "sw": _store(4),
     "addi": _op_imm(operator.add),
     "slti": _op_imm(lambda a, b: _s32(a) < b),
@@ -347,7 +337,7 @@ SEMANTICS = {
     "csrrwi": _csr(True, lambda old, src: src),
     "csrrsi": _csr(False, lambda old, src: old | src),
     "csrrci": _csr(False, lambda old, src: old & ~src),
-    "p.mac": _mac, "p.lwpost": _lwpost,
+    "p.mac": _mac, "p.lwpost": _load(4, post=True),
 }
 
 
@@ -406,43 +396,8 @@ class RiscvCore(Component):
         self.mode = "running"
         self._zero_state()
         self.domain.enqueue(self.step_event, 0)
-        if self.platform.vcd is not None:
-            self.platform.vcd.core_activity(self, True)
-            self.platform.vcd.core_pc(self, self.pc)
-
-    # -- architectural helpers ------------------------------------------
-
-    def csr_read(self, csr):
-        if csr == CSR_CYCLE:
-            return self.total_cycles & M32
-        if csr == CSR_INSTRET:
-            return self.instr_retired & M32
-        if csr == CSR_MHARTID:
-            return self.hart_id
-        if csr == CSR_MTVEC:
-            return self.csr_mtvec
-        if csr == CSR_MEPC:
-            return self.csr_mepc
-        if csr == CSR_MCAUSE:
-            return self.csr_mcause
-        if csr == CSR_MTVAL:
-            return self.csr_mtval
-        if CSR_EVENT_BASE <= csr < CSR_EVENT_BASE + len(COUNTER_NAMES):
-            return getattr(self, COUNTER_NAMES[csr - CSR_EVENT_BASE]) & M32
-        return None
-
-    def csr_write(self, csr, value):
-        if csr == CSR_MTVEC:
-            self.csr_mtvec = value & ~3
-        elif csr == CSR_MEPC:
-            self.csr_mepc = value & ~3
-        elif csr == CSR_MCAUSE:
-            self.csr_mcause = value
-        elif csr == CSR_MTVAL:
-            self.csr_mtval = value
-        else:
-            return False    # counters and hart id are read-only
-        return True
+        self.signal("active", 1)
+        self.signal("pc", self.pc)
 
     # -- the per-instruction event ----------------------------------------
 
@@ -519,8 +474,7 @@ class RiscvCore(Component):
                 self.active_cycles += attempt
                 self.mode = "sleeping"
                 self.sleep_from = C + attempt
-                if vcd is not None:
-                    vcd.core_activity(self, False)
+                self.signal("active", 0)
                 return
             finally:
                 # every executed instruction is traced, also one that stops
@@ -552,7 +506,7 @@ class RiscvCore(Component):
             self.total_cycles += charge
             self.active_cycles += charge
             if vcd is not None:
-                vcd.core_pc(self, npc)
+                self.signal("pc", npc)
             # the next step runs here if it is the engine's next event
             if C >= dom.horizon_cycle or not dom.run_ahead(C, charge):
                 dom.enqueue(ev, charge)
@@ -588,8 +542,7 @@ class RiscvCore(Component):
             self.platform.diagnostic(
                 "%s: unhandled trap cause=%d tval=0x%08x at pc=0x%08x; core halted"
                 % (self.path, cause, tval & M32, self.pc))
-            if self.platform.vcd is not None:
-                self.platform.vcd.core_activity(self, False)
+            self.signal("active", 0)
 
     # -- wake-up (event unit) -------------------------------------------------
 
@@ -602,5 +555,4 @@ class RiscvCore(Component):
         if slept > 0:
             self.total_cycles += slept
             self.barrier_wait_cycles += slept
-        if self.platform.vcd is not None:
-            self.platform.vcd.core_activity(self, True)
+        self.signal("active", 1)

@@ -94,7 +94,6 @@ class ClusterDma(RegisterDevice):
                      REG_COUNT: 1, REG_TID: 0}
         self.flags = 0
         self.next_id = 1
-        self.last_id = 0
         self.active = {}
         self.failed = set()     # tids of transfers that ended in a bus error
 
@@ -108,7 +107,7 @@ class ClusterDma(RegisterDevice):
         req.value = len(self.active) | self.flags
 
     def _read_id(self, req):
-        req.value = self.last_id
+        req.value = self.next_id - 1
 
     def _read_tid_status(self, req):
         tid = self.regs[REG_TID]
@@ -134,13 +133,12 @@ class ClusterDma(RegisterDevice):
             return
         tid = self.next_id
         self.next_id += 1
-        self.last_id = tid
         tr = _Transfer(tid, self.regs[REG_SRC], self.regs[REG_DST],
                        length, stride, count, bool(cfg & 1))
         tr.event = Event(self.path, self._burst, tr)
         self.active[tid] = tr
         self.transfers += 1
-        self.busy(True)
+        self.signal("busy", True)
         self.domain.enqueue(tr.event, self.params["program_latency"])
         self.log("start id=%d src=0x%08x dst=0x%08x len=%d rows=%d",
                  tid, tr.src, tr.dst, length, count)
@@ -206,5 +204,5 @@ class ClusterDma(RegisterDevice):
         if tr.error:
             self.failed.add(tr.tid)
         self.log("done id=%d status=%s", tr.tid, "error" if tr.error else "done")
-        self.busy(bool(self.active))
+        self.signal("busy", bool(self.active))
         self.event_unit.set_line(self.params["event_line"])

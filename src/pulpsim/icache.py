@@ -125,8 +125,6 @@ class InstructionCache(Component):
         self.tags[set_i][victim] = tag
         self.data[set_i][victim] = rr.value
         req.latency = rr.latency
-        if rr.cache_miss:
-            req.cache_miss = True
         return victim
 
     def flush(self):

@@ -123,12 +123,13 @@ class ClockCrossing(Component):
     edge at or after it (plus an optional synchronizer penalty), which
     `arrival` computes for `handle` and for the micro-DMA's windows of
     beats, and the response converts back the same way.  The component
-    lives in the *destination* domain; `source_domain` names the other side.
+    lives in the *destination* domain: its `out` is bound to a component
+    of that domain or to another crossing.  The source domain is the one
+    domain of the masters bound to its `in`.
     """
 
     kind = "clock-crossing"
     PARAMS = {
-        "source_domain": (str, REQUIRED),
         "crossing_latency": (int, 0),   # extra destination cycles per crossing
     }
     COUNTERS = ("crossings",)
@@ -141,7 +142,17 @@ class ClockCrossing(Component):
         self.reset()
 
     def finalize(self):
-        self.src = self.platform.domain(self.params["source_domain"])
+        inp = self.ports["in"]
+        sources = {m.owner.domain for m, s in self.platform.bindings if s is inp}
+        if len(sources) > 1:
+            raise ConfigError("components.%s: masters from domains %s bound to its in" % (
+                self.path, ", ".join(sorted("'%s'" % d.name for d in sources))))
+        target = self.out.binding.owner     # a crossing takes any domain's requests
+        if target.domain is not self.domain and target.kind != self.kind:
+            raise ConfigError("components.%s: out bound to %s in domain '%s', not in its "
+                              "domain '%s'" % (self.path, target.path, target.domain.name,
+                                               self.domain.name))
+        self.src = next(iter(sources), None)    # None: no master, no request
 
     def arrival(self, src_cycle):
         """The destination cycle at which a request that leaves the source

@@ -2,7 +2,9 @@
 
 Consecutive 4-byte words map to consecutive banks.  Each bank serves one
 access per cycle; simultaneous hits on the same bank serialize, each
-waiting access paying one cycle per access ahead of it.  Timing never
+waiting access paying one cycle per access ahead of it.  An access whose
+bytes touch more than one word sweeps their banks, one more cycle per
+word, and holds each of them through its last cycle.  Timing never
 affects the stored bytes, which a request of any size moves as one
 little-endian `value`, and which `Platform.peek`/`poke` slice untimed.  A
 streaming device serves a run of equal-sized accesses in one `stream`
@@ -70,7 +72,7 @@ class BankedMemory(Component):
                 return
             words = 1
         else:
-            words = -(-size // 4)
+            words = ((off + size - 1) >> 2) - (off >> 2) + 1   # the words its bytes touch
         at = self.domain.cycle + req.latency
         bank = (off >> 2) & self.bank_mask
         busy = self.bank_busy
@@ -80,7 +82,7 @@ class BankedMemory(Component):
             req.contended = True
             self.contentions += 1
             at += wait
-        extra = words - 1               # one cycle per extra word of a wide request
+        extra = words - 1               # one cycle per extra word touched
         req.latency += extra + self.latency
         end = at + extra
         if words == 1:
@@ -140,7 +142,9 @@ class BankedMemory(Component):
         busy = self.bank_busy
         mask = self.bank_mask
         waits = contended = 0
-        narrow = size <= 4              # every access holds one bank, its word's
+        end_off = off + nbytes
+        # aligned 1-, 2- or 4-byte accesses each hold one bank, their word's
+        narrow = size in (1, 2, 4) and not off & (size - 1)
         for o, at in zip(range(off, off + size * served, size), cycles):
             bank = (o >> 2) & mask
             wait = busy[bank] - at + 1
@@ -151,7 +155,7 @@ class BankedMemory(Component):
             if narrow:
                 busy[bank] = at
                 continue
-            words = -(-min(size, off + nbytes - o) // 4)
+            words = ((min(o + size, end_off) - 1) >> 2) - (o >> 2) + 1
             end = at + words - 1        # a wide access sweeps its banks
             waits += words - 1
             for w in range(words):

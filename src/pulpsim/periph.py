@@ -12,7 +12,8 @@ rule; `_beat` converts them with each clock crossing's `arrival` on the
 way to L2 and serves them with one `BankedMemory.stream` call, which stops
 at the first beat L2 refuses: that beat ends the transfer with an error.
 The `l2` port must reach the `in` port of one banked memory through zero
-or more clock crossings.
+or more clock crossings, each of which takes its source domain from the
+masters bound to it: the micro-DMA's domain, then each crossing's.
 On the device side the window's bytes move to or from the device's
 `contents` in one slice, without going through its timed port.  Transfer
 completion raises an interrupt line on the fabric controller's interrupt
@@ -122,17 +123,12 @@ class MicroDma(RegisterDevice):
                                            "components.%s.params.device" % self.path)
         self.itc = line_owner(self, "itc", "itc_line")
         self.ext_view = memoryview(self.device.contents)  # what windows slice
-        # the crossings on the way to L2, each taking requests from the
-        # domain the one before it delivers them in, then L2 itself
+        # the crossings on the way to L2, then L2 itself
         self.hops = []
         port = self.l2_port
         domain = self.domain
         while port.binding.owner.kind == ClockCrossing.kind:
             hop = port.binding.owner
-            source = hop.params["source_domain"]
-            if source != domain.name:
-                raise ConfigError("components.%s: port l2 reaches %s, whose source_domain "
-                                  "'%s' is not '%s'" % (self.path, hop.path, source, domain.name))
             self.hops.append(hop)
             domain = hop.domain
             port = hop.out
@@ -161,7 +157,7 @@ class MicroDma(RegisterDevice):
             return
         self.status = UDMA_BUSY
         self.transfers += 1
-        self.busy(True)
+        self.signal("busy", True)
         # the transfer: direction, first L2 address and device offset,
         # length, bytes moved, start time, and the beats it reaches: up to
         # the first one L2 refuses, which ends it
@@ -232,7 +228,7 @@ class MicroDma(RegisterDevice):
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
-        self.busy(False)
+        self.signal("busy", False)
         self.log("done status=%s", "error" if error else "ok")
         self.itc.set_line(self.params["itc_line"])
 

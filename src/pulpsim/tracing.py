@@ -9,7 +9,7 @@ micro-DMA's job starts and ends on their own paths.
 The VCD dump covers activity-level signals with a 1 ps timescale: each
 `riscv-core` drives `<core>/pc` and `<core>/active`, and each
 `RegisterDevice` (cluster DMA, accelerator, micro-DMA) drives
-`<device>/busy` through `RegisterDevice.busy`.
+`<device>/busy`, all through `Component.signal`.
 """
 
 import fnmatch
@@ -109,14 +109,6 @@ class VcdWriter:
         if time_ps > self.time:
             self.stream.write("#%d\n" % time_ps)
         self.stream.flush()
-
-    # -- platform-facing conveniences ---------------------------------
-
-    def core_pc(self, core, pc):
-        self.change(core.path + "/pc", pc, core.platform.engine.now_ps)
-
-    def core_activity(self, core, active):
-        self.change(core.path + "/active", int(active), core.platform.engine.now_ps)
 
     def attach(self, platform):
         """Register the standard signal set and hook into the platform."""

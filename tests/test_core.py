@@ -238,6 +238,55 @@ def test_event_counter_csrs_and_trap_csr_writes():
         % (prog.words[bad], bad)]
 
 
+# Each CSR instruction with a zero and a non-zero source (x0 or x1 =
+# 0x0F0F0F0F; uimm 0 or 0x1C) on mepc (writable, holds 0x1230, keeps
+# bits 31..2), mhartid (read-only, hart 5) and 0x7FF (unknown): the
+# expected rd (x5 starts at 0xAAAA), mepc afterwards and whether the
+# instruction traps as illegal.  csrrw and csrrwi always write; csrrs,
+# csrrc, csrrsi and csrrci write only a non-zero source.  A trap keeps rd.
+CSR_CASES = {
+    ("csrrw", 0): ((0x1230, 0), (None, 0x1230), (None, 0x1230)),
+    ("csrrw", 1): ((0x1230, 0x0F0F0F0C), (None, 0x1230), (None, 0x1230)),
+    ("csrrs", 0): ((0x1230, 0x1230), (5, 0x1230), (None, 0x1230)),
+    ("csrrs", 1): ((0x1230, 0x0F0F1F3C), (None, 0x1230), (None, 0x1230)),
+    ("csrrc", 0): ((0x1230, 0x1230), (5, 0x1230), (None, 0x1230)),
+    ("csrrc", 1): ((0x1230, 0x1030), (None, 0x1230), (None, 0x1230)),
+    ("csrrwi", 0): ((0x1230, 0), (None, 0x1230), (None, 0x1230)),
+    ("csrrwi", 1): ((0x1230, 0x1C), (None, 0x1230), (None, 0x1230)),
+    ("csrrsi", 0): ((0x1230, 0x1230), (5, 0x1230), (None, 0x1230)),
+    ("csrrsi", 1): ((0x1230, 0x123C), (None, 0x1230), (None, 0x1230)),
+    ("csrrci", 0): ((0x1230, 0x1230), (5, 0x1230), (None, 0x1230)),
+    ("csrrci", 1): ((0x1230, 0x1220), (None, 0x1230), (None, 0x1230)),
+}
+
+
+@pytest.mark.parametrize("csr_index, csr", [(0, 0x341), (1, 0xF14), (2, 0x7FF)])
+@pytest.mark.parametrize("mnemonic, nonzero", sorted(CSR_CASES))
+def test_csr_instruction_reads_writes_and_refuses(mnemonic, nonzero, csr_index, csr):
+    rd, mepc = CSR_CASES[mnemonic, nonzero][csr_index]
+    src = ("0x1c" if nonzero else "0") if mnemonic.endswith("i") else (
+        "x1" if nonzero else "x0")
+    source = """
+    _start:
+        li x1, 0x0F0F0F0F
+        li x5, 0xAAAA
+        li x2, 0x1230
+        csrw 0x341, x2      # mepc
+    t_csr:
+        %s x5, 0x%x, %s
+        ecall
+    """ % (mnemonic, csr, src)
+    prog = assemble(source, origin=0x1000)
+    at = prog.symbols["t_csr"]
+    plat, cpu, _ = run_program(source, platform=build_minimal(cpu={"hart_id": 5}))
+    assert cpu.regs[5] == (0xAAAA if rd is None else rd)
+    assert cpu.csr_mepc == mepc
+    cause, pc = (2, at) if rd is None else (11, at + 4)
+    tval = prog.words[at] if rd is None else 0
+    assert plat.diagnostics == [
+        "cpu: unhandled trap cause=%d tval=0x%08x at pc=0x%08x; core halted" % (cause, tval, pc)]
+
+
 def test_fetch_from_an_unmapped_pc_is_an_access_fault():
     plat, cpu, _ = run_program("_start:\n    li x1, 0xDEAD0000\n    jr x1\n")
     assert cpu.mode == "halted" and cpu.pc == 0xDEAD0000

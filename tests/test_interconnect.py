@@ -7,6 +7,8 @@ from pulpsim.engine import TimeEngine, ClockDomain
 from pulpsim.errors import ConfigError
 from pulpsim.interconnect import Router, ClockCrossing, decode
 
+from conftest import build_pulp
+
 
 class Sink(Component):
     kind = "test-sink"
@@ -19,19 +21,27 @@ class Sink(Component):
         self.seen.append(req.addr)
 
 
-class FakePlatform:
-    def __init__(self, domains):
-        self.domains = domains
+class Master(Component):
+    kind = "test-master"
 
-    def domain(self, name):
-        return self.domains[name]
+    def build(self):
+        self.add_master("out")
+
+
+class FakePlatform:
+    def __init__(self):
+        self.bindings = []
+
+    def bind(self, master, slave):
+        bind(master, slave)
+        self.bindings.append((master, slave))
 
 
 def make_router(latency=1, bandwidth=0):
     eng = TimeEngine()
     dom = ClockDomain("clk", 400_000_000)
     eng.add_domain(dom)
-    plat = FakePlatform({"clk": dom})
+    plat = FakePlatform()
     router = Router(plat, "rt", {
         "latency": latency, "bandwidth_bytes_per_cycle": bandwidth,
         "mappings": [
@@ -96,7 +106,7 @@ def test_mapping_overlap_rejected():
     dom = ClockDomain("clk", 400_000_000)
     eng.add_domain(dom)
     with pytest.raises(ConfigError):
-        Router(FakePlatform({"clk": dom}), "rt", {
+        Router(FakePlatform(), "rt", {
             "latency": 1,
             "mappings": [
                 {"base": 0x1000, "size": 0x1000, "port": "a"},
@@ -110,11 +120,11 @@ def make_crossing(src_freq, dst_freq, crossing_latency=0):
     dst = ClockDomain("dst", dst_freq)
     eng.add_domain(src)
     eng.add_domain(dst)
-    plat = FakePlatform({"src": src, "dst": dst})
-    xing = ClockCrossing(plat, "xing", {
-        "source_domain": "src", "crossing_latency": crossing_latency}, dst)
+    plat = FakePlatform()
+    xing = ClockCrossing(plat, "xing", {"crossing_latency": crossing_latency}, dst)
     sink = Sink(plat, "sink", {}, dst)
-    bind(xing.ports["out"], sink.ports["in"])
+    plat.bind(Master(plat, "m", {}, src).ports["out"], xing.ports["in"])
+    plat.bind(xing.ports["out"], sink.ports["in"])
     xing.finalize()
     return xing, src, dst, sink
 
@@ -151,11 +161,11 @@ def test_crossing_roundtrip_latency_in_source_cycles():
     dst = ClockDomain("dst", 400_000_000)    # 2500 ps
     eng.add_domain(src)
     eng.add_domain(dst)
-    plat = FakePlatform({"src": src, "dst": dst})
-    xing = ClockCrossing(plat, "xing", {"source_domain": "src",
-                                        "crossing_latency": 0}, dst)
+    plat = FakePlatform()
+    xing = ClockCrossing(plat, "xing", {"crossing_latency": 0}, dst)
     delay = Delay(plat, "d", {}, dst)
-    bind(xing.ports["out"], delay.ports["in"])
+    plat.bind(Master(plat, "m", {}, src).ports["out"], xing.ports["in"])
+    plat.bind(xing.ports["out"], delay.ports["in"])
     xing.finalize()
 
     req = Request(0x0, 4, False)
@@ -165,3 +175,23 @@ def test_crossing_roundtrip_latency_in_source_cycles():
     # round-trip property: converting the final latency back to time covers
     # the destination-side completion
     assert src.time_of_cycle(src.cycle + req.latency) >= dst.time_of_cycle(7)
+
+
+def test_crossing_takes_its_source_domain_from_its_masters():
+    xing, src, dst, _ = make_crossing(100_000_000, 400_000_000)
+    assert xing.src is src and xing.domain is dst
+
+
+def test_crossing_refuses_masters_from_two_domains():
+    xing, src, dst, _ = make_crossing(100_000_000, 400_000_000)
+    xing.platform.bind(Master(xing.platform, "m2", {}, dst).ports["out"], xing.ports["in"])
+    with pytest.raises(ConfigError, match="components.xing: masters from domains "
+                                          "'dst', 'src' bound to its in"):
+        xing.finalize()
+
+
+def test_crossing_refuses_to_deliver_outside_its_domain():
+    # cluster.soc_domain moves out_xing into periph, which delivers to soc_ic in soc
+    with pytest.raises(ConfigError, match="components.cluster/out_xing: out bound to "
+                                          "soc_ic in domain 'soc', not in its domain 'periph'"):
+        build_pulp(["cluster.soc_domain=periph"])

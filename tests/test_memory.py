@@ -94,6 +94,21 @@ def test_wide_request_charges_one_cycle_per_extra_word():
     assert req.latency == 15
 
 
+@pytest.mark.parametrize("off, nbytes, size, extra, held", [
+    (3, 3, 3, 1, [1, 1, -1, -1]),       # bytes 3..5: words 0 and 1
+    (2, 8, 8, 2, [2, 2, 2, -1]),        # bytes 2..9: words 0, 1 and 2
+    (2, 3, 4, 1, [1, 1, -1, -1]),       # a 4-byte stream's one 3-byte access
+])
+def test_access_holds_the_bank_of_every_word_its_bytes_touch(off, nbytes, size, extra, held):
+    mem, _ = make_mem(banks=4)
+    req = rd(mem, mem.base + off, nbytes)
+    assert req.status == "ok" and req.latency == extra
+    assert mem.bank_busy == held
+    streamed, _ = make_mem(banks=4)
+    assert streamed.stream(streamed.base + off, nbytes, size, [0]) == (1, extra)
+    assert streamed.bank_busy == held
+
+
 def test_constant_access_latency_added():
     mem, _ = make_mem(latency=1)
     assert rd(mem, 0x10000000).latency == 1

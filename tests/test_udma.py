@@ -218,9 +218,7 @@ def pulp_with(edit):
 
 def _two_crossings(doc):
     # periph -> cluster -> soc: every periph edge is an edge of both others
-    doc["components"]["pre_xing"] = {"kind": "clock-crossing", "domain": "cluster",
-                                     "params": {"source_domain": "periph"}}
-    doc["components"]["udma_xing"]["params"]["source_domain"] = "cluster"
+    doc["components"]["pre_xing"] = {"kind": "clock-crossing", "domain": "cluster"}
     doc["bindings"].remove(["udma.l2", "udma_xing.in"])
     doc["bindings"] += [["udma.l2", "pre_xing.in"], ["pre_xing.out", "udma_xing.in"]]
 
@@ -242,12 +240,6 @@ def _bind(master, slave):
     return edit
 
 
-def _xing_source(domain):
-    def edit(doc):
-        doc["components"]["udma_xing"]["params"]["source_domain"] = domain
-    return edit
-
-
 @pytest.mark.parametrize("edit,message", [
     (_bind("udma.l2", "soc_ic.in"), "components.udma: port l2 must be, through "
      "clock-crossings, bound to the 'in' port of one banked-memory"),
@@ -255,8 +247,8 @@ def _xing_source(domain):
      "clock-crossings, bound to the 'in' port of one banked-memory"),
     (_bind("udma.l2", "l2.in"),
      "components.udma: port l2 reaches l2 from domain 'periph', not from its domain 'soc'"),
-    (_xing_source("cluster"),
-     "components.udma: port l2 reaches udma_xing, whose source_domain 'cluster' is not 'periph'"),
+    (_bind("cluster.out", "udma_xing.in"),
+     "components.udma_xing: masters from domains 'periph', 'soc' bound to its in"),
 ], ids=["router", "not-a-memory", "no-crossing", "crossing-from-elsewhere"])
 def test_l2_port_must_reach_one_banked_memory_through_crossings(edit, message):
     with pytest.raises(ConfigError) as err:
