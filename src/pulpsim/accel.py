@@ -73,12 +73,12 @@ class ConvAccelerator(RegisterDevice):
     kind = "conv-accel"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, 0x1000),
-        "ports": (int, 4),
-        "macs_per_cycle": (int, 27),
+        "size": (int, 0x1000, REG_STATUS + 4),
+        "ports": (int, 4, 1),
+        "macs_per_cycle": (int, 27, 1),
         "setup_cycles": (int, 100),
-        "weight_load_per_cycle": (int, 4),
-        "chunk_cycles": (int, 128),
+        "weight_load_per_cycle": (int, 4, 1),
+        "chunk_cycles": (int, 128, 1),
         "event_unit": (str, REQUIRED),
         "event_line": (int, 2),
     }
@@ -86,10 +86,7 @@ class ConvAccelerator(RegisterDevice):
 
     def build(self):
         super().build()
-        self.n_ports = self.positive_param("ports")
-        for name in ("macs_per_cycle", "weight_load_per_cycle", "chunk_cycles"):
-            self.positive_param(name)
-        self.positive_param("setup_cycles", 0)
+        self.n_ports = self.params["ports"]
         self.tcdm_port = self.add_master("tcdm")
         self.job_event = Event(self.path, self._chunk)
         self.reset()

@@ -27,7 +27,6 @@ class Platform:
         self.domains = {}
         self.components = {}
         self.bindings = []          # (master Port, slave Port), for the dump
-        self.port_aliases = {}      # "path.port" -> Port, for composites
         self.backing_stores = []    # (base, a memory's byte store) for peek/poke
         self.trace_sink = None
         self.vcd = None
@@ -80,8 +79,6 @@ class Platform:
         path, sep, port = spec.rpartition(".")
         if not sep:
             raise ConfigError("'%s' is not of the form path.port" % spec)
-        if spec in self.port_aliases:
-            return self.port_aliases[spec]
         comp = self.components.get(path)
         if comp is None:
             raise ConfigError("binding endpoint '%s': no component '%s'" % (spec, path))
@@ -95,9 +92,6 @@ class Platform:
         s = self.resolve_port(slave_spec)
         bind(m, s)
         self.bindings.append((m, s))
-
-    def alias_port(self, spec, port):
-        self.port_aliases[spec] = port
 
     def register_backing(self, base, contents):
         self.backing_stores.append((base, contents))

@@ -15,9 +15,10 @@ icache and crossing defaults, take the child kind's defaults unless the
 cluster wants another value: the core's `isa`, and the crossbar and bridge
 timing.
 
-The composite exposes two port aliases for top-level bindings:
-    <path>.in   slave, requests from the SoC side
-    <path>.out  master, requests toward the SoC interconnect
+The composite exposes two of its children's ports for top-level bindings:
+    <path>.in   in_xing's slave, requests from the SoC side
+    <path>.out  out_xing's master, requests toward the SoC interconnect
+out_xing lives in the domain of the component that <path>.out is bound to.
 """
 
 from .accel import ConvAccelerator
@@ -39,8 +40,7 @@ def _defaults(cls, *names):
 class Cluster(Component):
     kind = "cluster"
     PARAMS = {
-        "nb_cores": (int, 8),
-        "soc_domain": (str, "soc"),
+        "nb_cores": (int, 8, 1),
         "boot_addr": (int, 0x1C000000),
         "tcdm": (dict, dict(base=0x10000000, size=0x20000, **_defaults(BankedMemory, "banks"))),
         "periph_base": (int, 0x10200000),
@@ -71,7 +71,7 @@ class Cluster(Component):
         p = self.params
         me = self.path
         cl_domain = self.domain.name
-        nb = self.positive_param("nb_cores")
+        nb = p["nb_cores"]
         periph = p["periph_base"]
         icp = p["icache"]
 
@@ -125,10 +125,15 @@ class Cluster(Component):
         plat.add_component("%s/bridge" % me, "router", dict(p["bridge"], mappings=ext_mappings),
                            cl_domain)
 
-        plat.add_component("%s/in_xing" % me, "clock-crossing", {
+        # out_xing lives in the domain of the component <path>.out is bound
+        # to; unbound, in the cluster's, and the platform refuses the port
+        desc = plat.descriptor
+        out_domain = next((desc.components[s.rpartition(".")[0]]["domain"]
+                           for m, s in desc.bindings if m == me + ".out"), cl_domain)
+        in_xing = plat.add_component("%s/in_xing" % me, "clock-crossing", {
             "crossing_latency": p["crossing"]["in_latency"]}, cl_domain)
-        plat.add_component("%s/out_xing" % me, "clock-crossing", {
-            "crossing_latency": p["crossing"]["out_latency"]}, p["soc_domain"])
+        out_xing = plat.add_component("%s/out_xing" % me, "clock-crossing", {
+            "crossing_latency": p["crossing"]["out_latency"]}, out_domain)
 
         # internal wiring, master -> slave, by paths below the cluster's
         wires = []
@@ -143,6 +148,5 @@ class Cluster(Component):
                   ("bridge.out", "out_xing.in"), ("in_xing.out", "xbar.in")]
         for master, slave in wires:
             plat.bind_paths("%s/%s" % (me, master), "%s/%s" % (me, slave))
-
-        plat.alias_port("%s.in" % me, plat.lookup("%s/in_xing" % me).ports["in"])
-        plat.alias_port("%s.out" % me, plat.lookup("%s/out_xing" % me).ports["out"])
+        self.ports["in"] = in_xing.ports["in"]
+        self.ports["out"] = out_xing.ports["out"]

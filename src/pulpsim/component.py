@@ -91,17 +91,18 @@ def _fresh(default):
 
 
 def fill_params(cls, path, given):
-    """Check `given` against cls.PARAMS and fill in the defaults.
-
-    Names must be declared, REQUIRED ones present and every value of its
-    declared type; int params also take 0x strings.  A dict param with a
-    dict default is a nested group: it takes a subset of the default's
-    keys and the rest is filled from the default.  Container defaults are
-    copied; values the caller gave are not.
+    """The one parameter validator: check `given` against cls.PARAMS and
+    fill in the defaults.  Names must be declared, REQUIRED ones present
+    and every value of its declared type and range; int params also take
+    0x strings.  A dict param with a dict default is a nested group: it
+    takes a subset of the default's keys and the rest is filled from the
+    default.  Container defaults are copied; values the caller gave are
+    not.
     """
     merged = {}
     given = dict(given or {})
-    for name, (ptype, default) in cls.PARAMS.items():
+    for name, spec in cls.PARAMS.items():
+        ptype, default = spec[0], spec[1]
         if name not in given:
             if default is REQUIRED:
                 raise ConfigError("components.%s: missing required param '%s'" % (path, name))
@@ -112,6 +113,12 @@ def fill_params(cls, path, given):
         if ptype is int:
             if type(value) is not int:
                 value = as_int(value, where)
+            least = spec[2] if len(spec) > 2 else 0
+            if value < least or len(spec) > 3 and value > spec[3]:
+                rule = ("at most %d" % spec[3] if value >= least
+                        else "positive" if least == 1 else "at least %d" % least)
+                raise ConfigError("components.%s: %s must be %s, got %d" % (
+                    path, name, rule, value))
         elif not isinstance(value, ptype):
             raise ConfigError("%s: expected %s, got %r" % (where, ptype.__name__, value))
         elif ptype is dict and isinstance(default, dict):
@@ -130,12 +137,15 @@ def fill_params(cls, path, given):
 class Component:
     """Base class: a named instance with ports, parameters and a domain.
 
-    Subclasses declare `kind` and a PARAMS map of name -> (type, default);
-    REQUIRED as the default marks mandatory parameters.  Every instance,
-    whether named in the descriptor or added by a composite at build time,
-    runs its params through fill_params() and keeps the result in
-    self.params.  Router mappings are resolved and checked for overlaps by
-    the interconnect module, at parse time and again in Router.build().
+    Subclasses declare `kind` and a PARAMS map of name -> (type, default),
+    or for an int (int, default, least) or (int, default, least, most):
+    its legal range, at least 0 where no `least` is given.  REQUIRED as
+    the default marks mandatory parameters.  Every instance, whether named
+    in the descriptor or added by a composite at build time, runs its
+    params through fill_params(), the one validator, and keeps the result
+    in self.params; `build` checks only rules that tie params together.
+    Router mappings are resolved and checked for overlaps by the
+    interconnect module, at parse time and again in Router.build().
 
     COUNTERS names the int attributes the component exports as performance
     counters: `reset` sets each to 0 and `counters()` returns them, in that
@@ -167,20 +177,6 @@ class Component:
         their registers and schedules."""
         for name in self.COUNTERS:
             setattr(self, name, 0)
-
-    def positive_param(self, name, least=1, most=None):
-        """The int param `name`, which must be at least `least`: 1 for a
-        count or a size, 0 for a latency or a cycle count; and, if `most`
-        is given, at most `most`."""
-        value = self.params[name]
-        if value < least:
-            raise ConfigError("components.%s: %s must be %s, got %d" % (
-                self.path, name, "positive" if least == 1 else "at least %d" % least,
-                value))
-        if most is not None and value > most:
-            raise ConfigError("components.%s: %s must be at most %d, got %d" % (
-                self.path, name, most, value))
-        return value
 
     # -- ports ----------------------------------------------------------
 

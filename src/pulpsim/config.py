@@ -8,11 +8,14 @@ A platform is one flat JSON file with three sections:
 
 parse() normalises and checks a description before anything is built.
 Each component's params go through component.fill_params(), the one
-parameter validator; Component.__init__ runs it again for every instance,
-so the children a composite adds at build time get the same checks.
-Nested parameter groups (dict params with a dict default) are completed
-from their defaults and reject unknown keys; their values are checked by
-the children built from them.  Router mappings are resolved by
+parameter validator, which checks every value's type and the range its
+PARAMS entry declares; Component.__init__ runs it again for every
+instance, so the children a composite adds at build time get the same
+checks.  Nested parameter groups (dict params with a dict default) are
+completed from their defaults and reject unknown keys; their values are
+checked when the children built from them are.  So a bad top-level value
+is refused by parse() and apply_overrides(), and a bad group value by
+build().  Router mappings are resolved by
 interconnect.resolve_mappings() and checked by check_overlaps(), and
 explicit base/size strings such as "0x1000" are stored as ints.
 

@@ -358,7 +358,7 @@ class RiscvCore(Component):
         self.add_master("data")
         self.hart_id = self.params["hart_id"]
         self.boot_pc = self.params["boot_addr"]
-        self.branch_penalty = self.positive_param("branch_penalty", 0)
+        self.branch_penalty = self.params["branch_penalty"]
         self.isa = IsaTable.load(self.params["isa"])
         self._dcache = {}
         self.step_event = Event(self.path, self._step)

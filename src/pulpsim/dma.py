@@ -20,6 +20,9 @@ Register map (word offsets from `base`):
     0x1C ID         (id of the most recently accepted transfer)
     0x20 TID        (write a transfer id here, then read...)
     0x24 TID_STATUS (1 done, 0 in flight, 2 error, 0xFFFFFFFF unknown)
+
+TID_STATUS remembers only the last TID_WINDOW ids: an older id that is not
+in flight reads 0xFFFFFFFF, so the failed ids kept stay bounded.
 """
 
 from .component import RegisterDevice, register, REQUIRED, Request, STATUS_OK, MAX_REQUEST_BYTES
@@ -40,6 +43,8 @@ REG_TID_STATUS = 0x24
 
 FLAG_REJECT = 1 << 30
 FLAG_CONFIG = 1 << 31
+
+TID_WINDOW = 256        # how many of the latest transfer ids TID_STATUS knows
 
 
 class _Transfer:
@@ -65,9 +70,9 @@ class ClusterDma(RegisterDevice):
     kind = "cluster-dma"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, 0x1000),
-        "max_burst": (int, 256),
-        "channels": (int, 4),
+        "size": (int, 0x1000, REG_TID_STATUS + 4),
+        "max_burst": (int, 256, 1, MAX_REQUEST_BYTES),
+        "channels": (int, 4, 1),
         "program_latency": (int, 1),
         "burst_latency": (int, 1),
         "event_unit": (str, REQUIRED),
@@ -77,10 +82,7 @@ class ClusterDma(RegisterDevice):
 
     def build(self):
         super().build()
-        self.max_burst = self.positive_param("max_burst", most=MAX_REQUEST_BYTES)
-        self.positive_param("channels")
-        self.positive_param("program_latency", 0)
-        self.positive_param("burst_latency", 0)
+        self.max_burst = self.params["max_burst"]
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
         # reused by every burst; `_burst` sets their addr, size and value
@@ -95,7 +97,7 @@ class ClusterDma(RegisterDevice):
         self.flags = 0
         self.next_id = 1
         self.active = {}
-        self.failed = set()     # tids of transfers that ended in a bus error
+        self.failed = set()     # tids, within TID_WINDOW, of transfers that ended in a bus error
 
     def finalize(self):
         self.event_unit = line_owner(self, "event_unit", "event_line")
@@ -112,7 +114,8 @@ class ClusterDma(RegisterDevice):
     def _read_tid_status(self, req):
         tid = self.regs[REG_TID]
         req.value = (0 if tid in self.active else 2 if tid in self.failed
-                     else 1 if 0 < tid < self.next_id else 0xFFFFFFFF)
+                     else 1 if max(1, self.next_id - TID_WINDOW) <= tid < self.next_id
+                     else 0xFFFFFFFF)
 
     # -- transfer lifecycle ---------------------------------------------------
 
@@ -133,6 +136,7 @@ class ClusterDma(RegisterDevice):
             return
         tid = self.next_id
         self.next_id += 1
+        self.failed.discard(tid - TID_WINDOW)
         tr = _Transfer(tid, self.regs[REG_SRC], self.regs[REG_DST],
                        length, stride, count, bool(cfg & 1))
         tr.event = Event(self.path, self._burst, tr)
@@ -201,7 +205,7 @@ class ClusterDma(RegisterDevice):
 
     def _finish(self, tr):
         del self.active[tr.tid]
-        if tr.error:
+        if tr.error and tr.tid >= self.next_id - TID_WINDOW:
             self.failed.add(tr.tid)
         self.log("done id=%d status=%s", tr.tid, "error" if tr.error else "done")
         self.signal("busy", bool(self.active))

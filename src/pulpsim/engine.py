@@ -161,14 +161,6 @@ class ClockDomain:
             lst.append(event)
         self._pending += 1
 
-    def enqueue_at(self, event, abs_cycle):
-        """Schedule `event` at an absolute cycle, no earlier than the one
-        `enqueue` counts from (the executing cycle is at `now_ps`)."""
-        base = self.cycle_at_or_after(self.engine.now_ps)
-        if abs_cycle < base:
-            raise StructuralError("cycle %d is in the past (now %d)" % (abs_cycle, base))
-        self.enqueue(event, abs_cycle - base)
-
     # -- time conversion ----------------------------------------------
 
     def time_of_cycle(self, cycle_index):

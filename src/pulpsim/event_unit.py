@@ -53,15 +53,15 @@ class EventUnit(Component):
     kind = "event-unit"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, 0x1000),
-        "n_lines": (int, 16),
+        "size": (int, 0x1000, NB_CORES + 4),
+        "n_lines": (int, 16, 1),
         "cores": (list, REQUIRED),
     }
     COUNTERS = ("barriers_passed", "events_set")
 
     def build(self):
         self.base = self.params["base"]
-        self.n_lines = self.positive_param("n_lines")
+        self.n_lines = self.params["n_lines"]
         self.add_slave("in", self.handle)
 
     def finalize(self):
@@ -90,8 +90,6 @@ class EventUnit(Component):
 
     def set_line(self, line):
         """Mark a line pending for every core and wake cores blocked on it."""
-        if not 0 <= line < self.n_lines:
-            raise ConfigError("%s: no event line %d" % (self.path, line))
         bit = 1 << line
         self.events_set += 1
         for st in self.states:
@@ -207,7 +205,7 @@ def line_owner(comp, unit, line):
     param `line` is checked to be one of its lines."""
     owner = comp.platform.lookup(comp.params[unit], EventUnit.kind,
                                  "components.%s.params.%s" % (comp.path, unit))
-    if not 0 <= comp.params[line] < owner.n_lines:
+    if comp.params[line] >= owner.n_lines:
         raise ConfigError("components.%s: %s must be a line of %s (0 to %d), got %d" % (
             comp.path, line, owner.path, owner.n_lines - 1, comp.params[line]))
     return owner

@@ -34,23 +34,23 @@ from .errors import ConfigError
 class InstructionCache(Component):
     kind = "icache"
     PARAMS = {
-        "size": (int, 512),
-        "ways": (int, 2),
-        "line_bytes": (int, 16),
+        "size": (int, 512, 1),
+        "ways": (int, 2, 1),
+        "line_bytes": (int, 16, 1, MAX_REQUEST_BYTES),
         "hit_latency": (int, 0),
     }
     COUNTERS = ("hits", "misses", "refills")
 
     def build(self):
-        size = self.positive_param("size")
-        self.ways = self.positive_param("ways")
-        self.line = self.positive_param("line_bytes", most=MAX_REQUEST_BYTES)
+        size = self.params["size"]
+        self.ways = self.params["ways"]
+        self.line = self.params["line_bytes"]
         if self.line & (self.line - 1):
             raise ConfigError("%s: line_bytes must be a power of two" % self.path)
         if size % (self.ways * self.line):
             raise ConfigError("%s: size %d not divisible by ways*line" % (self.path, size))
         self.sets = size // (self.ways * self.line)
-        self.hit_latency = self.positive_param("hit_latency", 0)
+        self.hit_latency = self.params["hit_latency"]
         self.add_slave("in", self.handle)
         self.refill_port = self.add_master("refill")
         self._refill_req = Request(size=self.line)

@@ -81,8 +81,8 @@ class Router(Component):
     COUNTERS = ("forwarded", "queued_cycles")
 
     def build(self):
-        self.latency = self.positive_param("latency", 0)
-        self.bandwidth = self.positive_param("bandwidth_bytes_per_cycle", 0)
+        self.latency = self.params["latency"]
+        self.bandwidth = self.params["bandwidth_bytes_per_cycle"]
         ranges = [(m["base"], m["size"], m["port"]) for m in self.params["mappings"]]
         check_overlaps(self.path, ranges)
         self.mappings = []
@@ -135,7 +135,7 @@ class ClockCrossing(Component):
     COUNTERS = ("crossings",)
 
     def build(self):
-        self.latency = self.positive_param("crossing_latency", 0)
+        self.latency = self.params["crossing_latency"]
         self.add_slave("in", self.handle)
         self.out = self.add_master("out")
         self.src = None                 # resolved in finalize

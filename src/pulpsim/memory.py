@@ -25,25 +25,23 @@ class BankedMemory(Component):
     kind = "banked-memory"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, REQUIRED),
-        "banks": (int, 16),
+        "size": (int, REQUIRED, 1),
+        "banks": (int, 16, 1),
         "access_latency": (int, 0),     # constant cycles charged per access
     }
     COUNTERS = ("reads", "writes", "contentions")
 
     def build(self):
-        base = self.params["base"]
-        size = self.params["size"]
-        banks = self.params["banks"]
-        if banks <= 0 or banks & (banks - 1):
+        p = self.params
+        self.base = p["base"]
+        self.size = size = p["size"]
+        self.banks = banks = p["banks"]
+        if banks & (banks - 1):
             raise ConfigError("%s: banks must be a power of two, got %d" % (self.path, banks))
         if size % (banks * 4) != 0:
             raise ConfigError("%s: size 0x%x not divisible by banks*4" % (self.path, size))
-        self.base = base
-        self.size = size
-        self.banks = banks
         self.bank_mask = banks - 1
-        self.latency = self.positive_param("access_latency", 0)
+        self.latency = p["access_latency"]
         self.contents = bytearray(size)
         self.add_slave("in", self.handle)
         self.reset()

@@ -59,17 +59,17 @@ class HyperRam(Component):
     kind = "hyperram"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, 0x800000),
-        "bandwidth_bits_per_sec": (int, 1600000000),
+        "size": (int, 0x800000, 1),
+        "bandwidth_bits_per_sec": (int, 1600000000, 1),
         "setup_ns": (int, 300),
     }
     COUNTERS = ("reads", "writes")
 
     def build(self):
         self.base = self.params["base"]
-        self.size = self.positive_param("size")
-        self.bandwidth = self.positive_param("bandwidth_bits_per_sec")
-        self.setup_ps = self.positive_param("setup_ns", 0) * 1000
+        self.size = self.params["size"]
+        self.bandwidth = self.params["bandwidth_bits_per_sec"]
+        self.setup_ps = self.params["setup_ns"] * 1000
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
         self.reset()
@@ -103,17 +103,16 @@ class MicroDma(RegisterDevice):
     kind = "micro-dma"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, 0x1000),
+        "size": (int, 0x1000, UDMA_STATUS + 4),
         "device": (str, REQUIRED),
         "itc": (str, REQUIRED),
         "itc_line": (int, 1),
-        "beat_bytes": (int, 4),
+        "beat_bytes": (int, 4, 1),
     }
     COUNTERS = ("transfers", "bytes")
 
     def build(self):
         super().build()
-        self.positive_param("beat_bytes")
         self.l2_port = self.add_master("l2")
         self.beat_event = Event(self.path, self._beat)
         self.reset()
@@ -196,7 +195,7 @@ class MicroDma(RegisterDevice):
             cycle = -(-(start + link(done if done < end else end)) // period)
             prev = cycle if cycle > prev else prev + 1
             if prev >= horizon or not run_ahead(prev, prev - dom.cycle):
-                dom.enqueue_at(self.beat_event, prev)
+                dom.enqueue(self.beat_event, prev - dom.cycle_at_or_after(dom.engine.now_ps))
                 break
             cycles.append(prev)
         return cycles
@@ -240,7 +239,7 @@ class SimControl(Component):
     kind = "sim-control"
     PARAMS = {
         "base": (int, REQUIRED),
-        "size": (int, 0x100),
+        "size": (int, 0x100, SIMCTL_PUTC + 4),
     }
 
     def build(self):

@@ -199,18 +199,76 @@ def test_target_mapping_follows_override():
     assert plat.lookup("soc_ic").ports["hyper"].binding.owner.path == "hyper"
 
 
+def _given_required(cls):
+    """Legal values for the REQUIRED params of `cls`: an int param's least,
+    an empty str or list."""
+    from pulpsim.component import REQUIRED
+    return {name: ptype(*bounds[:1]) for name, (ptype, default, *bounds) in cls.PARAMS.items()
+            if default is REQUIRED}
+
+
 def test_param_defaults_satisfy_declared_types():
     from pulpsim.component import COMPONENT_KINDS, REQUIRED, fill_params
     for kind, cls in COMPONENT_KINDS.items():
-        defaults = {name: default for name, (_, default) in cls.PARAMS.items()
+        defaults = {name: default for name, (_, default, *_) in cls.PARAMS.items()
                     if default is not REQUIRED}
-        given = dict(defaults)
-        given.update({name: ptype() for name, (ptype, default) in cls.PARAMS.items()
-                      if default is REQUIRED})
-        filled = fill_params(cls, kind, given)
+        filled = fill_params(cls, kind, dict(defaults, **_given_required(cls)))
         for name, default in defaults.items():
             assert filled[name] == default and type(filled[name]) is type(default), \
                 (kind, name)
+        for name, (ptype, default, *bounds) in cls.PARAMS.items():
+            assert len(bounds) <= 2 and (ptype is int or not bounds), (kind, name)
+            if ptype is int and default is not REQUIRED:
+                assert (bounds or [0])[0] <= default, (kind, name)
+                assert len(bounds) < 2 or default <= bounds[1], (kind, name)
+
+
+def _out_of_range_cases():
+    """(kind, param, value, message) for every int param of the library's
+    kinds: one below its least, and one above its most where it has one."""
+    from pulpsim.component import COMPONENT_KINDS
+    cases = []
+    for kind, cls in sorted(COMPONENT_KINDS.items()):
+        if not cls.__module__.startswith("pulpsim."):
+            continue                        # kinds that tests register
+        for name, (ptype, _, *bounds) in cls.PARAMS.items():
+            if ptype is not int:
+                continue
+            least = bounds[0] if bounds else 0
+            refused = [(least - 1, "positive" if least == 1 else "at least %d" % least)]
+            if len(bounds) == 2:
+                refused.append((bounds[1] + 1, "at most %d" % bounds[1]))
+            cases += [pytest.param(kind, name, value, "components.%s: %s must be %s, got %d" % (
+                kind, name, rule, value), id="%s.%s=%d" % (kind, name, value))
+                for value, rule in refused]
+    return cases
+
+
+@pytest.mark.parametrize("kind,name,value,message", _out_of_range_cases())
+def test_every_int_param_refuses_values_outside_its_declared_range(kind, name, value, message):
+    from pulpsim.component import COMPONENT_KINDS, fill_params
+    cls = COMPONENT_KINDS[kind]
+    given = dict(_given_required(cls), **{name: value})
+    with pytest.raises(ConfigError) as err:
+        fill_params(cls, kind, given)
+    assert str(err.value) == message
+
+
+def test_negative_top_level_size_is_refused_by_the_override():
+    with pytest.raises(ConfigError, match="^components.l2: size must be positive, got -16$"):
+        apply_overrides(pulp_descriptor(), ["l2.size=-16"])
+
+
+def test_negative_group_size_is_refused_when_the_child_is_built():
+    desc = apply_overrides(pulp_descriptor(), ["cluster/tcdm.size=-512"])
+    with pytest.raises(ConfigError,
+                       match="^components.cluster/tcdm: size must be positive, got -512$"):
+        build(desc)
+
+
+def test_register_window_must_cover_the_last_register():
+    with pytest.raises(ConfigError, match="^components.sim_ctrl: size must be at least 8, got 4$"):
+        apply_overrides(pulp_descriptor(), ["sim_ctrl.size=4"])
 
 
 @pytest.mark.parametrize("override,message", [

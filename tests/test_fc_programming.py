@@ -140,6 +140,23 @@ def test_dma_tid_status_and_bounded_state():
     assert dma.active == {} and dma.failed == {4}
 
 
+def test_dma_keeps_failed_ids_only_for_its_tid_window():
+    """300 failing transfers: TID_STATUS knows the last TID_WINDOW ids, and
+    the DMA keeps no more failed ids than that."""
+    from pulpsim.dma import TID_WINDOW
+    body = ["li a0, 0x%X" % CL_DMA, "li s0, 300", "again:"]
+    body += dma_copy(L2 + 0x20000, UNMAPPED, 4) + dma_wait("wait")
+    body += ["addi s0, s0, -1", "bnez s0, again"]
+    oldest = 300 - TID_WINDOW + 1
+    for i, tid in enumerate((1, oldest - 1, oldest, 300, 301)):
+        body += tid_status(tid, i)
+    plat = run(guest(body), max_cycles=2_000_000)
+    assert results(plat, 5) == [0xFFFFFFFF, 0xFFFFFFFF, 2, 2, 0xFFFFFFFF]
+    dma = plat.lookup("cluster/dma")
+    assert dma.transfers == 300 and dma.failed == set(range(oldest, 301))
+    assert len(dma.failed) <= TID_WINDOW
+
+
 @pytest.mark.parametrize("l1_to_l2", [False, True], ids=["l2-to-tcdm", "tcdm-to-l2"])
 def test_fc_driven_2d_dma_matches_numpy_slicing(l1_to_l2):
     """COUNT rows of LEN bytes, STRIDE apart on the L2 side and contiguous

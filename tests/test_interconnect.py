@@ -7,8 +7,6 @@ from pulpsim.engine import TimeEngine, ClockDomain
 from pulpsim.errors import ConfigError
 from pulpsim.interconnect import Router, ClockCrossing, decode
 
-from conftest import build_pulp
-
 
 class Sink(Component):
     kind = "test-sink"
@@ -114,7 +112,7 @@ def test_mapping_overlap_rejected():
             ]}, dom)
 
 
-def make_crossing(src_freq, dst_freq, crossing_latency=0):
+def make_crossing(src_freq, dst_freq, crossing_latency=0, sink_in_src=False):
     eng = TimeEngine()
     src = ClockDomain("src", src_freq)
     dst = ClockDomain("dst", dst_freq)
@@ -122,7 +120,7 @@ def make_crossing(src_freq, dst_freq, crossing_latency=0):
     eng.add_domain(dst)
     plat = FakePlatform()
     xing = ClockCrossing(plat, "xing", {"crossing_latency": crossing_latency}, dst)
-    sink = Sink(plat, "sink", {}, dst)
+    sink = Sink(plat, "sink", {}, src if sink_in_src else dst)
     plat.bind(Master(plat, "m", {}, src).ports["out"], xing.ports["in"])
     plat.bind(xing.ports["out"], sink.ports["in"])
     xing.finalize()
@@ -191,7 +189,6 @@ def test_crossing_refuses_masters_from_two_domains():
 
 
 def test_crossing_refuses_to_deliver_outside_its_domain():
-    # cluster.soc_domain moves out_xing into periph, which delivers to soc_ic in soc
-    with pytest.raises(ConfigError, match="components.cluster/out_xing: out bound to "
-                                          "soc_ic in domain 'soc', not in its domain 'periph'"):
-        build_pulp(["cluster.soc_domain=periph"])
+    with pytest.raises(ConfigError, match="components.xing: out bound to "
+                                          "sink in domain 'src', not in its domain 'dst'"):
+        make_crossing(100_000_000, 400_000_000, sink_in_src=True)
