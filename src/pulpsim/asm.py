@@ -204,7 +204,7 @@ def assemble(source, origin=0x1C000000, defines=None):
                     lineno, mnem, name, labels[name]))
             _check_not_helper(mnem, name, lineno)
             equs.setdefault(name, lineno)
-            symbols[name] = _eval_static(expr, symbols, lineno)
+            symbols[name] = _eval_static(expr.strip(), symbols, lineno)
             continue
         stmts.append((lineno, addr, mnem, rest))
         addr += _size_of(mnem, rest, lineno)
@@ -259,6 +259,8 @@ def _eval_static(expr, symbols, lineno):
         raise AsmError("line %d: cannot evaluate %r: %s" % (lineno, expr, e)) from None
     if callable(value):
         raise AsmError("line %d: %r is not a value" % (lineno, expr))
+    if not isinstance(value, int):      # bools pass, as 0 and 1
+        raise AsmError("line %d: %r is not an integer" % (lineno, expr))
     return int(value)
 
 

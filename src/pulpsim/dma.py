@@ -1,14 +1,16 @@
 """Cluster DMA: autonomous L1<->L2 movement programmed over memory-mapped
 registers.
 
-A transfer is split into bursts of at most `max_burst` bytes; each burst
-runs as one event issuing a timed read on the source side and a timed write
-on the destination side, so bridge bandwidth and bank conflicts shape the
-transfer exactly like core traffic would.  The next burst is scheduled
-after the accumulated cost of the previous one, and the completion of the
-final burst raises a cluster event line.  An optional (stride, count) pair
-repeats the 1D transfer over strided rows on the L2 side, which is what
-double-buffered tiling needs.
+A transfer is its burst plan, `_bursts`: COUNT rows of LEN bytes, each cut
+into bursts of at most `max_burst` bytes, where the L2 side advances by
+STRIDE per row (which is what double-buffered tiling needs) and the L1 side
+is contiguous across rows; without the 2D flag there is one row.  One event
+per transfer serves the plan a burst at a time: a timed read on the source
+side, then a timed write on the destination side, so bridge bandwidth and
+bank conflicts shape the transfer exactly like core traffic would.  The next
+burst is scheduled after the cost of the previous one; the transfer ends at
+the first refused access or after its last burst, and its end raises a
+cluster event line.
 
 The TCDM window is the banked memory the `tcdm` port is bound to: a burst
 address inside it goes out on `tcdm`, any other on `ext`.
@@ -47,22 +49,15 @@ FLAG_CONFIG = 1 << 31
 TID_WINDOW = 256        # how many of the latest transfer ids TID_STATUS knows
 
 
-class _Transfer:
-    __slots__ = ("tid", "src", "dst", "row_len", "stride", "count", "l1_to_l2",
-                 "row", "row_off", "event", "error")
-
-    def __init__(self, tid, src, dst, row_len, stride, count, l1_to_l2):
-        self.tid = tid
-        self.src = src
-        self.dst = dst
-        self.row_len = row_len
-        self.stride = stride
-        self.count = count
-        self.l1_to_l2 = l1_to_l2
-        self.row = 0
-        self.row_off = 0
-        self.event = None
-        self.error = False
+def _bursts(src, dst, row_len, stride, count, l1_to_l2, max_burst):
+    """Yield (source, destination, size) for each burst of a transfer, in
+    issue order: the L2 side advances by `stride` per row, the L1 side is
+    contiguous across rows."""
+    for row in range(count):
+        ext, lin = row * stride, row * row_len
+        s, d = (src + lin, dst + ext) if l1_to_l2 else (src + ext, dst + lin)
+        for off in range(0, row_len, max_burst):
+            yield s + off, d + off, min(max_burst, row_len - off)
 
 
 @register
@@ -82,7 +77,6 @@ class ClusterDma(RegisterDevice):
 
     def build(self):
         super().build()
-        self.max_burst = self.params["max_burst"]
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
         # reused by every burst; `_burst` sets their addr, size and value
@@ -137,15 +131,16 @@ class ClusterDma(RegisterDevice):
         tid = self.next_id
         self.next_id += 1
         self.failed.discard(tid - TID_WINDOW)
-        tr = _Transfer(tid, self.regs[REG_SRC], self.regs[REG_DST],
-                       length, stride, count, bool(cfg & 1))
-        tr.event = Event(self.path, self._burst, tr)
-        self.active[tid] = tr
+        src, dst = self.regs[REG_SRC], self.regs[REG_DST]
+        max_burst = self.params["max_burst"]
+        plan = _bursts(src, dst, length, stride, count, bool(cfg & 1), max_burst)
+        event = Event(self.path, self._burst, (tid, count * -(-length // max_burst), plan))
+        self.active[tid] = event
         self.transfers += 1
         self.signal("busy", True)
-        self.domain.enqueue(tr.event, self.params["program_latency"])
+        self.domain.enqueue(event, self.params["program_latency"])
         self.log("start id=%d src=0x%08x dst=0x%08x len=%d rows=%d",
-                 tid, tr.src, tr.dst, length, count)
+                 tid, src, dst, length, count)
 
     READS = {REG_STATUS: _read_status, REG_ID: _read_id, REG_TID_STATUS: _read_tid_status}
     WRITES = {REG_CFG: _start}
@@ -154,59 +149,37 @@ class ClusterDma(RegisterDevice):
         tcdm = self.tcdm
         return self.tcdm_port if tcdm.base <= addr < tcdm.base + tcdm.size else self.ext_port
 
-    def _burst(self, ev):
-        tr = ev.payload
-        chunk = min(self.max_burst, tr.row_len - tr.row_off)
-        # the strided (L2) side advances by stride per row; the L1 side is
-        # contiguous across rows
-        row_ext = tr.row * tr.stride
-        row_lin = tr.row * tr.row_len
-        if tr.l1_to_l2:
-            src = tr.src + row_lin + tr.row_off
-            dst = tr.dst + row_ext + tr.row_off
-        else:
-            src = tr.src + row_ext + tr.row_off
-            dst = tr.dst + row_lin + tr.row_off
-
-        req = self._read
-        req.addr, req.size = src, chunk
+    def _access(self, req, addr, size):
+        """Issue `req` at `addr` on the port that serves it; True if served."""
+        req.addr, req.size = addr, size
         req.reset()
-        self._port_for(src).binding.handler(req)
-        cost = self.params["burst_latency"]
-        if req.status == STATUS_OK:
-            cost += req.latency
-            if req.contended:
-                self.contentions += 1
-            wreq = self._write
-            wreq.addr, wreq.size, wreq.value = dst, chunk, req.value
-            wreq.reset()
-            self._port_for(dst).binding.handler(wreq)
-            if wreq.status == STATUS_OK:
-                cost += wreq.latency
-                if wreq.contended:
-                    self.contentions += 1
-            else:
-                tr.error = True
-        else:
-            tr.error = True
+        self._port_for(addr).binding.handler(req)
+        if req.status != STATUS_OK:
+            return False
+        if req.contended:
+            self.contentions += 1
+        return True
 
-        if tr.error:
-            self._finish(tr)
-            return
-        self.bytes += chunk
-        tr.row_off += chunk
-        if tr.row_off >= tr.row_len:
-            tr.row_off = 0
-            tr.row += 1
-        if tr.row >= tr.count:
-            self._finish(tr)
+    def _burst(self, ev):
+        tid, left, plan = ev.payload
+        src, dst, size = next(plan)
+        read, write = self._read, self._write
+        ok = self._access(read, src, size)
+        if ok:
+            write.value = read.value
+            ok = self._access(write, dst, size)
+        if ok:
+            self.bytes += size
+        if not ok or left == 1:
+            self._finish(tid, not ok)
         else:
-            self.domain.enqueue(ev, max(1, cost))
+            ev.payload = (tid, left - 1, plan)
+            self.domain.enqueue(ev, max(1, self.params["burst_latency"] + read.latency + write.latency))
 
-    def _finish(self, tr):
-        del self.active[tr.tid]
-        if tr.error and tr.tid >= self.next_id - TID_WINDOW:
-            self.failed.add(tr.tid)
-        self.log("done id=%d status=%s", tr.tid, "error" if tr.error else "done")
+    def _finish(self, tid, error):
+        del self.active[tid]
+        if error and tid >= self.next_id - TID_WINDOW:
+            self.failed.add(tid)
+        self.log("done id=%d status=%s", tid, "error" if error else "done")
         self.signal("busy", bool(self.active))
         self.event_unit.set_line(self.params["event_line"])

@@ -36,7 +36,7 @@ class InstructionCache(Component):
     PARAMS = {
         "size": (int, 512, 1),
         "ways": (int, 2, 1),
-        "line_bytes": (int, 16, 1, MAX_REQUEST_BYTES),
+        "line_bytes": (int, 16, 4, MAX_REQUEST_BYTES),     # holds a whole fetch
         "hit_latency": (int, 0),
     }
     COUNTERS = ("hits", "misses", "refills")

@@ -94,6 +94,18 @@ def test_error_text_carries_one_line_prefix(text, message):
 
 
 @pytest.mark.parametrize("text,message", [
+    (".word (1, 2)", "line 1: '(1, 2)' is not an integer"),
+    ('.word "abc"', "line 1: '\"abc\"' is not an integer"),
+    ("nop\n    addi a0, a0, 2.7", "line 2: '2.7' is not an integer"),
+    ('.equ K, "7"', "line 1: '\"7\"' is not an integer"),
+])
+def test_operand_must_be_an_integer(text, message):
+    with pytest.raises(AsmError) as err:
+        assemble(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
     ("nop\n    add a0, a1", "line 2: add takes 3 operands, got 2"),
     ("beq a0, a1", "line 1: beq takes 3 operands, got 2"),
     ("addi a0, a1, 1, 2", "line 1: addi takes 3 operands, got 4"),

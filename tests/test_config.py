@@ -277,7 +277,9 @@ def test_register_window_must_cover_the_last_register():
     ("cluster/dma.channels=0", "cluster/dma: channels must be positive, got 0"),
     ("cluster/dma.max_burst=0", "cluster/dma: max_burst must be positive, got 0"),
     ("cluster.nb_cores=33", "fc and cluster/pe32 share hart id 32"),
-    ("cluster/icache.line_bytes=0", "cluster/pe0_icache: line_bytes must be positive, got 0"),
+    ("cluster/icache.line_bytes=0", "cluster/pe0_icache: line_bytes must be at least 4, got 0"),
+    ("cluster/icache.line_bytes=1", "cluster/pe0_icache: line_bytes must be at least 4, got 1"),
+    ("fc_icache.line_bytes=2", "fc_icache: line_bytes must be at least 4, got 2"),
     ("cluster/icache.l1_ways=0", "cluster/pe0_icache: ways must be positive, got 0"),
     ("cluster/icache.l15_ways=0", "cluster/l15: ways must be positive, got 0"),
     ("cluster/icache.l1_size=0", "cluster/pe0_icache: size must be positive, got 0"),

@@ -157,21 +157,52 @@ def test_dma_keeps_failed_ids_only_for_its_tid_window():
     assert len(dma.failed) <= TID_WINDOW
 
 
-@pytest.mark.parametrize("l1_to_l2", [False, True], ids=["l2-to-tcdm", "tcdm-to-l2"])
-def test_fc_driven_2d_dma_matches_numpy_slicing(l1_to_l2):
+def test_dma_from_an_unmapped_source_fails_and_writes_nothing():
+    dst = TCDM + 0x100
+    data = random.Random(5).randbytes(600)
+    body = ["li a0, 0x%X" % CL_DMA] + dma_copy(UNMAPPED, dst, 600) + dma_wait("wait")
+    body += tid_status(1, 0)
+    plat = run(guest(body), [(dst, data)])
+    assert plat.peek(dst, 600) == data
+    assert results(plat, 1) == [2]
+    dma = plat.lookup("cluster/dma")
+    assert dma.transfers == 1 and dma.bytes == 0 and dma.failed == {1}
+
+
+# (id, LEN, STRIDE, COUNT, 2D flag); the first is the shape with the bare
+# direction as its id
+DMA_SHAPES = [
+    ("", 300, 512, 3, True),                    # a row of a full and a partial burst
+    ("row-of-max-burst", 256, 512, 2, True),
+    ("row-of-two-bursts", 512, 640, 2, True),
+    ("row-under-a-word", 3, 8, 5, True),
+    ("one-row", 300, 512, 1, True),
+    ("stride-is-row", 300, 300, 3, True),
+    ("1d", 600, 512, 3, False),                 # STRIDE and COUNT set, but not used
+]
+
+
+@pytest.mark.parametrize("l1_to_l2,row_len,stride,count,two_d", [
+    pytest.param(l1_to_l2, row_len, stride, count, two_d,
+                 id="-".join(filter(None, (direction, shape))))
+    for l1_to_l2, direction in ((False, "l2-to-tcdm"), (True, "tcdm-to-l2"))
+    for shape, row_len, stride, count, two_d in DMA_SHAPES])
+def test_fc_driven_2d_dma_matches_numpy_slicing(l1_to_l2, row_len, stride, count, two_d):
     """COUNT rows of LEN bytes, STRIDE apart on the L2 side and contiguous
-    in the TCDM; a row longer than max_burst takes two bursts."""
-    row_len, stride, count = 300, 512, 3
+    in the TCDM; a row longer than max_burst takes several bursts.  Without
+    the 2D flag the transfer is one row."""
     l2, tcdm = L2 + 0x20000, TCDM + 0x800
-    rng = random.Random(4)
-    l2_data, tcdm_data = rng.randbytes(stride * count), rng.randbytes(row_len * count)
     src, dst = (tcdm, l2) if l1_to_l2 else (l2, tcdm)
     body = ["li a0, 0x%X" % CL_DMA]
     for reg, value in ((DMA_SRC, src), (DMA_DST, dst), (DMA_LEN, row_len),
                        (DMA_STRIDE, stride), (DMA_COUNT, count)):
         body += ["li a1, 0x%X" % value, "sw a1, %d(a0)" % reg]
-    body += ["li a1, %d" % (DMA_2D | (DMA_L1_TO_L2 if l1_to_l2 else 0)),
+    body += ["li a1, %d" % ((DMA_2D if two_d else 0) | (DMA_L1_TO_L2 if l1_to_l2 else 0)),
              "sw a1, %d(a0)" % DMA_CFG] + dma_wait("wait")
+    if not two_d:
+        stride, count = row_len, 1
+    rng = random.Random(4)
+    l2_data, tcdm_data = rng.randbytes(stride * count), rng.randbytes(row_len * count)
     plat = run(guest(body), [(l2, l2_data), (tcdm, tcdm_data)])
     rows = np.frombuffer(l2_data, np.uint8).reshape(count, stride).copy()
     if l1_to_l2:

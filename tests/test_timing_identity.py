@@ -21,6 +21,9 @@ The clock-scaling test slows every clock domain and the HyperRAM link by
 the same factor k.  Every cycle count must stay the same and global time
 must grow exactly k times: that holds for any timing model whose time
 conversions (clock crossings, the HyperRAM's link time) are exact.
+
+The monotonicity test raises one latency on the FC's path by a cycle or
+two: the FC may then take longer, but never less time.
 """
 
 import importlib.util
@@ -30,6 +33,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pulpsim
 from pulpsim.asm import assemble
@@ -96,6 +100,20 @@ def test_ticker_domain_leaves_stats_and_traces_unchanged(name):
     assert traced_run(name, ticked=True) == traced_run(name, ticked=False)
 
 
+def tiny_run(name, seed, overrides=()):
+    """Platform and exit status of a checked tiny run of `name` on `seed`
+    under `overrides`."""
+    desc = pulpsim.apply_overrides(pulpsim.parse(run.PLATFORM_TEXT), list(overrides))
+    plat = pulpsim.build(desc)
+    guest = run.guests.WORKLOADS[name](seed, run.TINY_SIZES[name])
+    program = assemble(guest.source, origin=run.guests.L2)
+    guest.load(plat, program)
+    plat.reset()
+    status = plat.run(max_cycles=guest.max_cycles())
+    assert guest.check(plat, status, program) == []
+    return plat, status
+
+
 def scaled_stats(name, k):
     """Stats of a tiny seed-1 run with every clock and the HyperRAM link k
     times slower.  `max_cycles` counts cycles of the fastest domain, so the
@@ -125,6 +143,18 @@ def test_slower_clocks_keep_every_cycle_and_scale_time(name, k):
     base, scaled = scaled_stats(name, 1), scaled_stats(name, k)
     assert scaled.pop("global_time_ps") == k * base.pop("global_time_ps")
     assert scaled == base
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(param=st.sampled_from(["l2.access_latency", "soc_ic.latency", "fc_icache.hit_latency"]),
+       delta=st.integers(1, 2), seed=st.integers(1, 30))
+def test_raising_a_latency_never_lowers_fc_total_cycles(param, delta, seed):
+    plat, _ = tiny_run("fc_control", seed)
+    name, key = param.split(".")
+    before = plat.lookup("fc").total_cycles
+    raised = "%s=%d" % (param, plat.lookup(name).params[key] + delta)
+    slower, _ = tiny_run("fc_control", seed, [raised])
+    assert slower.lookup("fc").total_cycles >= before
 
 
 def regenerate():
