@@ -1,4 +1,6 @@
-"""Platform elaboration: turn a descriptor into a runnable component graph.
+"""Platform elaboration: turn a descriptor, the dict `config.parse`
+returns, into a runnable component graph.  `Platform.domains` maps each
+clock domain's name to its `ClockDomain`.
 
 The platform owns untimed memory access: `peek`/`poke` slice the byte store
 each memory registers at finalize, with no timing and no counters.
@@ -35,25 +37,25 @@ class Platform:
         self.wall_seconds = 0.0
         self.was_reset = False
 
-        for name, entry in descriptor.clock_domains.items():
+        for name, entry in descriptor["clock_domains"].items():
             dom = ClockDomain(name, entry["frequency_hz"])
             self.engine.add_domain(dom)
             self.domains[name] = dom
 
         pending_auto = []
-        for path, entry in descriptor.components.items():
+        for path, entry in descriptor["components"].items():
             params = entry["params"]
             if entry["kind"] == "router":
                 # resolve {"target": path} mappings against the descriptor and
                 # queue the implied binding to the target's input port
-                ranges = resolve_mappings(path, params["mappings"], descriptor.components)
+                ranges = resolve_mappings(path, params["mappings"], descriptor["components"])
                 for m, (_, _, port) in zip(params["mappings"], ranges):
                     if "target" in m:
                         pending_auto.append(("%s.%s" % (path, port), m["target"] + ".in"))
                 params = dict(params, mappings=[{"base": base, "size": size, "port": port}
                                                 for base, size, port in ranges])
             self.add_component(path, entry["kind"], params, entry["domain"])
-        for master, slave in descriptor.bindings:
+        for master, slave in descriptor["bindings"]:
             self.bind_paths(master, slave)
         for master, slave in pending_auto:
             self.bind_paths(master, slave)
@@ -110,12 +112,6 @@ class Platform:
                 raise ConfigError("%s and %s share hart id %d" % (other, core.path, core.hart_id))
 
     # -- lookups -----------------------------------------------------------
-
-    def domain(self, name):
-        try:
-            return self.domains[name]
-        except KeyError:
-            raise ConfigError("unknown clock domain '%s'" % name) from None
 
     def lookup(self, path, kind=None, where=None):
         """The component at `path`.  With `kind` it must be of that kind;

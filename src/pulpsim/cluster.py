@@ -128,8 +128,8 @@ class Cluster(Component):
         # out_xing lives in the domain of the component <path>.out is bound
         # to; unbound, in the cluster's, and the platform refuses the port
         desc = plat.descriptor
-        out_domain = next((desc.components[s.rpartition(".")[0]]["domain"]
-                           for m, s in desc.bindings if m == me + ".out"), cl_domain)
+        out_domain = next((desc["components"][s.rpartition(".")[0]]["domain"]
+                           for m, s in desc["bindings"] if m == me + ".out"), cl_domain)
         in_xing = plat.add_component("%s/in_xing" % me, "clock-crossing", {
             "crossing_latency": p["crossing"]["in_latency"]}, cl_domain)
         out_xing = plat.add_component("%s/out_xing" % me, "clock-crossing", {

@@ -6,7 +6,10 @@ A platform is one flat JSON file with three sections:
     components:     path -> {kind, domain, params}
     bindings:       [[master_path.port, slave_path.port], ...]
 
-parse() normalises and checks a description before anything is built.
+parse() normalises and checks a description before anything is built,
+and returns it as the plain dict that the file would hold, every default
+filled in: {"name", "clock_domains", "components", "bindings"}, with each
+binding a [master, slave] list, so that parse(serialize(d)) == d.
 Each component's params go through component.fill_params(), the one
 parameter validator, which checks every value's type and the range its
 PARAMS entry declares; Component.__init__ runs it again for every
@@ -37,25 +40,6 @@ from .errors import ConfigError
 from .interconnect import check_overlaps, resolve_mappings
 
 
-class ArchDescriptor:
-    def __init__(self, name, clock_domains, components, bindings):
-        self.name = name
-        self.clock_domains = clock_domains
-        self.components = components
-        self.bindings = bindings
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "clock_domains": copy.deepcopy(self.clock_domains),
-            "components": copy.deepcopy(self.components),
-            "bindings": [list(b) for b in self.bindings],
-        }
-
-    def __eq__(self, other):
-        return isinstance(other, ArchDescriptor) and self.to_dict() == other.to_dict()
-
-
 def _clock_domain(name, entry):
     """The checked entry of clock domain `name`: a positive frequency
     whose period is a whole number of picoseconds, and no other key."""
@@ -76,7 +60,8 @@ def _clock_domain(name, entry):
 
 
 def parse(json_text):
-    """Parse and validate a platform description; returns an ArchDescriptor."""
+    """Parse and validate a platform description; returns it as the dict
+    the file holds, with every default filled in (module docstring)."""
     try:
         raw = json.loads(json_text)
     except json.JSONDecodeError as e:
@@ -129,14 +114,15 @@ def parse(json_text):
             if comp not in components:
                 raise ConfigError("%s: '%s' names unknown component '%s'" % (
                     where, end, comp))
-        bindings.append((pair[0], pair[1]))
+        bindings.append([pair[0], pair[1]])
 
-    return ArchDescriptor(raw.get("name", ""), domains, components, bindings)
+    return {"name": raw.get("name", ""), "clock_domains": domains,
+            "components": components, "bindings": bindings}
 
 
 def serialize(descriptor):
     """Canonical JSON text for a descriptor; parse() inverts it exactly."""
-    return json.dumps(descriptor.to_dict(), indent=2) + "\n"
+    return json.dumps(descriptor, indent=2) + "\n"
 
 
 def parse_override_value(text):
@@ -152,7 +138,8 @@ def parse_override_value(text):
 
 
 def apply_overrides(descriptor, overrides):
-    """Apply `path.key=value` strings, returning a new descriptor.
+    """Apply `path.key=value` strings to a copy of `descriptor`; returns
+    the copy.
 
     The path may dive into nested parameter groups of composite components
     (e.g. `cluster/tcdm.banks=64` updates the `tcdm` group of the `cluster`
@@ -161,10 +148,9 @@ def apply_overrides(descriptor, overrides):
     description then goes through parse(), so an override gives the
     descriptor that the same edit to the file would.
     """
+    raw = copy.deepcopy(descriptor)
     if not overrides:
-        return ArchDescriptor(descriptor.name, copy.deepcopy(descriptor.clock_domains),
-                              copy.deepcopy(descriptor.components), list(descriptor.bindings))
-    raw = descriptor.to_dict()
+        return raw
     domains, components = raw["clock_domains"], raw["components"]
     for text in overrides:
         if "=" not in text:

@@ -13,8 +13,8 @@ from conftest import MINIMAL_PLATFORM, pulp_descriptor, build_pulp
 
 def test_minimal_platform_parses():
     desc = parse(json.dumps(MINIMAL_PLATFORM))
-    assert len(desc.components) == 2
-    assert desc.components["cpu"]["params"]["branch_penalty"] == 2  # default filled
+    assert len(desc["components"]) == 2
+    assert desc["components"]["cpu"]["params"]["branch_penalty"] == 2  # default filled
 
 
 def test_bad_json_reported():
@@ -79,11 +79,11 @@ def test_override_scalar_and_nested():
     out = apply_overrides(desc, ["cluster.nb_cores=16",
                                  "cluster/tcdm.banks=64",
                                  "hyper.bandwidth_bits_per_sec=3000000000"])
-    assert out.components["cluster"]["params"]["nb_cores"] == 16
-    assert out.components["cluster"]["params"]["tcdm"]["banks"] == 64
-    assert out.components["hyper"]["params"]["bandwidth_bits_per_sec"] == 3000000000
+    assert out["components"]["cluster"]["params"]["nb_cores"] == 16
+    assert out["components"]["cluster"]["params"]["tcdm"]["banks"] == 64
+    assert out["components"]["hyper"]["params"]["bandwidth_bits_per_sec"] == 3000000000
     # original untouched
-    assert desc.components["cluster"]["params"]["nb_cores"] == 8
+    assert desc["components"]["cluster"]["params"]["nb_cores"] == 8
 
 
 def test_override_equals_textual_edit():
@@ -108,9 +108,9 @@ def test_override_errors():
 def test_override_sets_clock_frequency():
     desc = pulp_descriptor()
     out = apply_overrides(desc, ["clock_domains.cluster.frequency_hz=200000000"])
-    assert out.clock_domains["cluster"] == {"frequency_hz": 200000000}
-    assert desc.clock_domains["cluster"] == {"frequency_hz": 400000000}
-    assert pulpsim.build(out).domain("cluster").period_ps == 5000
+    assert out["clock_domains"]["cluster"] == {"frequency_hz": 200000000}
+    assert desc["clock_domains"]["cluster"] == {"frequency_hz": 400000000}
+    assert pulpsim.build(out).domains["cluster"].period_ps == 5000
 
 
 @pytest.mark.parametrize("override,message", [
@@ -182,7 +182,7 @@ def test_nested_group_rejects_unknown_key():
 
 def test_nested_group_filled_from_default():
     desc = parse(_pulp_doc_with_cluster(tcdm={"banks": 32}))
-    assert desc.components["cluster"]["params"]["tcdm"] == {
+    assert desc["components"]["cluster"]["params"]["tcdm"] == {
         "base": 0x10000000, "size": 0x20000, "banks": 32}
 
 
@@ -399,7 +399,7 @@ def test_group_override_equals_textual_edit():
     edited = json.loads(text)
     edited["components"]["cluster"]["params"]["tcdm"] = {"banks": 32}
     assert desc_a == parse(json.dumps(edited))
-    assert desc_a.components["cluster"]["params"]["tcdm"]["size"] == 0x20000
+    assert desc_a["components"]["cluster"]["params"]["tcdm"]["size"] == 0x20000
 
 
 @pytest.mark.parametrize("overrides,message", [

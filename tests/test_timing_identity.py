@@ -120,8 +120,8 @@ def scaled_stats(name, k):
     same value is the same deadline."""
     desc = pulpsim.parse(run.PLATFORM_TEXT)
     overrides = ["clock_domains.%s.frequency_hz=%d" % (dom, spec["frequency_hz"] // k)
-                 for dom, spec in desc.clock_domains.items()]
-    hyper = desc.components["hyper"]["params"]
+                 for dom, spec in desc["clock_domains"].items()]
+    hyper = desc["components"]["hyper"]["params"]
     overrides += ["hyper.setup_ns=%d" % (hyper["setup_ns"] * k),
                   "hyper.bandwidth_bits_per_sec=%d" % (hyper["bandwidth_bits_per_sec"] // k)]
     plat = pulpsim.build(pulpsim.apply_overrides(desc, overrides))

@@ -124,7 +124,7 @@ def expected_beats(plat, start_ps, length):
     hyper = plat.lookup("hyper")
     beat_bytes = plat.lookup("udma").params["beat_bytes"]
     bw = hyper.params["bandwidth_bits_per_sec"]
-    period = plat.domain("periph").period_ps
+    period = plat.domains["periph"].period_ps
     t0 = start_ps + hyper.params["setup_ns"] * 1000
     prev = -(-start_ps // period)
     out = []
