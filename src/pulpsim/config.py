@@ -168,23 +168,14 @@ def apply_overrides(descriptor, overrides):
             domains[name][key] = value
             continue
 
-        entry = None
-        remainder = None
-        if target_path in components:
-            entry = components[target_path]
-            remainder = []
-        else:
-            for path in sorted(components, key=len, reverse=True):
-                if target_path.startswith(path + "/"):
-                    entry = components[path]
-                    remainder = target_path[len(path) + 1:].split("/")
-                    break
-        if entry is None:
+        # the component itself, or the longest path of which it is a group
+        path = next((p for p in sorted(components, key=len, reverse=True)
+                     if target_path == p or target_path.startswith(p + "/")), None)
+        if path is None:
             raise ConfigError("override '%s': no component matches '%s'" % (
                 text, target_path))
-
-        params = entry["params"]
-        for part in remainder:
+        params = components[path]["params"]
+        for part in target_path[len(path) + 1:].split("/") if target_path != path else []:
             nxt = params.get(part)
             if not isinstance(nxt, dict):
                 raise ConfigError("override '%s': '%s' is not a parameter group" % (

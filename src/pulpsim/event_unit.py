@@ -11,16 +11,21 @@ can never arrive twice for one generation.
 The same component doubles as the fabric controller's interrupt
 controller (a one-core instance: raise = set line, ack = clear).
 
-Register map (word offsets from `base`):
-    0x00 EVT_MASK     rw  per-core wait mask
+Register map (word offsets from `base`; accesses are 4 bytes):
+    0x00 EVT_MASK     rw  per-core wait mask, kept to the n_lines lines
     0x04 EVT_WAIT     r   blocking: returns lowest pending&masked line, clears it
-    0x08 EVT_SET      w   set a line (broadcast)
+    0x08 EVT_SET      w   set a line (broadcast), from any initiator
     0x0C EVT_ACK      w   clear one pending line of the writing core
     0x10 EVT_STATUS   r   pending lines of the reading core
-    0x14 BARRIER_MASK rw  participating cores (bit per core index)
+    0x14 BARRIER_MASK rw  participating cores (bit per core index), kept to them
     0x18 BARRIER_TRIG r   blocking: arrive; returns the new generation
     0x1C BARRIER_STATUS r arrived bitmask
     0x20 NB_CORES     r   number of served cores
+Errors: a per-core access from an initiator the unit does not serve (it
+reads EVT_MASK and EVT_STATUS as 0), a line number out of range, EVT_WAIT
+with an empty mask, an arrival outside the barrier mask, and any other
+offset or direction.  The arrival that completes the barrier mask returns
+the new generation and wakes every other core asleep in the barrier.
 """
 
 from .component import Component, register, REQUIRED, STATUS_ERR

@@ -7,10 +7,14 @@ covers them.  The memory-image format is one word per line:
     @entry 1C000000
     @1C000000 00500093
 
-Words are stored little-endian.  Loading sets every core's boot pc to the
-entry point; programs dispatch on the hart id CSR.
+Each address and word is 1 to 8 hex digits.  Words are stored
+little-endian.  Loading sets every core's boot pc to the entry point;
+programs dispatch on the hart id CSR.  A malformed file, an ELF whose
+program headers or segment bytes run past its end included, raises
+ConfigError.
 """
 
+import re
 import struct
 
 from .errors import ConfigError
@@ -18,6 +22,7 @@ from .errors import ConfigError
 ELF_MAGIC = b"\x7fELF"
 EM_RISCV = 243
 PT_LOAD = 1
+HEX_FIELD = re.compile(r"[0-9A-Fa-f]{1,8}")
 
 
 def load_binary(platform, path):
@@ -45,12 +50,17 @@ def _load_elf(platform, blob, name):
     if e_machine != EM_RISCV:
         raise ConfigError("%s: machine type %d is not RISC-V (%d)" % (
             name, e_machine, EM_RISCV))
+    if e_phnum and e_phoff + (e_phnum - 1) * e_phentsize + 32 > len(blob):
+        raise ConfigError("%s: truncated program header table" % name)
     for i in range(e_phnum):
         off = e_phoff + i * e_phentsize
         p_type, p_offset, p_vaddr, p_paddr, p_filesz, p_memsz, _pflags, _align = \
             struct.unpack_from("<IIIIIIII", blob, off)
         if p_type != PT_LOAD or p_memsz == 0:
             continue
+        if p_offset + p_filesz > len(blob):
+            raise ConfigError("%s: segment %d's file bytes run past the end of the file"
+                              % (name, i))
         dest = p_paddr if p_paddr else p_vaddr
         data = bytearray(blob[p_offset:p_offset + p_filesz])
         data.extend(b"\x00" * (p_memsz - p_filesz))
@@ -77,15 +87,12 @@ def _load_image(platform, blob, name):
         if parts[0].lower() == "@entry":
             if len(parts) != 2:
                 raise ConfigError("%s:%d: malformed @entry line" % (name, lineno))
-            entry = int(parts[1], 16)
+            entry = _hex(parts[1], name, lineno)
             continue
         if len(parts) != 2 or not parts[0].startswith("@"):
             raise ConfigError("%s:%d: expected '@<hexaddr> <hexword>'" % (name, lineno))
-        try:
-            addr = int(parts[0][1:], 16)
-            word = int(parts[1], 16)
-        except ValueError:
-            raise ConfigError("%s:%d: bad hex value" % (name, lineno)) from None
+        addr = _hex(parts[0][1:], name, lineno)
+        word = _hex(parts[1], name, lineno)
         if platform.backing_for(addr, 4) is None:
             raise ConfigError("%s:%d: address 0x%08x lies outside every mapped memory"
                               % (name, lineno, addr))
@@ -97,3 +104,9 @@ def _load_image(platform, blob, name):
             raise ConfigError("%s: empty memory image" % name)
         entry = first
     return entry
+
+
+def _hex(field, name, lineno):
+    if not HEX_FIELD.fullmatch(field):
+        raise ConfigError("%s:%d: bad hex value" % (name, lineno))
+    return int(field, 16)

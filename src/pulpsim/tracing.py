@@ -2,7 +2,10 @@
 
 Trace lines are `<ps>ps <domain>:<cycle> [<component path>] <message>`,
 emitted only for paths matching an enabled glob, whose answer the sink
-caches per path.  Cores trace each instruction on `<core>/insn`, and
+caches per path.  The cycle is the traced component's domain's first cycle
+at or after `<ps>`, the rule `ClockDomain.enqueue` counts from: the
+executing cycle when that domain runs, and a component traced from another
+domain's callback does not print its own domain's stale counter.  Cores trace each instruction on `<core>/insn`, and
 `RegisterDevice.log` traces the cluster DMA's, the accelerator's and the
 micro-DMA's job starts and ends on their own paths.
 
@@ -35,7 +38,7 @@ class TraceSink:
 
     def emit(self, time_ps, domain, path, message):
         self.stream.write("%dps %s:%d [%s] %s\n" % (
-            time_ps, domain.name, domain.cycle, path, message))
+            time_ps, domain.name, domain.cycle_at_or_after(time_ps), path, message))
         self.lines += 1
 
     def flush(self):

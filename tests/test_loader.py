@@ -94,6 +94,13 @@ def test_elf_segments_are_placed_and_zero_filled(tmp_path):
     ("far.img", b"@00001000 00000013\n@00100000 00000013\n",
      "far.img:2: address 0x00100000 lies outside every mapped memory"),
     ("bad.img", b"@1000 zz\n", "bad.img:1: bad hex value"),
+    ("entry_hex.img", b"@entry zz\n", "entry_hex.img:1: bad hex value"),
+    ("wide.img", b"@00001000 1FFFFFFFF\n", "wide.img:1: bad hex value"),
+    ("minus.img", b"@-10 00000013\n", "minus.img:1: bad hex value"),
+    ("phdrs.elf", elf32(0x1000, [(PT_LOAD, 0x1000, 0x1000, b"abcd", 4)])[:70],
+     "truncated program header table"),
+    ("past.elf", elf32(0x1000, [(PT_LOAD, 0x1000, 0x1000, b"abcd", 4)])[:-2],
+     "segment 0's file bytes run past the end of the file"),
     ("bare.img", b"1000 00000013\n", "bare.img:1: expected '@<hexaddr> <hexword>'"),
     ("entry.img", b"@entry\n", "entry.img:1: malformed @entry line"),
     ("empty.img", b"# nothing\n", "empty memory image"),

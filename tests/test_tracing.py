@@ -5,14 +5,23 @@ until the transfer is done and raises line 2 of the FC's interrupt
 controller.  The FC meanwhile streams the start of HyperRAM into L2 with
 the micro-DMA, polls its busy bit, waits for line 2 and exits.  The other
 PEs sleep on an event line nothing raises.
+
+Trace lines are parsed back too, on that guest and on the tiny benchmark
+guests: each line has the documented form, its cycle is the traced
+domain's first cycle at or after its time, and time never goes back; no
+VCD change is dated before the last timestamp written.
 """
 
 import io
+import re
+
+import pytest
 
 from pulpsim.asm import assemble
-from pulpsim.tracing import VcdWriter
+from pulpsim.tracing import TraceSink, VcdWriter
 
 from conftest import build_pulp
+from test_timing_identity import run
 
 L2 = 0x1C000000
 TCDM = 0x10000000
@@ -118,3 +127,76 @@ def test_vcd_busy_flags_rise_and_fall():
     assert values["cluster.dma.busy"] == [0, 1, 0]
     assert values["udma.busy"] == [0, 1, 0]
     assert values["cluster.accel.busy"] == [0]
+
+
+TRACE_LINE = re.compile(r"^(\d+)ps (\w+):(\d+) \[([^\]]+)\] .+$")
+
+
+class OrderedVcd(VcdWriter):
+    """A VcdWriter that records each change dated before its last timestamp."""
+
+    def __init__(self, stream):
+        super().__init__(stream)
+        self.late = []
+
+    def change(self, name, value, time_ps):
+        if time_ps < self.time:
+            self.late.append((name, time_ps, self.time))
+        super().change(name, value, time_ps)
+
+
+def load_guest(plat):
+    """Load GUEST and its input blocks; returns the cycle cap."""
+    program = assemble(GUEST, origin=L2)
+    for addr, word in program.words.items():
+        plat.poke(addr, word.to_bytes(4, "little"))
+    plat.poke(SRC, bytes((7 * i + 3) & 0xFF for i in range(DMA_LEN)))
+    plat.poke(HYPER, bytes((5 * i + 1) & 0xFF for i in range(IO_LEN)))
+    plat.set_entry(program.entry)
+    return 200_000
+
+
+def test_a_device_traced_from_another_domain_prints_its_own_cycle():
+    # the FC's write in the soc domain starts the micro-DMA, whose periph
+    # counter last moved at reset; 245000 ps is periph cycle 25
+    plat = build_pulp()
+    stream = io.StringIO()
+    plat.trace_sink = TraceSink(["udma"], stream)
+    assert plat.run(max_cycles=load_guest(plat)) == 0
+    assert stream.getvalue().splitlines()[0] == (
+        "245000ps periph:25 [udma] start rx l2=0x1c009000 ext=0x00000000 len=64")
+
+
+def prepared(name):
+    """(platform, cycle cap, check) for a traced run: GUEST for "tracing",
+    else benchmark guest `name` at its tiny size on seed 1.  `check(status)`
+    lists the run's failures."""
+    if name == "tracing":
+        plat = build_pulp()
+        return plat, load_guest(plat), lambda status: [] if status == 0 else [status]
+    guest = run.guests.WORKLOADS[name](1, run.TINY_SIZES[name])
+    plat, program, _ = run.setup(guest)
+    return plat, guest.max_cycles(), lambda status: guest.check(plat, status, program)
+
+
+@pytest.mark.parametrize("name", sorted(run.guests.WORKLOADS) + ["tracing"])
+def test_trace_lines_and_vcd_changes_parse_back_in_time_order(name):
+    plat, max_cycles, check = prepared(name)
+    trace = io.StringIO()
+    plat.trace_sink = TraceSink(["*"], trace)
+    vcd = OrderedVcd(io.StringIO())
+    vcd.attach(plat)
+    plat.reset()
+    assert check(plat.run(max_cycles=max_cycles)) == []
+
+    lines = trace.getvalue().splitlines()
+    assert len(lines) == plat.trace_sink.lines > 0
+    last = 0
+    for line in lines:
+        m = TRACE_LINE.match(line)
+        assert m, line
+        ps, cycle = int(m[1]), int(m[3])
+        assert cycle == -(-ps // plat.domains[m[2]].period_ps), line
+        assert ps >= last, line
+        last = ps
+    assert vcd.late == []
