@@ -175,7 +175,8 @@ def apply_overrides(descriptor, overrides):
             raise ConfigError("override '%s': no component matches '%s'" % (
                 text, target_path))
         params = components[path]["params"]
-        for part in target_path[len(path) + 1:].split("/") if target_path != path else []:
+        groups = target_path[len(path) + 1:].split("/") if target_path != path else []
+        for part in groups:
             nxt = params.get(part)
             if not isinstance(nxt, dict):
                 raise ConfigError("override '%s': '%s' is not a parameter group" % (

@@ -22,6 +22,7 @@ from .errors import ConfigError
 ELF_MAGIC = b"\x7fELF"
 EM_RISCV = 243
 PT_LOAD = 1
+PHDR_SIZE = 32      # bytes of an ELF32 program header
 HEX_FIELD = re.compile(r"[0-9A-Fa-f]{1,8}")
 
 
@@ -50,7 +51,7 @@ def _load_elf(platform, blob, name):
     if e_machine != EM_RISCV:
         raise ConfigError("%s: machine type %d is not RISC-V (%d)" % (
             name, e_machine, EM_RISCV))
-    if e_phnum and e_phoff + (e_phnum - 1) * e_phentsize + 32 > len(blob):
+    if e_phnum and e_phoff + (e_phnum - 1) * e_phentsize + PHDR_SIZE > len(blob):
         raise ConfigError("%s: truncated program header table" % name)
     for i in range(e_phnum):
         off = e_phoff + i * e_phentsize
@@ -107,6 +108,7 @@ def _load_image(platform, blob, name):
 
 
 def _hex(field, name, lineno):
+    """The value of hex field `field` on line `lineno` of image `name`."""
     if not HEX_FIELD.fullmatch(field):
         raise ConfigError("%s:%d: bad hex value" % (name, lineno))
     return int(field, 16)

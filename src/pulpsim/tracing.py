@@ -2,12 +2,12 @@
 
 Trace lines are `<ps>ps <domain>:<cycle> [<component path>] <message>`,
 emitted only for paths matching an enabled glob, whose answer the sink
-caches per path.  The cycle is the traced component's domain's first cycle
-at or after `<ps>`, the rule `ClockDomain.enqueue` counts from: the
-executing cycle when that domain runs, and a component traced from another
-domain's callback does not print its own domain's stale counter.  Cores trace each instruction on `<core>/insn`, and
-`RegisterDevice.log` traces the cluster DMA's, the accelerator's and the
-micro-DMA's job starts and ends on their own paths.
+caches per path.  `<cycle>` is the first cycle of `<domain>` at or after
+`<ps>`, the rule `ClockDomain.enqueue` counts from: the executing cycle
+when that domain runs, and not its stale counter when a component is
+traced from another domain's callback.  Cores trace each instruction on
+`<core>/insn`, and `RegisterDevice.log` traces the cluster DMA's, the
+accelerator's and the micro-DMA's job starts and ends on their own paths.
 
 The VCD dump covers activity-level signals with a 1 ps timescale: each
 `riscv-core` drives `<core>/pc` and `<core>/active`, and each
