@@ -18,7 +18,8 @@ import re
 import pytest
 
 from pulpsim.asm import assemble
-from pulpsim.tracing import TraceSink, VcdWriter
+from pulpsim.tracing import TraceSink
+from pulpsim.tracing import VcdWriter
 
 from conftest import build_pulp
 from test_timing_identity import run
