@@ -4,9 +4,9 @@ Components are plain state machines living in one clock domain.  They talk
 through ports: a master port is bound to exactly one slave port, a slave
 port may serve many masters.  A Request travels synchronously down such a
 chain, each hop calling the handler of the slave port its master port is
-bound to; every component on the way may add to its latency, and the
-initiator turns the accumulated cycle count into stalls or events on
-return.  A request's payload is one int, `value`, whatever its size.
+bound to; every component on the way advances the request's cycle `at`
+by what it adds, and the initiator charges the advance as stalls or events
+on return.  A request's payload is one int, `value`, whatever its size.
 """
 
 import copy
@@ -22,15 +22,19 @@ MAX_REQUEST_BYTES = 4096        # the widest icache line or DMA burst
 
 
 class Request:
-    """A latency-accumulating message between components.
+    """A timed message between components.
 
     `value` is the payload of every transfer: a little-endian int of `size`
-    bytes, which a write carries and a read's handler fills in.  `latency`
-    only ever grows while the request traverses the platform.
+    bytes, which a write carries and a read's handler fills in.  `at` is
+    the cycle, in the handling component's domain, at which the request
+    reaches that component.  The initiator writes its issue cycle there
+    before every send; each stage only advances it, a clock crossing
+    converting it between domains, and reads no domain counter; on return
+    the initiator charges `at` minus its issue cycle.
     """
 
     __slots__ = ("addr", "size", "is_write", "value", "initiator",
-                 "latency", "status", "contended", "sleep", "cache_miss")
+                 "at", "status", "contended", "sleep", "cache_miss")
 
     def __init__(self, addr=0, size=0, is_write=False, value=0, initiator=None):
         self.addr = addr
@@ -38,11 +42,11 @@ class Request:
         self.is_write = is_write
         self.value = value
         self.initiator = initiator
+        self.at = 0
         self.reset()
 
     def reset(self):
         """Clear the response fields before the request is sent (again)."""
-        self.latency = 0
         self.status = STATUS_OK
         self.contended = False
         self.sleep = False
@@ -50,8 +54,8 @@ class Request:
 
     def __repr__(self):
         kind = "W" if self.is_write else "R"
-        return "<Request %s 0x%08x size=%d lat=%d %s>" % (
-            kind, self.addr, self.size, self.latency, self.status)
+        return "<Request %s 0x%08x size=%d at=%d %s>" % (
+            kind, self.addr, self.size, self.at, self.status)
 
 
 class Port:

@@ -26,13 +26,14 @@ gets the shared `_nop` when rd is x0.  `run` raises `Trap(cause, tval)`
 for ecall, ebreak, an illegal CSR access or a data access fault: the step
 charges 1 + fetch latency + stall and enters the trap vector.  Loads and
 stores make their one data access (isa module docstring) by setting the
-data request's fields and calling the handler, which leaves latency and
-contention on the request for the step to charge.  A load reads from
-rs1 + imm, or, in its post-increment mode (p.lwpost), from rs1 and then
-adds imm to rs1 unless rs1 is x0 or rd.  A load raises `Sleep` for a
-blocking read from a synchronization register: the attempt is charged
-and the core sleeps without retiring, to re-execute the read on wake-up,
-when its value is determined.  Only such reads sleep, so stores never do.
+data request's fields but `at` and calling the handler: the step sets
+`at` and charges its advance and the contention the handler leaves.  A
+load reads from rs1 + imm, or, in its post-increment mode (p.lwpost), from
+rs1 and then adds imm to rs1 unless rs1 is x0 or rd.  A load raises
+`Sleep` for a blocking read from a synchronization register: the attempt
+is charged and the core sleeps without retiring, to re-execute the read on
+wake-up, when its value is determined.  Only such reads sleep, so stores
+never do.
 
 A CSR instruction reads and writes the core attribute that `CSRS` names
 for its CSR number, and a write keeps the bits `CSR_KEEP` gives.  Its
@@ -49,11 +50,11 @@ code and fence.i need no invalidation.  Each cache entry is a flat tuple
 
 which the step unpacks instead of reading the table entry; `ins` is kept
 for instruction traces.  The fetch and data requests are built once with
-their fixed fields, and an access clears only their `latency`.  The step
-clears each response field it reads where it reads it (a fetch's
-`cache_miss`, a data access's `contended`), and a trap or a sleep resets
-the request, so these fields are clear before every access.  Nothing
-reads a fetch's `contended` or `sleep`.
+their fixed fields, and the step sets their `at` to its start cycle
+before each access.  The step clears each response field it reads where
+it reads it (a fetch's `cache_miss`, a data access's `contended`), and a
+trap or a sleep resets the request, so these fields are clear before
+every access.  Nothing reads a fetch's `contended` or `sleep`.
 
 Fetch lease.  A core whose fetch port is the only master bound to an
 instruction cache (its private L1) holds a lease on the line of its last
@@ -174,7 +175,6 @@ def _load(size, signed=False, post=False):
             req.addr = addr
             req.size = size
             req.is_write = False
-            req.latency = 0
             handler(req)
             if req.status != STATUS_OK:
                 raise Trap(CAUSE_LOAD_FAULT, addr)
@@ -198,7 +198,6 @@ def _store(size):
             req.size = size
             req.is_write = True
             req.value = regs[rs2] & mask
-            req.latency = 0
             handler(req)
             if req.status != STATUS_OK:
                 raise Trap(CAUSE_STORE_FAULT, addr)
@@ -422,13 +421,13 @@ class RiscvCore(Component):
             else:
                 freq = self._fetch_req
                 freq.addr = pc
-                freq.latency = 0
+                freq.at = C
                 self._fetch_handler(freq)
                 if freq.status != STATUS_OK:
                     freq.reset()
                     self._take_trap(CAUSE_IACCESS, pc, 1)
                     return
-                fetch_lat = freq.latency
+                fetch_lat = freq.at - C
                 if freq.cache_miss:
                     freq.cache_miss = False
                     self.icache_misses += 1
@@ -460,6 +459,8 @@ class RiscvCore(Component):
             if stall:
                 self.load_stalls += stall
 
+            if is_mem:
+                dreq.at = C
             try:
                 npc = run(pc)
             except Trap as trap:
@@ -468,7 +469,7 @@ class RiscvCore(Component):
                 return
             except Sleep:
                 # keep pc, do not retire: re-executed on wake
-                attempt = 1 + fetch_lat + stall + dreq.latency
+                attempt = 1 + fetch_lat + stall + dreq.at - C
                 dreq.reset()
                 self.total_cycles += attempt
                 self.active_cycles += attempt
@@ -483,7 +484,7 @@ class RiscvCore(Component):
 
             charge = base + fetch_lat + stall
             if is_mem:
-                charge += dreq.latency
+                charge += dreq.at - C
                 if dreq.contended:
                     dreq.contended = False
                     self.tcdm_contentions += 1

@@ -6,11 +6,11 @@ into bursts of at most `max_burst` bytes, where the L2 side advances by
 STRIDE per row (which is what double-buffered tiling needs) and the L1 side
 is contiguous across rows; without the 2D flag there is one row.  One event
 per transfer serves the plan a burst at a time: a timed read on the source
-side, then a timed write on the destination side, so bridge bandwidth and
-bank conflicts shape the transfer exactly like core traffic would.  The next
-burst is scheduled after the cost of the previous one; the transfer ends at
-the first refused access or after its last burst, and its end raises a
-cluster event line.
+side, then a timed write on the destination side, both issued at the
+burst's cycle, so bridge bandwidth and bank conflicts shape the transfer
+like core traffic would.  The next burst follows after the cost of the
+previous one; the transfer ends at the first refused access or after its
+last burst, and its end raises a cluster event line.
 
 The TCDM window is the banked memory the `tcdm` port is bound to: a burst
 address inside it goes out on `tcdm`, any other on `ext`.
@@ -149,9 +149,9 @@ class ClusterDma(RegisterDevice):
         tcdm = self.tcdm
         return self.tcdm_port if tcdm.base <= addr < tcdm.base + tcdm.size else self.ext_port
 
-    def _access(self, req, addr, size):
-        """Issue `req` at `addr` on the port that serves it; True if served."""
-        req.addr, req.size = addr, size
+    def _access(self, req, addr, size, at):
+        """Issue `req` at cycle `at` to `addr` on the port that serves it; True if served."""
+        req.addr, req.size, req.at = addr, size, at
         req.reset()
         self._port_for(addr).binding.handler(req)
         if req.status != STATUS_OK:
@@ -164,17 +164,19 @@ class ClusterDma(RegisterDevice):
         tid, left, plan = ev.payload
         src, dst, size = next(plan)
         read, write = self._read, self._write
-        ok = self._access(read, src, size)
+        now = self.domain.cycle
+        ok = self._access(read, src, size, now)
         if ok:
             write.value = read.value
-            ok = self._access(write, dst, size)
+            ok = self._access(write, dst, size, now)
         if ok:
             self.bytes += size
         if not ok or left == 1:
             self._finish(tid, not ok)
         else:
             ev.payload = (tid, left - 1, plan)
-            self.domain.enqueue(ev, max(1, self.params["burst_latency"] + read.latency + write.latency))
+            cost = self.params["burst_latency"] + (read.at - now) + (write.at - now)
+            self.domain.enqueue(ev, max(1, cost))
 
     def _finish(self, tid, error):
         del self.active[tid]

@@ -16,12 +16,12 @@ invalidates this cache and the instruction cache it refills from.
 
 Fetch leases.  `handle` leaves the data of the line it served in
 `last_line`, and `flush` and `reset`, which change lines without a fetch,
-bump `epoch`.  A core that is the only master bound to this
-cache (its private L1, core module docstring) leases the line of each
-fetch it sends here.  While the epoch holds, it serves a fetch at most
-`line_bytes - 4` bytes past the line's base itself, exactly as the MRU hit
-here would: latency `hit_latency`, `hits` plus one and the word by shift
-and mask.  That is exact because nothing else reaches the cache: the
+bump `epoch`.  A core that is the only master bound to this cache (its
+private L1, core module docstring) leases the line of each fetch it sends
+here.  While the epoch holds, it serves a fetch at most `line_bytes - 4`
+bytes past the line's base itself, exactly as the MRU hit here would: done
+`hit_latency` cycles after its issue, `hits` plus one and the word by
+shift and mask.  That is exact because nothing else reaches the cache: the
 leased line is still its set's MRU way, an MRU hit changes no state but
 `hits`, and any fetch outside the line comes here and leases again.
 """
@@ -80,14 +80,14 @@ class InstructionCache(Component):
         order = self.lru[set_i]
         way = order[0]
         if tags[way] == tag:        # MRU hit: the LRU order stays as it is
-            req.latency += self.hit_latency
+            req.at += self.hit_latency
             self.hits += 1
         else:
             for way in order:
                 if tags[way] == tag:
                     order.remove(way)
                     order.insert(0, way)
-                    req.latency += self.hit_latency
+                    req.at += self.hit_latency
                     self.hits += 1
                     break
             else:
@@ -107,13 +107,10 @@ class InstructionCache(Component):
         rr.addr = line_addr
         rr.initiator = req.initiator
         rr.reset()
-        rr.latency = req.latency + self.hit_latency
-        at = self.domain.cycle + rr.latency
-        wait = self.busy_until - at + 1
-        if wait > 0:
-            rr.latency += wait
-            at += wait
-        self.busy_until = at
+        at = req.at + self.hit_latency
+        if at <= self.busy_until:       # behind the refill issued last
+            at = self.busy_until + 1
+        self.busy_until = rr.at = at
         self.refill_port.binding.handler(rr)
         if rr.status != STATUS_OK:
             req.status = rr.status
@@ -124,7 +121,7 @@ class InstructionCache(Component):
         order.insert(0, victim)
         self.tags[set_i][victim] = tag
         self.data[set_i][victim] = rr.value
-        req.latency = rr.latency
+        req.at = rr.at
         return victim
 
     def flush(self):

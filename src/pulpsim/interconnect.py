@@ -101,15 +101,14 @@ class Router(Component):
         if out is None:
             req.status = STATUS_ERR     # bus error; no occupancy charged
             return
-        at = self.domain.cycle + req.latency
-        queuing = 0
+        at = req.at
         if self.bandwidth:
             queuing = self.busy_until - at
-            if queuing < 0:
-                queuing = 0
-            self.busy_until = at + queuing + (-(-req.size // self.bandwidth))
-            self.queued_cycles += queuing
-        req.latency += self.latency + queuing
+            if queuing > 0:
+                self.queued_cycles += queuing
+                at += queuing
+            self.busy_until = at + (-(-req.size // self.bandwidth))
+        req.at = at + self.latency
         self.forwarded += 1
         out.binding.handler(req)
 
@@ -118,14 +117,15 @@ class Router(Component):
 class ClockCrossing(Component):
     """One-directional request bridge between two clock domains.
 
-    The request's accumulated source-side latency fixes its global arrival
-    time; service on the destination side starts at the next destination
-    edge at or after it (plus an optional synchronizer penalty), which
+    A request's `at`, a source cycle, fixes its global arrival time;
+    service on the destination side starts at the next destination edge
+    at or after it (plus an optional synchronizer penalty), which
     `arrival` computes for `handle` and for the micro-DMA's windows of
-    beats, and the response converts back the same way.  The component
-    lives in the *destination* domain: its `out` is bound to a component
-    of that domain or to another crossing.  The source domain is the one
-    domain of the masters bound to its `in`.
+    beats.  The response converts back to the first source edge at or
+    after its `at`, never before the request's.  Neither reads a domain's
+    counter.  The component lives in the *destination* domain: its `out`
+    is bound to a component of that domain or to another crossing.  The
+    source domain is the one domain of the masters bound to its `in`.
     """
 
     kind = "clock-crossing"
@@ -161,13 +161,8 @@ class ClockCrossing(Component):
         return -(-self.src.period_ps * src_cycle // self.domain.period_ps) + self.latency
 
     def handle(self, req):
-        src = self.src
-        dst = self.domain
-        src_latency = req.latency
-        req.latency = self.arrival(src.cycle + src_latency) - dst.cycle
+        issued = req.at
+        req.at = self.arrival(issued)
         self.out.binding.handler(req)
-        done_ps = dst.time_of_cycle(dst.cycle + req.latency)
-        req.latency = src.cycle_at_or_after(done_ps) - src.cycle
-        if req.latency < src_latency:           # never lose already-paid cycles
-            req.latency = src_latency
+        req.at = max(issued, self.src.cycle_at_or_after(self.domain.time_of_cycle(req.at)))
         self.crossings += 1

@@ -16,7 +16,7 @@ be too.
 The class is a timing contract with the core: an instruction of class
 `load` or `store` makes exactly one data access (unless it traps before
 it), and an instruction of any other class makes none.  The core charges
-the latency of that one access from its data request after the step.
+that one access's `at` past its issue cycle after the step.
 
 Packaged tables are read once per process and tables given as file paths
 on every load.  Tables are parsed and conflict-checked once per process per

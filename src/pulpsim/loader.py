@@ -57,8 +57,10 @@ def _load_elf(platform, blob, name):
         off = e_phoff + i * e_phentsize
         p_type, p_offset, p_vaddr, p_paddr, p_filesz, p_memsz, _pflags, _align = \
             struct.unpack_from("<IIIIIIII", blob, off)
-        if p_type != PT_LOAD or p_memsz == 0:
+        if p_type != PT_LOAD or p_memsz == p_filesz == 0:
             continue
+        if p_filesz > p_memsz:
+            raise ConfigError("%s: segment %d's file size exceeds its memory size" % (name, i))
         if p_offset + p_filesz > len(blob):
             raise ConfigError("%s: segment %d's file bytes run past the end of the file"
                               % (name, i))

@@ -6,10 +6,12 @@ waiting access paying one cycle per access ahead of it.  An access whose
 bytes touch more than one word sweeps their banks, one more cycle per
 word, and holds each of them through its last cycle.  Timing never
 affects the stored bytes, which a request of any size moves as one
-little-endian `value`, and which `Platform.peek`/`poke` slice untimed.  A
-streaming device serves a run of equal-sized accesses in one `stream`
-call, each at an issue cycle the device gives: the timing is what `handle`
-gives each access, and the bytes move in one slice.
+little-endian `value`, and which `Platform.peek`/`poke` slice untimed.
+Both timed paths take absolute issue cycles: `handle` serves a request at
+its `at` and advances that to its grant, plus one cycle per extra word,
+plus `access_latency`; `stream` serves a run of equal-sized accesses, each
+at an issue cycle the device gives, with the timing `handle` gives each
+and the bytes moved in one slice.
 """
 
 import struct
@@ -64,25 +66,20 @@ class BankedMemory(Component):
         if off < 0 or off + size > self.size:
             req.status = STATUS_ERR
             return
-        if size in (1, 2, 4):
-            if off & (size - 1):
-                req.status = STATUS_ERR     # misaligned narrow access
-                return
-            words = 1
-        else:
-            words = ((off + size - 1) >> 2) - (off >> 2) + 1   # the words its bytes touch
-        at = self.domain.cycle + req.latency
+        if size in (1, 2, 4) and off & (size - 1):
+            req.status = STATUS_ERR     # misaligned narrow access
+            return
+        words = ((off + size - 1) >> 2) - (off >> 2) + 1   # the words its bytes touch
+        at = req.at
         bank = (off >> 2) & self.bank_mask
         busy = self.bank_busy
         wait = busy[bank] - at + 1
         if wait > 0:
-            req.latency += wait
             req.contended = True
             self.contentions += 1
             at += wait
-        extra = words - 1               # one cycle per extra word touched
-        req.latency += extra + self.latency
-        end = at + extra
+        end = at + words - 1            # one cycle per extra word touched
+        req.at = end + self.latency
         if words == 1:
             busy[bank] = end
         else:

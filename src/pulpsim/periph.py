@@ -87,7 +87,7 @@ class HyperRam(Component):
         if off < 0 or off + req.size > self.size:
             req.status = STATUS_ERR
             return
-        req.latency += -(-self.access_ps(req.size) // self.domain.period_ps)
+        req.at += -(-self.access_ps(req.size) // self.domain.period_ps)
         if req.is_write:
             self.writes += 1
             self.contents[off:off + req.size] = req.value.to_bytes(req.size, "little")

@@ -99,11 +99,11 @@ def test_timed_access_past_the_end_fails():
     handle = hyper.ports["in"].handler
     last = Request(HYPER + SIZE - 4, 4)
     handle(last)
-    assert last.status == STATUS_OK and last.latency > 0
+    assert last.status == STATUS_OK and last.at > 0
     for addr in (HYPER + SIZE - 2, HYPER + SIZE):
         for req in (Request(addr, 4), Request(addr, 4, True, 0x01020304)):
             handle(req)
-            assert req.status == STATUS_ERR and req.latency == 0, hex(addr)
+            assert req.status == STATUS_ERR and req.at == 0, hex(addr)
     assert (hyper.reads, hyper.writes) == (1, 0)
     assert hyper.contents[SIZE - 2:] == bytes(2)
 

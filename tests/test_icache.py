@@ -71,7 +71,7 @@ def test_icache_matches_reference_lru(geometry, seed):
     cache = build_cache(size, ways, line, hit_latency, contents)
     ref = RefLruCache(size, ways, line)
     hits = misses = flushes = 0
-    for base in stream(rng, ref.sets, ways, line, 4000):
+    for i, base in enumerate(stream(rng, ref.sets, ways, line, 4000)):
         if base is None:
             cache.flush()
             ref = RefLruCache(size, ways, line)
@@ -82,16 +82,17 @@ def test_icache_matches_reference_lru(geometry, seed):
         else:
             addr, nbytes = base + rng.randrange(0, line, 4), 4
         req = Request(addr, nbytes, False)
+        req.at = issue = 3 * i
         cache.ports["in"].handler(req)
         hit = ref.access(addr)
         assert req.status == "ok"
         assert req.cache_miss == (not hit), hex(addr)
         if hit:
             hits += 1
-            assert req.latency == hit_latency
+            assert req.at - issue == hit_latency
         else:
             misses += 1
-            assert req.latency > hit_latency
+            assert req.at - issue > hit_latency
         want = contents[addr:addr + nbytes]
         assert req.value.to_bytes(nbytes, "little") == want, hex(addr)
     assert (cache.hits, cache.misses) == (hits, misses)

@@ -1,6 +1,7 @@
 """Routers: decode, latency, bandwidth occupancy; clock crossing math."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pulpsim.component import Request, bind, Component
 from pulpsim.engine import TimeEngine, ClockDomain
@@ -64,8 +65,9 @@ def test_decode_pure():
 def test_route_adds_latency_and_forwards():
     router, sink_a, sink_b, _ = make_router(latency=1)
     req = Request(0x1004, 4, False)
+    req.at = 6
     router.handle(req)
-    assert req.latency == 1
+    assert req.at - 6 == 1
     assert sink_a.seen == [0x1004] and not sink_b.seen
 
 
@@ -83,8 +85,8 @@ def test_bandwidth_queuing_back_to_back():
     second = Request(0x1000, 32, False)
     router.handle(first)
     router.handle(second)
-    assert first.latency == 0
-    assert second.latency == 4      # queued behind 32B/8Bpc occupancy
+    assert first.at == 0            # both issued at cycle 0
+    assert second.at == 4           # queued behind 32B/8Bpc occupancy
 
 
 def test_occupancy_conservation_over_interval():
@@ -144,7 +146,22 @@ def test_crossing_aligns_to_next_destination_edge():
     assert dst.time_of_cycle(21) == 52500
 
 
-def test_crossing_roundtrip_latency_in_source_cycles():
+# clock frequencies with an integral period in ps: 2**a * 5**b Hz
+FREQUENCIES = st.builds(lambda a, b: 2 ** a * 5 ** b, st.integers(0, 12), st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(src_freq=FREQUENCIES, dst_freq=FREQUENCIES, crossing_latency=st.integers(0, 3),
+       issue=st.integers(0, 10 ** 6), delay=st.integers(0, 50),
+       src_cycle=st.integers(0, 10 ** 6), dst_cycle=st.integers(0, 10 ** 6))
+@example(src_freq=100_000_000, dst_freq=400_000_000, crossing_latency=0,
+         issue=0, delay=7, src_cycle=0, dst_cycle=0)
+def test_crossing_roundtrip_latency_in_source_cycles(src_freq, dst_freq, crossing_latency,
+                                                      issue, delay, src_cycle, dst_cycle):
+    """A request issued at source cycle `issue` meets `delay` destination
+    cycles of service and returns at the first source edge at or after
+    their end, never before `issue`; the domains' counters, here stale
+    values, play no part."""
     class Delay(Component):
         kind = "test-delay"
 
@@ -152,27 +169,35 @@ def test_crossing_roundtrip_latency_in_source_cycles():
             self.add_slave("in", self.handle)
 
         def handle(self, req):
-            req.latency += 7    # destination-side cycles
+            self.seen = req.at
+            req.at += delay     # destination-side cycles
 
     eng = TimeEngine()
-    src = ClockDomain("src", 100_000_000)    # 10000 ps
-    dst = ClockDomain("dst", 400_000_000)    # 2500 ps
+    src = ClockDomain("src", src_freq)
+    dst = ClockDomain("dst", dst_freq)
     eng.add_domain(src)
     eng.add_domain(dst)
     plat = FakePlatform()
-    xing = ClockCrossing(plat, "xing", {"crossing_latency": 0}, dst)
-    delay = Delay(plat, "d", {}, dst)
+    xing = ClockCrossing(plat, "xing", {"crossing_latency": crossing_latency}, dst)
+    sink = Delay(plat, "d", {}, dst)
     plat.bind(Master(plat, "m", {}, src).ports["out"], xing.ports["in"])
-    plat.bind(xing.ports["out"], delay.ports["in"])
+    plat.bind(xing.ports["out"], sink.ports["in"])
     xing.finalize()
+    src.cycle, dst.cycle = src_cycle, dst_cycle
 
     req = Request(0x0, 4, False)
+    req.at = issue
     xing.handle(req)
-    # 7 fast cycles = 17500 ps -> ceiling to source edges = 2 source cycles
-    assert req.latency == 2
-    # round-trip property: converting the final latency back to time covers
-    # the destination-side completion
-    assert src.time_of_cycle(src.cycle + req.latency) >= dst.time_of_cycle(7)
+    # served at the first destination edge at or after the request leaves
+    arrived = dst.cycle_at_or_after(src.time_of_cycle(issue)) + crossing_latency
+    assert sink.seen == xing.arrival(issue) == arrived
+    done_ps = dst.time_of_cycle(arrived + delay)
+    assert req.at == max(issue, src.cycle_at_or_after(done_ps))
+    # the source-side completion covers the destination-side one
+    assert src.time_of_cycle(req.at) >= done_ps
+    if (src_freq, dst_freq, crossing_latency, issue, delay) == (
+            100_000_000, 400_000_000, 0, 0, 7):
+        assert req.at == 2      # 7 fast cycles = 17500 ps: 2 source cycles of 10000 ps
 
 
 def test_crossing_takes_its_source_domain_from_its_masters():

@@ -101,6 +101,10 @@ def test_elf_segments_are_placed_and_zero_filled(tmp_path):
      "truncated program header table"),
     ("past.elf", elf32(0x1000, [(PT_LOAD, 0x1000, 0x1000, b"abcd", 4)])[:-2],
      "segment 0's file bytes run past the end of the file"),
+    ("fat.elf", elf32(0x2000, [(PT_LOAD, 0x2000, 0x2000, b"ABCDEFGH", 4)]),
+     "segment 0's file size exceeds its memory size"),
+    ("nomem.elf", elf32(0x2000, [(PT_LOAD, 0x2000, 0x2000, b"AB", 0)]),
+     "segment 0's file size exceeds its memory size"),
     ("bare.img", b"1000 00000013\n", "bare.img:1: expected '@<hexaddr> <hexword>'"),
     ("entry.img", b"@entry\n", "entry.img:1: malformed @entry line"),
     ("empty.img", b"# nothing\n", "empty memory image"),

@@ -33,9 +33,9 @@ def make_mem(banks=16, size=0x20000, latency=0):
     return mem, dom
 
 
-def rd(mem, addr, size=4, latency=0):
+def rd(mem, addr, size=4):
+    """A read issued at cycle 0, so that its `at` is the cycles it took."""
     req = Request(addr, size, False)
-    req.latency = latency
     mem.handle(req)
     return req
 
@@ -51,7 +51,7 @@ def test_bank_of():
 def test_free_bank_zero_latency():
     mem, _ = make_mem()
     req = rd(mem, 0x10000000)
-    assert req.latency == 0 and not req.contended
+    assert req.at == 0 and not req.contended
 
 
 def test_same_cycle_same_bank_serializes():
@@ -59,16 +59,16 @@ def test_same_cycle_same_bank_serializes():
     first = rd(mem, 0x10000040)
     second = rd(mem, 0x10000040)
     third = rd(mem, 0x10000040)
-    assert first.latency == 0
-    assert second.latency == 1 and second.contended
-    assert third.latency == 2 and third.contended
+    assert first.at == 0
+    assert second.at == 1 and second.contended
+    assert third.at == 2 and third.contended
     assert mem.contentions == 2
 
 
 def test_same_cycle_different_banks_parallel():
     mem, _ = make_mem()
-    assert rd(mem, 0x10000000).latency == 0
-    assert rd(mem, 0x10000004).latency == 0
+    assert rd(mem, 0x10000000).at == 0
+    assert rd(mem, 0x10000004).at == 0
 
 
 def test_serial_service_matches_bruteforce_oracle():
@@ -83,15 +83,16 @@ def test_serial_service_matches_bruteforce_oracle():
             bank = (addr >> 2) % banks
             expect = served.get(bank, 0)
             req = rd(mem, addr)
-            assert req.latency == expect
+            assert req.at == expect
             served[bank] = expect + 1
 
 
 def test_wide_request_charges_one_cycle_per_extra_word():
     mem, _ = make_mem()
     req = Request(0x10000000, 64, False)
+    req.at = 9
     mem.handle(req)
-    assert req.latency == 15
+    assert req.at - 9 == 15
 
 
 @pytest.mark.parametrize("off, nbytes, size, extra, held", [
@@ -102,7 +103,7 @@ def test_wide_request_charges_one_cycle_per_extra_word():
 def test_access_holds_the_bank_of_every_word_its_bytes_touch(off, nbytes, size, extra, held):
     mem, _ = make_mem(banks=4)
     req = rd(mem, mem.base + off, nbytes)
-    assert req.status == "ok" and req.latency == extra
+    assert req.status == "ok" and req.at == extra
     assert mem.bank_busy == held
     streamed, _ = make_mem(banks=4)
     assert streamed.stream(streamed.base + off, nbytes, size, [0]) == (1, extra)
@@ -111,7 +112,7 @@ def test_access_holds_the_bank_of_every_word_its_bytes_touch(off, nbytes, size, 
 
 def test_constant_access_latency_added():
     mem, _ = make_mem(latency=1)
-    assert rd(mem, 0x10000000).latency == 1
+    assert rd(mem, 0x10000000).at == 1
 
 
 def test_misaligned_narrow_access_is_bus_error():
@@ -205,7 +206,7 @@ def test_stream_matches_word_requests_through_handle(data):
         n = min(access, nbytes - access * j)
         req = Request(addr + access * j, n, write,
                       int.from_bytes(payload[access * j:access * j + n], "little"))
-        req.latency = at - now
+        req.at = at
         return req
 
     accepted = 0
@@ -226,7 +227,7 @@ def test_stream_matches_word_requests_through_handle(data):
         if req.status != "ok":
             break
         want_served += 1
-        want_waits += req.latency - (at - now)
+        want_waits += req.at - at
         read += req.value.to_bytes(req.size, "little")
     assert got == (want_served, want_waits)
     assert streamed.bank_busy == handled.bank_busy

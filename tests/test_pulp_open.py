@@ -5,7 +5,8 @@ one int32 dot product in TCDM with p.lwpost/p.mac and meet at one
 event-unit barrier; PE0 then raises line 1 of the FC's interrupt
 controller.  The FC meanwhile loops over a straight-line body larger than
 its 512 B L1 icache, so every pass refills from L2, then waits for that
-line and ends the run.
+line and ends the run.  `tests/regen_golden.py` regenerates the golden
+stats.
 """
 
 import json

@@ -4,12 +4,9 @@
 (`perfbench/run.py`'s `digest`) of every `perfbench/guests.py` workload, at
 full size on seed 1 and at `run.TINY_SIZES` on seeds 1-3.  A host-speed
 change leaves every digest unchanged, so a failure here means simulated
-timing moved.  Only a deliberate timing change (ROADMAP open item 1)
-regenerates the file, with
-
-    PYTHONPATH=src python tests/test_timing_identity.py --regenerate
-
-and the change that does so says why in CHANGES.md.
+timing moved.  Only a deliberate timing change regenerates the file, with
+`tests/regen_golden.py`, and the change that does so says why in
+CHANGES.md.
 
 The ticker test runs each workload once more with `conftest.add_ticker`'s
 extra clock domain, whose event ticks at the fastest frequency.  The
@@ -156,15 +153,3 @@ def test_raising_a_latency_never_lowers_fc_total_cycles(param, delta, seed):
     slower, _ = tiny_run("fc_control", seed, [raised])
     assert slower.lookup("fc").total_cycles >= before
 
-
-def regenerate():
-    digests = {case_key(*c): run.digest(plain_stats(*c)) for c in CASES}
-    DATA.write_text(json.dumps({
-        "note": "stable_stats digests of the perfbench guests; see tests/test_timing_identity.py",
-        "digests": digests}, indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--regenerate"]:
-        raise SystemExit("usage: test_timing_identity.py --regenerate")
-    regenerate()
