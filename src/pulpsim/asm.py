@@ -17,6 +17,8 @@ A name is either a label, defined once, or an `.equ`/`.set` symbol, which
 later `.equ`/`.set` lines may rebind; neither may be `hi` or `lo`, the
 helpers that split a value for `lui`+`addi`.
 
+Words lie on the 4-byte grid, each placed once: the origin and every
+`.org` must be multiples of 4, and a word placed over another is refused.
 Output is a mapping of word addresses to instruction words, plus the entry
 point (the `_start` label when defined), convertible to the memory-image
 format the loader reads.
@@ -160,6 +162,8 @@ class Program:
 
 def assemble(source, origin=0x1C000000, defines=None):
     """Assemble text into a Program; raises AsmError with line numbers."""
+    if origin % 4:
+        raise AsmError("origin 0x%x is not a multiple of 4" % origin)
     symbols = dict(defines or {})
     symbols.setdefault("hi", _hi)
     symbols.setdefault("lo", _lo)
@@ -195,6 +199,8 @@ def assemble(source, origin=0x1C000000, defines=None):
         rest = parts[1] if len(parts) > 1 else ""
         if mnem == ".org":
             addr = _eval_static(rest, symbols, lineno)
+            if addr % 4:
+                raise AsmError("line %d: .org 0x%x is not a multiple of 4" % (lineno, addr))
             continue
         if mnem == ".equ" or mnem == ".set":
             name, _, expr = rest.partition(",")
@@ -225,7 +231,12 @@ def assemble(source, origin=0x1C000000, defines=None):
                 raise
             raise AsmError("line %d: %s" % (lineno, e)) from None
         for i, w in enumerate(encoded):
-            words[addr + 4 * i] = w
+            at = addr + 4 * i
+            if at in words:
+                first = next(n for n, a, m, r in stmts if a <= at < a + _size_of(m, r, n))
+                raise AsmError("line %d: 0x%x already holds the word of line %d" % (
+                    lineno, at, first))
+            words[at] = w
 
     entry = symbols.get("_start", origin)
     return Program(words, entry, symbols)

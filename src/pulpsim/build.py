@@ -28,7 +28,6 @@ class Platform:
         self.engine = TimeEngine()
         self.domains = {}
         self.components = {}
-        self.bindings = []          # (master Port, slave Port), for the dump
         self.backing_stores = []    # (base, a memory's byte store) for peek/poke
         self.trace_sink = None
         self.vcd = None
@@ -90,10 +89,7 @@ class Platform:
         return comp.ports[port]
 
     def bind_paths(self, master_spec, slave_spec):
-        m = self.resolve_port(master_spec)
-        s = self.resolve_port(slave_spec)
-        bind(m, s)
-        self.bindings.append((m, s))
+        bind(self.resolve_port(master_spec), self.resolve_port(slave_spec))
 
     def register_backing(self, base, contents):
         self.backing_stores.append((base, contents))
@@ -207,8 +203,11 @@ class Platform:
             comp = self.components[path]
             lines.append("%s kind=%s domain=%s params=%s" % (
                 path, comp.kind, comp.domain.name, comp.dump_params()))
-        for m, s in sorted(self.bindings, key=lambda b: (b[0].path, b[1].path)):
-            lines.append("%s -> %s" % (m.path, s.path))
+        # owners only: the cluster's `ports` re-exports its crossings'
+        masters = [port for comp in self.components.values() for port in comp.ports.values()
+                   if port.direction == "master" and port.owner is comp]
+        for m in sorted(masters, key=lambda port: port.path):
+            lines.append("%s -> %s" % (m.path, m.binding.path))
         return "\n".join(lines) + "\n"
 
 

@@ -59,7 +59,7 @@ class Request:
 
 
 class Port:
-    __slots__ = ("owner", "name", "direction", "binding", "handler")
+    __slots__ = ("owner", "name", "direction", "binding", "handler", "masters")
 
     def __init__(self, owner, name, direction, handler=None):
         self.owner = owner
@@ -67,6 +67,7 @@ class Port:
         self.direction = direction      # "master" | "slave"
         self.binding = None             # master: the bound slave Port
         self.handler = handler          # slave: callable(Request) -> None
+        self.masters = []               # slave: the master Ports bound to it
 
     @property
     def path(self):
@@ -154,11 +155,13 @@ class Component:
     COUNTERS names the int attributes the component exports as performance
     counters: `reset` sets each to 0 and `counters()` returns them, in that
     order.  A subclass with its own `reset` calls `super().reset()`.
+    SIGNALS lists the (name, width) of each VCD signal `signal` drives.
     """
 
     kind = "abstract"
     PARAMS = {}
     COUNTERS = ()
+    SIGNALS = ()
 
     def __init__(self, platform, path, params, domain):
         self.platform = platform
@@ -231,6 +234,7 @@ class RegisterDevice(Component):
 
     READS = {}
     WRITES = {}
+    SIGNALS = (("busy", 1),)
 
     def build(self):
         self.base = self.params["base"]
@@ -267,7 +271,8 @@ class RegisterDevice(Component):
 
 
 def bind(master_port, slave_port):
-    """Bind a master port to a slave port, validating directions."""
+    """Bind a master port to a slave port, validating directions; the
+    master's `binding` is the slave, whose `masters` list it."""
     if master_port.direction != "master" or slave_port.direction != "slave":
         raise ConfigError("direction mismatch binding %s -> %s" % (
             master_port.path, slave_port.path))
@@ -277,6 +282,7 @@ def bind(master_port, slave_port):
     if slave_port.handler is None:
         raise StructuralError("slave %s has no handler" % slave_port.path)
     master_port.binding = slave_port
+    slave_port.masters.append(master_port)
 
 
 # -- component kind registry -------------------------------------------

@@ -18,20 +18,23 @@ earlier stalls on the register scoreboard.
 Semantics are closures, bound once per instruction word and core.
 `SEMANTICS` maps each table name to a factory `make(core, ins)` that
 returns `run(pc)`: the word's register indices and immediate, the core's
-`regs` list and, for a data access, the core's reused data request and
-the data port's handler are bound in.  `run(pc)` updates registers and
-memory and returns the next pc if it transfers control (jal, jalr, mret,
-a taken branch), else None.  A word whose only effect is its write to rd
-gets the shared `_nop` when rd is x0.  `run` raises `Trap(cause, tval)`
-for ecall, ebreak, an illegal CSR access or a data access fault: the step
-charges 1 + fetch latency + stall and enters the trap vector.  Loads and
+`regs` list and, for a data access, the core's reused data request and the
+data port's handler are bound in.  `run(pc)` updates registers and memory
+and returns the next pc if it transfers control (jal, jalr, mret, a taken
+branch), else None.  A word whose only effect is its write to rd gets the
+shared `_nop` when rd is x0.  `run` raises `Trap(cause, tval)` for ecall,
+ebreak, an illegal CSR access, a data access fault or a jump or taken
+branch to a target off the 4-byte grid (there is no C extension), before
+writing rd: the step charges 1 + fetch latency + stall and enters the trap
+vector.  A jal's or branch's target is pc + imm, so `imm & 2` decides when
+the word is bound whether it traps; a jalr tests its target.  Loads and
 stores make their one data access (isa module docstring) by setting the
-data request's fields but `at` and calling the handler: the step sets
-`at` and charges its advance and the contention the handler leaves.  A
-load reads from rs1 + imm, or, in its post-increment mode (p.lwpost), from
-rs1 and then adds imm to rs1 unless rs1 is x0 or rd.  A load raises
-`Sleep` for a blocking read from a synchronization register: the attempt
-is charged and the core sleeps without retiring, to re-execute the read on
+data request's fields but `at` and calling the handler: the step sets `at`
+and charges its advance and the contention the handler leaves.  A load
+reads from rs1 + imm, or, in its post-increment mode (p.lwpost), from rs1
+and then adds imm to rs1 unless rs1 is x0 or rd.  A load raises `Sleep`
+for a blocking read from a synchronization register: the attempt is
+charged and the core sleeps without retiring, to re-execute the read on
 wake-up, when its value is determined.  Only such reads sleep, so stores
 never do.
 
@@ -73,6 +76,7 @@ from .isa import IsaTable, sext
 
 M32 = 0xFFFFFFFF
 
+CAUSE_IMISALIGNED = 0
 CAUSE_IACCESS = 1
 CAUSE_ILLEGAL = 2
 CAUSE_BREAK = 3
@@ -138,6 +142,10 @@ def _auipc(c, i):
 
 def _jal(c, i):
     regs, rd, imm = c.regs, i.rd, i.imm
+    if imm & 2:
+        def run(pc):
+            raise Trap(CAUSE_IMISALIGNED, (pc + imm) & M32)
+        return run
     def run(pc):
         if rd:
             regs[rd] = (pc + 4) & M32
@@ -148,6 +156,8 @@ def _jalr(c, i):
     regs, rd, rs1, imm = c.regs, i.rd, i.rs1, i.imm
     def run(pc):
         target = (regs[rs1] + imm) & M32 & ~1
+        if target & 2:
+            raise Trap(CAUSE_IMISALIGNED, target)
         if rd:
             regs[rd] = (pc + 4) & M32
         return target
@@ -156,6 +166,11 @@ def _jalr(c, i):
 def _branch(cond):
     def make(c, i):
         regs, rs1, rs2, imm = c.regs, i.rs1, i.rs2, i.imm
+        if imm & 2:
+            def run(pc):
+                if cond(regs[rs1], regs[rs2]):
+                    raise Trap(CAUSE_IMISALIGNED, (pc + imm) & M32)
+            return run
         def run(pc):
             if cond(regs[rs1], regs[rs2]):
                 return (pc + imm) & M32
@@ -351,6 +366,7 @@ class RiscvCore(Component):
         "trap_vector": (int, 0),    # 0: halt on unhandled trap
     }
     COUNTERS = COUNTER_NAMES
+    SIGNALS = (("pc", 32), ("active", 1))
 
     def build(self):
         self.add_master("fetch")
@@ -385,8 +401,7 @@ class RiscvCore(Component):
         self._fetch_handler = cache.handler
         self._data_handler = self.ports["data"].binding.handler
         # the private L1 (module docstring): only this core's fetches reach it
-        private = cache.owner.kind == "icache" and all(
-            m is fetch for m, s in self.platform.bindings if s is cache)
+        private = cache.owner.kind == "icache" and cache.masters == [fetch]
         self._l1 = cache.owner if private else None
 
     def reset(self):

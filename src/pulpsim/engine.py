@@ -15,21 +15,19 @@ therefore schedule into any other.  `TimeEngine.reset` rewinds time to 0,
 every counter to cycle 0, and drops every pending event, so components
 never cancel events themselves.
 
-Run-ahead.  While a callback runs, `TimeEngine.horizon_ps` bounds what
-can happen outside it: the global time of the earliest pending event in
-the other domains, capped by the `max_cycles` deadline, or "now" when the
-executing domain holds another pending event as well.  The engine sets it
-before each cycle from the scan that picks the cycle; an enqueue into
-another domain lowers it to the new event's time, and a posted exit
-lowers it below any time.  The executing domain's `horizon_cycle` is the
-same bound in its own cycles (its first cycle at or after the horizon), so
-that a consumer tests it with one integer comparison.  A callback whose
-next action lies strictly before the horizon, and which is still the only
-event of its domain, is the next thing the engine would run.  It may then
-perform that action inline, in the same callback, after
-`ClockDomain.run_ahead` has checked that it is alone and has moved the
-domain's cycle, the engine's time and the counters exactly as enqueueing
-it and executing that cycle would have.
+Run-ahead.  While a callback runs, the executing domain's `horizon_cycle`
+bounds what can happen outside it: its first cycle at or after the
+earliest pending event of the other domains, capped by the `max_cycles`
+deadline, or its executing cycle when it holds another pending event as
+well.  The engine sets it before each cycle from the scan that picks the
+cycle.  An enqueue into another domain lowers it to the first cycle at or
+after the new event's edge (exact, as rounding up is monotone), and a
+posted exit lowers it to 0.  A callback whose next action lies strictly
+before the horizon, and which is still the only event of its domain, is
+the next thing the engine would run.  It may then perform that action
+inline, in the same callback, after `ClockDomain.run_ahead` has checked
+that it is alone and has moved the domain's cycle, the engine's time and
+the counters exactly as enqueueing it and executing that cycle would have.
 The cores (`RiscvCore._step`) and the micro-DMA do so; everything else
 enqueues itself.  The micro-DMA's `_beat` moves a whole window of beats in
 one pass: `_pace` runs each next beat ahead while it is due before the
@@ -55,7 +53,7 @@ PS_PER_SEC = 10**12
 EXIT_TIMEOUT = "timeout"
 EXIT_IDLE = "idle-deadlock"
 
-_END_OF_TIME = 1 << 256     # ps; the horizon of a run without a deadline
+_END_OF_TIME = 1 << 256     # ps; the deadline of a run without max_cycles
 _LAP = 64                   # cycles; see ClockDomain's lap counters
 _FAR = "far"                # Event.enqueued of an event put a lap or more ahead
 
@@ -145,8 +143,9 @@ class ClockDomain:
         else:
             abs_cycle = self.cycle_at_or_after(engine.now_ps) + delta_cycles
             t = self.period_ps * abs_cycle
-            if t < engine.horizon_ps:
-                engine.lower_horizon(t)
+            cur = engine.current        # None outside run()
+            if cur is not None and t < cur.period_ps * cur.horizon_cycle:
+                cur.horizon_cycle = -(-t // cur.period_ps)
         if abs_cycle - self.cycle < _LAP:
             event.enqueued = True
         else:
@@ -247,19 +246,15 @@ class TimeEngine:
     with `current` naming the executing domain.  Ties break by domain
     registration order, which keeps runs deterministic.
 
-    Before each cycle it sets `horizon_ps` and the executing domain's
-    `horizon_cycle` from the same scan: the earliest next event of the
-    other domains, capped by the deadline, or `now_ps` when the executing
+    Before each cycle the same scan sets the executing domain's
+    `horizon_cycle` (module docstring); it is the executing cycle when that
     domain holds more than one event (`run_ahead` would refuse anyway; this
     way a busy domain's callbacks stop at their one horizon comparison).
-    Enqueues and `post_exit` only lower them.  Outside `run` `horizon_ps`
-    is -1 (module docstring).
     """
 
     def __init__(self):
         self.domains = []
         self.now_ps = 0
-        self.horizon_ps = -1
         self.current = None         # domain executing a cycle, inside run()
         self.exit_status = None
 
@@ -271,23 +266,16 @@ class TimeEngine:
     def reset(self):
         """Power-on: time 0, every domain at cycle 0 with empty stores."""
         self.now_ps = 0
-        self.horizon_ps = -1
         self.exit_status = None
         for d in self.domains:
             d.reset()
 
     def post_exit(self, status):
-        """Request the run loop to stop after the current cycle completes."""
+        """Request the run loop to stop after the current cycle completes:
+        the cycle the executing callback ran ahead to, if it did."""
         self.exit_status = status
-        self.lower_horizon(-1)
-
-    def lower_horizon(self, time_ps):
-        """Lower `horizon_ps` to `time_ps`, and the executing domain's
-        `horizon_cycle` with it."""
-        self.horizon_ps = time_ps
-        cur = self.current
-        if cur is not None:
-            cur.horizon_cycle = cur.cycle_at_or_after(time_ps)
+        if self.current is not None:
+            self.current.horizon_cycle = 0     # nothing more runs ahead
 
     def run(self, max_cycles=None):
         """Run until a component posts exit, stores drain, or the cap hits.
@@ -296,49 +284,45 @@ class TimeEngine:
         domain; hitting it returns EXIT_TIMEOUT (distinct from a
         program-requested exit status).
         """
-        deadline_ps = None
-        horizon_cap = _END_OF_TIME
+        deadline_ps = _END_OF_TIME
         if max_cycles is not None:
-            fastest = min(d.period_ps for d in self.domains)
-            deadline_ps = horizon_cap = max_cycles * fastest
+            deadline_ps = max_cycles * min(d.period_ps for d in self.domains)
         self.exit_status = None
         domains = self.domains
         try:
             while True:
                 if self.exit_status is not None:
+                    cur = self.current      # complete a cycle it ran ahead to
+                    if cur._cycles and cur._cycles[0] == cur.cycle:
+                        cur.execute_cycle(cur.cycle)
                     return self.exit_status
                 best = None
                 best_cycle = 0
-                best_t = other_t = horizon_cap  # other_t: earliest outside `best`
+                best_t = other_t = deadline_ps  # other_t: earliest outside `best`
                 for d in domains:
                     if not d._cycles:
                         continue            # idle
                     c = d._cycles[0]        # next_pending_cycle, inlined
                     t = d.period_ps * c     # time_of_cycle, inlined
-                    if t < best_t or best is None:
+                    if t < best_t:
                         other_t = best_t
                         best, best_cycle, best_t = d, c, t
                     elif t < other_t:
                         other_t = t
-                if best is None:
-                    return EXIT_IDLE
-                if deadline_ps is not None and best_t >= deadline_ps:
-                    return EXIT_TIMEOUT
+                if best is None:            # nothing due before the deadline
+                    return EXIT_TIMEOUT if any(d._cycles for d in domains) else EXIT_IDLE
                 if best_t < self.now_ps:
                     raise StructuralError("global time went backwards")
                 self.now_ps = best_t
                 if best._pending > 1:
                     # `best` holds more than one event: the horizon is now
-                    self.horizon_ps = best_t
                     best.horizon_cycle = best_cycle
                 else:
-                    self.horizon_ps = other_t
                     best.horizon_cycle = -(-other_t // best.period_ps)
                 self.current = best
                 best.execute_cycle(best_cycle)
         finally:
             self.current = None
-            self.horizon_ps = -1
 
     def stats(self):
         return {

@@ -142,8 +142,7 @@ class ClockCrossing(Component):
         self.reset()
 
     def finalize(self):
-        inp = self.ports["in"]
-        sources = {m.owner.domain for m, s in self.platform.bindings if s is inp}
+        sources = {m.owner.domain for m in self.ports["in"].masters}
         if len(sources) > 1:
             raise ConfigError("components.%s: masters from domains %s bound to its in" % (
                 self.path, ", ".join(sorted("'%s'" % d.name for d in sources))))

@@ -9,17 +9,15 @@ traced from another domain's callback.  Cores trace each instruction on
 `<core>/insn`, and `RegisterDevice.log` traces the cluster DMA's, the
 accelerator's and the micro-DMA's job starts and ends on their own paths.
 
-The VCD dump covers activity-level signals with a 1 ps timescale: each
-`riscv-core` drives `<core>/pc` and `<core>/active`, and each
-`RegisterDevice` (cluster DMA, accelerator, micro-DMA) drives
-`<device>/busy`, all through `Component.signal`.
+The VCD dump covers activity-level signals with a 1 ps timescale, which
+each component class declares in `SIGNALS` and drives through
+`Component.signal` as `<path>/<name>`: a core's `pc` and `active`, a
+`RegisterDevice`'s (cluster DMA, accelerator, micro-DMA) `busy`.
 """
 
 import fnmatch
 import re
 import sys
-
-from .component import RegisterDevice
 
 
 class TraceSink:
@@ -114,13 +112,10 @@ class VcdWriter:
         self.stream.flush()
 
     def attach(self, platform):
-        """Register the standard signal set and hook into the platform."""
+        """Register each component's SIGNALS in path order; hook into the platform."""
         for comp in sorted(platform.components.values(), key=lambda c: c.path):
-            if comp.kind == "riscv-core":
-                self.register(comp.path + "/pc", 32)
-                self.register(comp.path + "/active", 1)
-            elif isinstance(comp, RegisterDevice):
-                self.register(comp.path + "/busy", 1)
+            for name, width in comp.SIGNALS:
+                self.register(comp.path + "/" + name, width)
         platform.vcd = self
 
 

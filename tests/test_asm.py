@@ -86,6 +86,11 @@ def test_error_text():
     ("nop\n    addi x1, x0, 5000", "line 2: I-immediate 5000 out of range"),
     ("nop\nnop\n    addi x1, x0, nosuch", "line 3: cannot evaluate 'nosuch': "
                                          "name 'nosuch' is not defined"),
+    (".org 0x1000\naddi a0, a0, 1\naddi a0, a0, 2\n.org 0x1004\naddi a1, x0, 5",
+     "line 5: 0x1004 already holds the word of line 3"),
+    (".org 0x1000\n.space 8\n.org 0x1004\nli a0, 5",
+     "line 4: 0x1004 already holds the word of line 2"),
+    ("nop\n.org 0x1006\nnop", "line 2: .org 0x1006 is not a multiple of 4"),
 ])
 def test_error_text_carries_one_line_prefix(text, message):
     with pytest.raises(AsmError) as err:
@@ -131,6 +136,12 @@ def test_fields_are_range_checked(text, message):
     with pytest.raises(AsmError) as err:
         assemble(text)
     assert str(err.value) == message
+
+
+def test_origin_off_the_word_grid_is_refused():
+    with pytest.raises(AsmError) as err:
+        assemble("nop", origin=0x1002)
+    assert str(err.value) == "origin 0x1002 is not a multiple of 4"
 
 
 def test_word_keeps_twos_complement():

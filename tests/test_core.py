@@ -10,7 +10,7 @@ from pulpsim.isa import IsaTable
 from pulpsim.asm import assemble
 from pulpsim.errors import ConfigError
 
-from conftest import build_minimal, run_program
+from conftest import build_minimal, build_pulp, run_program
 from reference_rv32im import RefCore, Halt
 
 
@@ -368,6 +368,52 @@ def test_traps_through_trap_vector_resume_after_mret():
     # each of 3 handler stores that meets the fetch in its bank
     assert cpu.tcdm_contentions == 3
     assert cpu.total_cycles == 60 + 6 + 5 * 2 + 3
+
+
+MISALIGNED_JUMP_GUEST = """
+_start:
+    csrr t0, 0xF14
+    li t1, %(hart)d
+    bne t0, t1, park        # only the core under test jumps
+    la t0, handler
+    csrw 0x305, t0          # mtvec
+    li a0, 7
+    la t2, target
+jump:
+    %(jump)s
+    nop
+target:
+    nop
+    nop
+handler:
+    csrw 0x305, x0          # unhook so the next trap halts
+done:
+    ebreak
+park:
+    ebreak
+"""
+
+
+@pytest.mark.parametrize("jump", ["jal a0, target + 2", "jalr a0, 2(t2)",
+                                  "beq t1, t1, target + 2"])
+@pytest.mark.parametrize("platform", ["minimal", "pulp-open"])
+def test_jump_to_a_misaligned_target_traps_on_the_jump(platform, jump):
+    # RV32 without C: instruction-address-misaligned (cause 0) on the jump
+    # itself, with the target in mtval and rd not written
+    if platform == "minimal":
+        plat, path, hart, origin = build_minimal(), "cpu", 0, 0x1000
+    else:
+        plat, path, hart, origin = build_pulp(["cluster.nb_cores=1"]), "fc", 32, 0x1C000000
+    prog = assemble(MISALIGNED_JUMP_GUEST % {"hart": hart, "jump": jump}, origin=origin)
+    for addr, word in prog.words.items():
+        plat.poke(addr, word.to_bytes(4, "little"))
+    plat.set_entry(prog.entry)
+    plat.run(max_cycles=100_000)
+    cpu, sym = plat.lookup(path), prog.symbols
+    assert (cpu.csr_mcause, cpu.csr_mepc, cpu.csr_mtval) == (0, sym["jump"], sym["target"] + 2)
+    assert cpu.regs[10] == 7
+    assert cpu.branches_taken == 0
+    assert cpu.mode == "halted" and cpu.pc == sym["done"]
 
 
 def test_reset_forgets_the_previous_runs_diagnostics():

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulpsim.engine import (TimeEngine, ClockDomain, Event, EXIT_IDLE, EXIT_TIMEOUT,
                             PS_PER_SEC)
@@ -421,15 +422,12 @@ def _steps(log):
     return [entry for entry in log if entry[0] not in ("call", "horizon")]
 
 
-def test_horizon_is_minus_one_outside_a_run():
+def test_horizon_is_capped_by_the_deadline():
     eng, dom = make_domain()
     seen = []
-    dom.enqueue(Event("t", lambda e: seen.append(eng.horizon_ps)), 0)
-    assert eng.horizon_ps == -1
+    dom.enqueue(Event("t", lambda e: seen.append(dom.horizon_cycle)), 0)
     eng.run(max_cycles=10)
-    assert seen == [10 * dom.period_ps]     # alone: capped by the deadline
-    assert dom.horizon_cycle == 10
-    assert eng.horizon_ps == -1
+    assert seen == [10]     # alone: capped by the deadline
 
 
 def test_run_ahead_keeps_timing_and_counters():
@@ -519,6 +517,43 @@ def test_deadline_inside_run_ahead_times_out_at_the_same_time():
     assert plain[:4] == ref[:4]
 
 
+def test_exit_completes_the_cycle_a_callback_ran_ahead_to():
+    # the stepper runs ahead to cycle 140, posts exit there and puts an
+    # event at delta 0: that event belongs to cycle 140, which completes
+    def build(eng, log):
+        dom = eng.add_domain(ClockDomain("clk", 400_000_000))
+        late = Event("late", lambda e: log.append(("late", dom.cycle, eng.now_ps)))
+
+        def on_step(cycle):
+            if cycle == 140:
+                eng.post_exit(7)
+                dom.enqueue(late, 0)
+
+        dom.enqueue(_stepper(dom, log, [70] * 3, on_step), 0)
+        return [dom]
+
+    plain, ref = _both_ways(build)
+    assert plain[4].count(("call",)) == 1
+    assert _steps(plain[4])[-1] == ("late", 140, 140 * 2500)
+    assert _steps(plain[4]) == _steps(ref[4])
+    assert plain[:4] == ref[:4]
+
+
+def test_run_ahead_stops_at_the_deadline_behind_a_domain_due_past_it():
+    # the slow domain, scanned first, is next due at fast cycle 100, past
+    # the deadline at fast cycle 50: the stepper stops before the deadline
+    def build(eng, log):
+        slow = eng.add_domain(ClockDomain("slow", 50_000))
+        fast = eng.add_domain(ClockDomain("fast", 1_250_000))
+        slow.enqueue(Event("late", lambda e: log.append(("late", slow.cycle))), 4)
+        fast.enqueue(_stepper(fast, log, [10] * 10), 0)
+        return [slow, fast]
+
+    (status, now, cycles, counters, log), ref = _both_ways(build, max_cycles=50)
+    assert status == EXIT_TIMEOUT and cycles == [0, 40] == ref[2]
+    assert _steps(log) == _steps(ref[4])
+
+
 def test_cross_domain_enqueue_stops_run_ahead_before_the_event():
     # at fast cycle 300 (750000 ps) the stepper schedules an event into the
     # sleeping slow domain, whose counter is still 0, at slow cycle 76
@@ -531,20 +566,72 @@ def test_cross_domain_enqueue_stops_run_ahead_before_the_event():
         def on_step(cycle):
             if cycle == 300:
                 slow.enqueue(ping, 1)
-                log.append(("horizon", eng.horizon_ps, fast.horizon_cycle))
+                log.append(("horizon", fast.horizon_cycle))
 
         fast.enqueue(_stepper(fast, log, [100] * 3 + [1] * 10, on_step), 0)
         return [fast, slow]
 
     plain, ref = _both_ways(build)
     log = plain[4]
-    assert ("horizon", 760000, 304) in log
+    assert ("horizon", 304) in log
     steps = _steps(log)
     assert steps.index(("ping", 76, 760000)) == steps.index(("step", 304, 760000)) + 1
     assert log.index(("step", 303, 757500)) < log.index(("call",), 1) < log.index(("step", 304, 760000))
     assert steps == _steps(ref[4])
     assert plain[:4] == ref[:4]
     assert plain[3] == [(14, 4, 3), (1, 1, 1)]      # far steps, far wake-up
+
+
+@st.composite
+def _run_ahead_plans(draw):
+    """2 or 3 domains at 2^a 5^b Hz with 1 to 3 steppers each, and an
+    optional deadline.  Each step of a stepper does nothing, posts exit, or
+    enqueues a one-shot event into another domain, (domain, delta)."""
+    n = draw(st.integers(2, 3))
+    freqs = [2 ** draw(st.integers(4, 9)) * 5 ** draw(st.integers(5, 8)) for _ in range(n)]
+    steppers = []
+    for d in range(n):
+        for _ in range(draw(st.integers(1, 3))):
+            deltas = draw(st.lists(st.integers(0, 150), max_size=8))
+            actions = []
+            for _ in range(len(deltas) + 1):
+                roll = draw(st.integers(0, 19))
+                actions.append("exit" if roll == 0 else None if roll > 7 else
+                               ((d + draw(st.integers(1, n - 1))) % n, draw(st.integers(0, 100))))
+            steppers.append((d, deltas, actions))
+    return freqs, steppers, draw(st.none() | st.integers(1, 3000))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_run_ahead_plans())
+def test_run_ahead_with_cross_domain_enqueues_matches_the_ticked_run(plan):
+    freqs, steppers, max_cycles = plan
+
+    def build(eng, log):
+        doms = [eng.add_domain(ClockDomain("d%d" % i, f)) for i, f in enumerate(freqs)]
+
+        def shot(e):
+            target = doms[e.payload]
+            log.append(("shot", target.name, target.cycle, eng.now_ps))
+
+        for k, (d, deltas, actions) in enumerate(steppers):
+            def on_step(cycle, k=k, todo=iter(actions)):
+                log.append(("stepper", k))
+                act = next(todo)
+                if act == "exit":
+                    eng.post_exit(k)
+                elif act is not None:
+                    doms[act[0]].enqueue(Event("shot", shot, act[0]), act[1])
+
+            doms[d].enqueue(_stepper(doms[d], log, deltas, on_step), 0)
+        return doms
+
+    (status, now, cycles, counters, log), ref = _both_ways(build, max_cycles)
+    assert _steps(log) == _steps(ref[4])
+    assert (status, cycles) == (ref[0], ref[2])
+    if status not in (EXIT_IDLE, EXIT_TIMEOUT):     # else the ticker may tick on
+        assert now == ref[1]
+    assert [c[0] for c in counters] == [c[0] for c in ref[3]]     # events_executed
 
 
 def test_lap_counters_match_the_ring():
