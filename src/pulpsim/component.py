@@ -15,10 +15,16 @@ from .errors import ConfigError, StructuralError
 
 REQUIRED = object()
 
-STATUS_OK = "ok"
-STATUS_ERR = "error"
-
 MAX_REQUEST_BYTES = 4096        # the widest icache line or DMA burst
+
+
+class BusError(Exception):
+    """Raised by a handler that refuses its request."""
+
+
+class Sleep(Exception):
+    """Raised by a handler for a read that blocks until its initiator is
+    woken, which then issues the read again."""
 
 
 class Request:
@@ -31,10 +37,18 @@ class Request:
     before every send; each stage only advances it, a clock crossing
     converting it between domains, and reads no domain counter; on return
     the initiator charges `at` minus its issue cycle.
+
+    A handler serves the request, advancing `at` and filling a read's
+    `value`, or raises: `BusError` to refuse it, `Sleep` to block a read
+    until the initiator is woken.  Either passes up every stage to the
+    initiator; what a stage did before it forwarded the request stays
+    done (a router's `forwarded`, an icache's `misses`).  The slave sets
+    the flags `contended` (a bank made it wait) and `cache_miss` (an
+    icache refilled); the master that reads one clears it there.
     """
 
     __slots__ = ("addr", "size", "is_write", "value", "initiator",
-                 "at", "status", "contended", "sleep", "cache_miss")
+                 "at", "contended", "cache_miss")
 
     def __init__(self, addr=0, size=0, is_write=False, value=0, initiator=None):
         self.addr = addr
@@ -43,19 +57,12 @@ class Request:
         self.value = value
         self.initiator = initiator
         self.at = 0
-        self.reset()
-
-    def reset(self):
-        """Clear the response fields before the request is sent (again)."""
-        self.status = STATUS_OK
         self.contended = False
-        self.sleep = False
         self.cache_miss = False
 
     def __repr__(self):
         kind = "W" if self.is_write else "R"
-        return "<Request %s 0x%08x size=%d at=%d %s>" % (
-            kind, self.addr, self.size, self.at, self.status)
+        return "<Request %s 0x%08x size=%d at=%d>" % (kind, self.addr, self.size, self.at)
 
 
 class Port:
@@ -225,7 +232,7 @@ class RegisterDevice(Component):
     the offsets of the plain registers to their values, which writes store
     and reads return.  Other offsets go to the class's READS or WRITES map
     from offset to a method taking `(self, req)`.  An access that is not 4
-    bytes, or to an offset in neither, fails with STATUS_ERR.
+    bytes, or to an offset in neither, raises `BusError`.
 
     The devices run jobs that outlive the register write starting them:
     `log` traces a job's start and end on the device's path, and the
@@ -243,8 +250,7 @@ class RegisterDevice(Component):
 
     def handle(self, req):
         if req.size != 4:
-            req.status = STATUS_ERR
-            return
+            raise BusError
         off = req.addr - self.base
         regs = self.regs
         if off in regs:
@@ -255,9 +261,8 @@ class RegisterDevice(Component):
             return
         method = (self.WRITES if req.is_write else self.READS).get(off)
         if method is None:
-            req.status = STATUS_ERR
-        else:
-            method(self, req)
+            raise BusError
+        method(self, req)
 
     def read_status(self, req):
         """A READS method for a register that reads `self.status`."""

@@ -23,20 +23,22 @@ data port's handler are bound in.  `run(pc)` updates registers and memory
 and returns the next pc if it transfers control (jal, jalr, mret, a taken
 branch), else None.  A word whose only effect is its write to rd gets the
 shared `_nop` when rd is x0.  `run` raises `Trap(cause, tval)` for ecall,
-ebreak, an illegal CSR access, a data access fault or a jump or taken
-branch to a target off the 4-byte grid (there is no C extension), before
-writing rd: the step charges 1 + fetch latency + stall and enters the trap
-vector.  A jal's or branch's target is pc + imm, so `imm & 2` decides when
-the word is bound whether it traps; a jalr tests its target.  Loads and
-stores make their one data access (isa module docstring) by setting the
-data request's fields but `at` and calling the handler: the step sets `at`
-and charges its advance and the contention the handler leaves.  A load
-reads from rs1 + imm, or, in its post-increment mode (p.lwpost), from rs1
-and then adds imm to rs1 unless rs1 is x0 or rd.  A load raises `Sleep`
-for a blocking read from a synchronization register: the attempt is
-charged and the core sleeps without retiring, to re-execute the read on
-wake-up, when its value is determined.  Only such reads sleep, so stores
-never do.
+ebreak, an illegal CSR access or a jump or taken branch to a target off
+the 4-byte grid (there is no C extension), before writing rd: the step
+charges 1 + fetch latency + stall and enters the trap vector.  A jal's or
+branch's target is pc + imm, so `imm & 2` decides when the word is bound
+whether it traps; a jalr tests its target.  Loads and stores make their
+one data access (isa module docstring) by setting the data request's
+fields but `at` and calling the handler: the step sets `at` and charges
+its advance and the contention the handler leaves.  A load reads from
+rs1 + imm, or, in its post-increment mode (p.lwpost), from rs1 and then
+adds imm to rs1 unless rs1 is x0 or rd.  An access the handler refuses
+(`BusError`) traps as a `Trap` would, with the load or store access fault
+at its address.  A blocking read from a synchronization register
+(`Sleep`) is charged its attempt, and the core sleeps without retiring,
+to re-execute the read on wake-up, when its value is determined; stores
+never sleep.  A refused or blocked fetch is an instruction access fault,
+charged 1 cycle.
 
 A CSR instruction reads and writes the core attribute that `CSRS` names
 for its CSR number, and a write keeps the bits `CSR_KEEP` gives.  Its
@@ -54,10 +56,9 @@ code and fence.i need no invalidation.  Each cache entry is a flat tuple
 which the step unpacks instead of reading the table entry; `ins` is kept
 for instruction traces.  The fetch and data requests are built once with
 their fixed fields, and the step sets their `at` to its start cycle
-before each access.  The step clears each response field it reads where
-it reads it (a fetch's `cache_miss`, a data access's `contended`), and a
-trap or a sleep resets the request, so these fields are clear before
-every access.  Nothing reads a fetch's `contended` or `sleep`.
+before each access.  The step clears each response flag it reads where
+it reads it (a fetch's `cache_miss`, a data access's `contended`), so
+they are clear before every access.  Nothing reads a fetch's `contended`.
 
 Fetch lease.  A core whose fetch port is the only master bound to an
 instruction cache (its private L1) holds a lease on the line of its last
@@ -69,7 +70,7 @@ any other fetch goes through the cache and leases its line.
 
 import operator
 
-from .component import Component, register, STATUS_OK, Request
+from .component import BusError, Component, register, Request, Sleep
 from .engine import Event
 from .errors import ConfigError
 from .isa import IsaTable, sext
@@ -107,10 +108,6 @@ def _s32(v):
 
 class Trap(Exception):
     """Raised by semantics, with args (cause, tval)."""
-
-
-class Sleep(Exception):
-    """Raised by a load's semantics for a blocking read."""
 
 
 # -- instruction semantics -------------------------------------------------
@@ -191,10 +188,6 @@ def _load(size, signed=False, post=False):
             req.size = size
             req.is_write = False
             handler(req)
-            if req.status != STATUS_OK:
-                raise Trap(CAUSE_LOAD_FAULT, addr)
-            if req.sleep:
-                raise Sleep
             if bump:
                 regs[rs1] = (addr + bump) & M32
             if rd:
@@ -214,8 +207,6 @@ def _store(size):
             req.is_write = True
             req.value = regs[rs2] & mask
             handler(req)
-            if req.status != STATUS_OK:
-                raise Trap(CAUSE_STORE_FAULT, addr)
         return run
     return make
 
@@ -437,9 +428,9 @@ class RiscvCore(Component):
                 freq = self._fetch_req
                 freq.addr = pc
                 freq.at = C
-                self._fetch_handler(freq)
-                if freq.status != STATUS_OK:
-                    freq.reset()
+                try:
+                    self._fetch_handler(freq)
+                except (BusError, Sleep):
                     self._take_trap(CAUSE_IACCESS, pc, 1)
                     return
                 fetch_lat = freq.at - C
@@ -479,13 +470,15 @@ class RiscvCore(Component):
             try:
                 npc = run(pc)
             except Trap as trap:
-                dreq.reset()
                 self._take_trap(*trap.args, 1 + fetch_lat + stall)
+                return
+            except BusError:
+                self._take_trap(CAUSE_STORE_FAULT if dreq.is_write else CAUSE_LOAD_FAULT,
+                                dreq.addr, 1 + fetch_lat + stall)
                 return
             except Sleep:
                 # keep pc, do not retire: re-executed on wake
                 attempt = 1 + fetch_lat + stall + dreq.at - C
-                dreq.reset()
                 self.total_cycles += attempt
                 self.active_cycles += attempt
                 self.mode = "sleeping"

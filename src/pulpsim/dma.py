@@ -27,7 +27,7 @@ TID_STATUS remembers only the last TID_WINDOW ids: an older id that is not
 in flight reads 0xFFFFFFFF, so the failed ids kept stay bounded.
 """
 
-from .component import RegisterDevice, register, REQUIRED, Request, STATUS_OK, MAX_REQUEST_BYTES
+from .component import BusError, RegisterDevice, register, REQUIRED, Request, MAX_REQUEST_BYTES
 from .engine import Event
 from .event_unit import line_owner
 from .memory import bound_memory
@@ -150,29 +150,28 @@ class ClusterDma(RegisterDevice):
         return self.tcdm_port if tcdm.base <= addr < tcdm.base + tcdm.size else self.ext_port
 
     def _access(self, req, addr, size, at):
-        """Issue `req` at cycle `at` to `addr` on the port that serves it; True if served."""
+        """Issue `req` at cycle `at` to `addr` on the port that serves it."""
         req.addr, req.size, req.at = addr, size, at
-        req.reset()
         self._port_for(addr).binding.handler(req)
-        if req.status != STATUS_OK:
-            return False
         if req.contended:
+            req.contended = False
             self.contentions += 1
-        return True
 
     def _burst(self, ev):
         tid, left, plan = ev.payload
         src, dst, size = next(plan)
         read, write = self._read, self._write
         now = self.domain.cycle
-        ok = self._access(read, src, size, now)
-        if ok:
+        try:
+            self._access(read, src, size, now)
             write.value = read.value
-            ok = self._access(write, dst, size, now)
-        if ok:
-            self.bytes += size
-        if not ok or left == 1:
-            self._finish(tid, not ok)
+            self._access(write, dst, size, now)
+        except BusError:
+            self._finish(tid, True)
+            return
+        self.bytes += size
+        if left == 1:
+            self._finish(tid, False)
         else:
             ev.payload = (tid, left - 1, plan)
             cost = self.params["burst_latency"] + (read.at - now) + (write.at - now)

@@ -2,11 +2,11 @@
 
 Event lines are broadcast: setting a line marks it pending for every served
 core and wakes all cores blocked on it.  Waiting is a memory-mapped read
-that blocks: if nothing is pending the core goes to sleep with its pc
-unchanged and re-executes the read when woken, so the returned value is
-decided at wake-up time.  Barriers use the same sleep path; the release
-value each sleeper picks up on replay is parked in a per-core box so a core
-can never arrive twice for one generation.
+that blocks: if nothing is pending the handler raises `Sleep`, and the core
+goes to sleep with its pc unchanged and re-executes the read when woken,
+so the returned value is decided at wake-up time.  Barriers use the same
+sleep path; the release value each sleeper picks up on replay is parked in
+a per-core box so a core can never arrive twice for one generation.
 
 The same component doubles as the fabric controller's interrupt
 controller (a one-core instance: raise = set line, ack = clear).
@@ -21,14 +21,15 @@ Register map (word offsets from `base`; accesses are 4 bytes):
     0x18 BARRIER_TRIG r   blocking: arrive; returns the new generation
     0x1C BARRIER_STATUS r arrived bitmask
     0x20 NB_CORES     r   number of served cores
-Errors: a per-core access from an initiator the unit does not serve (it
-reads EVT_MASK and EVT_STATUS as 0), a line number out of range, EVT_WAIT
-with an empty mask, an arrival outside the barrier mask, and any other
-offset or direction.  The arrival that completes the barrier mask returns
-the new generation and wakes every other core asleep in the barrier.
+Errors raise `BusError`: a per-core access from an initiator the unit does
+not serve (it reads EVT_MASK and EVT_STATUS as 0), a line number out of
+range, EVT_WAIT with an empty mask, an arrival outside the barrier mask,
+and any other size, offset or direction.  The arrival that completes the
+barrier mask returns the new generation and wakes every other core asleep
+in the barrier.
 """
 
-from .component import Component, register, REQUIRED, STATUS_ERR
+from .component import BusError, Component, register, REQUIRED, Sleep
 from .errors import ConfigError
 
 EVT_MASK = 0x00
@@ -108,8 +109,7 @@ class EventUnit(Component):
     def handle(self, req):
         off = req.addr - self.base
         if req.size != 4:
-            req.status = STATUS_ERR
-            return
+            raise BusError
         st = None
         idx = self.index_of.get(req.initiator)
         if idx is not None:
@@ -119,35 +119,30 @@ class EventUnit(Component):
             value = req.value
             if off == EVT_SET:
                 if not 0 <= value < self.n_lines:
-                    req.status = STATUS_ERR
-                    return
+                    raise BusError
                 self.set_line(value)
             elif off == EVT_ACK:
                 if st is None or not 0 <= value < self.n_lines:
-                    req.status = STATUS_ERR
-                    return
+                    raise BusError
                 st.pending &= ~(1 << value)     # ack of a clear line is a no-op
             elif off == EVT_MASK:
                 if st is None:
-                    req.status = STATUS_ERR
-                    return
+                    raise BusError
                 st.mask = value & ((1 << self.n_lines) - 1)
             elif off == BARRIER_MASK:
                 self.barrier_mask = value & self.all_mask
             else:
-                req.status = STATUS_ERR
+                raise BusError
             return
 
         # reads
         if off == EVT_WAIT:
             if st is None:
-                req.status = STATUS_ERR
-                return
+                raise BusError
             self._do_wait(req, st)
         elif off == BARRIER_TRIG:
             if st is None:
-                req.status = STATUS_ERR
-                return
+                raise BusError
             self._do_barrier(req, st, idx)
         elif off == EVT_STATUS:
             req.value = st.pending if st is not None else 0
@@ -160,12 +155,11 @@ class EventUnit(Component):
         elif off == NB_CORES:
             req.value = len(self.states)
         else:
-            req.status = STATUS_ERR
+            raise BusError
 
     def _do_wait(self, req, st):
         if st.mask == 0:
-            req.status = STATUS_ERR
-            return
+            raise BusError
         pend = st.pending & st.mask
         if pend:
             line = (pend & -pend).bit_length() - 1
@@ -174,7 +168,7 @@ class EventUnit(Component):
             req.value = line
         else:
             st.wait_kind = "evt"
-            req.sleep = True
+            raise Sleep
 
     def _do_barrier(self, req, st, idx):
         if st.release is not None:
@@ -185,8 +179,7 @@ class EventUnit(Component):
             return
         bit = 1 << idx
         if not self.barrier_mask & bit:
-            req.status = STATUS_ERR
-            return
+            raise BusError
         self.barrier_arrived |= bit
         if self.barrier_arrived & self.barrier_mask == self.barrier_mask:
             self.generation += 1
@@ -202,7 +195,7 @@ class EventUnit(Component):
             req.value = self.generation
         else:
             st.wait_kind = "barrier"
-            req.sleep = True
+            raise Sleep
 
 
 def line_owner(comp, unit, line):

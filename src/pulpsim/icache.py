@@ -26,7 +26,7 @@ leased line is still its set's MRU way, an MRU hit changes no state but
 `hits`, and any fetch outside the line comes here and leases again.
 """
 
-from .component import Component, register, Request, STATUS_ERR, STATUS_OK, MAX_REQUEST_BYTES
+from .component import BusError, Component, register, Request, MAX_REQUEST_BYTES
 from .errors import ConfigError
 
 
@@ -71,8 +71,7 @@ class InstructionCache(Component):
         size = req.size
         off = addr & (self.line - 1)
         if off + size > self.line:
-            req.status = STATUS_ERR     # fetch may not straddle a line
-            return
+            raise BusError              # a fetch may not straddle a line
         lineno = addr // self.line
         set_i = lineno % self.sets
         tag = lineno // self.sets
@@ -92,29 +91,22 @@ class InstructionCache(Component):
                     break
             else:
                 way = self._refill(req, set_i, tag, addr - off)
-                if way is None:
-                    return
         self.last_line = line = self.data[set_i][way]
         req.value = line >> (off << 3) & ((1 << (size << 3)) - 1)
 
     def _refill(self, req, set_i, tag, line_addr):
         """Miss: fetch the line from upstream into the LRU way and make it
-        the MRU way.  Returns that way, or None when the refill failed; the
-        failure status is then copied to `req`."""
+        the MRU way; returns that way."""
         self.misses += 1
-        req.cache_miss = True
         rr = self._refill_req
         rr.addr = line_addr
         rr.initiator = req.initiator
-        rr.reset()
         at = req.at + self.hit_latency
         if at <= self.busy_until:       # behind the refill issued last
             at = self.busy_until + 1
         self.busy_until = rr.at = at
         self.refill_port.binding.handler(rr)
-        if rr.status != STATUS_OK:
-            req.status = rr.status
-            return None
+        req.cache_miss = True
         self.refills += 1
         order = self.lru[set_i]
         victim = order.pop()

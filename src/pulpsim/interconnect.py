@@ -8,7 +8,7 @@ port and do their own per-bank accounting, so no fan-in component sits in
 front of them.
 """
 
-from .component import Component, register, as_int, REQUIRED, STATUS_ERR
+from .component import BusError, Component, register, as_int, REQUIRED
 from .errors import ConfigError
 
 
@@ -99,8 +99,7 @@ class Router(Component):
     def handle(self, req):
         out = decode(self.mappings, req.addr)
         if out is None:
-            req.status = STATUS_ERR     # bus error; no occupancy charged
-            return
+            raise BusError              # no occupancy charged
         at = req.at
         if self.bandwidth:
             queuing = self.busy_until - at
@@ -162,6 +161,8 @@ class ClockCrossing(Component):
     def handle(self, req):
         issued = req.at
         req.at = self.arrival(issued)
-        self.out.binding.handler(req)
-        req.at = max(issued, self.src.cycle_at_or_after(self.domain.time_of_cycle(req.at)))
         self.crossings += 1
+        try:
+            self.out.binding.handler(req)
+        finally:    # also when it raises: a read that sleeps is charged its return
+            req.at = max(issued, self.src.cycle_at_or_after(self.domain.time_of_cycle(req.at)))

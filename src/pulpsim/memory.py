@@ -16,7 +16,7 @@ and the bytes moved in one slice.
 
 import struct
 
-from .component import Component, register, REQUIRED, STATUS_ERR
+from .component import BusError, Component, register, REQUIRED
 from .errors import ConfigError
 
 _WORD = struct.Struct("<I")     # a 4-byte `value` access packs in place
@@ -63,12 +63,8 @@ class BankedMemory(Component):
     def handle(self, req):
         off = req.addr - self.base
         size = req.size
-        if off < 0 or off + size > self.size:
-            req.status = STATUS_ERR
-            return
-        if size in (1, 2, 4) and off & (size - 1):
-            req.status = STATUS_ERR     # misaligned narrow access
-            return
+        if off < 0 or off + size > self.size or size in (1, 2, 4) and off & (size - 1):
+            raise BusError              # outside the memory, or a misaligned narrow access
         words = ((off + size - 1) >> 2) - (off >> 2) + 1   # the words its bytes touch
         at = req.at
         bank = (off >> 2) & self.bank_mask

@@ -28,7 +28,7 @@ programs a way to stop the simulation and print.
 
 import mmap
 
-from .component import Component, RegisterDevice, register, REQUIRED, STATUS_ERR
+from .component import BusError, Component, RegisterDevice, register, REQUIRED
 from .engine import Event, PS_PER_SEC
 from .errors import ConfigError
 from .event_unit import line_owner
@@ -85,8 +85,7 @@ class HyperRam(Component):
     def handle(self, req):
         off = req.addr - self.base
         if off < 0 or off + req.size > self.size:
-            req.status = STATUS_ERR
-            return
+            raise BusError
         req.at += -(-self.access_ps(req.size) // self.domain.period_ps)
         if req.is_write:
             self.writes += 1
@@ -259,4 +258,4 @@ class SimControl(Component):
             else:
                 req.value = 0
         else:
-            req.status = STATUS_ERR
+            raise BusError

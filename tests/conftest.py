@@ -7,6 +7,7 @@ import pytest
 
 import pulpsim
 from pulpsim.asm import assemble
+from pulpsim.component import BusError, Sleep
 from pulpsim.engine import ClockDomain, Event
 
 MINIMAL_PLATFORM = {
@@ -25,6 +26,19 @@ MINIMAL_PLATFORM = {
         ["cpu.data", "ram.in"],
     ],
 }
+
+
+def outcome(handler, req):
+    """Send `req` to a slave port's `handler`: "ok" when it serves the
+    request, "error" when it refuses it (`BusError`), "sleep" when it
+    blocks it (`Sleep`)."""
+    try:
+        handler(req)
+    except BusError:
+        return "error"
+    except Sleep:
+        return "sleep"
+    return "ok"
 
 
 def minimal_descriptor(**tweaks):

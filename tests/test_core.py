@@ -1,16 +1,18 @@
 """Core tests: decode anchors, semantics edge cases, timing model, traps,
 and randomized equivalence against the independent reference interpreter."""
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pulpsim
 from pulpsim.isa import IsaTable
 from pulpsim.asm import assemble
 from pulpsim.errors import ConfigError
 
-from conftest import build_minimal, build_pulp, run_program
+from conftest import MINIMAL_PLATFORM, build_minimal, build_pulp, run_program
 from reference_rv32im import RefCore, Halt
 
 
@@ -292,6 +294,26 @@ def test_fetch_from_an_unmapped_pc_is_an_access_fault():
     assert cpu.mode == "halted" and cpu.pc == 0xDEAD0000
     assert plat.diagnostics == [
         "cpu: unhandled trap cause=1 tval=0xdead0000 at pc=0xdead0000; core halted"]
+
+
+EU = 0x100000      # an event unit just past the minimal platform's RAM
+
+
+def test_fetch_that_blocks_is_an_access_fault():
+    # the core fetches from EVT_WAIT of an event unit that serves it, with
+    # line 0 in its mask and no line pending: a read there sleeps
+    desc = json.loads(json.dumps(MINIMAL_PLATFORM))
+    desc["components"].update(
+        eu={"kind": "event-unit", "domain": "main", "params": {"base": EU, "cores": ["cpu"]}},
+        bus={"kind": "router", "domain": "main",
+             "params": {"mappings": [{"target": "ram"}, {"target": "eu"}]}})
+    desc["bindings"] = [["cpu.fetch", "bus.in"], ["cpu.data", "bus.in"]]
+    plat = pulpsim.build(pulpsim.parse(json.dumps(desc)))
+    src = "_start:\n    li t0, %d\n    li t1, 1\n    sw t1, 0(t0)\n    jalr zero, 4(t0)\n" % EU
+    plat, cpu, _ = run_program(src, max_cycles=2000, platform=plat)
+    assert cpu.mode == "halted" and cpu.pc == EU + 4
+    assert plat.diagnostics == [
+        "cpu: unhandled trap cause=1 tval=0x%08x at pc=0x%08x; core halted" % (EU + 4, EU + 4)]
 
 
 def test_lwpost_fault_leaves_its_base_register():

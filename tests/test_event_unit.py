@@ -10,8 +10,8 @@ are weighted (`draw_trace`) so that waits, barriers and wake-ups happen in
 most traces.  Every core's `wake` is replaced by a recorder.  As on the
 platform, a core asleep in a wait or a barrier issues nothing until it is
 woken, and then issues the read it slept in again before anything else.
-After every access the status, the value, the sleep flag and the set of
-woken cores must be the reference's, and only sleeping cores may wake.
+After every access whether it was served, the value, whether it sleeps
+and the set of woken cores must be the reference's, and only sleeping cores may wake.
 """
 
 from functools import partial
@@ -19,7 +19,6 @@ from functools import partial
 from hypothesis import given, settings, strategies as st
 
 from pulpsim import event_unit as eu
-from pulpsim.component import STATUS_OK
 
 from conftest import build_pulp
 from reference_event_unit import RefEventUnit
@@ -81,10 +80,10 @@ def test_event_unit_matches_the_reference(rnd):
             write, offset, value = False, replay.pop(who), None
         served = who if who < len(cores) else None
         woken.clear()
-        req = _access(unit, offset, value=value, initiator=initiators[who])
-        got = (req.status == STATUS_OK, req.value, req.sleep, woken)
+        result, got_value = _access(unit, offset, value=value, initiator=initiators[who])
+        got = (result != "error", got_value, result == "sleep", woken)
         assert got == ref.access(served, write, offset, value), (who, write, hex(offset), value)
         assert woken <= set(asleep)
         replay.update((core, asleep.pop(core)) for core in woken)
-        if req.sleep:
+        if result == "sleep":
             asleep[who] = offset

@@ -13,9 +13,9 @@ import pytest
 
 import pulpsim
 from pulpsim.asm import assemble
-from pulpsim.component import Request, STATUS_ERR
+from pulpsim.component import Request
 
-from conftest import build_pulp
+from conftest import build_pulp, outcome
 from reference_cache import RefLruCache
 
 MEM_SIZE = 0x10000
@@ -83,9 +83,9 @@ def test_icache_matches_reference_lru(geometry, seed):
             addr, nbytes = base + rng.randrange(0, line, 4), 4
         req = Request(addr, nbytes, False)
         req.at = issue = 3 * i
-        cache.ports["in"].handler(req)
+        result = outcome(cache.ports["in"].handler, req)
         hit = ref.access(addr)
-        assert req.status == "ok"
+        assert result == "ok"
         assert req.cache_miss == (not hit), hex(addr)
         if hit:
             hits += 1
@@ -103,8 +103,7 @@ def test_fetch_straddling_a_line_fails():
     cache = build_cache(512, 2, 16, 0, bytes(MEM_SIZE))
     for addr, nbytes in ((14, 4), (0, 32)):
         req = Request(addr, nbytes, False)
-        cache.ports["in"].handler(req)
-        assert req.status == STATUS_ERR and not req.cache_miss
+        assert outcome(cache.ports["in"].handler, req) == "error" and not req.cache_miss
     assert (cache.hits, cache.misses) == (0, 0)
 
 

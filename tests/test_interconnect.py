@@ -8,6 +8,8 @@ from pulpsim.engine import TimeEngine, ClockDomain
 from pulpsim.errors import ConfigError
 from pulpsim.interconnect import Router, ClockCrossing, decode
 
+from conftest import outcome
+
 
 class Sink(Component):
     kind = "test-sink"
@@ -74,8 +76,7 @@ def test_route_adds_latency_and_forwards():
 def test_route_miss_is_bus_error_without_occupancy():
     router, *_ = make_router(latency=1, bandwidth=8)
     req = Request(0x9000, 4, False)
-    router.handle(req)
-    assert req.status == "error"
+    assert outcome(router.handle, req) == "error"
     assert router.busy_until == -1
 
 

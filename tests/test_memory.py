@@ -12,7 +12,7 @@ from pulpsim.errors import ConfigError
 from pulpsim.memory import BankedMemory
 from pulpsim.periph import HyperRam
 
-from conftest import build_minimal
+from conftest import build_minimal, outcome
 
 
 class FakePlatform:
@@ -102,8 +102,8 @@ def test_wide_request_charges_one_cycle_per_extra_word():
 ])
 def test_access_holds_the_bank_of_every_word_its_bytes_touch(off, nbytes, size, extra, held):
     mem, _ = make_mem(banks=4)
-    req = rd(mem, mem.base + off, nbytes)
-    assert req.status == "ok" and req.at == extra
+    req = Request(mem.base + off, nbytes, False)
+    assert outcome(mem.handle, req) == "ok" and req.at == extra
     assert mem.bank_busy == held
     streamed, _ = make_mem(banks=4)
     assert streamed.stream(streamed.base + off, nbytes, size, [0]) == (1, extra)
@@ -117,15 +117,13 @@ def test_constant_access_latency_added():
 
 def test_misaligned_narrow_access_is_bus_error():
     mem, _ = make_mem()
-    req = rd(mem, 0x10000002, size=4)
-    assert req.status == "error"
-    req = rd(mem, 0x10000001, size=2)
-    assert req.status == "error"
+    assert outcome(mem.handle, Request(0x10000002, 4, False)) == "error"
+    assert outcome(mem.handle, Request(0x10000001, 2, False)) == "error"
 
 
 def test_out_of_range_is_error():
     mem, _ = make_mem(size=0x1000)
-    assert rd(mem, 0x10001000).status == "error"
+    assert outcome(mem.handle, Request(0x10001000, 4, False)) == "error"
 
 
 def test_poke_peek_roundtrip_no_counters():
@@ -211,9 +209,7 @@ def test_stream_matches_word_requests_through_handle(data):
 
     accepted = 0
     while accepted < count:
-        req = request(accepted, now)
-        probe.handle(req)
-        if req.status != "ok":
+        if outcome(probe.handle, request(accepted, now)) != "ok":
             break
         accepted += 1
     assert streamed.accepted(addr, nbytes, access) == accepted
@@ -223,8 +219,7 @@ def test_stream_matches_word_requests_through_handle(data):
     read = b""
     for j, at in enumerate(cycles):
         req = request(j, at)
-        handled.handle(req)
-        if req.status != "ok":
+        if outcome(handled.handle, req) != "ok":
             break
         want_served += 1
         want_waits += req.at - at
@@ -240,8 +235,7 @@ def test_stream_matches_word_requests_through_handle(data):
 def _model_access(mem, model, addr, size, write, value):
     """One request through `mem.handle`, mirrored on the bytearray `model`."""
     req = Request(addr, size, write, value)
-    mem.handle(req)
-    assert req.status == "ok"
+    assert outcome(mem.handle, req) == "ok"
     off = addr - mem.base
     if write:
         model[off:off + size] = value.to_bytes(size, "little")

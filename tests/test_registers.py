@@ -5,9 +5,9 @@ each device's `in` port."""
 import pytest
 
 from pulpsim import accel, dma, periph, event_unit as eu
-from pulpsim.component import Request, STATUS_ERR, STATUS_OK
+from pulpsim.component import Request
 
-from conftest import build_pulp
+from conftest import build_pulp, outcome
 
 L2 = 0x1C010000
 TCDM = 0x10000000
@@ -42,10 +42,10 @@ DEVICES = {
 
 
 def _access(dev, off, size=4, value=None, initiator=None):
+    """The outcome (conftest.outcome) and the request's value after it."""
     req = Request(dev.base + off, size, value is not None,
                   value=value or 0, initiator=initiator)
-    dev.ports["in"].handler(req)
-    return req
+    return outcome(dev.ports["in"].handler, req), req.value
 
 
 @pytest.mark.parametrize("kind", sorted(DEVICES))
@@ -56,13 +56,11 @@ def test_register_protocol(kind):
     status = next(iter(status_reads))
 
     for i, off in enumerate(plain):
-        assert _access(dev, off, value=0x1000 + 4 * i).status == STATUS_OK
+        assert _access(dev, off, value=0x1000 + 4 * i)[0] == "ok"
     for i, off in enumerate(plain):
-        req = _access(dev, off)
-        assert (req.status, req.value) == (STATUS_OK, 0x1000 + 4 * i), hex(off)
+        assert _access(dev, off) == ("ok", 0x1000 + 4 * i), hex(off)
     for off, expected in status_reads.items():
-        req = _access(dev, off)
-        assert (req.status, req.value) == (STATUS_OK, expected), hex(off)
+        assert _access(dev, off) == ("ok", expected), hex(off)
 
     for off, value in job.items():
         _access(dev, off, value=value)
@@ -72,11 +70,11 @@ def test_register_protocol(kind):
            _access(dev, 0x800),
            _access(dev, plain[0], size=1),
            _access(dev, status, size=2)]
-    assert [req.status for req in bad] == [STATUS_ERR] * len(bad)
-    assert _access(dev, status).value == 0        # no job started
+    assert [result for result, _ in bad] == ["error"] * len(bad)
+    assert _access(dev, status)[1] == 0        # no job started
 
-    assert _access(dev, trigger, value=cfg).status == STATUS_OK
-    assert _access(dev, status).value != 0        # the 4-byte trigger starts it
+    assert _access(dev, trigger, value=cfg)[0] == "ok"
+    assert _access(dev, status)[1] != 0        # the 4-byte trigger starts it
 
 
 def _event_unit():
@@ -91,9 +89,9 @@ def test_event_unit_reads():
     c0, c1 = cores[:2]
 
     def read(off, initiator=None):
-        req = _access(unit, off, initiator=initiator)
-        assert req.status == STATUS_OK, hex(off)
-        return req.value
+        result, value = _access(unit, off, initiator=initiator)
+        assert result == "ok", hex(off)
+        return value
 
     assert read(eu.NB_CORES) == 8
     assert read(eu.BARRIER_MASK) == 0xFF
@@ -108,7 +106,7 @@ def test_event_unit_reads():
     assert [read(eu.EVT_STATUS, c) for c in (c0, c1, fc)] == [0, 0x8, 0]
 
     assert read(eu.BARRIER_STATUS) == 0
-    assert _access(unit, eu.BARRIER_TRIG, initiator=c1).sleep
+    assert _access(unit, eu.BARRIER_TRIG, initiator=c1)[0] == "sleep"
     assert read(eu.BARRIER_STATUS) == 0x2
 
 
@@ -136,8 +134,8 @@ def test_event_unit_errors():
            _access(unit, eu.EVT_STATUS, value=1, initiator=c0),
            _access(unit, 0x24, initiator=c0),
            _access(unit, 0x24, value=0, initiator=c0)]
-    assert [req.status for req in bad] == [STATUS_ERR] * len(bad)
-    assert [req.sleep for req in bad] == [False] * len(bad)
+    # an access that fails does not also sleep: the outcome is one of three
+    assert [result for result, _ in bad] == ["error"] * len(bad)
     assert unit.events_set == 0 and unit.barrier_arrived == 0
     assert [st.pending for st in unit.states] == [0] * 8
 
@@ -156,14 +154,14 @@ def test_accelerator_job_errors_and_rejects():
     # an even kernel and each zero dimension: CH_IN, CH_OUT, H, W
     for bad in ({0x1C: 2}, {0x0C: 0}, {0x10: 0}, {0x14: 0}, {0x18: 0}):
         plat.reset()
-        assert _program(acc, {**job, **bad}, trigger, cfg).status == STATUS_OK
-        assert _access(acc, accel.REG_STATUS).value == accel.ST_ERROR, bad
+        assert _program(acc, {**job, **bad}, trigger, cfg)[0] == "ok"
+        assert _access(acc, accel.REG_STATUS)[1] == accel.ST_ERROR, bad
         assert acc.running is None
     plat.reset()
     statuses = []
     for _ in range(3):
         _program(acc, job, trigger, cfg)
-        statuses.append(_access(acc, accel.REG_STATUS).value)
+        statuses.append(_access(acc, accel.REG_STATUS)[1])
     busy, shadow = accel.ST_BUSY, accel.ST_SHADOW
     assert statuses == [busy, busy | shadow, busy | shadow | accel.ST_REJECT]
 
@@ -174,7 +172,7 @@ def test_dma_rejects_an_empty_transfer():
     dma_dev = plat.lookup(path)
     for bad, cfg_bits in (({dma.REG_LEN: 0}, cfg), ({dma.REG_COUNT: 0}, cfg | 2)):
         _program(dma_dev, {**job, **bad}, trigger, cfg_bits)
-        assert _access(dma_dev, dma.REG_STATUS).value == dma.FLAG_CONFIG, bad
+        assert _access(dma_dev, dma.REG_STATUS)[1] == dma.FLAG_CONFIG, bad
     assert dma_dev.transfers == 0 and not dma_dev.active
 
 
@@ -186,20 +184,19 @@ def test_micro_dma_errors():
     for bad in ({periph.UDMA_LEN: 0}, {periph.UDMA_EXT_ADDR: size - 8}):
         plat.reset()
         _program(udma, {**job, **bad}, trigger, cfg)
-        assert _access(udma, periph.UDMA_STATUS).value == periph.UDMA_ERR, bad
+        assert _access(udma, periph.UDMA_STATUS)[1] == periph.UDMA_ERR, bad
         assert udma.transfers == 0
     plat.reset()
     _program(udma, job, trigger, cfg)
-    assert _access(udma, periph.UDMA_STATUS).value == periph.UDMA_BUSY
+    assert _access(udma, periph.UDMA_STATUS)[1] == periph.UDMA_BUSY
     _program(udma, job, trigger, cfg)                    # again while busy
-    assert _access(udma, periph.UDMA_STATUS).value == periph.UDMA_BUSY | periph.UDMA_ERR
+    assert _access(udma, periph.UDMA_STATUS)[1] == periph.UDMA_BUSY | periph.UDMA_ERR
     assert udma.transfers == 1
 
 
 def test_sim_control_reads_zero_and_maps_two_registers():
     simctl = build_pulp().lookup("sim_ctrl")
     for off in (periph.SIMCTL_EXIT, periph.SIMCTL_PUTC):
-        req = _access(simctl, off)
-        assert (req.status, req.value) == (STATUS_OK, 0), off
-    assert _access(simctl, 0x8).status == STATUS_ERR
-    assert _access(simctl, 0x8, value=1).status == STATUS_ERR
+        assert _access(simctl, off) == ("ok", 0), off
+    assert _access(simctl, 0x8)[0] == "error"
+    assert _access(simctl, 0x8, value=1)[0] == "error"
