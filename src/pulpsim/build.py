@@ -11,7 +11,7 @@ import time
 from .component import COMPONENT_KINDS, bind
 from .engine import TimeEngine, ClockDomain
 from .errors import ConfigError
-from .interconnect import resolve_mappings
+from .interconnect import check_loops, resolve_mappings
 
 
 class Platform:
@@ -61,6 +61,7 @@ class Platform:
 
         self._check_bound()
         self._check_hart_ids()
+        check_loops(self.components.values())
         for comp in list(self.components.values()):
             comp.finalize()
 

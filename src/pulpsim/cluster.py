@@ -25,6 +25,7 @@ from .accel import ConvAccelerator
 from .component import Component, as_int, register
 from .core import RiscvCore
 from .dma import ClusterDma
+from .errors import ConfigError
 from .event_unit import EventUnit
 from .icache import InstructionCache
 from .interconnect import ClockCrossing
@@ -111,9 +112,12 @@ class Cluster(Component):
             {"base": tcdm["base"], "size": tcdm["size"], "port": "tcdm"},
             {"base": periph, "size": at - periph, "port": "periph"},
         ]
-        where = "components.%s.params.external_ranges" % me
-        ext = [(as_int(r["base"], where), as_int(r["size"], where))
-               for r in p["external_ranges"]]
+        ext = []
+        for i, r in enumerate(p["external_ranges"]):
+            where = "components.%s.params.external_ranges[%d]" % (me, i)
+            if not isinstance(r, dict) or r.keys() != {"base", "size"}:
+                raise ConfigError('%s: expected {"base", "size"}, got %r' % (where, r))
+            ext.append((as_int(r["base"], where + ".base"), as_int(r["size"], where + ".size")))
         mappings += [{"base": base, "size": size, "port": "ext"} for base, size in ext]
         plat.add_component("%s/xbar" % me, "router", dict(p["xbar"], mappings=mappings),
                            cl_domain)

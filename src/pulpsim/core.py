@@ -365,7 +365,10 @@ class RiscvCore(Component):
         self.hart_id = self.params["hart_id"]
         self.boot_pc = self.params["boot_addr"]
         self.branch_penalty = self.params["branch_penalty"]
-        self.isa = IsaTable.load(self.params["isa"])
+        try:
+            self.isa = IsaTable.load(self.params["isa"])
+        except ConfigError as e:
+            raise ConfigError("components.%s.params.isa: %s" % (self.path, e)) from None
         self._dcache = {}
         self.step_event = Event(self.path, self._step)
         self._fetch_req = Request(size=4, initiator=self)

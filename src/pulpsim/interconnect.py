@@ -62,6 +62,29 @@ def check_overlaps(path, ranges):
                     "'%s' [0x%x,0x%x) overlap" % (path, n1, b1, b1 + s1, n2, b2, b2 + s2))
 
 
+def check_loops(components):
+    """Refuse a request path that reaches a component already on it.
+
+    Follows every address from each component through the routers and
+    clock crossings its ports are bound to: a router passes on the part of
+    the range each mapping covers, a crossing all of it.  Needs every
+    master port bound."""
+    def follow(comp, lo, hi, path):
+        if comp in path:
+            raise ConfigError("request path [0x%x,0x%x) loops: %s" % (
+                lo, hi, " -> ".join(c.path for c in path + [comp])))
+        if comp.kind == Router.kind:
+            routes = comp.mappings
+        else:
+            routes = [(0, 1 << 32, comp.out)] if comp.kind == ClockCrossing.kind else []
+        for base, size, out in routes:
+            if max(lo, base) < min(hi, base + size):
+                follow(out.binding.owner, max(lo, base), min(hi, base + size), path + [comp])
+
+    for comp in components:
+        follow(comp, 0, 1 << 32, [])
+
+
 @register
 class Router(Component):
     """Address-decoding crossbar with per-traversal latency and occupancy.

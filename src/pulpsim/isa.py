@@ -194,10 +194,19 @@ def encode(entry, rd=0, rs1=0, rs2=0, imm=0, csr=0):
 
 def _table_text(name):
     """Load a table by short name from package data, or by file path."""
+    if not isinstance(name, str):
+        raise ConfigError("ISA table %r: expected a table name or a file path" % (name,))
     if "/" in name or name.endswith(".json"):
-        with open(name) as fh:
-            return fh.read(), name
-    return _packaged_text(name), name
+        try:
+            with open(name) as fh:
+                return fh.read(), name
+        except OSError as e:
+            raise ConfigError("ISA table '%s': %s" % (name, e.strerror)) from None
+    try:
+        return _packaged_text(name), name
+    except FileNotFoundError:
+        raise ConfigError("unknown ISA table '%s' (packaged: %s)" % (
+            name, ", ".join(packaged_tables()))) from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -229,7 +238,11 @@ class IsaTable:
         if checked is None:
             checked = cls()
             for text, label in sources:
-                checked.extend(json.loads(text), label)
+                try:
+                    doc = json.loads(text)
+                except json.JSONDecodeError as e:
+                    raise ConfigError("ISA table '%s': invalid JSON: %s" % (label, e)) from None
+                checked.extend(doc, label)
             _LOADED[sources] = checked
         table = cls()
         table.entries = list(checked.entries)
@@ -241,6 +254,10 @@ class IsaTable:
 
         Every new entry is checked against the registered ones and against
         the fragment's earlier entries; on a conflict nothing is added."""
+        if not (isinstance(doc, dict) and isinstance(doc.get("entries"), list)
+                and all(isinstance(d, dict) for d in doc["entries"])):
+            raise ConfigError("ISA table '%s': expected an object with a list of "
+                              "entry objects in 'entries'" % label)
         new = [IsaEntry(d, doc.get("name", label)) for d in doc["entries"]]
         for i, e in enumerate(new):
             for old in self.entries + new[:i]:

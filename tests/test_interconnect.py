@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import pulpsim
 from pulpsim.component import Request, bind, Component
 from pulpsim.engine import TimeEngine, ClockDomain
 from pulpsim.errors import ConfigError
 from pulpsim.interconnect import Router, ClockCrossing, decode
 
-from conftest import outcome
+from conftest import outcome, pulp_descriptor
 
 
 class Sink(Component):
@@ -218,3 +219,14 @@ def test_crossing_refuses_to_deliver_outside_its_domain():
     with pytest.raises(ConfigError, match="components.xing: out bound to "
                                           "sink in domain 'src', not in its domain 'dst'"):
         make_crossing(100_000_000, 400_000_000, sink_in_src=True)
+
+
+def test_a_loop_of_crossings_is_refused_at_build():
+    # udma_xing's out bound to a second crossing, whose out is bound back to
+    # udma_xing's in: the micro-DMA's walk to L2 would never end
+    doc = pulp_descriptor()
+    doc["components"]["xing2"] = {"kind": "clock-crossing", "domain": "soc", "params": {}}
+    doc["bindings"].remove(["udma_xing.out", "l2.in"])
+    doc["bindings"] += [["udma_xing.out", "xing2.in"], ["xing2.out", "udma_xing.in"]]
+    with pytest.raises(ConfigError, match="loops: udma_xing -> xing2 -> udma_xing$"):
+        pulpsim.build(doc)

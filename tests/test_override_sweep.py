@@ -11,6 +11,8 @@ where it declares no most.  It then runs one benchmark guest of
 Every case ends in one of two ways: parse, build or the guest's load
 raises `ConfigError`, or the run reaches its end (an exit, an idle
 platform or the cycle cap).  No `StructuralError` and no other exception.
+The same holds for the non-int overrides in `NON_INT`, each of which must
+end the way the table says.
 A param in `TIMING` only changes when things happen, so with it the guest
 must also exit and pass its reference check; the others (bases, sizes,
 hart and event-line numbers, core and channel counts) change what the
@@ -22,6 +24,7 @@ draws `bandwidth_bits_per_sec` from an eighth of the platform's up
 (`NARROWED`).
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import pulpsim
@@ -118,3 +121,31 @@ def test_a_legal_override_is_refused_or_runs_to_its_end(case):
     outcome = run_case(name, seed, override, check=timing_only)
     if timing_only and outcome is not None:
         assert outcome == (0, []), (name, seed, override)
+
+
+# non-int overrides and how they end: refused (None) or the guest exits
+# and passes its check; `{dir}` is a folder holding the ISA files written
+# by the test
+NON_INT = [
+    # the cluster's external window covers an address that soc_ic sends
+    # back into the cluster: a request to it would go round forever
+    ('cluster.external_ranges=[{"base":"0x10100000","size":"0x1000"}]', None),
+    ('cluster.external_ranges=[{"base":"0x1C000000","size":"0x80000"}]', (0, [])),
+    ("cluster.external_ranges=[{}]", None),
+    ("cluster.external_ranges=[1]", None),
+    ('cluster.external_ranges=[{"base":1}]', None),
+    ('fc.isa=["nope"]', None),
+    ('fc.isa=["{dir}/missing.json"]', None),
+    ('fc.isa=["{dir}/not_json.json"]', None),
+    ('fc.isa=["{dir}/no_entries.json"]', None),
+    ("fc.isa=[5]", None),
+    ('cluster/core.isa=["rv32im", "nope"]', None),
+]
+
+
+@pytest.mark.parametrize("override, ends", NON_INT)
+def test_a_non_int_override_is_refused_or_runs_to_its_end(tmp_path, override, ends):
+    (tmp_path / "not_json.json").write_text("entries: []\n")
+    (tmp_path / "no_entries.json").write_text('{"name": "empty"}\n')
+    override = override.replace("{dir}", str(tmp_path))
+    assert run_case("fc_control", TINY_SEEDS[0], override, check=True) == ends
