@@ -78,8 +78,9 @@ def check_loops(components):
         else:
             routes = [(0, 1 << 32, comp.out)] if comp.kind == ClockCrossing.kind else []
         for base, size, out in routes:
-            if max(lo, base) < min(hi, base + size):
-                follow(out.binding.owner, max(lo, base), min(hi, base + size), path + [comp])
+            start, end = max(lo, base), min(hi, base + size)
+            if start < end:
+                follow(out.binding.owner, start, end, path + [comp])
 
     for comp in components:
         follow(comp, 0, 1 << 32, [])
@@ -187,5 +188,5 @@ class ClockCrossing(Component):
         self.crossings += 1
         try:
             self.out.binding.handler(req)
-        finally:    # also when it raises: a read that sleeps is charged its return
+        finally:    # also on a raise, so that a read that sleeps pays its way back
             req.at = max(issued, self.src.cycle_at_or_after(self.domain.time_of_cycle(req.at)))
