@@ -12,7 +12,8 @@ Every case ends in one of two ways: parse, build or the guest's load
 raises `ConfigError`, or the run reaches its end (an exit, an idle
 platform or the cycle cap).  No `StructuralError` and no other exception.
 The same holds for the non-int overrides in `NON_INT`, each of which must
-end the way the table says.
+end the way the table says: refused by build with its message, or an exit
+that passes the guest's check.
 A param in `TIMING` only changes when things happen, so with it the guest
 must also exit and pass its reference check; the others (bases, sizes,
 hart and event-line numbers, core and channel counts) change what the
@@ -123,29 +124,38 @@ def test_a_legal_override_is_refused_or_runs_to_its_end(case):
         assert outcome == (0, []), (name, seed, override)
 
 
-# non-int overrides and how they end: refused (None) or the guest exits
-# and passes its check; `{dir}` is a folder holding the ISA files written
-# by the test
+# non-int overrides and how they end: refused with a ConfigError whose text
+# matches, or (None) the guest exits and passes its check; `{dir}` is a
+# folder holding the ISA files the test writes
+RANGES = r"components\.cluster\.params\.external_ranges\[0\]: expected \{"
+ISA = r"components\.fc\.params\.isa: "
 NON_INT = [
     # the cluster's external window covers an address that soc_ic sends
     # back into the cluster: a request to it would go round forever
-    ('cluster.external_ranges=[{"base":"0x10100000","size":"0x1000"}]', None),
-    ('cluster.external_ranges=[{"base":"0x1C000000","size":"0x80000"}]', (0, [])),
-    ("cluster.external_ranges=[{}]", None),
-    ("cluster.external_ranges=[1]", None),
-    ('cluster.external_ranges=[{"base":1}]', None),
-    ('fc.isa=["nope"]', None),
-    ('fc.isa=["{dir}/missing.json"]', None),
-    ('fc.isa=["{dir}/not_json.json"]', None),
-    ('fc.isa=["{dir}/no_entries.json"]', None),
-    ("fc.isa=[5]", None),
-    ('cluster/core.isa=["rv32im", "nope"]', None),
+    ('cluster.external_ranges=[{"base":"0x10100000","size":"0x1000"}]',
+     r"loops: soc_ic -> cluster/in_xing -> cluster/xbar -> cluster/bridge -> "
+     r"cluster/out_xing -> soc_ic$"),
+    ('cluster.external_ranges=[{"base":"0x1C000000","size":"0x80000"}]', None),
+    ("cluster.external_ranges=[{}]", RANGES),
+    ("cluster.external_ranges=[1]", RANGES),
+    ('cluster.external_ranges=[{"base":1}]', RANGES),
+    ('fc.isa=["nope"]', ISA + r"unknown ISA table 'nope' \(packaged: rv32im, xdemo\)"),
+    ('fc.isa=["{dir}/missing.json"]', ISA + r"ISA table '.*/missing\.json': No such file"),
+    ('fc.isa=["{dir}/not_json.json"]', ISA + r"ISA table '.*/not_json\.json': invalid JSON"),
+    ('fc.isa=["{dir}/no_entries.json"]', ISA + r"ISA table '.*/no_entries\.json': expected"),
+    ("fc.isa=[5]", ISA + r"ISA table 5: expected"),
+    ('cluster/core.isa=["rv32im", "nope"]',
+     r"components\.cluster/pe0\.params\.isa: unknown ISA table 'nope'"),
 ]
 
 
-@pytest.mark.parametrize("override, ends", NON_INT)
-def test_a_non_int_override_is_refused_or_runs_to_its_end(tmp_path, override, ends):
+@pytest.mark.parametrize("override, refusal", NON_INT)
+def test_a_non_int_override_is_refused_or_runs_to_its_end(tmp_path, override, refusal):
     (tmp_path / "not_json.json").write_text("entries: []\n")
     (tmp_path / "no_entries.json").write_text('{"name": "empty"}\n')
     override = override.replace("{dir}", str(tmp_path))
-    assert run_case("fc_control", TINY_SEEDS[0], override, check=True) == ends
+    if refusal is None:
+        assert run_case("fc_control", TINY_SEEDS[0], override, check=True) == (0, [])
+    else:
+        with pytest.raises(ConfigError, match=refusal):
+            pulpsim.build(pulpsim.apply_overrides(PLATFORM, [override]))
