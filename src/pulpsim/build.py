@@ -151,6 +151,8 @@ class Platform:
         return bytes(contents[off:off + size])
 
     def set_entry(self, pc):
+        if pc % 4:
+            raise ConfigError("entry point %#x is not a multiple of 4" % pc)
         for core in self.cores():
             core.boot_pc = pc
 

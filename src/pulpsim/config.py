@@ -143,10 +143,11 @@ def apply_overrides(descriptor, overrides):
 
     The path may dive into nested parameter groups of composite components
     (e.g. `cluster/tcdm.banks=64` updates the `tcdm` group of the `cluster`
-    component).  Values must match the type they replace.  Clock domain
-    overrides are `clock_domains.<name>.frequency_hz`.  The edited
-    description then goes through parse(), so an override gives the
-    descriptor that the same edit to the file would.
+    component).  Clock domain overrides are
+    `clock_domains.<name>.frequency_hz`.  The edited description then goes
+    through parse(), and a group value through the build of its child, so
+    an override is refused or accepted, with the same message, as the same
+    edit to the file would be.
     """
     raw = copy.deepcopy(descriptor)
     if not overrides:
@@ -182,13 +183,5 @@ def apply_overrides(descriptor, overrides):
                 raise ConfigError("override '%s': '%s' is not a parameter group" % (
                     text, part))
             params = nxt
-        if key not in params:
-            raise ConfigError("override '%s': unknown parameter '%s'" % (text, key))
-        old = params[key]
-        if isinstance(old, bool) != isinstance(value, bool) or (
-                not isinstance(value, type(old)) and not (
-                    isinstance(old, int) and isinstance(value, int))):
-            raise ConfigError("override '%s': type mismatch (have %s, got %s)" % (
-                text, type(old).__name__, type(value).__name__))
         params[key] = value
     return parse(json.dumps(raw))

@@ -16,8 +16,9 @@ their result one write-back cycle after completion; a consumer arriving
 earlier stalls on the register scoreboard.
 
 Semantics are closures, bound once per instruction word and core.
-`SEMANTICS` maps each table name to a factory `make(core, ins)` that
-returns `run(pc)`: the word's register indices and immediate, the core's
+`SEMANTICS` maps each table name to a factory `make(core, ins)` (a core
+refuses at build an ISA table entry whose name it lacks) that returns
+`run(pc)`: the word's register indices and immediate, the core's
 `regs` list and, for a data access, the core's reused data request and the
 data port's handler are bound in.  `run(pc)` updates registers and memory
 and returns the next pc if it transfers control (jal, jalr, mret, a taken
@@ -60,12 +61,15 @@ before each access.  The step clears each response flag it reads where
 it reads it (a fetch's `cache_miss`, a data access's `contended`), so
 they are clear before every access.  Nothing reads a fetch's `contended`.
 
-Fetch lease.  A core whose fetch port is the only master bound to an
-instruction cache (its private L1) holds a lease on the line of its last
-fetch through that cache: the line's base, its data and the cache's
-epoch.  A fetch inside the leased line while the epoch holds is served by
-the step as the cache's MRU hit would serve it (icache module docstring);
-any other fetch goes through the cache and leases its line.
+Fetch fast path.  When the fetch port is bound to an instruction cache,
+the step reads that cache's live `lines` (icache module docstring): if
+the MRU way of pc's set holds pc's line, the step serves the fetch as the
+cache's MRU hit would, done `hit_latency` cycles after its issue, `hits`
+plus one and the word by shift and mask.  That is exact whoever else is
+bound to the cache, since such a hit changes no other state.  Every other
+fetch goes through the cache's handler.  pc stays on the 4-byte grid
+(`boot_addr`, `trap_vector` and `Platform.set_entry` refuse a pc off it,
+and jumps trap), so a fetch never straddles a line.
 """
 
 import operator
@@ -98,8 +102,6 @@ CSRS = {0xC00: "total_cycles", 0xC02: "instr_retired", 0xF14: "hart_id",
         0x305: "csr_mtvec", 0x341: "csr_mepc", 0x342: "csr_mcause", 0x343: "csr_mtval",
         **{0x7C0 + n: name for n, name in enumerate(COUNTER_NAMES)}}
 CSR_KEEP = {0x305: M32 & ~3, 0x341: M32 & ~3, 0x342: M32, 0x343: M32}
-
-_NO_LEASE = (0, -1, 0, None)    # (line base, span, line data, epoch): matches no pc
 
 
 def _s32(v):
@@ -363,10 +365,18 @@ class RiscvCore(Component):
         self.add_master("fetch")
         self.add_master("data")
         self.hart_id = self.params["hart_id"]
+        for name in ("boot_addr", "trap_vector"):
+            if self.params[name] % 4:
+                raise ConfigError("components.%s: %s must be a multiple of 4, got %#x" % (
+                    self.path, name, self.params[name]))
         self.boot_pc = self.params["boot_addr"]
         self.branch_penalty = self.params["branch_penalty"]
         try:
             self.isa = IsaTable.load(self.params["isa"])
+            for e in self.isa.entries:
+                if e.semantics not in SEMANTICS:
+                    raise ConfigError("ISA table %s: %s has no semantics %r" % (
+                        e.table, e.mnemonic, e.semantics))
         except ConfigError as e:
             raise ConfigError("components.%s.params.isa: %s" % (self.path, e)) from None
         self._dcache = {}
@@ -386,17 +396,13 @@ class RiscvCore(Component):
         self.csr_mepc = 0
         self.csr_mcause = 0
         self.csr_mtval = 0
-        self._lease = _NO_LEASE
         self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
 
     def finalize(self):
-        fetch = self.ports["fetch"]
-        cache = fetch.binding
+        cache = self.ports["fetch"].binding
         self._fetch_handler = cache.handler
         self._data_handler = self.ports["data"].binding.handler
-        # the private L1 (module docstring): only this core's fetches reach it
-        private = cache.owner.kind == "icache" and cache.masters == [fetch]
-        self._l1 = cache.owner if private else None
+        self._l1 = cache.owner if cache.owner.kind == "icache" else None
 
     def reset(self):
         self.regs[:] = [0] * 32     # semantics closures hold this list
@@ -419,14 +425,15 @@ class RiscvCore(Component):
         tr = self._tr_insn
         vcd = self.platform.vcd
         l1 = self._l1
-        lbase, lspan, ldata, lepoch = self._lease
+        if l1 is not None:             # per callback: reset rebuilds `lines`
+            lines, sets, hit_latency = l1.lines, l1.sets, l1.hit_latency
+            shift, mask = l1.line.bit_length() - 1, l1.line - 1     # line_bytes: 2**shift
         while True:
-            off = pc - lbase
-            if 0 <= off <= lspan and l1.epoch == lepoch:
-                # the leased line: what the cache's MRU hit does
-                fetch_lat = l1.hit_latency
+            if l1 is not None and (way := lines[(n := pc >> shift) % sets][0])[0] == n:
+                # pc's line n is its set's MRU way: what the cache's MRU hit does
+                fetch_lat = hit_latency
                 l1.hits += 1
-                word = ldata >> (off << 3) & M32
+                word = way[1] >> ((pc & mask) << 3) & M32
             else:
                 freq = self._fetch_req
                 freq.addr = pc
@@ -441,12 +448,6 @@ class RiscvCore(Component):
                     freq.cache_miss = False
                     self.icache_misses += 1
                 word = freq.value
-                if l1 is not None:
-                    lbase = pc & -l1.line
-                    lspan = l1.line - 4
-                    ldata = l1.last_line
-                    lepoch = l1.epoch
-                    self._lease = (lbase, lspan, ldata, lepoch)
 
             dec = dcache.get(word)
             if dec is None:
@@ -531,12 +532,9 @@ class RiscvCore(Component):
         if ins is None:
             return None
         e = ins.entry
-        make = SEMANTICS.get(e.semantics)
-        if make is None:
-            raise ConfigError("%s: no semantics for '%s'" % (self.path, ins.mnemonic))
         dec = self._dcache[word] = (
-            ins, make(self, ins), ins.rs1, ins.rs2, ins.rd, 1 + e.latency,
-            e.writeback_latency if ins.rd else 0, e.klass == "branch",
+            ins, SEMANTICS[e.semantics](self, ins), ins.rs1, ins.rs2, ins.rd,
+            1 + e.latency, e.writeback_latency if ins.rd else 0, e.klass == "branch",
             e.klass in ("load", "store"))
         return dec
 

@@ -30,6 +30,7 @@ import json
 import importlib.resources
 import re
 
+from .component import as_int
 from .errors import ConfigError
 
 # format -> (written operands, immediate).  An operand is a field name,
@@ -119,24 +120,36 @@ _CHECKED = {fmt: (fields.get("csr"), fields.get("imm")) for fmt, fields in LAYOU
 
 
 class IsaEntry:
+    """One table entry.  Its mask and match are ints or int strings, its
+    latencies non-negative ints and its other fields strings; otherwise it
+    raises ConfigError naming the table and the entry."""
+
     __slots__ = ("mnemonic", "mask", "match", "fmt", "semantics", "klass",
                  "latency", "writeback_latency", "table", "operands", "text_form")
 
     def __init__(self, d, table_name):
         try:
             self.mnemonic = d["mnemonic"]
-            self.mask = int(d["mask"], 0) if isinstance(d["mask"], str) else d["mask"]
-            self.match = int(d["match"], 0) if isinstance(d["match"], str) else d["match"]
+            self.mask = as_int(d["mask"], "ISA table %s: %s mask" % (table_name, self.mnemonic))
+            self.match = as_int(d["match"], "ISA table %s: %s match" % (table_name, self.mnemonic))
             self.fmt = d["fmt"]
             self.semantics = d.get("semantics", d["mnemonic"])
             self.klass = d.get("class", "alu")
         except KeyError as e:
             raise ConfigError("ISA table %s: entry %r missing %s" % (table_name, d, e))
+        if not all(isinstance(v, str) for v in (self.mnemonic, self.fmt, self.klass,
+                                                self.semantics)):
+            raise ConfigError("ISA table %s: entry %r: mnemonic, fmt, class and semantics "
+                              "must be strings" % (table_name, d))
         if self.fmt not in FORMATS:
             raise ConfigError("ISA table %s: %s has unknown format %r" % (
                 table_name, self.mnemonic, self.fmt))
-        self.latency = int(d.get("latency", 0))
-        self.writeback_latency = int(d.get("writeback_latency", 0))
+        for key in ("latency", "writeback_latency"):
+            value = d.get(key, 0)
+            if type(value) is not int or value < 0:
+                raise ConfigError("ISA table %s: %s %s must be a non-negative integer, got %r" % (
+                    table_name, self.mnemonic, key, value))
+            setattr(self, key, value)
         self.table = table_name
         self.operands = LOAD if self.klass == "load" else FORMATS[self.fmt][0]
         written = ", ".join(self.operands).replace("pc+", "")

@@ -99,9 +99,10 @@ def test_override_errors():
     desc = pulp_descriptor()
     with pytest.raises(ConfigError, match="no component"):
         apply_overrides(desc, ["nosuch.thing=1"])
-    with pytest.raises(ConfigError, match="unknown parameter"):
+    with pytest.raises(ConfigError,
+                       match=r"components\.cluster: unknown params \['warp_drive'\]"):
         apply_overrides(desc, ["cluster.warp_drive=1"])
-    with pytest.raises(ConfigError, match="type mismatch"):
+    with pytest.raises(ConfigError, match="components.cluster.params.nb_cores: expected integer"):
         apply_overrides(desc, ["cluster.nb_cores=fast"])
 
 
@@ -320,6 +321,14 @@ def test_register_window_must_cover_the_last_register():
     ("udma.device=nosuch", "components.udma.params.device: unknown component 'nosuch'"),
     ("udma.itc=hyper",
      "components.udma.params.itc: 'hyper' has kind 'hyperram', expected 'event-unit'"),
+    ("fc.boot_addr=0x1C000002",
+     "components.fc: boot_addr must be a multiple of 4, got 0x1c000002"),
+    ("cluster.boot_addr=0x1C000001",
+     "components.cluster/pe0: boot_addr must be a multiple of 4, got 0x1c000001"),
+    ("fc.trap_vector=0x1C000106",
+     "components.fc: trap_vector must be a multiple of 4, got 0x1c000106"),
+    ("cluster/core.trap_vector=2",
+     "components.cluster/pe0: trap_vector must be a multiple of 4, got 0x2"),
 ])
 def test_override_that_builds_a_broken_platform_is_rejected(override, message):
     with pytest.raises(ConfigError) as err:

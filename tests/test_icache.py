@@ -19,8 +19,9 @@ from conftest import build_pulp, outcome
 from reference_cache import RefLruCache
 
 MEM_SIZE = 0x10000
-# (size, ways, line_bytes, hit_latency): the PE L1 and the shared L1.5
-GEOMETRIES = [(512, 2, 16, 0), (4096, 4, 16, 1)]
+# (size, ways, line_bytes, hit_latency): the PE L1, the shared L1.5, 3
+# ways, and 30 sets (not a power of two)
+GEOMETRIES = [(512, 2, 16, 0), (4096, 4, 16, 1), (768, 3, 16, 0), (480, 2, 8, 2)]
 
 
 def build_cache(size, ways, line, hit_latency, contents):
@@ -63,7 +64,7 @@ def stream(rng, sets, ways, line, count):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("geometry", GEOMETRIES, ids=["l1", "l15"])
+@pytest.mark.parametrize("geometry", GEOMETRIES, ids=["l1", "l15", "3ways", "30sets"])
 def test_icache_matches_reference_lru(geometry, seed):
     size, ways, line, hit_latency = geometry
     rng = random.Random(seed)

@@ -107,6 +107,11 @@ def test_elf_segments_are_placed_and_zero_filled(tmp_path):
      "segment 0's file size exceeds its memory size"),
     ("bare.img", b"1000 00000013\n", "bare.img:1: expected '@<hexaddr> <hexword>'"),
     ("entry.img", b"@entry\n", "entry.img:1: malformed @entry line"),
+    ("odd.elf", elf32(0x2002, [(PT_LOAD, 0x2000, 0x2000, b"ABCD", 4)]),
+     "entry point 0x2002 is not a multiple of 4"),
+    ("odd.img", b"@entry 00001002\n@00001000 00000013\n",
+     "entry point 0x1002 is not a multiple of 4"),
+    ("first.img", b"@00001001 00000013\n", "entry point 0x1001 is not a multiple of 4"),
     ("empty.img", b"# nothing\n", "empty memory image"),
     ("blob.bin", b"\xff\xfe", "neither ELF nor ASCII memory image"),
 ])

@@ -25,6 +25,8 @@ draws `bandwidth_bits_per_sec` from an eighth of the platform's up
 (`NARROWED`).
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -124,9 +126,31 @@ def test_a_legal_override_is_refused_or_runs_to_its_end(case):
         assert outcome == (0, []), (name, seed, override)
 
 
+def _table(**entry):
+    """An ISA table text whose one entry, `foo`, takes an opcode rv32im
+    leaves free, with `entry`'s keys replaced."""
+    foo = {"mnemonic": "foo", "mask": "0x0000707F", "match": "0x0000005B", "fmt": "R"}
+    return json.dumps({"name": "bad", "entries": [dict(foo, **entry)]})
+
+
+# the ISA files the test writes, name -> text
+TABLES = {
+    "not_json.json": "entries: []\n",
+    "no_entries.json": '{"name": "empty"}\n',
+    "mask.json": _table(mask="zz"),
+    "match.json": _table(match=[91]),
+    "latency.json": _table(latency="a"),
+    "true.json": _table(latency=True),
+    "negative.json": _table(latency=-3),
+    "writeback.json": _table(writeback_latency=-1),
+    "semantics.json": _table(semantics="nosuch"),
+    "fmt.json": _table(fmt=["R"]),
+    "mnemonic.json": _table(mnemonic=5),
+}
+
 # non-int overrides and how they end: refused with a ConfigError whose text
 # matches, or (None) the guest exits and passes its check; `{dir}` is a
-# folder holding the ISA files the test writes
+# folder holding the files of `TABLES`
 RANGES = r"components\.cluster\.params\.external_ranges\[0\]: expected \{"
 ISA = r"components\.fc\.params\.isa: "
 NON_INT = [
@@ -146,13 +170,34 @@ NON_INT = [
     ("fc.isa=[5]", ISA + r"ISA table 5: expected"),
     ('cluster/core.isa=["rv32im", "nope"]',
      r"components\.cluster/pe0\.params\.isa: unknown ISA table 'nope'"),
+    ('fc.isa=["rv32im", "{dir}/mask.json"]',
+     ISA + r"ISA table bad: foo mask: expected integer, got 'zz'$"),
+    ('fc.isa=["rv32im", "{dir}/match.json"]',
+     ISA + r"ISA table bad: foo match: expected integer, got \[91\]$"),
+    ('fc.isa=["rv32im", "{dir}/latency.json"]',
+     ISA + r"ISA table bad: foo latency must be a non-negative integer, got 'a'$"),
+    ('fc.isa=["rv32im", "{dir}/true.json"]',
+     ISA + r"ISA table bad: foo latency must be a non-negative integer, got True$"),
+    ('fc.isa=["rv32im", "{dir}/negative.json"]',
+     ISA + r"ISA table bad: foo latency must be a non-negative integer, got -3$"),
+    ('fc.isa=["rv32im", "{dir}/writeback.json"]',
+     ISA + r"ISA table bad: foo writeback_latency must be a non-negative integer, got -1$"),
+    ('fc.isa=["rv32im", "{dir}/semantics.json"]',
+     ISA + r"ISA table bad: foo has no semantics 'nosuch'$"),
+    ('fc.isa=["rv32im", "{dir}/fmt.json"]',
+     ISA + r"ISA table bad: entry .*: mnemonic, fmt, class and semantics must be strings$"),
+    ('fc.isa=["rv32im", "{dir}/mnemonic.json"]',
+     ISA + r"ISA table bad: entry .*: mnemonic, fmt, class and semantics must be strings$"),
+    # an int param given as a string, as the file may give it
+    ('l2.banks="4"', None),
+    ('cluster/tcdm.base="0x10000000"', None),
 ]
 
 
 @pytest.mark.parametrize("override, refusal", NON_INT)
 def test_a_non_int_override_is_refused_or_runs_to_its_end(tmp_path, override, refusal):
-    (tmp_path / "not_json.json").write_text("entries: []\n")
-    (tmp_path / "no_entries.json").write_text('{"name": "empty"}\n')
+    for name, text in TABLES.items():
+        (tmp_path / name).write_text(text)
     override = override.replace("{dir}", str(tmp_path))
     if refusal is None:
         assert run_case("fc_control", TINY_SEEDS[0], override, check=True) == (0, [])
