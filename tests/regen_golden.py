@@ -5,17 +5,20 @@
 Rewrites, from the working tree:
 
 - `perfbench_digests.json`: the `stable_stats` digest of every
-  `test_timing_identity.CASES` case (the perfbench workloads);
+  `test_timing_identity.CASES` case (the perfbench workloads), and the
+  sha256 of the full trace and of the VCD of every `TINY_CASES` case;
 - `pulp_open_golden_stats.json`: the stable stats of the pulp-open guest
   of `test_pulp_open.py`.
 
 Before writing, it prints one row per case: global time, the cores' summed
 `total_cycles`, the memories' summed contentions and the accelerators'
 summed conflict cycles, each before and after, where "before" is the same
-case run on the last commit (git HEAD).  A change that keeps simulated
-timing prints an all-equal table and leaves both files byte-identical.  A
-deliberate timing change names the rewritten files and gives this table
-in CHANGES.md.
+case run on the last commit (git HEAD).  Then it prints, per
+tiny case, whether the trace and the VCD digests changed, and the line
+count of `src/pulpsim/*.py` before and after.  A change that keeps
+simulated timing and event order prints all-equal tables and leaves both
+files byte-identical.  A deliberate timing change names the rewritten
+files and gives the first table in CHANGES.md.
 """
 
 import io
@@ -45,9 +48,12 @@ def collect(root):
 
     stats = {identity.case_key(*case): identity.plain_stats(*case) for case in identity.CASES}
     digests = {name: identity.run.digest(s) for name, s in stats.items()}
+    # a tree older than the trace and VCD pins has none to compare
+    outputs = {identity.case_key(*case): identity.output_digests(*case)
+               for case in identity.TINY_CASES} if hasattr(identity, "output_digests") else {}
     plat, status, _, _ = run_guest()
     stats[PULP_OPEN] = stable_stats(stats_report(plat, status))
-    return {"stats": stats, "digests": digests}
+    return {"stats": stats, "digests": digests, "outputs": outputs}
 
 
 def collect_at(root):
@@ -84,6 +90,29 @@ def table(before, after):
     return "\n".join(lines)
 
 
+def output_table(before, after):
+    """One line per tiny case: whether its trace and its VCD digest
+    changed."""
+    lines = []
+    counts = {"equal": 0, "changed": 0, "new": 0}
+    for name in sorted(after):
+        old = before.get(name, {})
+        cells = []
+        for what, digest in sorted(after[name].items()):
+            state = "new" if what not in old else "equal" if old[what] == digest else "changed"
+            counts[state] += 1
+            cells.append("%s %s" % (what, state))
+        lines.append("%-28s %s" % (name, "  ".join(cells)))
+    lines.append("trace and VCD digests: %(equal)d equal, %(changed)d changed, %(new)d new"
+                 % counts)
+    return "\n".join(lines)
+
+
+def source_lines(root):
+    """Lines in the `src/pulpsim/*.py` files of the tree at `root`."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(root) / "src" / "pulpsim").glob("*.py"))
+
+
 def rewrite(path, text):
     old = path.read_text() if path.exists() else None
     path.write_text(text)
@@ -100,13 +129,20 @@ def main(argv):
                           check=True, stdout=subprocess.PIPE).stdout
     with tempfile.TemporaryDirectory() as base:
         tarfile.open(fileobj=io.BytesIO(tree)).extractall(base, filter="data")
-        before = collect_at(base)["stats"]
+        before = collect_at(base)
+        base_lines = source_lines(base)
     after = collect_at(ROOT)
     print("before: HEAD, after: the working tree")
-    print(table(before, after["stats"]))
+    print(table(before["stats"], after["stats"]))
+    print(output_table(before["outputs"], after["outputs"]))
+    lines = source_lines(ROOT)
+    print("src/pulpsim/*.py: %d lines at HEAD, %d in the working tree (%+d)" % (
+        base_lines, lines, lines - base_lines))
     rewrite(DIGESTS, json.dumps({
-        "note": "stable_stats digests of the perfbench guests; see tests/test_timing_identity.py",
-        "digests": after["digests"]}, indent=1, sort_keys=True) + "\n")
+        "note": "stable_stats digests of the perfbench guests, and sha256 of the trace and "
+                "VCD of each tiny run; see tests/test_timing_identity.py",
+        "digests": after["digests"], "outputs": after["outputs"]},
+        indent=1, sort_keys=True) + "\n")
     rewrite(GOLDEN, json.dumps(after["stats"][PULP_OPEN], indent=1, sort_keys=True) + "\n")
 
 

@@ -2,11 +2,13 @@
 
 `tests/data/perfbench_digests.json` holds the `tracing.stable_stats` digest
 (`perfbench/run.py`'s `digest`) of every `perfbench/guests.py` workload, at
-full size on seed 1 and at `run.TINY_SIZES` on seeds 1-3.  A host-speed
-change leaves every digest unchanged, so a failure here means simulated
-timing moved.  Only a deliberate timing change regenerates the file, with
-`tests/regen_golden.py`, and the change that does so says why in
-CHANGES.md.
+full size on seed 1 and at `run.TINY_SIZES` on seeds 1-3, and, for each of
+the tiny runs, the sha256 of its full trace (`TraceSink(["*"])`) and of its
+VCD.  Stats cannot see the order of events within a cycle; the trace and
+VCD can.  A host-speed change leaves every digest unchanged, so a failure
+here means simulated timing or event order moved.  Only a deliberate
+timing change regenerates the file, with `tests/regen_golden.py`, and the
+change that does so says why in CHANGES.md.
 
 The ticker test runs each workload once more with `conftest.add_ticker`'s
 extra clock domain, whose event ticks at the fastest frequency.  The
@@ -23,6 +25,7 @@ The monotonicity test raises one latency on the FC's path by a cycle or
 two: the FC may then take longer, but never less time.
 """
 
+import hashlib
 import importlib.util
 import io
 import json
@@ -52,8 +55,9 @@ def _perfbench():
 
 
 run = _perfbench()
-CASES = [(name, 1, run.SIZES[name]) for name in run.guests.WORKLOADS] + [
-    (name, seed, run.TINY_SIZES[name]) for name in run.guests.WORKLOADS for seed in TINY_SEEDS]
+TINY_CASES = [(name, seed, run.TINY_SIZES[name])
+              for name in run.guests.WORKLOADS for seed in TINY_SEEDS]
+CASES = [(name, 1, run.SIZES[name]) for name in run.guests.WORKLOADS] + TINY_CASES
 
 
 def case_key(name, seed, size):
@@ -67,9 +71,9 @@ def plain_stats(name, seed, size):
     return stable_stats(stats_report(plat, status))
 
 
-def traced_run(name, ticked):
-    """Stats without the engine counters, trace and VCD of a tiny run on seed 1."""
-    guest = run.guests.WORKLOADS[name](1, run.TINY_SIZES[name])
+def traced_run(name, ticked, seed=1):
+    """Stats without the engine counters, trace and VCD of a tiny run."""
+    guest = run.guests.WORKLOADS[name](seed, run.TINY_SIZES[name])
     plat, program, _ = run.setup(guest)
     trace, vcd = io.StringIO(), io.StringIO()
     plat.trace_sink = TraceSink(["*"], trace)
@@ -90,6 +94,21 @@ def traced_run(name, ticked):
 def test_stats_digest_is_pinned(name, seed, size):
     expected = json.loads(DATA.read_text())["digests"]
     assert run.digest(plain_stats(name, seed, size)) == expected[case_key(name, seed, size)]
+
+
+def output_digests(name, seed, size):
+    """The sha256 of the full trace and of the VCD of the tiny run `size`
+    of `name` on `seed`."""
+    assert size == run.TINY_SIZES[name]
+    _, trace, vcd = traced_run(name, False, seed)
+    return {"trace": hashlib.sha256(trace.encode()).hexdigest(),
+            "vcd": hashlib.sha256(vcd.encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("name,seed,size", TINY_CASES, ids=[case_key(*c) for c in TINY_CASES])
+def test_trace_and_vcd_digests_are_pinned(name, seed, size):
+    expected = json.loads(DATA.read_text())["outputs"]
+    assert output_digests(name, seed, size) == expected[case_key(name, seed, size)]
 
 
 @pytest.mark.parametrize("name", sorted(run.guests.WORKLOADS))
