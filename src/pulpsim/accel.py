@@ -2,11 +2,11 @@
 
 Programming writes the job registers and a trigger; a second job can be
 captured into a shadow slot while one runs and starts at its completion.
-The running job streams its tensors through the TCDM `ports` words per
-cycle: each chunk moves its words with one `BankedMemory.stream` call per
-tensor it touches, giving each word its issue cycle, so bank conflicts
-with the cores are observed and extend the job.  The `tcdm`
-port must be bound to the `in` port of one banked memory; it names that
+The running job, `_run`, streams its tensors through the TCDM `ports`
+words per cycle: each chunk moves its words with one `BankedMemory.stream`
+call per tensor it touches, giving each word its issue cycle, so bank
+conflicts with the cores are observed and extend the job.  The `tcdm` port
+must be bound to the `in` port of one banked memory; it names that
 memory, in which every job's tensors must lie, and no request travels
 through it.
 
@@ -21,7 +21,6 @@ reference convolution.
 import numpy as np
 
 from .component import RegisterDevice, register, REQUIRED
-from .engine import Event
 from .event_unit import line_owner
 from .memory import bound_memory
 
@@ -45,13 +44,10 @@ ST_REJECT = 8
 class _Job:
     """A job's registers and shape: `spans` holds the (first byte, byte
     count) of the int8 input, int8 weights and int32 output, `span_words`
-    the TCDM words each span's bytes touch, and `words` their sum.  Once
-    launched, `offsets` holds the cycle, counted from its chunk's start, at
-    which each word of a chunk issues."""
+    the TCDM words each span's bytes touch, and `words` their sum."""
 
     __slots__ = ("in_ptr", "w_ptr", "out_ptr", "ch_in", "ch_out", "h", "w", "k", "spans",
-                 "span_words", "words", "cycles_left", "chunks", "offsets", "words_done",
-                 "out_view")
+                 "span_words", "words")
 
     def __init__(self, regs):
         self.in_ptr = regs[REG_IN]
@@ -88,7 +84,6 @@ class ConvAccelerator(RegisterDevice):
         super().build()
         self.n_ports = self.params["ports"]
         self.tcdm_port = self.add_master("tcdm")
-        self.job_event = Event(self.path, self._chunk)
         self.reset()
 
     def reset(self):
@@ -154,7 +149,7 @@ class ConvAccelerator(RegisterDevice):
             self.status |= ST_ERROR
             return
         if self.running is None:
-            self._launch(job)
+            self.start(self._run(job))
         else:
             self.shadow = job
             self.status |= ST_SHADOW
@@ -162,56 +157,54 @@ class ConvAccelerator(RegisterDevice):
     READS = {REG_STATUS: RegisterDevice.read_status}
     WRITES = {REG_TRIGGER: _trigger}
 
-    def _launch(self, job):
+    def _run(self, job):
+        """The job's chunks, the first one cycle after its start: each
+        streams the job's next words and lasts its `chunk_cycles` plus the
+        cycles bank conflicts add; the job completes as its last one starts."""
         total = self.job_cycles(job)
-        job.chunks = max(1, -(-total // self.params["chunk_cycles"]))
-        job.offsets = [i // self.n_ports for i in range(-(-job.words // job.chunks))]
-        job.cycles_left = total
-        job.words_done = 0
-        out = self._compute(job)
-        job.out_view = memoryview(out.tobytes())
+        chunk = self.params["chunk_cycles"]
+        chunks = max(1, -(-total // chunk))
+        # the cycle, from its chunk's start, at which each word of a chunk issues
+        offsets = [i // self.n_ports for i in range(-(-job.words // chunks))]
+        out = memoryview(self._compute(job).tobytes())
         self.running = job
         self.status |= ST_BUSY
         self.log("job ch_in=%d ch_out=%d %dx%d k=%d cycles=%d",
                  job.ch_in, job.ch_out, job.h, job.w, job.k, total)
         self.signal("busy", True)
-        self.domain.enqueue(self.job_event, 1)
+        yield 1
+        left, done = total, 0
+        while True:
+            now = self.domain.cycle
+            cycles = [now + offset for offset in offsets[:job.words - done]]
+            waits = self._stream(job, done, cycles, out)
+            self.conflict_cycles += waits
+            done += len(cycles)
+            step = min(chunk, left)
+            left -= step
+            if left <= 0:
+                break
+            yield step + waits
+        self._complete(job)
 
-    def _chunk(self, ev):
-        job = self.running
-        step = min(self.params["chunk_cycles"], job.cycles_left)
-        waits = self._stream(job, min(len(job.offsets), job.words - job.words_done))
-        self.conflict_cycles += waits
-        job.cycles_left -= step
-        if job.cycles_left <= 0:
-            self._complete(job)
-        else:
-            self.domain.enqueue(ev, step + waits)
-
-    def _stream(self, job, words):
-        """Stream the job's next `words` TCDM words, `ports` per cycle.
-
-        The words run through the job's spans: the input, then the weights,
-        then the output.  Each span the chunk touches is one
-        `BankedMemory.stream` call; the chunk's word i issues `i // ports`
-        cycles from now.  Returns the extra cycles implied by bank conflicts.
-        """
-        start = job.words_done
-        end = start + words
-        now = self.domain.cycle
-        cycles = [now + offset for offset in job.offsets[:words]]
+    def _stream(self, job, start, cycles, out):
+        """Stream the job's TCDM words from word `start` on, word i at cycle
+        `cycles[i]`, `out` holding the output's bytes: one `BankedMemory.stream`
+        call per span touched (the input, the weights, then the output).
+        Returns the extra cycles implied by bank conflicts."""
+        end = start + len(cycles)
         waits = 0
         first = 0
-        for (addr, _), count, out in zip(job.spans, job.span_words, (None, None, job.out_view)):
+        for (addr, _), count, view in zip(job.spans, job.span_words, (None, None, out)):
             last = first + count
             lo, hi = max(first, start), min(last, end)
             if lo < hi:
                 skip = 4 * (lo - first)
                 waits += self.mem.stream((addr & ~3) + skip, 4 * (hi - lo), 4,
                                          cycles[lo - start:hi - start],
-                                         None if out is None else out[skip:], out is not None)[1]
+                                         None if view is None else view[skip:],
+                                         view is not None)[1]
             first = last
-        job.words_done = end
         return -(-waits // self.n_ports)
 
     def _complete(self, job):
@@ -223,7 +216,7 @@ class ConvAccelerator(RegisterDevice):
             nxt = self.shadow
             self.shadow = None
             self.status &= ~ST_SHADOW
-            self._launch(nxt)
+            self.start(self._run(nxt))
         else:
             self.signal("busy", False)
         self.event_unit.set_line(self.params["event_line"])

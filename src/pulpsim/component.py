@@ -11,6 +11,7 @@ on return.  A request's payload is one int, `value`, whatever its size.
 
 import copy
 
+from .engine import Event
 from .errors import ConfigError, StructuralError
 
 REQUIRED = object()
@@ -234,9 +235,13 @@ class RegisterDevice(Component):
     from offset to a method taking `(self, req)`.  An access that is not 4
     bytes, or to an offset in neither, raises `BusError`.
 
-    The devices run jobs that outlive the register write starting them:
-    `log` traces a job's start and end on the device's path, and the
-    device sets its `busy` VCD signal (`signal`) while jobs run.
+    A register write may start a job that outlives it: a generator that
+    `start` runs.  The code before its first `yield` runs at once, inside
+    the write; each `yield d` resumes it `d` cycles of the device's domain
+    later, counted as `ClockDomain.enqueue` counts; returning ends it.  A
+    job is one Event, whose callback is the device's `_resume`.  `log`
+    traces a job's start and end on the device's path, and the device sets
+    its `busy` VCD signal (`signal`) while jobs run.
     """
 
     READS = {}
@@ -263,6 +268,15 @@ class RegisterDevice(Component):
         if method is None:
             raise BusError
         method(self, req)
+
+    def start(self, job):
+        """Run the job generator `job` (class docstring)."""
+        self._resume(Event(self.path, self._resume, job))
+
+    def _resume(self, ev):
+        delay = next(ev.payload, None)
+        if delay is not None:
+            self.domain.enqueue(ev, delay)
 
     def read_status(self, req):
         """A READS method for a register that reads `self.status`."""

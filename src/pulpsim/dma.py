@@ -4,8 +4,8 @@ registers.
 A transfer is its burst plan, `_bursts`: COUNT rows of LEN bytes, each cut
 into bursts of at most `max_burst` bytes, where the L2 side advances by
 STRIDE per row (which is what double-buffered tiling needs) and the L1 side
-is contiguous across rows; without the 2D flag there is one row.  One event
-per transfer serves the plan a burst at a time: a timed read on the source
+is contiguous across rows; without the 2D flag there is one row.  Its job,
+`_transfer`, serves the plan a burst at a time: a timed read on the source
 side, then a timed write on the destination side, both issued at the
 burst's cycle, so bridge bandwidth and bank conflicts shape the transfer
 like core traffic would.  The next burst follows after the cost of the
@@ -28,7 +28,6 @@ in flight reads 0xFFFFFFFF, so the failed ids kept stay bounded.
 """
 
 from .component import BusError, RegisterDevice, register, REQUIRED, Request, MAX_REQUEST_BYTES
-from .engine import Event
 from .event_unit import line_owner
 from .memory import bound_memory
 
@@ -79,7 +78,7 @@ class ClusterDma(RegisterDevice):
         super().build()
         self.tcdm_port = self.add_master("tcdm")
         self.ext_port = self.add_master("ext")
-        # reused by every burst; `_burst` sets their addr, size and value
+        # reused by every burst; `_transfer` sets their addr, size and value
         self._read = Request(initiator=self)
         self._write = Request(is_write=True, initiator=self)
         self.reset()
@@ -90,7 +89,7 @@ class ClusterDma(RegisterDevice):
                      REG_COUNT: 1, REG_TID: 0}
         self.flags = 0
         self.next_id = 1
-        self.active = {}
+        self.active = {}        # tid -> its running `_transfer`
         self.failed = set()     # tids, within TID_WINDOW, of transfers that ended in a bus error
 
     def finalize(self):
@@ -132,13 +131,11 @@ class ClusterDma(RegisterDevice):
         self.next_id += 1
         self.failed.discard(tid - TID_WINDOW)
         src, dst = self.regs[REG_SRC], self.regs[REG_DST]
-        max_burst = self.params["max_burst"]
-        plan = _bursts(src, dst, length, stride, count, bool(cfg & 1), max_burst)
-        event = Event(self.path, self._burst, (tid, count * -(-length // max_burst), plan))
-        self.active[tid] = event
+        plan = _bursts(src, dst, length, stride, count, bool(cfg & 1), self.params["max_burst"])
+        self.active[tid] = job = self._transfer(tid, plan)
         self.transfers += 1
         self.signal("busy", True)
-        self.domain.enqueue(event, self.params["program_latency"])
+        self.start(job)
         self.log("start id=%d src=0x%08x dst=0x%08x len=%d rows=%d",
                  tid, src, dst, length, count)
 
@@ -157,25 +154,24 @@ class ClusterDma(RegisterDevice):
             req.contended = False
             self.contentions += 1
 
-    def _burst(self, ev):
-        tid, left, plan = ev.payload
-        src, dst, size = next(plan)
+    def _transfer(self, tid, plan):
+        """The job of transfer `tid`: the bursts of `plan`, the first
+        `program_latency` cycles after the start."""
         read, write = self._read, self._write
-        now = self.domain.cycle
-        try:
-            self._access(read, src, size, now)
-            write.value = read.value
-            self._access(write, dst, size, now)
-        except BusError:
-            self._finish(tid, True)
-            return
-        self.bytes += size
-        if left == 1:
-            self._finish(tid, False)
-        else:
-            ev.payload = (tid, left - 1, plan)
-            cost = self.params["burst_latency"] + (read.at - now) + (write.at - now)
-            self.domain.enqueue(ev, max(1, cost))
+        delay = self.params["program_latency"]
+        for src, dst, size in plan:
+            yield delay
+            now = self.domain.cycle
+            try:
+                self._access(read, src, size, now)
+                write.value = read.value
+                self._access(write, dst, size, now)
+            except BusError:
+                self._finish(tid, True)
+                return
+            self.bytes += size
+            delay = max(1, self.params["burst_latency"] + (read.at - now) + (write.at - now))
+        self._finish(tid, False)
 
     def _finish(self, tid, error):
         del self.active[tid]

@@ -4,13 +4,15 @@ The micro-DMA moves data between L2 and the external device in beat-sized
 steps paced in the peripheral clock domain; the beat schedule follows the
 configured device bandwidth exactly (cumulative picosecond arithmetic, so
 quantization never drifts), with a floor of one beat per peripheral cycle.
-A window of beats starts with a beat event and takes in each next beat
-due before the engine's horizon (`ClockDomain.run_ahead`).  No other
-master reaches L2 before the horizon, so a window's beats depend only on
-the transfer.  `_pace` computes their cycles in one loop under the pacing
-rule; `_beat` converts them with each clock crossing's `arrival` on the
-way to L2 and serves them with one `BankedMemory.stream` call, which stops
-at the first beat L2 refuses: that beat ends the transfer with an error.
+A transfer is a job (`RegisterDevice.start`), `_transfer`, that moves one
+window of beats each time it resumes: the beat it resumed at, then each
+next beat due before the engine's horizon, which it runs ahead to
+(`ClockDomain.run_ahead`).  No other master reaches L2 before the
+horizon, so a window's beats depend only on the transfer.  The job
+converts their cycles with each clock crossing's `arrival` on the way to
+L2 and serves them with one `BankedMemory.stream` call, which stops at the
+first beat L2 refuses: that beat ends the transfer with an error.
+Otherwise the job yields until the first beat of the next window.
 The `l2` port must reach the `in` port of one banked memory through zero
 or more clock crossings, each of which takes its source domain from the
 masters bound to it: the micro-DMA's domain, then each crossing's.
@@ -29,7 +31,7 @@ programs a way to stop the simulation and print.
 import mmap
 
 from .component import BusError, Component, RegisterDevice, register, REQUIRED
-from .engine import Event, PS_PER_SEC
+from .engine import PS_PER_SEC
 from .errors import ConfigError
 from .event_unit import line_owner
 from .interconnect import ClockCrossing
@@ -113,7 +115,6 @@ class MicroDma(RegisterDevice):
     def build(self):
         super().build()
         self.l2_port = self.add_master("l2")
-        self.beat_event = Event(self.path, self._beat)
         self.reset()
 
     def finalize(self):
@@ -156,73 +157,59 @@ class MicroDma(RegisterDevice):
         self.status = UDMA_BUSY
         self.transfers += 1
         self.signal("busy", True)
-        # the transfer: direction, first L2 address and device offset,
-        # length, bytes moved, start time, and the beats it reaches: up to
-        # the first one L2 refuses, which ends it
-        self._tx = tx
-        self._l2 = l2 = self.regs[UDMA_L2_ADDR]
-        self._ext = ext
-        self._length = length
-        self._done = 0
-        self._start_ps = start_ps = self.platform.engine.now_ps
-        step = self.params["beat_bytes"]
-        self._beats = min(-(-length // step), self.l2.accepted(l2, length, step) + 1)
+        l2 = self.regs[UDMA_L2_ADDR]
         self.log("start %s l2=0x%08x ext=0x%08x len=%d", "tx" if tx else "rx", l2, ext, length)
-        # under a horizon of 0 the first beat cannot run ahead: it is enqueued
-        self._pace(0, self.domain.cycle_at_or_after(start_ps), 1, 0)
+        self.start(self._transfer(tx, l2, ext, length))
 
     READS = {UDMA_STATUS: RegisterDevice.read_status}
     WRITES = {UDMA_CFG: _program}
 
-    def _pace(self, done, prev, count, horizon):
-        """Pace up to `count` next beats, after `done` bytes have moved and
-        with the beat before them at cycle `prev`.  Returns the cycles of
-        those that run ahead (due before cycle `horizon`, and
-        `ClockDomain.run_ahead` agrees), and enqueues the beat event at the
-        first one that does not."""
+    def _transfer(self, tx, l2, ext, length):
+        """The job moving `length` bytes between L2 at `l2` and the device at
+        `ext`, to the device if `tx`, a run-ahead window of beats at a time
+        (module docstring)."""
         dom = self.domain
         step = self.params["beat_bytes"]
-        end = self._length
-        start = self._start_ps
+        start = dom.engine.now_ps
         link = self.device.access_ps
         period = dom.period_ps
-        run_ahead = dom.run_ahead
-        cycles = []
-        for done in range(done + step, done + step * (count + 1), step):
-            # exact cumulative pacing: a beat ends when its bytes have crossed
-            # the link (`cycle_at_or_after`), at most one beat per cycle
-            cycle = -(-(start + link(done if done < end else end)) // period)
-            prev = cycle if cycle > prev else prev + 1
-            if prev >= horizon or not run_ahead(prev, prev - dom.cycle):
-                dom.enqueue(self.beat_event, prev - dom.cycle_at_or_after(dom.engine.now_ps))
-                break
-            cycles.append(prev)
-        return cycles
+        beats = min(-(-length // step), self.l2.accepted(l2, length, step) + 1)
 
-    def _beat(self, ev):
-        """Move one run-ahead window of beats: this beat, then each next
-        one due before the engine's horizon, up to the first beat L2
-        refuses (module docstring)."""
-        dom = self.domain
-        step = self.params["beat_bytes"]
-        done = self._done
-        cycles = [dom.cycle, *self._pace(done + step, dom.cycle, self._beats - done // step - 1,
-                                         dom.horizon_cycle)]
-        for hop in self.hops:
-            hop.crossings += len(cycles)
-            arrival = hop.arrival
-            cycles = [arrival(cycle) for cycle in cycles]
-        left = self._length - done
-        nbytes = min(step * len(cycles), left)
-        ext = self._ext + done
-        served, _ = self.l2.stream(self._l2 + done, nbytes, step, cycles,
-                                   self.ext_view[ext:ext + nbytes], not self._tx)
-        moved = min(step * served, left)
-        self.bytes += moved
-        self._done = done + moved
-        refused = served < len(cycles)
-        if refused or moved == left:
-            self._finish(error=refused)
+        def paced():
+            # each beat's cycle: when its bytes have crossed the link (exact
+            # cumulative pacing), and at least one cycle after the beat before
+            prev = dom.cycle_at_or_after(start)
+            for done in range(step, step * (beats + 1), step):
+                cycle = -(-(start + link(done if done < length else length)) // period)
+                prev = cycle if cycle > prev else prev + 1
+                yield prev
+
+        beat_cycles = paced()
+        prev = next(beat_cycles)
+        done = 0
+        while True:
+            yield prev - dom.cycle_at_or_after(dom.engine.now_ps)
+            cycles = [prev]
+            horizon = dom.horizon_cycle
+            for prev in beat_cycles:
+                if prev >= horizon or not dom.run_ahead(prev, prev - dom.cycle):
+                    break
+                cycles.append(prev)
+            for hop in self.hops:
+                hop.crossings += len(cycles)
+                arrival = hop.arrival
+                cycles = [arrival(cycle) for cycle in cycles]
+            left = length - done
+            nbytes = min(step * len(cycles), left)
+            served, _ = self.l2.stream(l2 + done, nbytes, step, cycles,
+                                       self.ext_view[ext + done:ext + done + nbytes], not tx)
+            moved = min(step * served, left)
+            self.bytes += moved
+            done += moved
+            refused = served < len(cycles)
+            if refused or moved == left:
+                self._finish(error=refused)
+                return
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0
