@@ -114,8 +114,10 @@ class Platform:
         """The component at `path`.  With `kind` it must be of that kind;
         `where` names the reference in errors, e.g. a parameter's
         `components.<path>.params.<name>`."""
-        comp = self.components.get(path)
         prefix = where + ": " if where else ""
+        if not isinstance(path, str):
+            raise ConfigError("%sexpected a component path, got %r" % (prefix, path))
+        comp = self.components.get(path)
         if comp is None:
             raise ConfigError("%sunknown component '%s'" % (prefix, path))
         if kind is not None and comp.kind != kind:

@@ -112,6 +112,8 @@ def fill_params(cls, path, given):
     default.  Container defaults are copied; values the caller gave are
     not.
     """
+    if given is not None and not isinstance(given, dict):
+        raise ConfigError("components.%s.params: expected object, got %r" % (path, given))
     merged = {}
     given = dict(given or {})
     for name, spec in cls.PARAMS.items():

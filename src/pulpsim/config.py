@@ -22,8 +22,8 @@ build().  Router mappings are resolved by
 interconnect.resolve_mappings() and checked by check_overlaps(), and
 explicit base/size strings such as "0x1000" are stored as ints.
 
-A mapping may name a {"target": path} instead of explicit base/size/port.
-It stays in the descriptor as written: the builder resolves it again when
+A mapping is either {"target": path} alone or exactly base, size and port.
+A target mapping stays in the descriptor as written: the builder resolves it again when
 it builds the platform, so an override of the target's base/size moves
 the mapping, and binds the port to the target's input.  Every parameter
 can be overridden from the command line as `path.key=value`, and every
@@ -73,6 +73,10 @@ def parse(json_text):
     if extra:
         raise ConfigError("unknown top-level keys: %s" % sorted(extra))
 
+    for key, kind, noun in (("name", str, "string"), ("clock_domains", dict, "object"),
+                            ("components", dict, "object"), ("bindings", list, "array")):
+        if raw.get(key) is not None and not isinstance(raw[key], kind):
+            raise ConfigError("%s: expected %s, got %r" % (key, noun, raw[key]))
     domains = {name: _clock_domain(name, entry)
                for name, entry in (raw.get("clock_domains") or {}).items()}
     if not domains:
@@ -84,11 +88,11 @@ def parse(json_text):
         if not isinstance(entry, dict):
             raise ConfigError("%s: expected object" % where)
         kind = entry.get("kind")
-        if kind not in COMPONENT_KINDS:
+        if not isinstance(kind, str) or kind not in COMPONENT_KINDS:
             raise ConfigError("%s: unknown component kind %r (known: %s)" % (
                 where, kind, ", ".join(sorted(COMPONENT_KINDS))))
         domain = entry.get("domain")
-        if domain not in domains:
+        if not isinstance(domain, str) or domain not in domains:
             raise ConfigError("%s: unknown clock domain %r" % (where, domain))
         unknown = set(entry) - {"kind", "domain", "params"}
         if unknown:
@@ -110,13 +114,15 @@ def parse(json_text):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError("%s: expected [master, slave]" % where)
         for end in pair:
+            if not isinstance(end, str):
+                raise ConfigError("%s: expected a 'component.port' string, got %r" % (where, end))
             comp = end.rsplit(".", 1)[0]
             if comp not in components:
                 raise ConfigError("%s: '%s' names unknown component '%s'" % (
                     where, end, comp))
         bindings.append([pair[0], pair[1]])
 
-    return {"name": raw.get("name", ""), "clock_domains": domains,
+    return {"name": raw.get("name") or "", "clock_domains": domains,
             "components": components, "bindings": bindings}
 
 

@@ -23,32 +23,40 @@ def decode(mappings, addr):
 def resolve_mappings(path, mappings, components):
     """Router `mappings` as [(base, size, port)], in order.
 
-    An explicit entry gives base/size (ints or 0x strings) and port.  A
-    {"target": path} entry takes base/size from that entry of `components`
-    (descriptor form, path -> {"kind", "domain", "params"}) and names its
-    port after the target, with "/" replaced by "_".
+    An explicit entry has exactly base/size (ints or 0x strings) and port,
+    a string.  A {"target": path} entry has no other key: it takes
+    base/size from that entry of `components` (descriptor form, path ->
+    {"kind", "domain", "params"}) and names its port after the target,
+    with "/" replaced by "_".
     """
     out = []
     for i, m in enumerate(mappings):
         where = "components.%s.params.mappings[%d]" % (path, i)
         if not isinstance(m, dict):
             raise ConfigError("%s: expected object, got %r" % (where, m))
+        unknown = m.keys() - ({"target"} if "target" in m else {"base", "size", "port"})
+        if unknown:
+            raise ConfigError("%s: unknown keys %s (a mapping takes %s)" % (
+                where, sorted(unknown), "only target" if "target" in m else "base, size and port"))
         if "target" in m:
             target = m["target"]
-            entry = components.get(target)
+            entry = components.get(target) if isinstance(target, str) else None
             if entry is None:
-                raise ConfigError("%s: unknown target '%s'" % (where, target))
+                raise ConfigError("%s: unknown target %r" % (where, target))
             tp = entry["params"]
             if "base" not in tp or "size" not in tp:
                 raise ConfigError("%s: target '%s' has no base/size" % (where, target))
             out.append((tp["base"], tp["size"], target.replace("/", "_")))
         else:
             try:
-                out.append((as_int(m["base"], where + ".base"),
-                            as_int(m["size"], where + ".size"), m["port"]))
+                base, size, port = (as_int(m["base"], where + ".base"),
+                                    as_int(m["size"], where + ".size"), m["port"])
             except KeyError as e:
                 raise ConfigError("%s: mapping needs target or base/size/port (missing %s)"
                                   % (where, e)) from None
+            if not isinstance(port, str):
+                raise ConfigError("%s.port: expected string, got %r" % (where, port))
+            out.append((base, size, port))
     return out
 
 

@@ -61,6 +61,30 @@ def test_non_integral_period_rejected_with_path():
         parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("where,value,message", [
+    (("name",), 5, "name: expected string, got 5"),
+    (("clock_domains",), [1], "clock_domains: expected object, got [1]"),
+    (("components",), ["fc"], "components: expected object, got ['fc']"),
+    (("bindings",), 5, "bindings: expected array, got 5"),
+    (("components", "ram", "params"), [1, 2], "components.ram.params: expected object, got [1, 2]"),
+    (("components", "ram", "params"), "x", "components.ram.params: expected object, got 'x'"),
+    (("components", "ram", "kind"), ["x"], "components.ram: unknown component kind ['x']"),
+    (("components", "ram", "domain"), ["x"], "components.ram: unknown clock domain ['x']"),
+    (("bindings", 0, 1), 1, "bindings[0]: expected a 'component.port' string, got 1"),
+], ids=["name", "clock-domains", "components", "bindings", "params-list", "params-string",
+        "kind", "domain", "binding-end"])
+def test_malformed_description_is_refused(where, value, message):
+    doc = json.loads(json.dumps(MINIMAL_PLATFORM))
+    *path, key = where
+    node = doc
+    for part in path:
+        node = node[part]
+    node[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse(json.dumps(doc))
+    assert message in str(err.value)
+
+
 def test_clock_domain_accepts_only_frequency():
     doc = json.loads(json.dumps(MINIMAL_PLATFORM))
     doc["clock_domains"]["main"]["event_window"] = 64
@@ -418,7 +442,13 @@ def test_group_override_equals_textual_edit():
      "[0x1c000000,0x1c800000) overlap"),
     (['soc_ic.mappings=[{"target":"nosuch"}]'],
      "components.soc_ic.params.mappings[0]: unknown target 'nosuch'"),
-], ids=["misspelt-group-key", "overlapping-targets", "unknown-target"])
+    (['soc_ic.mappings=[{"target":"l2","size":16}]'],
+     "components.soc_ic.params.mappings[0]: unknown keys ['size'] (a mapping takes only target)"),
+    (['soc_ic.mappings=[{"base":0,"size":16,"port":"l2","target_":"l2"}]'],
+     "components.soc_ic.params.mappings[0]: unknown keys ['target_'] "
+     "(a mapping takes base, size and port)"),
+], ids=["misspelt-group-key", "overlapping-targets", "unknown-target", "target-with-size",
+        "explicit-with-extra-key"])
 def test_overrides_are_checked_like_the_file(overrides, message):
     with pytest.raises(ConfigError) as err:
         apply_overrides(pulp_descriptor(), overrides)

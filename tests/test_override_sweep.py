@@ -188,6 +188,12 @@ NON_INT = [
      ISA + r"ISA table bad: entry .*: mnemonic, fmt, class and semantics must be strings$"),
     ('fc.isa=["rv32im", "{dir}/mnemonic.json"]',
      ISA + r"ISA table bad: entry .*: mnemonic, fmt, class and semantics must be strings$"),
+    # values of the wrong JSON type where a name is expected
+    ('soc_ic.mappings=[{"target": [1]}]', r"mappings\[0\]: unknown target \[1\]$"),
+    ('soc_ic.mappings=[{"base": 0, "size": 16, "port": [1]}]',
+     r"mappings\[0\]\.port: expected string, got \[1\]$"),
+    ('fc_itc.cores=[["fc"]]', r"components\.fc_itc\.params\.cores: expected a component path, "
+                              r"got \['fc'\]$"),
     # an int param given as a string, as the file may give it
     ('l2.banks="4"', None),
     ('cluster/tcdm.base="0x10000000"', None),
