@@ -2,13 +2,13 @@
 
 Programming writes the job registers and a trigger; a second job can be
 captured into a shadow slot while one runs and starts at its completion.
-The running job, `_run`, streams its tensors through the TCDM `ports`
-words per cycle: each chunk moves its words with one `BankedMemory.stream`
-call per tensor it touches, giving each word its issue cycle, so bank
-conflicts with the cores are observed and extend the job.  The `tcdm` port
-must be bound to the `in` port of one banked memory; it names that
-memory, in which every job's tensors must lie, and no request travels
-through it.
+The running job (`RegisterDevice.start`), `_run`, streams its tensors
+through the TCDM `ports` words per cycle, a chunk of `chunk_cycles` at a
+time: each chunk moves its words with one `BankedMemory.stream` call per
+tensor it touches, giving each word its issue cycle, so bank conflicts
+with the cores are observed and extend the job.  The `tcdm` port must be
+bound to the `in` port of one banked memory; it names that memory, in
+which every job's tensors must lie, and no request travels through it.
 
 The cycle cost is an analytical model: a fixed setup, a per-output-channel
 weight-load term amortized by the load width, and the MAC count divided by

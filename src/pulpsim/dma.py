@@ -4,13 +4,14 @@ registers.
 A transfer is its burst plan, `_bursts`: COUNT rows of LEN bytes, each cut
 into bursts of at most `max_burst` bytes, where the L2 side advances by
 STRIDE per row (which is what double-buffered tiling needs) and the L1 side
-is contiguous across rows; without the 2D flag there is one row.  Its job,
-`_transfer`, serves the plan a burst at a time: a timed read on the source
-side, then a timed write on the destination side, both issued at the
-burst's cycle, so bridge bandwidth and bank conflicts shape the transfer
-like core traffic would.  The next burst follows after the cost of the
-previous one; the transfer ends at the first refused access or after its
-last burst, and its end raises a cluster event line.
+is contiguous across rows; without the 2D flag there is one row.  The
+transfer's job (`RegisterDevice.start`), `_transfer`, waits
+`program_latency` cycles, then serves the plan a burst at a time: a timed
+read on the source side, then a timed write on the destination side, both
+issued at the burst's cycle, so bridge bandwidth and bank conflicts shape
+the transfer like core traffic would.  The next burst follows after the
+cost of the previous one; the transfer ends at the first refused access or
+after its last burst, and its end raises a cluster event line.
 
 The TCDM window is the banked memory the `tcdm` port is bound to: a burst
 address inside it goes out on `tcdm`, any other on `ext`.

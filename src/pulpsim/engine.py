@@ -28,13 +28,13 @@ the next thing the engine would run.  It may then perform that action
 inline, in the same callback, after `ClockDomain.run_ahead` has checked
 that it is alone and has moved the domain's cycle, the engine's time and
 the counters exactly as enqueueing it and executing that cycle would have.
-The cores (`RiscvCore._step`) and the micro-DMA do so; everything else
-enqueues itself.  The micro-DMA's `_beat` moves a whole window of beats in
-one pass: `_pace` runs each next beat ahead while it is due before the
-horizon, and one `BankedMemory.stream` call then serves the window in L2,
-which no other master can touch before the horizon.  Timing, traces and
-statistics are the same either way; only the number of engine dispatches
-drops.
+The cores (`RiscvCore._step`) and the micro-DMA's job
+(`MicroDma._transfer`) do so; everything else enqueues itself.  Each time
+the micro-DMA's job resumes, it moves a whole window of beats: it runs each
+next beat ahead while it is due before the horizon, and one
+`BankedMemory.stream` call then serves the window in L2, which no other
+master can touch before the horizon.  Timing, traces and statistics are
+the same either way; only the number of engine dispatches drops.
 
 Lap counters.  `TimeEngine.stats` still reports the `laps_completed` and
 `overflow_promotions` of the 64-slot ring (one lap) and overflow heap that

@@ -8,6 +8,7 @@ reference.  A reset with DMA, micro-DMA and accelerator work in flight
 must rewind the platform so that a rerun equals a fresh run.
 """
 
+import io
 import random
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 from pulpsim.asm import assemble
 from pulpsim.engine import EXIT_TIMEOUT
-from pulpsim.tracing import stats_report, stable_stats
+from pulpsim.tracing import TraceSink, stats_report, stable_stats
 
 from conftest import build_pulp
 
@@ -37,7 +38,7 @@ DMA_SRC, DMA_DST, DMA_LEN, DMA_STRIDE, DMA_COUNT, DMA_CFG, DMA_STATUS, DMA_ID, D
     DMA_TID_STATUS = 0x00, 0x04, 0x08, 0x0C, 0x10, 0x14, 0x18, 0x1C, 0x20, 0x24
 DMA_L1_TO_L2, DMA_2D, DMA_REJECT = 1, 2, 1 << 30
 ACC_TRIGGER, ACC_STATUS = 0x20, 0x24
-ST_BUSY, ST_ERROR = 1, 4
+ST_BUSY, ST_SHADOW, ST_ERROR = 1, 2, 4
 UDMA_L2, UDMA_EXT, UDMA_LEN, UDMA_CFG = 0x00, 0x04, 0x08, 0x0C
 
 
@@ -347,6 +348,33 @@ def test_next_trigger_clears_the_accelerator_error():
     plat = run(guest(body), pokes)
     assert results(plat, 3) == [ST_ERROR, ST_BUSY, 0]
     assert out_words(plat, TCDM + 0x800, len(want)) == want
+
+
+def test_a_shadowed_job_starts_as_the_running_one_completes():
+    # the second trigger fills the shadow slot while the first, 1612-cycle
+    # job runs; the first job's completion starts it in the same step, and
+    # it writes its own outputs
+    rng = random.Random(11)
+    first, pokes, want = conv_job(rng, 8, 8, 8, 8, 3, TCDM, TCDM + 0x400, TCDM + 0x800)
+    second, more, want2 = conv_job(rng, 2, 3, 4, 4, 1,
+                                   TCDM + 0x1000, TCDM + 0x1400, TCDM + 0x1800)
+    body = ["li a0, 0x%X" % CL_ACCEL] + acc_program(first) + acc_program(second)
+    body += ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 0)
+    body += acc_wait("wait") + ["lw a1, %d(a0)" % ACC_STATUS] + store("a1", 1)
+    plat = build_pulp()
+    trace = io.StringIO()
+    plat.trace_sink = TraceSink(["cluster/accel"], trace)
+    load(plat, guest(body), pokes + more)
+    assert plat.run(max_cycles=200_000) == 0
+    assert results(plat, 2) == [ST_BUSY | ST_SHADOW, 0]
+    assert out_words(plat, TCDM + 0x800, len(want)) == want
+    assert out_words(plat, TCDM + 0x1800, len(want2)) == want2
+    assert plat.lookup("cluster/accel").jobs == 2
+    lines = [(int(line.split("ps", 1)[0]), line.split("] ", 1)[1])
+             for line in trace.getvalue().splitlines()]
+    assert [text.split()[0:2] for _, text in lines] == [
+        ["job", "ch_in=8"], ["job", "done"], ["job", "ch_in=2"], ["job", "done"]]
+    assert lines[1][0] == lines[2][0] < lines[3][0]
 
 
 def test_unaligned_input_streams_every_word_it_touches():
