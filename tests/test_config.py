@@ -85,6 +85,38 @@ def test_malformed_description_is_refused(where, value, message):
     assert message in str(err.value)
 
 
+# one value of each JSON type, and containers of the wrong contents
+JSON_VALUES = [None, 1, -1, 1.5, True, "x", [], [1], ["x"], [[1]], {}, {"a": 1}]
+
+
+def _value_paths(node, prefix=()):
+    """The key path of every value inside `node`, containers included."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _value_paths(value, prefix + (key,))
+
+
+def test_any_value_of_the_wrong_type_builds_or_is_refused():
+    # every value of pulp-open's full description, defaults included,
+    # replaced in turn by each of JSON_VALUES
+    text = serialize(pulp_descriptor())
+    for where in _value_paths(json.loads(text)):
+        for value in JSON_VALUES:
+            doc = json.loads(text)
+            node = doc
+            for part in where[:-1]:
+                node = node[part]
+            node[where[-1]] = value
+            try:
+                build(parse(json.dumps(doc)))
+            except ConfigError:
+                pass
+            except Exception as e:      # any other error: name the edit that raised it
+                pytest.fail("%s = %r raised %r" % (".".join(map(str, where)), value, e))
+
+
 def test_clock_domain_accepts_only_frequency():
     doc = json.loads(json.dumps(MINIMAL_PLATFORM))
     doc["clock_domains"]["main"]["event_window"] = 64
