@@ -66,7 +66,8 @@ def test_non_integral_period_rejected_with_path():
     (("clock_domains",), [1], "clock_domains: expected object, got [1]"),
     (("components",), ["fc"], "components: expected object, got ['fc']"),
     (("bindings",), 5, "bindings: expected array, got 5"),
-    (("components", "ram", "params"), [1, 2], "components.ram.params: expected object, got [1, 2]"),
+    (("components", "ram", "params"), [1, 2],
+     "components.ram.params: expected object, got [1, 2]"),
     (("components", "ram", "params"), "x", "components.ram.params: expected object, got 'x'"),
     (("components", "ram", "kind"), ["x"], "components.ram: unknown component kind ['x']"),
     (("components", "ram", "domain"), ["x"], "components.ram: unknown clock domain ['x']"),
@@ -74,15 +75,18 @@ def test_non_integral_period_rejected_with_path():
 ], ids=["name", "clock-domains", "components", "bindings", "params-list", "params-string",
         "kind", "domain", "binding-end"])
 def test_malformed_description_is_refused(where, value, message):
-    doc = json.loads(json.dumps(MINIMAL_PLATFORM))
-    *path, key = where
-    node = doc
-    for part in path:
-        node = node[part]
-    node[key] = value
     with pytest.raises(ConfigError) as err:
-        parse(json.dumps(doc))
+        parse(_replaced(json.dumps(MINIMAL_PLATFORM), where, value))
     assert message in str(err.value)
+
+
+def _replaced(text, where, value):
+    """The JSON `text` with the value at key path `where` replaced by `value`."""
+    doc = node = json.loads(text)
+    for part in where[:-1]:
+        node = node[part]
+    node[where[-1]] = value
+    return json.dumps(doc)
 
 
 # one value of each JSON type, and containers of the wrong contents
@@ -104,13 +108,8 @@ def test_any_value_of_the_wrong_type_builds_or_is_refused():
     text = serialize(pulp_descriptor())
     for where in _value_paths(json.loads(text)):
         for value in JSON_VALUES:
-            doc = json.loads(text)
-            node = doc
-            for part in where[:-1]:
-                node = node[part]
-            node[where[-1]] = value
             try:
-                build(parse(json.dumps(doc)))
+                build(parse(_replaced(text, where, value)))
             except ConfigError:
                 pass
             except Exception as e:      # any other error: name the edit that raised it
