@@ -60,16 +60,21 @@ their fixed fields, and the step sets their `at` to its start cycle
 before each access.  The step clears each response flag it reads where
 it reads it (a fetch's `cache_miss`, a data access's `contended`), so
 they are clear before every access.  Nothing reads a fetch's `contended`.
+`reset` binds once, in the one tuple `_bound` that each step unpacks,
+what only build and reset set: the domain, the scoreboard, the data
+request, the decode cache, the `/insn` trace flag, and the L1 with its
+`lines`, `sets`, `hit_latency`, line shift and mask.
 
 Fetch fast path.  When the fetch port is bound to an instruction cache,
-the step reads that cache's live `lines` (icache module docstring): if
-the MRU way of pc's set holds pc's line, the step serves the fetch as the
-cache's MRU hit would, done `hit_latency` cycles after its issue, `hits`
-plus one and the word by shift and mask.  That is exact whoever else is
-bound to the cache, since such a hit changes no other state.  Every other
-fetch goes through the cache's handler.  pc stays on the 4-byte grid
-(`boot_addr`, `trap_vector` and `Platform.set_entry` refuse a pc off it,
-and jumps trap), so a fetch never straddles a line.
+the step reads that cache's `lines`, live since the cache clears them in
+place (icache module docstring): if the MRU way of pc's set holds pc's
+line, the step serves the fetch as the cache's MRU hit would, done
+`hit_latency` cycles after its issue, `hits` plus one and the word by
+shift and mask.  That is exact whoever else is bound to the cache, since
+such a hit changes no other state.  Every other fetch goes through the
+cache's handler.  pc stays on the 4-byte grid (`boot_addr`,
+`trap_vector` and `Platform.set_entry` refuse a pc off it, and jumps
+trap), so a fetch never straddles a line.
 """
 
 import operator
@@ -409,6 +414,12 @@ class RiscvCore(Component):
         self.pc = self.boot_pc & M32
         self.mode = "running"
         self._zero_state()
+        # the step's fixed state (module docstring)
+        l1 = self._l1
+        fast = (None,) * 5 if l1 is None else (
+            l1.lines, l1.sets, l1.hit_latency, l1.shift, l1.mask)
+        self._bound = (self.domain, self.scoreboard, self._data_req, self._dcache,
+                       self._tr_insn, l1) + fast
         self.domain.enqueue(self.step_event, 0)
         self.signal("active", 1)
         self.signal("pc", self.pc)
@@ -416,18 +427,10 @@ class RiscvCore(Component):
     # -- the per-instruction event ----------------------------------------
 
     def _step(self, ev):
-        dom = self.domain
+        dom, sb, dreq, dcache, tr, l1, lines, sets, hit_latency, shift, mask = self._bound
         C = dom.cycle
         pc = self.pc
-        sb = self.scoreboard
-        dreq = self._data_req
-        dcache = self._dcache
-        tr = self._tr_insn
         vcd = self.platform.vcd
-        l1 = self._l1
-        if l1 is not None:             # per callback: reset rebuilds `lines`
-            lines, sets, hit_latency = l1.lines, l1.sets, l1.hit_latency
-            shift, mask = l1.line.bit_length() - 1, l1.line - 1     # line_bytes: 2**shift
         while True:
             if l1 is not None and (way := lines[(n := pc >> shift) % sets][0])[0] == n:
                 # pc's line n is its set's MRU way: what the cache's MRU hit does

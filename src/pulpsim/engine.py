@@ -15,26 +15,38 @@ therefore schedule into any other.  `TimeEngine.reset` rewinds time to 0,
 every counter to cycle 0, and drops every pending event, so components
 never cancel events themselves.
 
+The bound.  While a domain executes, the engine holds one bound,
+`TimeEngine.other_ps`: the earliest pending edge of the other domains,
+capped by the `max_cycles` deadline.  The scan that picks a cycle sets
+it, and an enqueue into another domain lowers it to the new event's edge
+when that is earlier; nothing else moves it, since only the executing
+domain runs.
+
+Bursts.  After a cycle of domain D, the engine executes D's next pending
+cycle directly, without a scan, while no exit is posted and that cycle's
+edge lies strictly before the bound.  A tie goes back to the scan, so
+registration order still breaks it.  The order of execution is the one
+the scan would have given.
+
 Run-ahead.  While a callback runs, the executing domain's `horizon_cycle`
-bounds what can happen outside it: its first cycle at or after the
-earliest pending event of the other domains, capped by the `max_cycles`
-deadline, or its executing cycle when it holds another pending event as
-well.  The engine sets it before each cycle from the scan that picks the
-cycle.  An enqueue into another domain lowers it to the first cycle at or
-after the new event's edge (exact, as rounding up is monotone), and a
-posted exit lowers it to 0.  A callback whose next action lies strictly
-before the horizon, and which is still the only event of its domain, is
-the next thing the engine would run.  It may then perform that action
-inline, in the same callback, after `ClockDomain.run_ahead` has checked
-that it is alone and has moved the domain's cycle, the engine's time and
-the counters exactly as enqueueing it and executing that cycle would have.
-The cores (`RiscvCore._step`) and the micro-DMA's job
-(`MicroDma._transfer`) do so; everything else enqueues itself.  Each time
-the micro-DMA's job resumes, it moves a whole window of beats: it runs each
-next beat ahead while it is due before the horizon, and one
-`BankedMemory.stream` call then serves the window in L2, which no other
-master can touch before the horizon.  Timing, traces and statistics are
-the same either way; only the number of engine dispatches drops.
+bounds what can happen outside it: its first cycle at or after the bound,
+or its executing cycle when it holds another pending event as well.  The
+engine derives it from the bound before each cycle.  An enqueue into
+another domain lowers it to the first cycle at or after the new event's
+edge (exact, as rounding up is monotone), and a posted exit lowers it to
+0.  A callback whose next action lies strictly before the horizon, and
+which is still the only event of its domain, is the next thing the
+engine would run.  It may then perform that action inline, in the same
+callback, after `ClockDomain.run_ahead` has checked that it is alone and
+has moved the domain's cycle, the engine's time and the counters exactly
+as enqueueing it and executing that cycle would have.  The cores
+(`RiscvCore._step`) and the micro-DMA's job (`MicroDma._transfer`) do
+so; everything else enqueues itself.  Each time the micro-DMA's job
+resumes, it moves a whole window of beats: it runs each next beat ahead
+while it is due before the horizon, and one `BankedMemory.stream` call
+then serves the window in L2, which no other master can touch before the
+horizon.  Timing, traces and statistics are the same either way; only
+the number of engine dispatches drops.
 
 Lap counters.  `TimeEngine.stats` still reports the `laps_completed` and
 `overflow_promotions` of the 64-slot ring (one lap) and overflow heap that
@@ -96,7 +108,9 @@ class ClockDomain:
     `run_ahead` lets the executing callback, when it is alone in the store
     and due before `horizon_cycle`, move on to its next cycle instead of
     enqueueing itself (module docstring).  It counts this domain's events
-    itself, so only enqueues into other domains must lower the horizon.
+    itself, so only enqueues into other domains must lower the horizon
+    and the engine's bound; an enqueue from the executing domain itself
+    takes the short path.
     """
 
     def __init__(self, name, frequency_hz):
@@ -138,20 +152,21 @@ class ClockDomain:
         if event.enqueued:
             raise StructuralError("double enqueue of %r" % event)
         engine = self.engine
-        if engine.current is self:
-            abs_cycle = self.cycle + delta_cycles
-        else:
+        if engine.current is not self:
             abs_cycle = self.cycle_at_or_after(engine.now_ps) + delta_cycles
             t = self.period_ps * abs_cycle
-            cur = engine.current        # None outside run()
-            if cur is not None and t < cur.period_ps * cur.horizon_cycle:
-                cur.horizon_cycle = -(-t // cur.period_ps)
-        if abs_cycle - self.cycle < _LAP:
+            if t < engine.other_ps:         # lower the bound, and the horizon with it
+                engine.other_ps = t
+                cur = engine.current        # None outside run()
+                if cur is not None and t < cur.period_ps * cur.horizon_cycle:
+                    cur.horizon_cycle = -(-t // cur.period_ps)
+            delta_cycles = abs_cycle - self.cycle
+        abs_cycle = event.cycle = self.cycle + delta_cycles
+        if delta_cycles < _LAP:
             event.enqueued = True
         else:
             event.enqueued = _FAR
             self._far += 1
-        event.cycle = abs_cycle
         lst = self._buckets.get(abs_cycle)
         if lst is None:
             self._buckets[abs_cycle] = [event]
@@ -244,18 +259,22 @@ class TimeEngine:
     Repeatedly picks the domain whose next pending event has the earliest
     global time, advances `now_ps` to it and executes that whole cycle,
     with `current` naming the executing domain.  Ties break by domain
-    registration order, which keeps runs deterministic.
+    registration order, which keeps runs deterministic.  The scan over the
+    domains runs only when a burst stops (module docstring); it sets
+    `other_ps`, the bound.
 
-    Before each cycle the same scan sets the executing domain's
-    `horizon_cycle` (module docstring); it is the executing cycle when that
-    domain holds more than one event (`run_ahead` would refuse anyway; this
-    way a busy domain's callbacks stop at their one horizon comparison).
+    Before each cycle the engine sets the executing domain's
+    `horizon_cycle` from the bound (module docstring); it is the executing
+    cycle when that domain holds more than one event (`run_ahead` would
+    refuse anyway; this way a busy domain's callbacks stop at their one
+    horizon comparison).
     """
 
     def __init__(self):
         self.domains = []
         self.now_ps = 0
         self.current = None         # domain executing a cycle, inside run()
+        self.other_ps = _END_OF_TIME    # earliest pending edge outside `current`
         self.exit_status = None
 
     def add_domain(self, domain):
@@ -313,14 +332,23 @@ class TimeEngine:
                     return EXIT_TIMEOUT if any(d._cycles for d in domains) else EXIT_IDLE
                 if best_t < self.now_ps:
                     raise StructuralError("global time went backwards")
-                self.now_ps = best_t
-                if best._pending > 1:
-                    # `best` holds more than one event: the horizon is now
-                    best.horizon_cycle = best_cycle
-                else:
-                    best.horizon_cycle = -(-other_t // best.period_ps)
+                self.other_ps = other_t
                 self.current = best
-                best.execute_cycle(best_cycle)
+                cycles, period = best._cycles, best.period_ps
+                while True:             # a burst of `best`'s cycles
+                    self.now_ps = best_t
+                    if best._pending > 1:
+                        # `best` holds more than one event: the horizon is now
+                        best.horizon_cycle = best_cycle
+                    else:
+                        best.horizon_cycle = -(-self.other_ps // period)
+                    best.execute_cycle(best_cycle)
+                    if self.exit_status is not None or not cycles:
+                        break
+                    best_cycle = cycles[0]
+                    best_t = period * best_cycle
+                    if best_t >= self.other_ps:
+                        break           # another domain may be due first: scan
         finally:
             self.current = None
 

@@ -16,7 +16,8 @@ but `hits`, so a core may serve such a fetch itself (core module
 docstring).  A hit on another way moves it to the front, and a refill
 puts the LRU way, refilled, there once its upstream access returns.
 `flush` (fence.i) invalidates this cache and the instruction cache it
-refills from.
+refills from.  `reset`, like `flush`, clears the ways in place, so the
+`lines` a core holds since its reset stays this cache's live state.
 """
 
 from .component import BusError, Component, register, Request, MAX_REQUEST_BYTES
@@ -43,6 +44,8 @@ class InstructionCache(Component):
         if size % (self.ways * self.line):
             raise ConfigError("%s: size %d not divisible by ways*line" % (self.path, size))
         self.sets = size // (self.ways * self.line)
+        self.shift, self.mask = self.line.bit_length() - 1, self.line - 1   # line: 2**shift
+        self.lines = [[[None, 0] for _ in range(self.ways)] for _ in range(self.sets)]
         self.hit_latency = self.params["hit_latency"]
         self.add_slave("in", self.handle)
         self.refill_port = self.add_master("refill")
@@ -51,16 +54,21 @@ class InstructionCache(Component):
 
     def reset(self):
         super().reset()
-        self.lines = [[[None, 0] for _ in range(self.ways)] for _ in range(self.sets)]
+        self._invalidate()
         self.busy_until = -1
+
+    def _invalidate(self):
+        for ways in self.lines:
+            for way in ways:
+                way[0] = None
 
     def handle(self, req):
         addr = req.addr
         size = req.size
-        off = addr & (self.line - 1)
+        off = addr & self.mask
         if off + size > self.line:
             raise BusError              # a fetch may not straddle a line
-        lineno = addr // self.line
+        lineno = addr >> self.shift
         ways = self.lines[lineno % self.sets]
         for i, way in enumerate(ways):
             if way[0] == lineno:
@@ -97,10 +105,8 @@ class InstructionCache(Component):
     def flush(self):
         """Invalidate every line, here and in the instruction cache this
         one refills from, so that a refill fetches memory's bytes.  The
-        ways are cleared in place: a core may hold `lines` mid-step."""
-        for ways in self.lines:
-            for way in ways:
-                way[0] = None
+        ways are cleared in place: a core holds `lines` (module docstring)."""
+        self._invalidate()
         upstream = self.refill_port.binding.owner
         if upstream.kind == self.kind:
             upstream.flush()

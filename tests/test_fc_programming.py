@@ -40,6 +40,7 @@ DMA_L1_TO_L2, DMA_2D, DMA_REJECT = 1, 2, 1 << 30
 ACC_TRIGGER, ACC_STATUS = 0x20, 0x24
 ST_BUSY, ST_SHADOW, ST_ERROR = 1, 2, 4
 UDMA_L2, UDMA_EXT, UDMA_LEN, UDMA_CFG = 0x00, 0x04, 0x08, 0x0C
+SIMCTL_PUTC = 0x04
 
 
 def guest(fc_body):
@@ -105,6 +106,25 @@ def tid_status(tid, index):
 def results(plat, count):
     raw = plat.peek(RESULTS, 4 * count)
     return [int.from_bytes(raw[4 * i:4 * i + 4], "little") for i in range(count)]
+
+
+# -- console -------------------------------------------------------------
+
+
+def test_console_holds_what_the_fc_prints_until_reset():
+    """Each word the FC stores to SIMCTL_PUTC prints its low byte; a reset
+    empties the console, so a rerun prints the text once."""
+    text = "Hi, PULP!\n"
+    body = ["li a0, 0x%X" % SIMCTL]
+    for ch in text:
+        body += ["li a1, 0x%X" % (0x100 | ord(ch)), "sw a1, %d(a0)" % SIMCTL_PUTC]
+    program = guest(body)
+    plat = run(program)
+    assert stats_report(plat, 0)["console"] == text
+    plat.reset()
+    assert stats_report(plat)["console"] == ""
+    assert plat.run(max_cycles=200_000) == 0
+    assert stats_report(plat, 0)["console"] == text
 
 
 # -- cluster DMA ---------------------------------------------------------

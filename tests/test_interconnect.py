@@ -31,12 +31,8 @@ class Master(Component):
 
 
 class FakePlatform:
-    def __init__(self):
-        self.bindings = []
-
     def bind(self, master, slave):
         bind(master, slave)
-        self.bindings.append((master, slave))
 
 
 def make_router(latency=1, bandwidth=0):

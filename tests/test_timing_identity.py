@@ -6,7 +6,9 @@ full size on seed 1 and at `run.TINY_SIZES` on seeds 1-3, and, for each of
 the tiny runs, the sha256 of its full trace (`TraceSink(["*"])`) and of its
 VCD.  Stats cannot see the order of events within a cycle; the trace and
 VCD can.  A host-speed change leaves every digest unchanged, so a failure
-here means simulated timing or event order moved.  Only a deliberate
+here means simulated timing or event order moved.  Two more processes,
+under different `PYTHONHASHSEED` values, must print the same trace and
+VCD digests: the order of execution never depends on string hashing.  Only a deliberate
 timing change regenerates the file, with `tests/regen_golden.py`, and the
 change that does so says why in CHANGES.md.
 
@@ -29,6 +31,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -109,6 +113,24 @@ def output_digests(name, seed, size):
 def test_trace_and_vcd_digests_are_pinned(name, seed, size):
     expected = json.loads(DATA.read_text())["outputs"]
     assert output_digests(name, seed, size) == expected[case_key(name, seed, size)]
+
+
+def test_outputs_do_not_depend_on_the_hash_seed():
+    """Two processes with different string hashing (`PYTHONHASHSEED` 0 and
+    12345) give each workload's tiny seed-1 run the pinned trace and VCD."""
+    code = ("import json, test_timing_identity as t\n"
+            "print(json.dumps({n: t.output_digests(n, 1, t.run.TINY_SIZES[n])"
+            " for n in t.run.guests.WORKLOADS}))")
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    seen = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                             capture_output=True, text=True, check=True).stdout
+        seen.append(json.loads(out.splitlines()[-1]))
+    pinned = json.loads(DATA.read_text())["outputs"]
+    assert seen[0] == seen[1] == {name: pinned[case_key(name, 1, run.TINY_SIZES[name])]
+                                  for name in run.guests.WORKLOADS}
 
 
 @pytest.mark.parametrize("name", sorted(run.guests.WORKLOADS))
