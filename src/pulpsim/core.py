@@ -8,12 +8,13 @@ after
              (+ branch penalty when the semantics returned a pc)
 
 cycles, where base is 1 plus the table's execute latency.  The step event
-is enqueued there, unless the next step falls strictly before the
-engine's horizon: then the core runs it inline in the same callback
-(`ClockDomain.run_ahead`, engine module docstring), which gives the same
-timing with one engine dispatch for many instructions.  Loads publish
-their result one write-back cycle after completion; a consumer arriving
-earlier stalls on the register scoreboard.
+is enqueued there, unless `ClockDomain.run_ahead` finds the core alone
+in its domain and the next step strictly before the engine's bound: then
+the core runs it inline in the same callback (engine module docstring),
+which gives the same timing with one engine dispatch for many
+instructions.  Loads publish their result one write-back cycle after
+completion; a consumer arriving earlier stalls on the register
+scoreboard.
 
 Semantics are closures, bound once per instruction word and core.
 `SEMANTICS` maps each table name to a factory `make(core, ins)` (a core
@@ -524,7 +525,7 @@ class RiscvCore(Component):
             if vcd is not None:
                 self.signal("pc", npc)
             # the next step runs here if it is the engine's next event
-            if C >= dom.horizon_cycle or not dom.run_ahead(C, charge):
+            if not dom.run_ahead(C):
                 dom.enqueue(ev, charge)
                 return
 

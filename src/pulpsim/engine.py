@@ -18,9 +18,9 @@ never cancel events themselves.
 The bound.  While a domain executes, the engine holds one bound,
 `TimeEngine.other_ps`: the earliest pending edge of the other domains,
 capped by the `max_cycles` deadline.  The scan that picks a cycle sets
-it, and an enqueue into another domain lowers it to the new event's edge
-when that is earlier; nothing else moves it, since only the executing
-domain runs.
+it, an enqueue into another domain lowers it to the new event's edge
+when that is earlier, and a posted exit drops it to 0; nothing else
+moves it, since only the executing domain runs.
 
 Bursts.  After a cycle of domain D, the engine executes D's next pending
 cycle directly, without a scan, while no exit is posted and that cycle's
@@ -28,25 +28,21 @@ edge lies strictly before the bound.  A tie goes back to the scan, so
 registration order still breaks it.  The order of execution is the one
 the scan would have given.
 
-Run-ahead.  While a callback runs, the executing domain's `horizon_cycle`
-bounds what can happen outside it: its first cycle at or after the bound,
-or its executing cycle when it holds another pending event as well.  The
-engine derives it from the bound before each cycle.  An enqueue into
-another domain lowers it to the first cycle at or after the new event's
-edge (exact, as rounding up is monotone), and a posted exit lowers it to
-0.  A callback whose next action lies strictly before the horizon, and
-which is still the only event of its domain, is the next thing the
-engine would run.  It may then perform that action inline, in the same
-callback, after `ClockDomain.run_ahead` has checked that it is alone and
-has moved the domain's cycle, the engine's time and the counters exactly
-as enqueueing it and executing that cycle would have.  The cores
-(`RiscvCore._step`) and the micro-DMA's job (`MicroDma._transfer`) do
-so; everything else enqueues itself.  Each time the micro-DMA's job
-resumes, it moves a whole window of beats: it runs each next beat ahead
-while it is due before the horizon, and one `BankedMemory.stream` call
-then serves the window in L2, which no other master can touch before the
-horizon.  Timing, traces and statistics are the same either way; only
-the number of engine dispatches drops.
+Run-ahead.  `ClockDomain.run_ahead` alone decides whether the executing
+callback may perform its next action inline, in the same callback, in
+place of enqueueing itself.  Two things must hold: the callback is alone
+(the only event of the executing cycle, and its domain has no other
+pending cycle), and the action's edge lies strictly before the bound.
+The action is then the next thing the engine would run.  A posted exit drops the bound to 0, so
+nothing more runs ahead.  `run_ahead` moves the domain's cycle, the
+engine's time and the counters exactly as enqueueing the callback and
+executing that cycle would have.  The cores (`RiscvCore._step`) and the
+micro-DMA's job (`MicroDma._transfer`) do so; everything else enqueues
+itself.  Each time the micro-DMA's job resumes, it moves a whole window
+of beats: it runs each next beat ahead while `run_ahead` lets it, and
+one `BankedMemory.stream` call then serves the window in L2, which no
+other master can touch before the bound.  Timing, traces and statistics
+are the same either way; only the number of engine dispatches drops.
 
 Lap counters.  `TimeEngine.stats` still reports the `laps_completed` and
 `overflow_promotions` of the 64-slot ring (one lap) and overflow heap that
@@ -106,11 +102,11 @@ class ClockDomain:
     the stored `_FAR` events and `_far`, the count of far puts and steps.
 
     `run_ahead` lets the executing callback, when it is alone in the store
-    and due before `horizon_cycle`, move on to its next cycle instead of
-    enqueueing itself (module docstring).  It counts this domain's events
-    itself, so only enqueues into other domains must lower the horizon
-    and the engine's bound; an enqueue from the executing domain itself
-    takes the short path.
+    and due before the engine's bound, move on to its next cycle instead
+    of enqueueing itself (module docstring).  It reads this domain's
+    aloneness off the store, so only enqueues into other domains must
+    lower the bound; an enqueue from the executing domain itself takes
+    the short path.
     """
 
     def __init__(self, name, frequency_hz):
@@ -136,9 +132,8 @@ class ClockDomain:
                 ev.enqueued = False
         self._buckets.clear()
         self._cycles = []           # heap of the keys of _buckets
-        self._pending = 0           # stored events, the executing cycle's included
+        self._running = ()          # the list execute_cycle iterates
         self.cycle = 0
-        self.horizon_cycle = 0      # set by the engine while this domain executes
         # statistics
         self.events_executed = 0
         self._far = 0               # far puts and far run-ahead steps (see below)
@@ -155,11 +150,8 @@ class ClockDomain:
         if engine.current is not self:
             abs_cycle = self.cycle_at_or_after(engine.now_ps) + delta_cycles
             t = self.period_ps * abs_cycle
-            if t < engine.other_ps:         # lower the bound, and the horizon with it
+            if t < engine.other_ps:
                 engine.other_ps = t
-                cur = engine.current        # None outside run()
-                if cur is not None and t < cur.period_ps * cur.horizon_cycle:
-                    cur.horizon_cycle = -(-t // cur.period_ps)
             delta_cycles = abs_cycle - self.cycle
         abs_cycle = event.cycle = self.cycle + delta_cycles
         if delta_cycles < _LAP:
@@ -173,7 +165,6 @@ class ClockDomain:
             heapq.heappush(self._cycles, abs_cycle)
         else:
             lst.append(event)
-        self._pending += 1
 
     # -- time conversion ----------------------------------------------
 
@@ -205,32 +196,36 @@ class ClockDomain:
             raise StructuralError("time went backwards: %d < %d" % (abs_cycle, self.cycle))
         heapq.heappop(self._cycles)
         self.cycle = abs_cycle
-        lst = self._buckets[abs_cycle]
+        lst = self._running = self._buckets[abs_cycle]
         for ev in lst:          # also visits events appended during the loop
             ev.enqueued = False
             ev.callback(ev)
         del self._buckets[abs_cycle]
-        n = len(lst)
-        self._pending -= n
-        self.events_executed += n
+        self.events_executed += len(lst)
 
-    def run_ahead(self, abs_cycle, delta_cycles):
+    def run_ahead(self, abs_cycle):
         """Move the executing callback on to `abs_cycle`, if it is alone.
 
         The caller is the callback the engine is executing, and its next
-        action is `delta_cycles` ahead of `self.cycle` and strictly before
-        `horizon_cycle`.  Returns False, changing nothing, when this
-        domain holds any other event; the caller then enqueues itself.
-        Otherwise does to the cycle, the engine's time and the counters what
-        enqueueing the caller there and executing that cycle would have and
-        returns True; the caller then performs the action inline.
+        action is due at `abs_cycle`, at or after `self.cycle`.  Returns
+        False, changing nothing, unless the caller is alone (the cycle
+        executing holds only it, and this domain has no other pending
+        cycle) and the edge of `abs_cycle` lies strictly before the
+        engine's bound, `TimeEngine.other_ps`; the caller then enqueues
+        itself.  Otherwise does to the cycle, the engine's time and the
+        counters what enqueueing the caller there and executing that cycle
+        would have and returns True; the caller then performs the action
+        inline.
         """
-        if self._pending != 1:
+        if self._cycles or len(self._running) != 1:
             return False
-        if delta_cycles >= _LAP:
+        t = self.period_ps * abs_cycle
+        if t >= self.engine.other_ps:
+            return False
+        if abs_cycle - self.cycle >= _LAP:
             self._far += 1
         self.cycle = abs_cycle
-        self.engine.now_ps = self.period_ps * abs_cycle
+        self.engine.now_ps = t
         self.events_executed += 1
         return True
 
@@ -261,13 +256,7 @@ class TimeEngine:
     with `current` naming the executing domain.  Ties break by domain
     registration order, which keeps runs deterministic.  The scan over the
     domains runs only when a burst stops (module docstring); it sets
-    `other_ps`, the bound.
-
-    Before each cycle the engine sets the executing domain's
-    `horizon_cycle` from the bound (module docstring); it is the executing
-    cycle when that domain holds more than one event (`run_ahead` would
-    refuse anyway; this way a busy domain's callbacks stop at their one
-    horizon comparison).
+    `other_ps`, the bound, which `ClockDomain.run_ahead` tests.
     """
 
     def __init__(self):
@@ -293,8 +282,7 @@ class TimeEngine:
         """Request the run loop to stop after the current cycle completes:
         the cycle the executing callback ran ahead to, if it did."""
         self.exit_status = status
-        if self.current is not None:
-            self.current.horizon_cycle = 0     # nothing more runs ahead
+        self.other_ps = 0           # nothing more runs ahead
 
     def run(self, max_cycles=None):
         """Run until a component posts exit, stores drain, or the cap hits.
@@ -337,11 +325,6 @@ class TimeEngine:
                 cycles, period = best._cycles, best.period_ps
                 while True:             # a burst of `best`'s cycles
                     self.now_ps = best_t
-                    if best._pending > 1:
-                        # `best` holds more than one event: the horizon is now
-                        best.horizon_cycle = best_cycle
-                    else:
-                        best.horizon_cycle = -(-self.other_ps // period)
                     best.execute_cycle(best_cycle)
                     if self.exit_status is not None or not cycles:
                         break

@@ -6,12 +6,13 @@ configured device bandwidth exactly (cumulative picosecond arithmetic, so
 quantization never drifts), with a floor of one beat per peripheral cycle.
 A transfer is a job (`RegisterDevice.start`), `_transfer`, that moves one
 window of beats each time it resumes: the beat it resumed at, then each
-next beat due before the engine's horizon, which it runs ahead to
-(`ClockDomain.run_ahead`).  No other master reaches L2 before the
-horizon, so a window's beats depend only on the transfer.  The job
-converts their cycles with each clock crossing's `arrival` on the way to
-L2 and serves them with one `BankedMemory.stream` call, which stops at the
-first beat L2 refuses: that beat ends the transfer with an error.
+next beat that `ClockDomain.run_ahead` lets it run ahead to, as the job
+is alone in its domain and the beat is due strictly before the engine's
+bound.  No other master reaches L2 before that bound, so a window's beats
+depend only on the transfer.  The job converts their cycles with each
+clock crossing's `arrival` on the way to L2 and serves them with one
+`BankedMemory.stream` call, which stops at the first beat L2 refuses:
+that beat ends the transfer with an error.
 Otherwise the job yields until the first beat of the next window.
 The `l2` port must reach the `in` port of one banked memory through zero
 or more clock crossings, each of which takes its source domain from the
@@ -190,9 +191,8 @@ class MicroDma(RegisterDevice):
         while True:
             yield prev - dom.cycle_at_or_after(dom.engine.now_ps)
             cycles = [prev]
-            horizon = dom.horizon_cycle
             for prev in beat_cycles:
-                if prev >= horizon or not dom.run_ahead(prev, prev - dom.cycle):
+                if not dom.run_ahead(prev):
                     break
                 cycles.append(prev)
             for hop in self.hops:

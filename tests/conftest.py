@@ -84,9 +84,10 @@ def pulp():
 
 def add_ticker(engine):
     """Add a domain at the fastest frequency whose event ticks every cycle
-    while the other domains hold events.  The engine's horizon is then
-    always the next tick, so nothing runs ahead: this is the path without
-    run-ahead that differential tests compare against."""
+    while the other domains hold events.  The engine's bound is then
+    always the next tick, so `ClockDomain.run_ahead` always refuses: this
+    is the path without run-ahead that differential tests compare
+    against."""
     others = list(engine.domains)
     ticker = engine.add_domain(ClockDomain("ticker", max(d.frequency_hz for d in others)))
 

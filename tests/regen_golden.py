@@ -15,10 +15,15 @@ Before writing, it prints one row per case: global time, the cores' summed
 summed conflict cycles, each before and after, where "before" is the same
 case run on the last commit (git HEAD).  Then it prints, per
 tiny case, whether the trace and the VCD digests changed, and the line
-count of `src/pulpsim/*.py` before and after.  A change that keeps
-simulated timing and event order prints all-equal tables and leaves both
-files byte-identical.  A deliberate timing change names the rewritten
-files and gives the first table in CHANGES.md.
+count of `src/pulpsim/*.py` before and after.  For each tiny case whose
+trace changed, it then explains the change: the first pair of trace lines
+that differ, with the number of lines that agree before them, and every
+`stable_stats` field that differs, per component path, as
+`before -> after`.  The full traces of both sides stay in a temporary
+folder, whose path it prints.  A change that keeps simulated timing and
+event order prints all-equal tables and leaves both files byte-identical.
+A deliberate timing change names the rewritten files and gives the first
+table and the explanations in CHANGES.md.
 """
 
 import io
@@ -37,9 +42,15 @@ PULP_OPEN = "pulp_open"
 COLUMNS = ("global_time_ps", "core_cycles", "contentions", "conflict_cycles")
 
 
-def collect(root):
+def trace_file(folder, name):
+    """Where `collect` keeps the full trace of the tiny case `name`."""
+    return Path(folder) / (name.replace("/", "-") + ".trace")
+
+
+def collect(root, traces):
     """Stable stats of every case on the tree at `root`, by case name, and
-    the digests of the perfbench cases, by that tree's own code."""
+    the digests of the perfbench cases, by that tree's own code.  Writes
+    the full trace of each tiny case to `trace_file(traces, name)`."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "tests")]
     import test_timing_identity as identity
@@ -51,15 +62,19 @@ def collect(root):
     # a tree older than the trace and VCD pins has none to compare
     outputs = {identity.case_key(*case): identity.output_digests(*case)
                for case in identity.TINY_CASES} if hasattr(identity, "output_digests") else {}
+    Path(traces).mkdir(parents=True, exist_ok=True)
+    for name, seed, size in identity.TINY_CASES:
+        trace = identity.traced_run(name, False, seed)[1]
+        trace_file(traces, identity.case_key(name, seed, size)).write_text(trace)
     plat, status, _, _ = run_guest()
     stats[PULP_OPEN] = stable_stats(stats_report(plat, status))
     return {"stats": stats, "digests": digests, "outputs": outputs}
 
 
-def collect_at(root):
-    """`collect(root)` in a fresh interpreter, so that each tree imports
-    its own modules."""
-    out = subprocess.run([sys.executable, __file__, "--collect", str(root)],
+def collect_at(root, traces):
+    """`collect(root, traces)` in a fresh interpreter, so that each tree
+    imports its own modules."""
+    out = subprocess.run([sys.executable, __file__, "--collect", str(root), str(traces)],
                          check=True, stdout=subprocess.PIPE, text=True).stdout
     return json.loads(out)
 
@@ -108,6 +123,39 @@ def output_table(before, after):
     return "\n".join(lines)
 
 
+def fields(stats):
+    """A stats document as {field name: value}, a component's fields named
+    `section[path].field`."""
+    out = {}
+    for key, value in stats.items():
+        if not isinstance(value, dict):
+            out[key] = value
+            continue
+        for path, entry in value.items():
+            if isinstance(entry, dict):
+                out.update(("%s[%s].%s" % (key, path, f), v) for f, v in entry.items())
+            else:
+                out["%s.%s" % (key, path)] = entry
+    return out
+
+
+def explain(name, before, after, traces):
+    """Where the tiny case `name`'s trace first differs, and each of its
+    stats fields that differs, from the traces kept under `traces`."""
+    old = trace_file(traces / "before", name).read_text().splitlines()
+    new = trace_file(traces / "after", name).read_text().splitlines()
+    agree = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    lines = ["%s: %d trace lines agree, then" % (name, agree),
+             "  before: %s" % (old[agree] if agree < len(old) else "(end of trace)"),
+             "  after:  %s" % (new[agree] if agree < len(new) else "(end of trace)")]
+    old_fields, new_fields = fields(before), fields(after)
+    for field in sorted(old_fields.keys() | new_fields.keys()):
+        o, n = old_fields.get(field, "-"), new_fields.get(field, "-")
+        if o != n:
+            lines.append("  %s: %s -> %s" % (field, o, n))
+    return "\n".join(lines)
+
+
 def source_lines(root):
     """Lines in the `src/pulpsim/*.py` files of the tree at `root`."""
     return sum(p.read_bytes().count(b"\n") for p in (Path(root) / "src" / "pulpsim").glob("*.py"))
@@ -121,20 +169,26 @@ def rewrite(path, text):
 
 def main(argv):
     if argv[:1] == ["--collect"]:           # collect_at's child process
-        json.dump(collect(argv[1]), sys.stdout)
+        json.dump(collect(argv[1], argv[2]), sys.stdout)
         return
     if argv:
         raise SystemExit("usage: python tests/regen_golden.py")
     tree = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", "HEAD"],
                           check=True, stdout=subprocess.PIPE).stdout
+    traces = Path(tempfile.mkdtemp(prefix="regen_golden-"))
     with tempfile.TemporaryDirectory() as base:
         tarfile.open(fileobj=io.BytesIO(tree)).extractall(base, filter="data")
-        before = collect_at(base)
+        before = collect_at(base, traces / "before")
         base_lines = source_lines(base)
-    after = collect_at(ROOT)
+    after = collect_at(ROOT, traces / "after")
     print("before: HEAD, after: the working tree")
     print(table(before["stats"], after["stats"]))
     print(output_table(before["outputs"], after["outputs"]))
+    changed = [name for name, digests in sorted(after["outputs"].items())
+               if before["outputs"].get(name, {}).get("trace") != digests["trace"]]
+    for name in changed:
+        print(explain(name, before["stats"][name], after["stats"][name], traces))
+    print("full traces, before and after: %s" % traces)
     lines = source_lines(ROOT)
     print("src/pulpsim/*.py: %d lines at HEAD, %d in the working tree (%+d)" % (
         base_lines, lines, lines - base_lines))

@@ -375,7 +375,7 @@ def test_reset_rewinds_time_and_drops_pending_events():
     assert eng.stats() == fresh_eng.stats()
 
 
-# -- run-ahead: a callback alone in its domain and due before the horizon
+# -- run-ahead: a callback alone in its domain and due before the bound
 #    moves on inline (engine module docstring) --------------------------------
 
 def _stepper(dom, log, deltas, on_step=None):
@@ -393,8 +393,7 @@ def _stepper(dom, log, deltas, on_step=None):
             if not todo:
                 return
             d = todo.pop(0)
-            nxt = dom.cycle + d
-            if nxt >= dom.horizon_cycle or not dom.run_ahead(nxt, d):
+            if not dom.run_ahead(dom.cycle + d):
                 dom.enqueue(ev, d)
                 return
 
@@ -419,15 +418,15 @@ def _both_ways(build, max_cycles=None):
 
 def _steps(log):
     """The simulated happenings of a log: what ran, at which cycle and time."""
-    return [entry for entry in log if entry[0] not in ("call", "horizon")]
+    return [entry for entry in log if entry[0] not in ("call", "bound")]
 
 
-def test_horizon_is_capped_by_the_deadline():
+def test_bound_is_capped_by_the_deadline():
     eng, dom = make_domain()
     seen = []
-    dom.enqueue(Event("t", lambda e: seen.append(dom.horizon_cycle)), 0)
+    dom.enqueue(Event("t", lambda e: seen.append(eng.other_ps)), 0)
     eng.run(max_cycles=10)
-    assert seen == [10]     # alone: capped by the deadline
+    assert seen == [10 * dom.period_ps]     # alone: capped by the deadline
 
 
 def test_run_ahead_keeps_timing_and_counters():
@@ -566,14 +565,14 @@ def test_cross_domain_enqueue_stops_run_ahead_before_the_event():
         def on_step(cycle):
             if cycle == 300:
                 slow.enqueue(ping, 1)
-                log.append(("horizon", fast.horizon_cycle))
+                log.append(("bound", eng.other_ps))
 
         fast.enqueue(_stepper(fast, log, [100] * 3 + [1] * 10, on_step), 0)
         return [fast, slow]
 
     plain, ref = _both_ways(build)
     log = plain[4]
-    assert ("horizon", 304) in log
+    assert ("bound", 760000) in log
     steps = _steps(log)
     assert steps.index(("ping", 76, 760000)) == steps.index(("step", 304, 760000)) + 1
     assert log.index(("step", 303, 757500)) < log.index(("call",), 1) < log.index(("step", 304, 760000))

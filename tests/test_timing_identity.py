@@ -14,8 +14,9 @@ change that does so says why in CHANGES.md.
 
 The ticker test runs each workload once more with `conftest.add_ticker`'s
 extra clock domain, whose event ticks at the fastest frequency.  The
-engine's horizon is then always the next tick, so nothing runs ahead: that
-is the path without run-ahead.  Every stat except the engine counters, and
+engine's bound is then always the next tick, which no action lies
+strictly before, so nothing runs ahead: that is the path without
+run-ahead.  Every stat except the engine counters, and
 every trace and VCD line, must equal the plain run's.
 
 The clock-scaling test slows every clock domain and the HyperRAM link by
