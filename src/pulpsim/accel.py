@@ -79,6 +79,7 @@ class ConvAccelerator(RegisterDevice):
         "event_line": (int, 2),
     }
     COUNTERS = ("jobs", "conflict_cycles")
+    SIGNALS = (("busy", 1),)
 
     def build(self):
         super().build()
@@ -154,7 +155,7 @@ class ConvAccelerator(RegisterDevice):
             self.shadow = job
             self.status |= ST_SHADOW
 
-    READS = {REG_STATUS: RegisterDevice.read_status}
+    READS = {REG_STATUS: RegisterDevice.read_attr("status")}
     WRITES = {REG_TRIGGER: _trigger}
 
     def _run(self, job):

@@ -231,24 +231,28 @@ class Component:
 class RegisterDevice(Component):
     """A component programmed through 4-byte registers mapped at `base`.
 
-    `build` reads `base` and adds the `in` slave port.  `self.regs` maps
-    the offsets of the plain registers to their values, which writes store
-    and reads return.  Other offsets go to the class's READS or WRITES map
-    from offset to a method taking `(self, req)`.  An access that is not 4
-    bytes, or to an offset in neither, raises `BusError`.
+    Every register block decodes here: the cluster DMA, the accelerator,
+    the micro-DMA, the event unit (also the FC's interrupt controller)
+    and sim-control.  `build` reads `base` and adds the `in` slave port.
+    `self.regs` maps the offsets of the plain registers to their values,
+    which writes store and reads return.  Other offsets go to the class's
+    READS or WRITES map from offset to a method taking `(self, req)`; a
+    register that reads an attribute of the device maps to
+    `read_attr(name)`.  An access that is not 4 bytes, or to an offset in
+    neither, raises `BusError`.
 
     A register write may start a job that outlives it: a generator that
     `start` runs.  The code before its first `yield` runs at once, inside
     the write; each `yield d` resumes it `d` cycles of the device's domain
     later, counted as `ClockDomain.enqueue` counts; returning ends it.  A
     job is one Event, whose callback is the device's `_resume`.  `log`
-    traces a job's start and end on the device's path, and the device sets
-    its `busy` VCD signal (`signal`) while jobs run.
+    traces a job's start and end on the device's path.  Only the job
+    devices (cluster DMA, accelerator, micro-DMA) declare and drive a
+    `busy` VCD signal, set while their jobs run.
     """
 
     READS = {}
     WRITES = {}
-    SIGNALS = (("busy", 1),)
 
     def build(self):
         self.base = self.params["base"]
@@ -271,6 +275,13 @@ class RegisterDevice(Component):
             raise BusError
         method(self, req)
 
+    @staticmethod
+    def read_attr(name):
+        """A READS method for a register that reads the attribute `name`."""
+        def read(self, req):
+            req.value = getattr(self, name)
+        return read
+
     def start(self, job):
         """Run the job generator `job` (class docstring)."""
         self._resume(Event(self.path, self._resume, job))
@@ -279,10 +290,6 @@ class RegisterDevice(Component):
         delay = next(ev.payload, None)
         if delay is not None:
             self.domain.enqueue(ev, delay)
-
-    def read_status(self, req):
-        """A READS method for a register that reads `self.status`."""
-        req.value = self.status
 
     def log(self, fmt, *args):
         """Trace `fmt % args` if this device's path is traced."""

@@ -74,6 +74,7 @@ class ClusterDma(RegisterDevice):
         "event_line": (int, 1),
     }
     COUNTERS = ("transfers", "bytes", "contentions")
+    SIGNALS = (("busy", 1),)
 
     def build(self):
         super().build()

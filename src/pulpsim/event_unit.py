@@ -11,6 +11,10 @@ a per-core box so a core can never arrive twice for one generation.
 The same component doubles as the fabric controller's interrupt
 controller (a one-core instance: raise = set line, ack = clear).
 
+Its registers decode through `RegisterDevice`.  Only the per-core ones
+look up their initiator's state, keyed by the core itself, and a refused
+access raises before it changes any state.
+
 Register map (word offsets from `base`; accesses are 4 bytes):
     0x00 EVT_MASK     rw  per-core wait mask, kept to the n_lines lines
     0x04 EVT_WAIT     r   blocking: returns lowest pending&masked line, clears it
@@ -29,7 +33,7 @@ barrier mask returns the new generation and wakes every other core asleep
 in the barrier.
 """
 
-from .component import BusError, Component, register, REQUIRED, Sleep
+from .component import BusError, RegisterDevice, register, REQUIRED, Sleep
 from .errors import ConfigError
 
 EVT_MASK = 0x00
@@ -44,10 +48,11 @@ NB_CORES = 0x20
 
 
 class _CoreState:
-    __slots__ = ("core", "mask", "pending", "wait_kind", "release")
+    __slots__ = ("core", "bit", "mask", "pending", "wait_kind", "release")
 
-    def __init__(self, core):
+    def __init__(self, core, bit):
         self.core = core
+        self.bit = bit              # the core's bit in the barrier registers
         self.mask = 0
         self.pending = 0
         self.wait_kind = None       # None | "evt" | "barrier"
@@ -55,7 +60,7 @@ class _CoreState:
 
 
 @register
-class EventUnit(Component):
+class EventUnit(RegisterDevice):
     kind = "event-unit"
     PARAMS = {
         "base": (int, REQUIRED),
@@ -66,19 +71,21 @@ class EventUnit(Component):
     COUNTERS = ("barriers_passed", "events_set")
 
     def build(self):
-        self.base = self.params["base"]
+        super().build()
         self.n_lines = self.params["n_lines"]
-        self.add_slave("in", self.handle)
 
     def finalize(self):
-        self.states = []
-        self.index_of = {}
+        self.state_of = {}          # served core -> its _CoreState
         for i, path in enumerate(self.params["cores"]):
             core = self.platform.lookup(path, "riscv-core",
                                         "components.%s.params.cores" % self.path)
-            self.states.append(_CoreState(core))
-            self.index_of[core] = i
-        self.all_mask = (1 << len(self.states)) - 1
+            if core in self.state_of:
+                raise ConfigError("components.%s.params.cores: '%s' is listed twice" % (
+                    self.path, path))
+            self.state_of[core] = _CoreState(core, 1 << i)
+        self.states = self.state_of.values()
+        self.n_cores = len(self.states)
+        self.all_mask = (1 << self.n_cores) - 1
         self.reset()
 
     def reset(self):
@@ -104,60 +111,42 @@ class EventUnit(Component):
                 st.wait_kind = None
                 st.core.wake()
 
-    # -- memory-mapped interface --------------------------------------------
+    # -- register interface (RegisterDevice) ---------------------------
 
-    def handle(self, req):
-        off = req.addr - self.base
-        if req.size != 4:
+    def _served(self, req):
+        """The initiator's state; `BusError` if the unit does not serve it."""
+        st = self.state_of.get(req.initiator)
+        if st is None:
             raise BusError
-        st = None
-        idx = self.index_of.get(req.initiator)
-        if idx is not None:
-            st = self.states[idx]
+        return st
 
-        if req.is_write:
-            value = req.value
-            if off == EVT_SET:
-                if not 0 <= value < self.n_lines:
-                    raise BusError
-                self.set_line(value)
-            elif off == EVT_ACK:
-                if st is None or not 0 <= value < self.n_lines:
-                    raise BusError
-                st.pending &= ~(1 << value)     # ack of a clear line is a no-op
-            elif off == EVT_MASK:
-                if st is None:
-                    raise BusError
-                st.mask = value & ((1 << self.n_lines) - 1)
-            elif off == BARRIER_MASK:
-                self.barrier_mask = value & self.all_mask
-            else:
-                raise BusError
-            return
+    def _read_mask(self, req):
+        st = self.state_of.get(req.initiator)
+        req.value = st.mask if st is not None else 0
 
-        # reads
-        if off == EVT_WAIT:
-            if st is None:
-                raise BusError
-            self._do_wait(req, st)
-        elif off == BARRIER_TRIG:
-            if st is None:
-                raise BusError
-            self._do_barrier(req, st, idx)
-        elif off == EVT_STATUS:
-            req.value = st.pending if st is not None else 0
-        elif off == EVT_MASK:
-            req.value = st.mask if st is not None else 0
-        elif off == BARRIER_MASK:
-            req.value = self.barrier_mask
-        elif off == BARRIER_STATUS:
-            req.value = self.barrier_arrived
-        elif off == NB_CORES:
-            req.value = len(self.states)
-        else:
+    def _read_pending(self, req):
+        st = self.state_of.get(req.initiator)
+        req.value = st.pending if st is not None else 0
+
+    def _write_mask(self, req):
+        self._served(req).mask = req.value & ((1 << self.n_lines) - 1)
+
+    def _set(self, req):
+        if not 0 <= req.value < self.n_lines:
             raise BusError
+        self.set_line(req.value)
 
-    def _do_wait(self, req, st):
+    def _ack(self, req):
+        st = self._served(req)
+        if not 0 <= req.value < self.n_lines:
+            raise BusError
+        st.pending &= ~(1 << req.value)     # ack of a clear line is a no-op
+
+    def _write_barrier_mask(self, req):
+        self.barrier_mask = req.value & self.all_mask
+
+    def _wait(self, req):
+        st = self._served(req)
         if st.mask == 0:
             raise BusError
         pend = st.pending & st.mask
@@ -170,25 +159,23 @@ class EventUnit(Component):
             st.wait_kind = "evt"
             raise Sleep
 
-    def _do_barrier(self, req, st, idx):
+    def _barrier(self, req):
+        st = self._served(req)
         if st.release is not None:
             # replay after wake-up: deliver the parked generation
             req.value = st.release
             st.release = None
             st.wait_kind = None
             return
-        bit = 1 << idx
-        if not self.barrier_mask & bit:
+        if not self.barrier_mask & st.bit:
             raise BusError
-        self.barrier_arrived |= bit
+        self.barrier_arrived |= st.bit
         if self.barrier_arrived & self.barrier_mask == self.barrier_mask:
             self.generation += 1
             self.barriers_passed += 1
             self.barrier_arrived = 0
             for other in self.states:
-                if other is st:
-                    continue
-                if other.wait_kind == "barrier":
+                if other is not st and other.wait_kind == "barrier":
                     other.release = self.generation
                     other.wait_kind = None
                     other.core.wake()
@@ -196,6 +183,13 @@ class EventUnit(Component):
         else:
             st.wait_kind = "barrier"
             raise Sleep
+
+    READS = {EVT_MASK: _read_mask, EVT_WAIT: _wait, EVT_STATUS: _read_pending,
+             BARRIER_MASK: RegisterDevice.read_attr("barrier_mask"), BARRIER_TRIG: _barrier,
+             BARRIER_STATUS: RegisterDevice.read_attr("barrier_arrived"),
+             NB_CORES: RegisterDevice.read_attr("n_cores")}
+    WRITES = {EVT_MASK: _write_mask, EVT_SET: _set, EVT_ACK: _ack,
+              BARRIER_MASK: _write_barrier_mask}
 
 
 def line_owner(comp, unit, line):

@@ -112,6 +112,7 @@ class MicroDma(RegisterDevice):
         "beat_bytes": (int, 4, 1),
     }
     COUNTERS = ("transfers", "bytes")
+    SIGNALS = (("busy", 1),)
 
     def build(self):
         super().build()
@@ -162,7 +163,7 @@ class MicroDma(RegisterDevice):
         self.log("start %s l2=0x%08x ext=0x%08x len=%d", "tx" if tx else "rx", l2, ext, length)
         self.start(self._transfer(tx, l2, ext, length))
 
-    READS = {UDMA_STATUS: RegisterDevice.read_status}
+    READS = {UDMA_STATUS: RegisterDevice.read_attr("status")}
     WRITES = {UDMA_CFG: _program}
 
     def _transfer(self, tx, l2, ext, length):
@@ -219,8 +220,10 @@ class MicroDma(RegisterDevice):
 
 
 @register
-class SimControl(Component):
-    """Program-controlled exit and console output."""
+class SimControl(RegisterDevice):
+    """Program-controlled exit and console output: writing EXIT ends the
+    run with the value as its exit status, writing PUTC prints the value's
+    low byte.  Both read 0, and only 4-byte accesses are taken."""
 
     kind = "sim-control"
     PARAMS = {
@@ -228,21 +231,14 @@ class SimControl(Component):
         "size": (int, 0x100, SIMCTL_PUTC + 4),
     }
 
-    def build(self):
-        self.base = self.params["base"]
-        self.add_slave("in", self.handle)
+    def _read_zero(self, req):
+        req.value = 0
 
-    def handle(self, req):
-        off = req.addr - self.base
-        if off == SIMCTL_EXIT:
-            if req.is_write:
-                self.platform.engine.post_exit(req.value)
-            else:
-                req.value = 0
-        elif off == SIMCTL_PUTC:
-            if req.is_write:
-                self.platform.putc(req.value & 0xFF)
-            else:
-                req.value = 0
-        else:
-            raise BusError
+    def _exit(self, req):
+        self.platform.engine.post_exit(req.value)
+
+    def _putc(self, req):
+        self.platform.putc(req.value & 0xFF)
+
+    READS = {SIMCTL_EXIT: _read_zero, SIMCTL_PUTC: _read_zero}
+    WRITES = {SIMCTL_EXIT: _exit, SIMCTL_PUTC: _putc}

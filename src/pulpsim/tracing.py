@@ -12,7 +12,7 @@ accelerator's and the micro-DMA's job starts and ends on their own paths.
 The VCD dump covers activity-level signals with a 1 ps timescale, which
 each component class declares in `SIGNALS` and drives through
 `Component.signal` as `<path>/<name>`: a core's `pc` and `active`, a
-`RegisterDevice`'s (cluster DMA, accelerator, micro-DMA) `busy`.
+job device's (cluster DMA, accelerator, micro-DMA) `busy`.
 """
 
 import fnmatch

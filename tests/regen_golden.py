@@ -15,11 +15,12 @@ Before writing, it prints one row per case: global time, the cores' summed
 summed conflict cycles, each before and after, where "before" is the same
 case run on the last commit (git HEAD).  Then it prints, per
 tiny case, whether the trace and the VCD digests changed, and the line
-count of `src/pulpsim/*.py` before and after.  For each tiny case whose
-trace changed, it then explains the change: the first pair of trace lines
-that differ, with the number of lines that agree before them, and every
-`stable_stats` field that differs, per component path, as
-`before -> after`.  The full traces of both sides stay in a temporary
+count of `src/pulpsim/*.py` before and after: every physical line, and
+only the code lines (no blank, comment or docstring line).  For each
+tiny case whose trace changed, it then explains the change: the first
+pair of trace lines that differ, with the number of lines that agree
+before them, and every `stable_stats` field that differs, per component
+path, as `before -> after`.  The full traces of both sides stay in a temporary
 folder, whose path it prints.  A change that keeps simulated timing and
 event order prints all-equal tables and leaves both files byte-identical.
 A deliberate timing change names the rewritten files and gives the first
@@ -32,6 +33,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,9 +158,27 @@ def explain(name, before, after, traces):
     return "\n".join(lines)
 
 
+def code_lines(source):
+    """The lines of Python `source` that hold code: not blank, not only a
+    comment, and not part of a docstring (a statement that is one string)."""
+    lines, statement = set(), []
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NEWLINE:
+            if [t.type for t in statement] != [tokenize.STRING]:
+                for t in statement:
+                    lines.update(range(t.start[0], t.end[0] + 1))
+            statement = []
+        elif tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.INDENT,
+                              tokenize.DEDENT, tokenize.ENDMARKER):
+            statement.append(tok)
+    return len(lines)
+
+
 def source_lines(root):
-    """Lines in the `src/pulpsim/*.py` files of the tree at `root`."""
-    return sum(p.read_bytes().count(b"\n") for p in (Path(root) / "src" / "pulpsim").glob("*.py"))
+    """Physical lines and code lines (`code_lines`) in the
+    `src/pulpsim/*.py` files of the tree at `root`."""
+    texts = [p.read_text() for p in (Path(root) / "src" / "pulpsim").glob("*.py")]
+    return sum(t.count("\n") for t in texts), sum(code_lines(t) for t in texts)
 
 
 def rewrite(path, text):
@@ -190,8 +210,9 @@ def main(argv):
         print(explain(name, before["stats"][name], after["stats"][name], traces))
     print("full traces, before and after: %s" % traces)
     lines = source_lines(ROOT)
-    print("src/pulpsim/*.py: %d lines at HEAD, %d in the working tree (%+d)" % (
-        base_lines, lines, lines - base_lines))
+    for what, old, new in zip(("lines", "code lines"), base_lines, lines):
+        print("src/pulpsim/*.py: %d %s at HEAD, %d in the working tree (%+d)" % (
+            old, what, new, new - old))
     rewrite(DIGESTS, json.dumps({
         "note": "stable_stats digests of the perfbench guests, and sha256 of the trace and "
                 "VCD of each tiny run; see tests/test_timing_identity.py",

@@ -384,6 +384,7 @@ def test_register_window_must_cover_the_last_register():
      "components.fc: trap_vector must be a multiple of 4, got 0x1c000106"),
     ("cluster/core.trap_vector=2",
      "components.cluster/pe0: trap_vector must be a multiple of 4, got 0x2"),
+    ('fc_itc.cores=["fc","fc"]', "components.fc_itc.params.cores: 'fc' is listed twice"),
 ])
 def test_override_that_builds_a_broken_platform_is_rejected(override, message):
     with pytest.raises(ConfigError) as err:

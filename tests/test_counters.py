@@ -2,8 +2,9 @@
 
 On pulp-open and the minimal platform, `reset` sets every declared counter
 to the int 0, whatever it held, and `counters()` reports exactly the
-declared names in their declared order.  Only the register-programmed
-devices get a `/busy` VCD signal.
+declared names in their declared order.  Every register block of
+pulp-open is a `RegisterDevice`, and only the three that run jobs get a
+`/busy` VCD signal.
 """
 
 import io
@@ -31,10 +32,11 @@ def test_reset_zeroes_exactly_the_declared_counters():
     assert kinds == set(COMPONENT_KINDS)
 
 
-def test_only_register_devices_get_a_busy_signal():
+def test_every_register_block_decodes_as_a_register_device_and_only_job_devices_get_busy():
     plat = build_pulp()
     vcd = VcdWriter(io.StringIO())
     vcd.attach(plat)
     busy = {name[:-len("/busy")] for name, _, _ in vcd.signals if name.endswith("/busy")}
     devices = {c.path for c in plat.components.values() if isinstance(c, RegisterDevice)}
-    assert busy == devices == {"cluster/dma", "cluster/accel", "udma"}
+    assert busy == {"cluster/dma", "cluster/accel", "udma"}
+    assert devices == busy | {"cluster/event_unit", "fc_itc", "sim_ctrl"}

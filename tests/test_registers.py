@@ -200,3 +200,9 @@ def test_sim_control_reads_zero_and_maps_two_registers():
         assert _access(simctl, off) == ("ok", 0), off
     assert _access(simctl, 0x8)[0] == "error"
     assert _access(simctl, 0x8, value=1)[0] == "error"
+    # like every register block, it takes only 4-byte accesses
+    for off in (periph.SIMCTL_EXIT, periph.SIMCTL_PUTC):
+        for size in (1, 2):
+            assert _access(simctl, off, size=size)[0] == "error", (off, size)
+            assert _access(simctl, off, size=size, value=0x41)[0] == "error", (off, size)
+    assert simctl.platform.engine.exit_status is None and not simctl.platform.console

@@ -49,6 +49,8 @@ from conftest import add_ticker
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data" / "perfbench_digests.json"
 TINY_SEEDS = (1, 2, 3)
+# the latencies on the FC's path that the monotonicity tests raise
+LATENCIES = ["l2.access_latency", "soc_ic.latency", "fc_icache.hit_latency"]
 
 
 def _perfbench():
@@ -185,7 +187,7 @@ def test_slower_clocks_keep_every_cycle_and_scale_time(name, k):
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
-@given(param=st.sampled_from(["l2.access_latency", "soc_ic.latency", "fc_icache.hit_latency"]),
+@given(param=st.sampled_from(LATENCIES),
        delta=st.integers(1, 2), seed=st.integers(1, 30))
 def test_raising_a_latency_never_lowers_fc_total_cycles(param, delta, seed):
     plat, _ = tiny_run("fc_control", seed)
