@@ -79,13 +79,13 @@ class ConvAccelerator(RegisterDevice):
         "event_line": (int, 2),
     }
     COUNTERS = ("jobs", "conflict_cycles")
+    SECTION = "accelerators"
     SIGNALS = (("busy", 1),)
 
     def build(self):
         super().build()
         self.n_ports = self.params["ports"]
         self.tcdm_port = self.add_master("tcdm")
-        self.reset()
 
     def reset(self):
         super().reset()

@@ -19,8 +19,12 @@ class Platform:
 
     Composite components (the cluster) add their children and internal
     bindings while being constructed, so after build() the component map is
-    fully elaborated.  Call reset() (directly or via run()) after attaching
-    tracing; a later reset() returns to power-on for another run.
+    fully elaborated.  A built platform is at power-on, the state reset()
+    leaves: every component is reset once all are finalized.  run() resets
+    again unless reset() was called since construction, so that tracing
+    attached after build sees what reset sets up (a core's `/insn` trace
+    flag, the first VCD values); a later reset() returns to power-on for
+    another run.
     """
 
     def __init__(self, descriptor):
@@ -64,6 +68,8 @@ class Platform:
         check_loops(self.components.values())
         for comp in list(self.components.values()):
             comp.finalize()
+        for comp in self.components.values():
+            comp.reset()
 
     # -- construction helpers (also used by composite components) ---------
 

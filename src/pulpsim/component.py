@@ -7,6 +7,12 @@ chain, each hop calling the handler of the slave port its master port is
 bound to; every component on the way advances the request's cycle `at`
 by what it adds, and the initiator charges the advance as stalls or events
 on return.  A request's payload is one int, `value`, whatever its size.
+
+A component's life cycle has three steps.  `build`, run by the
+constructor, makes its ports and fixed structures; `finalize`, once every
+binding is made, resolves its references to other components; `reset`
+makes all its mutable state.  The platform calls `reset` once every
+component is finalized, and again at every `Platform.reset`.
 """
 
 import copy
@@ -159,18 +165,27 @@ class Component:
     in the descriptor or added by a composite at build time, runs its
     params through fill_params(), the one validator, and keeps the result
     in self.params; `build` checks only rules that tie params together.
-    Router mappings are resolved and checked for overlaps by the
-    interconnect module, at parse time and again in Router.build().
+    Router mappings are resolved by `interconnect.resolve_mappings` at
+    parse time and again by the builder, which hands the router int
+    ranges; overlaps are checked at parse time and again in Router.build().
+
+    Life cycle (module docstring): `build` makes the ports and fixed
+    structures, `finalize` resolves references, and `reset` makes all
+    mutable state; the platform calls it once every component is
+    finalized, and at every `Platform.reset`.
 
     COUNTERS names the int attributes the component exports as performance
     counters: `reset` sets each to 0 and `counters()` returns them, in that
     order.  A subclass with its own `reset` calls `super().reset()`.
-    SIGNALS lists the (name, width) of each VCD signal `signal` drives.
+    SECTION names the section of the stats report (`tracing.stats_report`)
+    that holds them.  SIGNALS lists the (name, width) of each VCD signal
+    `signal` drives.
     """
 
     kind = "abstract"
     PARAMS = {}
     COUNTERS = ()
+    SECTION = "other"
     SIGNALS = ()
 
     def __init__(self, platform, path, params, domain):
@@ -184,13 +199,13 @@ class Component:
     # -- construction hooks --------------------------------------------
 
     def build(self):
-        """Create ports and internal state; overridden by subclasses."""
+        """Create ports and fixed structures; overridden by subclasses."""
 
     def finalize(self):
         """Called once after all bindings are made, before reset."""
 
     def reset(self):
-        """Return to power-on state: here the counters; subclasses add
+        """Make the power-on state: here the counters; subclasses add
         their registers and schedules."""
         for name in self.COUNTERS:
             setattr(self, name, 0)

@@ -365,6 +365,7 @@ class RiscvCore(Component):
         "trap_vector": (int, 0),    # 0: halt on unhandled trap
     }
     COUNTERS = COUNTER_NAMES
+    SECTION = "cores"
     SIGNALS = (("pc", 32), ("active", 1))
 
     def build(self):
@@ -389,20 +390,7 @@ class RiscvCore(Component):
         self.step_event = Event(self.path, self._step)
         self._fetch_req = Request(size=4, initiator=self)
         self._data_req = Request(initiator=self)
-        self.regs = [0] * 32
-        self.pc = 0
-        self.mode = "halted"
-        self._zero_state()
-
-    def _zero_state(self):
-        super().reset()             # the counters
-        self.scoreboard = [0] * 32
-        self.sleep_from = 0
-        self.csr_mtvec = self.params["trap_vector"]
-        self.csr_mepc = 0
-        self.csr_mcause = 0
-        self.csr_mtval = 0
-        self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
+        self.regs = [0] * 32        # semantics closures hold this list
 
     def finalize(self):
         cache = self.ports["fetch"].binding
@@ -411,10 +399,17 @@ class RiscvCore(Component):
         self._l1 = cache.owner if cache.owner.kind == "icache" else None
 
     def reset(self):
-        self.regs[:] = [0] * 32     # semantics closures hold this list
+        super().reset()             # the counters
+        self.regs[:] = [0] * 32
         self.pc = self.boot_pc & M32
         self.mode = "running"
-        self._zero_state()
+        self.scoreboard = [0] * 32
+        self.sleep_from = 0
+        self.csr_mtvec = self.params["trap_vector"]
+        self.csr_mepc = 0
+        self.csr_mcause = 0
+        self.csr_mtval = 0
+        self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
         # the step's fixed state (module docstring)
         l1 = self._l1
         fast = (None,) * 5 if l1 is None else (

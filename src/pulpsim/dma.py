@@ -74,6 +74,7 @@ class ClusterDma(RegisterDevice):
         "event_line": (int, 1),
     }
     COUNTERS = ("transfers", "bytes", "contentions")
+    SECTION = "dma"
     SIGNALS = (("busy", 1),)
 
     def build(self):
@@ -83,7 +84,6 @@ class ClusterDma(RegisterDevice):
         # reused by every burst; `_transfer` sets their addr, size and value
         self._read = Request(initiator=self)
         self._write = Request(is_write=True, initiator=self)
-        self.reset()
 
     def reset(self):
         super().reset()

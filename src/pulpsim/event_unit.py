@@ -69,6 +69,7 @@ class EventUnit(RegisterDevice):
         "cores": (list, REQUIRED),
     }
     COUNTERS = ("barriers_passed", "events_set")
+    SECTION = "event_units"
 
     def build(self):
         super().build()
@@ -86,7 +87,6 @@ class EventUnit(RegisterDevice):
         self.states = self.state_of.values()
         self.n_cores = len(self.states)
         self.all_mask = (1 << self.n_cores) - 1
-        self.reset()
 
     def reset(self):
         super().reset()

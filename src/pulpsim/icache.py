@@ -34,6 +34,7 @@ class InstructionCache(Component):
         "hit_latency": (int, 0),
     }
     COUNTERS = ("hits", "misses", "refills")
+    SECTION = "caches"
 
     def build(self):
         size = self.params["size"]
@@ -50,7 +51,6 @@ class InstructionCache(Component):
         self.add_slave("in", self.handle)
         self.refill_port = self.add_master("refill")
         self._refill_req = Request(size=self.line)
-        self.reset()
 
     def reset(self):
         super().reset()

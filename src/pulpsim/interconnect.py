@@ -111,6 +111,7 @@ class Router(Component):
         "mappings": (list, REQUIRED),
     }
     COUNTERS = ("forwarded", "queued_cycles")
+    SECTION = "routers"
 
     def build(self):
         self.latency = self.params["latency"]
@@ -122,7 +123,6 @@ class Router(Component):
             out = self.ports.get(port) or self.add_master(port)
             self.mappings.append((base, size, out))
         self.add_slave("in", self.handle)
-        self.reset()
 
     def reset(self):
         super().reset()
@@ -164,13 +164,13 @@ class ClockCrossing(Component):
         "crossing_latency": (int, 0),   # extra destination cycles per crossing
     }
     COUNTERS = ("crossings",)
+    SECTION = "crossings"
 
     def build(self):
         self.latency = self.params["crossing_latency"]
         self.add_slave("in", self.handle)
         self.out = self.add_master("out")
         self.src = None                 # resolved in finalize
-        self.reset()
 
     def finalize(self):
         sources = {m.owner.domain for m in self.ports["in"].masters}

@@ -32,6 +32,7 @@ class BankedMemory(Component):
         "access_latency": (int, 0),     # constant cycles charged per access
     }
     COUNTERS = ("reads", "writes", "contentions")
+    SECTION = "memories"
 
     def build(self):
         p = self.params
@@ -46,7 +47,6 @@ class BankedMemory(Component):
         self.latency = p["access_latency"]
         self.contents = bytearray(size)
         self.add_slave("in", self.handle)
-        self.reset()
 
     def finalize(self):
         self.platform.register_backing(self.base, self.contents)

@@ -67,6 +67,7 @@ class HyperRam(Component):
         "setup_ns": (int, 300),
     }
     COUNTERS = ("reads", "writes")
+    SECTION = "external_memory"
 
     def build(self):
         self.base = self.params["base"]
@@ -75,7 +76,6 @@ class HyperRam(Component):
         self.setup_ps = self.params["setup_ns"] * 1000
         self.contents = mmap.mmap(-1, self.size)
         self.add_slave("in", self.handle)
-        self.reset()
 
     def finalize(self):
         self.platform.register_backing(self.base, self.contents)
@@ -112,12 +112,12 @@ class MicroDma(RegisterDevice):
         "beat_bytes": (int, 4, 1),
     }
     COUNTERS = ("transfers", "bytes")
+    SECTION = "udma"
     SIGNALS = (("busy", 1),)
 
     def build(self):
         super().build()
         self.l2_port = self.add_master("l2")
-        self.reset()
 
     def finalize(self):
         self.device = self.platform.lookup(self.params["device"], "hyperram",

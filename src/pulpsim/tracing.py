@@ -119,22 +119,9 @@ class VcdWriter:
         platform.vcd = self
 
 
-_SECTIONS = {
-    "riscv-core": "cores",
-    "banked-memory": "memories",
-    "router": "routers",
-    "icache": "caches",
-    "cluster-dma": "dma",
-    "micro-dma": "udma",
-    "conv-accel": "accelerators",
-    "event-unit": "event_units",
-    "hyperram": "external_memory",
-    "clock-crossing": "crossings",
-}
-
-
 def stats_report(platform, exit_status=None):
-    """Collect every exported counter into one JSON-friendly document."""
+    """Collect every exported counter into one JSON-friendly document,
+    each component's under its class's `SECTION`."""
     doc = {
         "exit_status": exit_status,
         "global_time_ps": platform.engine.now_ps,
@@ -149,15 +136,11 @@ def stats_report(platform, exit_status=None):
             "cycles": dom.cycle,
             "events_executed": dom.events_executed,
         }
-    total_instr = 0
     for comp in platform.components.values():
         counters = comp.counters()
-        if not counters:
-            continue
-        section = _SECTIONS.get(comp.kind, "other")
-        doc.setdefault(section, {})[comp.path] = counters
-        if comp.kind == "riscv-core":
-            total_instr += counters["instr_retired"]
+        if counters:
+            doc.setdefault(comp.SECTION, {})[comp.path] = counters
+    total_instr = sum(c["instr_retired"] for c in doc.get("cores", {}).values())
     doc["instructions_total"] = total_instr
     wall = platform.wall_seconds
     doc["simulated_mips"] = (total_instr / wall / 1e6) if wall > 0 else 0.0

@@ -16,8 +16,10 @@ summed conflict cycles, each before and after, where "before" is the same
 case run on the last commit (git HEAD).  Then it prints, per
 tiny case, whether the trace and the VCD digests changed, and the line
 count of `src/pulpsim/*.py` before and after: every physical line, and
-only the code lines (no blank, comment or docstring line).  For each
-tiny case whose trace changed, it then explains the change: the first
+only the code lines (no blank, comment or docstring line), then, for
+each of those files whose code-line count changed, that count before and
+after.  For each tiny case whose trace changed, it then explains the
+change: the first
 pair of trace lines that differ, with the number of lines that agree
 before them, and every `stable_stats` field that differs, per component
 path, as `before -> after`.  The full traces of both sides stay in a temporary
@@ -175,10 +177,10 @@ def code_lines(source):
 
 
 def source_lines(root):
-    """Physical lines and code lines (`code_lines`) in the
-    `src/pulpsim/*.py` files of the tree at `root`."""
-    texts = [p.read_text() for p in (Path(root) / "src" / "pulpsim").glob("*.py")]
-    return sum(t.count("\n") for t in texts), sum(code_lines(t) for t in texts)
+    """(physical lines, code lines) of each `src/pulpsim/*.py` file of the
+    tree at `root`, by file name."""
+    texts = {p.name: p.read_text() for p in (Path(root) / "src" / "pulpsim").glob("*.py")}
+    return {name: (t.count("\n"), code_lines(t)) for name, t in texts.items()}
 
 
 def rewrite(path, text):
@@ -210,9 +212,15 @@ def main(argv):
         print(explain(name, before["stats"][name], after["stats"][name], traces))
     print("full traces, before and after: %s" % traces)
     lines = source_lines(ROOT)
-    for what, old, new in zip(("lines", "code lines"), base_lines, lines):
+    for i, what in enumerate(("lines", "code lines")):
+        old, new = (sum(counts[i] for counts in tree.values()) for tree in (base_lines, lines))
         print("src/pulpsim/*.py: %d %s at HEAD, %d in the working tree (%+d)" % (
             old, what, new, new - old))
+    for name in sorted(base_lines.keys() | lines.keys()):
+        old, new = (tree.get(name, (0, 0))[1] for tree in (base_lines, lines))
+        if old != new:
+            print("src/pulpsim/%s: %d code lines at HEAD, %d in the working tree (%+d)" % (
+                name, old, new, new - old))
     rewrite(DIGESTS, json.dumps({
         "note": "stable_stats digests of the perfbench guests, and sha256 of the trace and "
                 "VCD of each tiny run; see tests/test_timing_identity.py",

@@ -2,7 +2,7 @@
 
 A core whose fetch port is bound to an instruction cache serves a fetch
 itself when the MRU way of pc's set holds pc's line (core and icache
-module docstrings); `leases` below turns that fast path on.  Every
+module docstrings); `fast_path` below turns that fast path on.  Every
 perfbench guest at its tiny size, a guest that patches its own code, and
 guests that loop across sets, alternate two lines of a set or thrash one
 set, must give the same stats, traces (`/insn` included) and VCD as a run
@@ -95,11 +95,11 @@ def count_fetches(plat):
     return calls
 
 
-def observe(plat, leases, max_cycles):
-    """Stats, trace and VCD of a run from power-on; without `leases` every
+def observe(plat, fast_path, max_cycles):
+    """Stats, trace and VCD of a run from power-on; without `fast_path` every
     fetch goes through the cache.  Returns them, the fetch counts and the
     exit status."""
-    if not leases:
+    if not fast_path:
         for core in plat.cores():
             core._l1 = None
     calls = count_fetches(plat)
@@ -112,16 +112,16 @@ def observe(plat, leases, max_cycles):
     return seen, calls, status
 
 
-def check_leases_taken(plat, calls, leases):
+def check_fast_path_taken(plat, calls, fast_path):
     """With the fast path a cache's handler sees fewer fetches than the
     cache serves; without it, all of them."""
     handled = {}
     for core in plat.cores():
         cache = core.ports["fetch"].binding.owner
-        assert core._l1 is (cache if leases else None)
+        assert core._l1 is (cache if fast_path else None)
         handled[cache] = handled.get(cache, 0) + calls[core.path]
     by_core = [cache.hits + cache.misses - n for cache, n in handled.items()]
-    if leases:
+    if fast_path:
         assert min(by_core) >= 0 and sum(by_core) > 0
     else:
         assert set(by_core) == {0}
@@ -137,14 +137,14 @@ def test_fence_i_refetches_patched_code(hart):
 
 
 @pytest.mark.parametrize("hart", [0, FC_HART], ids=["pe0", "fc"])
-def test_lease_is_exact_on_patched_code(hart):
+def test_fast_path_is_exact_on_patched_code(hart):
     runs = []
-    for leases in (True, False):
+    for fast_path in (True, False):
         plat = build_pulp()
         load(plat, patch_guest(hart))
-        seen, calls, status = observe(plat, leases, 200_000)
+        seen, calls, status = observe(plat, fast_path, 200_000)
         assert status == 0
-        check_leases_taken(plat, calls, leases)
+        check_fast_path_taken(plat, calls, fast_path)
         runs.append(seen)
     assert runs[0] == runs[1]
 
@@ -153,14 +153,14 @@ CASES = [(name, seed) for name in sorted(perfbench.guests.WORKLOADS) for seed in
 
 
 @pytest.mark.parametrize("name,seed", CASES, ids=["%s/seed%d" % c for c in CASES])
-def test_lease_is_exact_on_benchmark_guests(name, seed):
+def test_fast_path_is_exact_on_benchmark_guests(name, seed):
     runs = []
-    for leases in (True, False):
+    for fast_path in (True, False):
         guest = perfbench.guests.WORKLOADS[name](seed, perfbench.TINY_SIZES[name])
         plat, program, _ = perfbench.setup(guest)
-        seen, calls, status = observe(plat, leases, guest.max_cycles())
+        seen, calls, status = observe(plat, fast_path, guest.max_cycles())
         assert guest.check(plat, status, program) == []
-        check_leases_taken(plat, calls, leases)
+        check_fast_path_taken(plat, calls, fast_path)
         runs.append(seen)
     assert runs[0] == runs[1]
 
@@ -245,16 +245,16 @@ HALT = """
 
 
 @pytest.mark.parametrize("guest", GUESTS)
-def test_lease_is_exact_on_cache_patterns(guest):
+def test_fast_path_is_exact_on_cache_patterns(guest):
     source, result = GUESTS[guest]
     program = assemble(source + HALT, origin=0x100)
     runs = []
-    for leases in (True, False):
+    for fast_path in (True, False):
         plat = pulpsim.build(pulpsim.parse(json.dumps(SHARED)))
         load(plat, program)
-        seen, calls, _ = observe(plat, leases, 100_000)
+        seen, calls, _ = observe(plat, fast_path, 100_000)
         words = [int.from_bytes(plat.peek(0x400 + 4 * h, 4), "little") for h in range(3)]
         assert words == [result] * 3
-        check_leases_taken(plat, calls, leases)
+        check_fast_path_taken(plat, calls, fast_path)
         runs.append(seen)
     assert runs[0] == runs[1]

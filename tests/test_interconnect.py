@@ -50,6 +50,7 @@ def make_router(latency=1, bandwidth=0):
     sink_b = Sink(plat, "b", {}, dom)
     bind(router.ports["a"], sink_a.ports["in"])
     bind(router.ports["b"], sink_b.ports["in"])
+    router.reset()
     return router, sink_a, sink_b, dom
 
 
@@ -124,6 +125,7 @@ def make_crossing(src_freq, dst_freq, crossing_latency=0, sink_in_src=False):
     plat.bind(Master(plat, "m", {}, src).ports["out"], xing.ports["in"])
     plat.bind(xing.ports["out"], sink.ports["in"])
     xing.finalize()
+    xing.reset()
     return xing, src, dst, sink
 
 
@@ -181,6 +183,7 @@ def test_crossing_roundtrip_latency_in_source_cycles(src_freq, dst_freq, crossin
     plat.bind(Master(plat, "m", {}, src).ports["out"], xing.ports["in"])
     plat.bind(xing.ports["out"], sink.ports["in"])
     xing.finalize()
+    xing.reset()
     src.cycle, dst.cycle = src_cycle, dst_cycle
 
     req = Request(0x0, 4, False)

@@ -30,6 +30,7 @@ def make_mem(banks=16, size=0x20000, latency=0):
     mem = BankedMemory(FakePlatform(), "mem", {
         "base": 0x10000000, "size": size, "banks": banks,
         "access_latency": latency}, dom)
+    mem.reset()
     return mem, dom
 
 
@@ -250,6 +251,7 @@ def test_narrow_and_wide_payloads_match_a_byte_model(data):
     model does, each read returning them as one little-endian `value`."""
     mem, dom = make_mem(banks=4, size=0x400)
     hyper = HyperRam(FakePlatform(), "hyper", {"base": 0x20000000, "size": 0x400}, dom)
+    hyper.reset()
     ops = []
     for _ in range(data.draw(st.integers(1, 24), "ops")):
         if data.draw(st.booleans(), "wide"):

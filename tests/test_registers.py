@@ -75,6 +75,9 @@ def test_register_protocol(kind):
 
     assert _access(dev, trigger, value=cfg)[0] == "ok"
     assert _access(dev, status)[1] != 0        # the 4-byte trigger starts it
+    dev.platform.reset()                       # forgets the job in flight
+    for off, expected in status_reads.items():
+        assert _access(dev, off) == ("ok", expected), hex(off)
 
 
 def _event_unit():
