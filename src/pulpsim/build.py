@@ -11,7 +11,7 @@ import time
 from .component import COMPONENT_KINDS, bind
 from .engine import TimeEngine, ClockDomain
 from .errors import ConfigError
-from .interconnect import check_loops, resolve_mappings
+from .interconnect import Router, check_loops, resolve_mappings
 
 
 class Platform:
@@ -19,12 +19,14 @@ class Platform:
 
     Composite components (the cluster) add their children and internal
     bindings while being constructed, so after build() the component map is
-    fully elaborated.  A built platform is at power-on, the state reset()
-    leaves: every component is reset once all are finalized.  run() resets
-    again unless reset() was called since construction, so that tracing
-    attached after build sees what reset sets up (a core's `/insn` trace
-    flag, the first VCD values); a later reset() returns to power-on for
-    another run.
+    fully elaborated.  Once every binding is made and no request path
+    loops, every router makes its windows (`Router.build_windows`), before
+    any component is finalized.  A built platform is at power-on, the
+    state reset() leaves: every component is reset once all are finalized.
+    run() resets again unless reset() was called since construction, so
+    that tracing attached after build sees what reset sets up (a core's
+    `/insn` trace flag, the first VCD values); a later reset() returns to
+    power-on for another run.
     """
 
     def __init__(self, descriptor):
@@ -66,6 +68,9 @@ class Platform:
         self._check_bound()
         self._check_hart_ids()
         check_loops(self.components.values())
+        for comp in self.components.values():   # before the cores cache handlers
+            if comp.kind == Router.kind:
+                comp.build_windows()
         for comp in list(self.components.values()):
             comp.finalize()
         for comp in self.components.values():

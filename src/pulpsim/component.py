@@ -4,9 +4,11 @@ Components are plain state machines living in one clock domain.  They talk
 through ports: a master port is bound to exactly one slave port, a slave
 port may serve many masters.  A Request travels synchronously down such a
 chain, each hop calling the handler of the slave port its master port is
-bound to; every component on the way advances the request's cycle `at`
-by what it adds, and the initiator charges the advance as stalls or events
-on return.  A request's payload is one int, `value`, whatever its size.
+bound to; a router's handler is its chain of address windows, made once
+at build time, which calls the handler its hit window's port is bound to.
+Every component on the way advances the request's cycle `at` by what it
+adds, and the initiator charges the advance as stalls or events on
+return.  A request's payload is one int, `value`, whatever its size.
 
 A component's life cycle has three steps.  `build`, run by the
 constructor, makes its ports and fixed structures; `finalize`, once every

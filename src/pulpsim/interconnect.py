@@ -3,21 +3,18 @@
 Routers decode addresses to output ports, charge a traversal latency and
 model contention deterministically as bandwidth occupancy: each forwarded
 request holds the router busy for size/bandwidth cycles and later requests
-queue behind that stamp.  Banked memories take many masters on one slave
-port and do their own per-bank accounting, so no fan-in component sits in
-front of them.
+queue behind that stamp.  A router's `in` handler is a chain of windows,
+one per mapping in mapping order, that `build_windows` makes once at
+build time: a window whose range holds the address charges the router and
+calls its slave's handler, any other passes the request on to the next
+window, and a request that no window holds raises `BusError` and charges
+nothing.  Banked memories take many masters on one slave port and do
+their own per-bank accounting, so no fan-in component sits in front of
+them.
 """
 
 from .component import BusError, Component, register, as_int, REQUIRED
 from .errors import ConfigError
-
-
-def decode(mappings, addr):
-    """Pure address lookup over (base, size, port) entries; None on miss."""
-    for base, size, port in mappings:
-        if base <= addr < base + size:
-            return port
-    return None
 
 
 def resolve_mappings(path, mappings, components):
@@ -102,6 +99,13 @@ class Router(Component):
     size (the builder resolves the descriptor's {"target"} entries); output
     ports are created from it.  bandwidth_bytes_per_cycle = 0 disables
     occupancy modeling (a fully parallel crossbar).
+
+    The `in` handler is the chain of windows that `build_windows` makes
+    once every binding is made, one window per mapping in mapping order.
+    The window that holds a request's address charges the occupancy, adds
+    the latency, counts the request in `forwarded` and calls the handler
+    of the slave its port is bound to.  A request that no window holds is
+    refused with `BusError`, and the router charges it nothing.
     """
 
     kind = "router"
@@ -122,26 +126,53 @@ class Router(Component):
         for base, size, port in ranges:
             out = self.ports.get(port) or self.add_master(port)
             self.mappings.append((base, size, out))
-        self.add_slave("in", self.handle)
+        self.add_slave("in", _miss)     # until build_windows
+        self.windowed = False
 
     def reset(self):
         super().reset()
         self.busy_until = -1
 
-    def handle(self, req):
-        out = decode(self.mappings, req.addr)
-        if out is None:
-            raise BusError              # no occupancy charged
-        at = req.at
-        if self.bandwidth:
-            queuing = self.busy_until - at
-            if queuing > 0:
-                self.queued_cycles += queuing
-                at += queuing
-            self.busy_until = at + (-(-req.size // self.bandwidth))
-        req.at = at + self.latency
-        self.forwarded += 1
-        out.binding.handler(req)
+    def build_windows(self):
+        """Make the `in` handler the chain of windows, once; every mapping's
+        port must be bound.  A window calls the handler that its port's
+        slave holds now, so the routers those ports reach make their
+        windows first."""
+        if self.windowed:
+            return
+        for _, _, out in self.mappings:
+            if out.binding.owner.kind == self.kind:
+                out.binding.owner.build_windows()
+        chain = _miss
+        for base, size, out in reversed(self.mappings):
+            chain = self._window(base, base + size, out.binding.handler, chain)
+        self.ports["in"].handler = chain
+        self.windowed = True
+
+    def _window(self, lo, hi, forward, miss):
+        """The handler that serves the addresses [lo, hi) and passes every
+        other request to `miss`."""
+        router, latency, bandwidth = self, self.latency, self.bandwidth
+
+        def window(req):
+            if lo <= req.addr < hi:
+                at = req.at
+                if bandwidth:
+                    queuing = router.busy_until - at
+                    if queuing > 0:
+                        router.queued_cycles += queuing
+                        at += queuing
+                    router.busy_until = at + (-(-req.size // bandwidth))
+                req.at = at + latency
+                router.forwarded += 1
+                forward(req)
+            else:
+                miss(req)
+        return window
+
+
+def _miss(req):
+    raise BusError
 
 
 @register

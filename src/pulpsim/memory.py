@@ -4,9 +4,13 @@ Consecutive 4-byte words map to consecutive banks.  Each bank serves one
 access per cycle; simultaneous hits on the same bank serialize, each
 waiting access paying one cycle per access ahead of it.  An access whose
 bytes touch more than one word sweeps their banks, one more cycle per
-word, and holds each of them through its last cycle.  Timing never
-affects the stored bytes, which a request of any size moves as one
-little-endian `value`, and which `Platform.peek`/`poke` slice untimed.
+word, and holds each of them through its last cycle; the sweep stops at
+one pass over every bank, since a wider access would only come round to
+banks it already holds through that cycle.  `handle` serves an aligned
+4-byte access inside the memory, the common case, after one test,
+without the sweep.  Timing never affects the stored bytes, which a
+request of any size moves as one little-endian `value`, and which
+`Platform.peek`/`poke` slice untimed.
 Both timed paths take absolute issue cycles: `handle` serves a request at
 its `at` and advances that to its grant, plus one cycle per extra word,
 plus `access_latency`; `stream` serves a run of equal-sized accesses, each
@@ -63,12 +67,28 @@ class BankedMemory(Component):
     def handle(self, req):
         off = req.addr - self.base
         size = req.size
+        at = req.at
+        busy = self.bank_busy
+        if size == 4 and not off & 3 and 0 <= off < self.size:
+            bank = (off >> 2) & self.bank_mask      # one word, the common case
+            wait = busy[bank] - at + 1
+            if wait > 0:
+                req.contended = True
+                self.contentions += 1
+                at += wait
+            busy[bank] = at
+            req.at = at + self.latency
+            if req.is_write:
+                self.writes += 1
+                _WORD.pack_into(self.contents, off, req.value)
+            else:
+                self.reads += 1
+                req.value = _WORD.unpack_from(self.contents, off)[0]
+            return
         if off < 0 or off + size > self.size or size in (1, 2, 4) and off & (size - 1):
             raise BusError              # outside the memory, or a misaligned narrow access
         words = ((off + size - 1) >> 2) - (off >> 2) + 1   # the words its bytes touch
-        at = req.at
         bank = (off >> 2) & self.bank_mask
-        busy = self.bank_busy
         wait = busy[bank] - at + 1
         if wait > 0:
             req.contended = True
@@ -79,23 +99,18 @@ class BankedMemory(Component):
         if words == 1:
             busy[bank] = end
         else:
-            # a wide access sweeps the banks; hold every touched bank
-            for w in range(words):
+            # a wide access sweeps the banks, each once; hold every touched bank
+            banks = self.banks
+            for w in range(words if words < banks else banks):
                 b = (bank + w) & self.bank_mask
                 if busy[b] < end:
                     busy[b] = end
         if req.is_write:
             self.writes += 1
-            if size == 4:
-                _WORD.pack_into(self.contents, off, req.value)
-            else:
-                self.contents[off:off + size] = req.value.to_bytes(size, "little")
+            self.contents[off:off + size] = req.value.to_bytes(size, "little")
         else:
             self.reads += 1
-            if size == 4:
-                req.value = _WORD.unpack_from(self.contents, off)[0]
-            else:
-                req.value = int.from_bytes(self.contents[off:off + size], "little")
+            req.value = int.from_bytes(self.contents[off:off + size], "little")
 
     def accepted(self, addr, nbytes, size):
         """How many of the accesses that cut `nbytes` (> 0) bytes from `addr`
@@ -131,7 +146,7 @@ class BankedMemory(Component):
             return 0, 0
         off = addr - self.base
         busy = self.bank_busy
-        mask = self.bank_mask
+        mask, banks = self.bank_mask, self.banks
         waits = contended = 0
         end_off = off + nbytes
         # aligned 1-, 2- or 4-byte accesses each hold one bank, their word's
@@ -149,7 +164,7 @@ class BankedMemory(Component):
             words = ((min(o + size, end_off) - 1) >> 2) - (o >> 2) + 1
             end = at + words - 1        # a wide access sweeps its banks
             waits += words - 1
-            for w in range(words):
+            for w in range(words if words < banks else banks):
                 b = (bank + w) & mask
                 if busy[b] < end:
                     busy[b] = end

@@ -96,12 +96,23 @@ def test_wide_request_charges_one_cycle_per_extra_word():
     assert req.at - 9 == 15
 
 
+def held_per_word(banks, off, nbytes, end):
+    """`bank_busy` after one access from idle banks: every word its bytes
+    touch holds its bank through `end`, one word at a time."""
+    busy = [-1] * banks
+    for word in range(off >> 2, ((off + nbytes - 1) >> 2) + 1):
+        busy[word % banks] = max(busy[word % banks], end)
+    return busy
+
+
 @pytest.mark.parametrize("off, nbytes, size, extra, held", [
     (3, 3, 3, 1, [1, 1, -1, -1]),       # bytes 3..5: words 0 and 1
     (2, 8, 8, 2, [2, 2, 2, -1]),        # bytes 2..9: words 0, 1 and 2
     (2, 3, 4, 1, [1, 1, -1, -1]),       # a 4-byte stream's one 3-byte access
+    (4, 64, 64, 15, [15, 15, 15, 15]),  # words 1..16: four times round the banks
 ])
 def test_access_holds_the_bank_of_every_word_its_bytes_touch(off, nbytes, size, extra, held):
+    assert held == held_per_word(4, off, nbytes, extra)
     mem, _ = make_mem(banks=4)
     req = Request(mem.base + off, nbytes, False)
     assert outcome(mem.handle, req) == "ok" and req.at == extra
