@@ -261,9 +261,11 @@ class RegisterDevice(Component):
     A register write may start a job that outlives it: a generator that
     `start` runs.  The code before its first `yield` runs at once, inside
     the write; each `yield d` resumes it `d` cycles of the device's domain
-    later, counted as `ClockDomain.enqueue` counts; returning ends it.  A
-    job is one Event, whose callback is the device's `_resume`.  `log`
-    traces a job's start and end on the device's path.  Only the job
+    later, counted as `ClockDomain.enqueue` counts; a bare `yield` means
+    the job has already stored its Event (a refused `ClockDomain.run_ahead`
+    does), so nothing is enqueued; returning ends it.  A job is one Event,
+    whose callback is the device's `_resume`, and `start` returns it.
+    `log` traces a job's start and end on the device's path.  Only the job
     devices (cluster DMA, accelerator, micro-DMA) declare and drive a
     `busy` VCD signal, set while their jobs run.
     """
@@ -300,8 +302,9 @@ class RegisterDevice(Component):
         return read
 
     def start(self, job):
-        """Run the job generator `job` (class docstring)."""
-        self._resume(Event(self.path, self._resume, job))
+        """Run the job generator `job` and return its Event (class docstring)."""
+        self._resume(ev := Event(self.path, self._resume, job))
+        return ev
 
     def _resume(self, ev):
         delay = next(ev.payload, None)

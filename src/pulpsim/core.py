@@ -7,13 +7,14 @@ after
     charge = base + fetch latency + load-use stall + data latency
              (+ branch penalty when the semantics returned a pc)
 
-cycles, where base is 1 plus the table's execute latency.  The step event
-is enqueued there, unless `ClockDomain.run_ahead` finds the core alone
-in its domain and the next step strictly before the engine's bound: then
-the core runs it inline in the same callback (engine module docstring),
-which gives the same timing with one engine dispatch for many
-instructions.  Loads publish their result one write-back cycle after
-completion; a consumer arriving earlier stalls on the register
+cycles, where base is 1 plus the table's execute latency.  The step ends
+each instruction with one engine call, `ClockDomain.run_ahead`: if the
+core is alone in its domain and the next step lies strictly before the
+engine's bound, the core runs it inline in the same callback (engine
+module docstring), which gives the same timing with one engine dispatch
+for many instructions; otherwise `run_ahead` stores the step event there
+and the step returns.  Loads publish their result one write-back cycle
+after completion; a consumer arriving earlier stalls on the register
 scoreboard.
 
 Semantics are closures, bound once per instruction word and core.
@@ -61,10 +62,12 @@ their fixed fields, and the step sets their `at` to its start cycle
 before each access.  The step clears each response flag it reads where
 it reads it (a fetch's `cache_miss`, a data access's `contended`), so
 they are clear before every access.  Nothing reads a fetch's `contended`.
-`reset` binds once, in the one tuple `_bound` that each step unpacks,
-what only build and reset set: the domain, the scoreboard, the data
-request, the decode cache, the `/insn` trace flag, and the L1 with its
-`lines`, `sets`, `hit_latency`, line shift and mask.
+`reset` makes the step function, `_step`, a method of the core, and the
+step event that calls it.  What only build and reset set is bound in as
+the function's default arguments, so each use is a local load: the
+domain, the scoreboard, the data request, the decode cache, the `/insn`
+trace flag (read at reset), and the L1 with its `lines`, `sets`,
+`hit_latency`, line shift and mask (each None without an L1).
 
 Fetch fast path.  When the fetch port is bound to an instruction cache,
 the step reads that cache's `lines`, live since the cache clears them in
@@ -79,6 +82,7 @@ trap), so a fetch never straddles a line.
 """
 
 import operator
+from types import MethodType
 
 from .component import BusError, Component, register, Request, Sleep
 from .engine import Event
@@ -387,7 +391,6 @@ class RiscvCore(Component):
         except ConfigError as e:
             raise ConfigError("components.%s.params.isa: %s" % (self.path, e)) from None
         self._dcache = {}
-        self.step_event = Event(self.path, self._step)
         self._fetch_req = Request(size=4, initiator=self)
         self._data_req = Request(initiator=self)
         self.regs = [0] * 32        # semantics closures hold this list
@@ -409,120 +412,119 @@ class RiscvCore(Component):
         self.csr_mepc = 0
         self.csr_mcause = 0
         self.csr_mtval = 0
-        self._tr_insn = self.platform.trace_enabled(self.path + "/insn")
-        # the step's fixed state (module docstring)
-        l1 = self._l1
-        fast = (None,) * 5 if l1 is None else (
-            l1.lines, l1.sets, l1.hit_latency, l1.shift, l1.mask)
-        self._bound = (self.domain, self.scoreboard, self._data_req, self._dcache,
-                       self._tr_insn, l1) + fast
-        self.domain.enqueue(self.step_event, 0)
         self.signal("active", 1)
         self.signal("pc", self.pc)
+        # the per-instruction event: the step, a method of this core, with
+        # its fixed state bound in as default arguments (module docstring)
+        l1 = self._l1
 
-    # -- the per-instruction event ----------------------------------------
-
-    def _step(self, ev):
-        dom, sb, dreq, dcache, tr, l1, lines, sets, hit_latency, shift, mask = self._bound
-        C = dom.cycle
-        pc = self.pc
-        vcd = self.platform.vcd
-        while True:
-            if l1 is not None and (way := lines[(n := pc >> shift) % sets][0])[0] == n:
-                # pc's line n is its set's MRU way: what the cache's MRU hit does
-                fetch_lat = hit_latency
-                l1.hits += 1
-                word = way[1] >> ((pc & mask) << 3) & M32
-            else:
-                freq = self._fetch_req
-                freq.addr = pc
-                freq.at = C
-                try:
-                    self._fetch_handler(freq)
-                except (BusError, Sleep):
-                    self._take_trap(CAUSE_IACCESS, pc, 1)
-                    return
-                fetch_lat = freq.at - C
-                if freq.cache_miss:
-                    freq.cache_miss = False
-                    self.icache_misses += 1
-                word = freq.value
-
-            dec = dcache.get(word)
-            if dec is None:
-                dec = self._decode_slow(word)
-                if dec is None:
-                    self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
-                    return
-            ins, run, rs1, rs2, rd, base, wb, is_branch, is_mem = dec
-
-            stall = 0
-            if rs1:
-                d = sb[rs1] - C
-                if d > stall:
-                    stall = d
-            if rs2:
-                d = sb[rs2] - C
-                if d > stall:
-                    stall = d
-            if stall:
-                self.load_stalls += stall
-
-            if is_mem:
-                dreq.at = C
-            try:
-                npc = run(pc)
-            except Trap as trap:
-                self._take_trap(*trap.args, 1 + fetch_lat + stall)
-                return
-            except BusError:
-                self._take_trap(CAUSE_STORE_FAULT if dreq.is_write else CAUSE_LOAD_FAULT,
-                                dreq.addr, 1 + fetch_lat + stall)
-                return
-            except Sleep:
-                # keep pc, do not retire: re-executed on wake
-                attempt = 1 + fetch_lat + stall + dreq.at - C
-                self.total_cycles += attempt
-                self.active_cycles += attempt
-                self.mode = "sleeping"
-                self.sleep_from = C + attempt
-                self.signal("active", 0)
-                return
-            finally:
-                # every executed instruction is traced, also one that stops
-                if tr:
-                    self.platform.trace(self.path + "/insn", dom, ins.text())
-
-            charge = base + fetch_lat + stall
-            if is_mem:
-                charge += dreq.at - C
-                if dreq.contended:
-                    dreq.contended = False
-                    self.tcdm_contentions += 1
-                if dreq.is_write:
-                    self.stores += 1
+        def _step(self, ev, dom=self.domain, sb=self.scoreboard, dreq=self._data_req,
+                  dcache=self._dcache, tr=self.platform.trace_enabled(self.path + "/insn"),
+                  l1=l1, lines=l1 and l1.lines, sets=l1 and l1.sets,
+                  hit_latency=l1 and l1.hit_latency, shift=l1 and l1.shift,
+                  mask=l1 and l1.mask):
+            C = dom.cycle
+            pc = self.pc
+            vcd = self.platform.vcd
+            while True:
+                if l1 is not None and (way := lines[(n := pc >> shift) % sets][0])[0] == n:
+                    # pc's line n is its set's MRU way: what the cache's MRU hit does
+                    fetch_lat = hit_latency
+                    l1.hits += 1
+                    word = way[1] >> ((pc & mask) << 3) & M32
                 else:
-                    self.loads += 1
-            if npc is None:
-                npc = (pc + 4) & M32
-            else:
-                charge += self.branch_penalty
-                if is_branch:
-                    self.branches_taken += 1
-            C += charge
-            if wb:
-                sb[rd] = C + wb
+                    freq = self._fetch_req
+                    freq.addr = pc
+                    freq.at = C
+                    try:
+                        self._fetch_handler(freq)
+                    except (BusError, Sleep):
+                        self._take_trap(CAUSE_IACCESS, pc, 1)
+                        return
+                    fetch_lat = freq.at - C
+                    if freq.cache_miss:
+                        freq.cache_miss = False
+                        self.icache_misses += 1
+                    word = freq.value
 
-            self.pc = pc = npc
-            self.instr_retired += 1
-            self.total_cycles += charge
-            self.active_cycles += charge
-            if vcd is not None:
-                self.signal("pc", npc)
-            # the next step runs here if it is the engine's next event
-            if not dom.run_ahead(C):
-                dom.enqueue(ev, charge)
-                return
+                dec = dcache.get(word)
+                if dec is None:
+                    dec = self._decode_slow(word)
+                    if dec is None:
+                        self._take_trap(CAUSE_ILLEGAL, word, 1 + fetch_lat)
+                        return
+                ins, run, rs1, rs2, rd, base, wb, is_branch, is_mem = dec
+
+                stall = 0
+                if rs1:
+                    d = sb[rs1] - C
+                    if d > stall:
+                        stall = d
+                if rs2:
+                    d = sb[rs2] - C
+                    if d > stall:
+                        stall = d
+                if stall:
+                    self.load_stalls += stall
+
+                if is_mem:
+                    dreq.at = C
+                try:
+                    npc = run(pc)
+                except Trap as trap:
+                    self._take_trap(*trap.args, 1 + fetch_lat + stall)
+                    return
+                except BusError:
+                    self._take_trap(CAUSE_STORE_FAULT if dreq.is_write else CAUSE_LOAD_FAULT,
+                                    dreq.addr, 1 + fetch_lat + stall)
+                    return
+                except Sleep:
+                    # keep pc, do not retire: re-executed on wake
+                    attempt = 1 + fetch_lat + stall + dreq.at - C
+                    self.total_cycles += attempt
+                    self.active_cycles += attempt
+                    self.mode = "sleeping"
+                    self.sleep_from = C + attempt
+                    self.signal("active", 0)
+                    return
+                finally:
+                    # every executed instruction is traced, also one that stops
+                    if tr:
+                        self.platform.trace(self.path + "/insn", dom, ins.text())
+
+                charge = base + fetch_lat + stall
+                if is_mem:
+                    charge += dreq.at - C
+                    if dreq.contended:
+                        dreq.contended = False
+                        self.tcdm_contentions += 1
+                    if dreq.is_write:
+                        self.stores += 1
+                    else:
+                        self.loads += 1
+                if npc is None:
+                    npc = (pc + 4) & M32
+                else:
+                    charge += self.branch_penalty
+                    if is_branch:
+                        self.branches_taken += 1
+                C += charge
+                if wb:
+                    sb[rd] = C + wb
+
+                self.pc = pc = npc
+                self.instr_retired += 1
+                self.total_cycles += charge
+                self.active_cycles += charge
+                if vcd is not None:
+                    self.signal("pc", npc)
+                # the next step runs here if it is the engine's next event,
+                # else run_ahead stores ev at its cycle
+                if not dom.run_ahead(ev, C):
+                    return
+
+        self.step_event = Event(self.path, MethodType(_step, self))
+        self.domain.enqueue(self.step_event, 0)
 
     def _decode_slow(self, word):
         """Decode `word`, bind its semantics and cache its step tuple

@@ -33,16 +33,20 @@ callback may perform its next action inline, in the same callback, in
 place of enqueueing itself.  Two things must hold: the callback is alone
 (the only event of the executing cycle, and its domain has no other
 pending cycle), and the action's edge lies strictly before the bound.
-The action is then the next thing the engine would run.  A posted exit drops the bound to 0, so
-nothing more runs ahead.  `run_ahead` moves the domain's cycle, the
-engine's time and the counters exactly as enqueueing the callback and
-executing that cycle would have.  The cores (`RiscvCore._step`) and the
-micro-DMA's job (`MicroDma._transfer`) do so; everything else enqueues
-itself.  Each time the micro-DMA's job resumes, it moves a whole window
-of beats: it runs each next beat ahead while `run_ahead` lets it, and
-one `BankedMemory.stream` call then serves the window in L2, which no
-other master can touch before the bound.  Timing, traces and statistics
-are the same either way; only the number of engine dispatches drops.
+The action is then the next thing the engine would run.  A posted exit
+drops the bound to 0, so nothing more runs ahead.  `run_ahead` moves the
+domain's cycle, the engine's time and the counters exactly as enqueueing
+the callback and executing that cycle would have.  When it refuses, it
+stores the callback's event at the action's cycle itself, as `enqueue`
+would, so a caller never enqueues itself after a refusal: each action
+costs one engine call either way.  The cores (`RiscvCore`'s step) and
+the micro-DMA's job (`MicroDma._transfer`) do so; everything else
+enqueues itself.  Each time the micro-DMA's job resumes, it moves a
+whole window of beats: it runs each next beat ahead while `run_ahead`
+lets it, and one `BankedMemory.stream` call then serves the window in
+L2, which no other master can touch before the bound.  Timing, traces
+and statistics are the same either way; only the number of engine
+dispatches drops.
 
 Lap counters.  `TimeEngine.stats` still reports the `laps_completed` and
 `overflow_promotions` of the 64-slot ring (one lap) and overflow heap that
@@ -103,10 +107,12 @@ class ClockDomain:
 
     `run_ahead` lets the executing callback, when it is alone in the store
     and due before the engine's bound, move on to its next cycle instead
-    of enqueueing itself (module docstring).  It reads this domain's
-    aloneness off the store, so only enqueues into other domains must
-    lower the bound; an enqueue from the executing domain itself takes
-    the short path.
+    of enqueueing itself, and otherwise stores the callback's event there
+    as `enqueue` would (module docstring); its store insertion repeats
+    `enqueue`'s, as the one engine call of each core step.  It reads this
+    domain's aloneness off the store, so only enqueues into other domains
+    must lower the bound; an enqueue from the executing domain itself
+    takes the short path.
     """
 
     def __init__(self, name, frequency_hz):
@@ -166,6 +172,43 @@ class ClockDomain:
         else:
             lst.append(event)
 
+    def run_ahead(self, event, abs_cycle):
+        """Move the executing callback `event` on to `abs_cycle`, if it is
+        alone, or store it there.
+
+        The caller is the callback the engine is executing, and its next
+        action is due at `abs_cycle`, at or after `self.cycle`: an earlier
+        cycle, or an `event` already stored, raises `StructuralError`.  If
+        the caller is alone (the cycle executing holds only it, and this
+        domain has no other pending cycle) and the edge of `abs_cycle` lies
+        strictly before the engine's bound, `TimeEngine.other_ps`, does to
+        the cycle, the engine's time and the counters what enqueueing the
+        caller there and executing that cycle would have and returns True;
+        the caller then performs the action inline.  Otherwise stores
+        `event` at `abs_cycle` exactly as `enqueue` would from this domain
+        and returns False; the caller then returns.
+        """
+        delta = abs_cycle - self.cycle
+        if delta < 0 or event.enqueued:
+            raise StructuralError("run-ahead of %r to cycle %d in %r" % (event, abs_cycle, self))
+        if delta >= _LAP:
+            self._far += 1          # a far step or a far put (lap counters)
+        if not self._cycles and len(self._running) == 1:
+            if (t := self.period_ps * abs_cycle) < self.engine.other_ps:
+                self.cycle = abs_cycle
+                self.engine.now_ps = t
+                self.events_executed += 1
+                return True
+        # refused: the store insertion of `enqueue`, written out as the hot path
+        event.cycle, event.enqueued = abs_cycle, True if delta < _LAP else _FAR
+        lst = self._buckets.get(abs_cycle)
+        if lst is None:
+            self._buckets[abs_cycle] = [event]
+            heapq.heappush(self._cycles, abs_cycle)
+        else:
+            lst.append(event)
+        return False
+
     # -- time conversion ----------------------------------------------
 
     def time_of_cycle(self, cycle_index):
@@ -202,32 +245,6 @@ class ClockDomain:
             ev.callback(ev)
         del self._buckets[abs_cycle]
         self.events_executed += len(lst)
-
-    def run_ahead(self, abs_cycle):
-        """Move the executing callback on to `abs_cycle`, if it is alone.
-
-        The caller is the callback the engine is executing, and its next
-        action is due at `abs_cycle`, at or after `self.cycle`.  Returns
-        False, changing nothing, unless the caller is alone (the cycle
-        executing holds only it, and this domain has no other pending
-        cycle) and the edge of `abs_cycle` lies strictly before the
-        engine's bound, `TimeEngine.other_ps`; the caller then enqueues
-        itself.  Otherwise does to the cycle, the engine's time and the
-        counters what enqueueing the caller there and executing that cycle
-        would have and returns True; the caller then performs the action
-        inline.
-        """
-        if self._cycles or len(self._running) != 1:
-            return False
-        t = self.period_ps * abs_cycle
-        if t >= self.engine.other_ps:
-            return False
-        if abs_cycle - self.cycle >= _LAP:
-            self._far += 1
-        self.cycle = abs_cycle
-        self.engine.now_ps = t
-        self.events_executed += 1
-        return True
 
     # -- lap counters (module docstring) --------------------------------
     # Never read by scheduling; this block goes away with the benchmark

@@ -8,12 +8,15 @@ A transfer is a job (`RegisterDevice.start`), `_transfer`, that moves one
 window of beats each time it resumes: the beat it resumed at, then each
 next beat that `ClockDomain.run_ahead` lets it run ahead to, as the job
 is alone in its domain and the beat is due strictly before the engine's
-bound.  No other master reaches L2 before that bound, so a window's beats
-depend only on the transfer.  The job converts their cycles with each
-clock crossing's `arrival` on the way to L2 and serves them with one
-`BankedMemory.stream` call, which stops at the first beat L2 refuses:
-that beat ends the transfer with an error.
-Otherwise the job yields until the first beat of the next window.
+bound.  The job's first `yield` waits for the first beat; after that,
+the `run_ahead` that refuses a beat stores the job's Event (the one
+`start` returned) at that beat, the first of the next window, and the
+job ends its turn with a bare `yield`.  No other master reaches L2
+before that bound, so a window's beats depend only on the transfer.  The
+job converts their cycles with each clock crossing's `arrival` on the
+way to L2 and serves them with one `BankedMemory.stream` call, which
+stops at the first beat L2 refuses: that beat ends the transfer with an
+error.
 The `l2` port must reach the `in` port of one banked memory through zero
 or more clock crossings, each of which takes its source domain from the
 masters bound to it: the micro-DMA's domain, then each crossing's.
@@ -143,6 +146,7 @@ class MicroDma(RegisterDevice):
         super().reset()
         self.regs = {UDMA_L2_ADDR: 0, UDMA_EXT_ADDR: 0, UDMA_LEN: 0}
         self.status = 0
+        self._job = None            # the Event of the running transfer
 
     # -- register interface (RegisterDevice) ---------------------------
 
@@ -161,7 +165,7 @@ class MicroDma(RegisterDevice):
         self.signal("busy", True)
         l2 = self.regs[UDMA_L2_ADDR]
         self.log("start %s l2=0x%08x ext=0x%08x len=%d", "tx" if tx else "rx", l2, ext, length)
-        self.start(self._transfer(tx, l2, ext, length))
+        self._job = self.start(self._transfer(tx, l2, ext, length))
 
     READS = {UDMA_STATUS: RegisterDevice.read_attr("status")}
     WRITES = {UDMA_CFG: _program}
@@ -188,13 +192,13 @@ class MicroDma(RegisterDevice):
 
         beat_cycles = paced()
         prev = next(beat_cycles)
-        done = 0
+        yield prev - dom.cycle_at_or_after(dom.engine.now_ps)
+        ev, run_ahead, done = self._job, dom.run_ahead, 0
         while True:
-            yield prev - dom.cycle_at_or_after(dom.engine.now_ps)
             cycles = [prev]
             for prev in beat_cycles:
-                if not dom.run_ahead(prev):
-                    break
+                if not run_ahead(ev, prev):
+                    break           # ev is stored at the next window's first beat
                 cycles.append(prev)
             for hop in self.hops:
                 hop.crossings += len(cycles)
@@ -211,6 +215,7 @@ class MicroDma(RegisterDevice):
             if refused or moved == left:
                 self._finish(error=refused)
                 return
+            yield
 
     def _finish(self, error):
         self.status = UDMA_ERR if error else 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pulpsim.engine import (TimeEngine, ClockDomain, Event, EXIT_IDLE, EXIT_TIMEOUT,
-                            PS_PER_SEC)
+                            PS_PER_SEC, _FAR)
 from pulpsim.errors import StructuralError
 
 from conftest import add_ticker
@@ -393,8 +393,7 @@ def _stepper(dom, log, deltas, on_step=None):
             if not todo:
                 return
             d = todo.pop(0)
-            if not dom.run_ahead(dom.cycle + d):
-                dom.enqueue(ev, d)
+            if not dom.run_ahead(ev, dom.cycle + d):
                 return
 
     return Event("stepper", cb)
@@ -579,6 +578,71 @@ def test_cross_domain_enqueue_stops_run_ahead_before_the_event():
     assert steps == _steps(ref[4])
     assert plain[:4] == ref[:4]
     assert plain[3] == [(14, 4, 3), (1, 1, 1)]      # far steps, far wake-up
+
+
+@pytest.mark.parametrize("alone", [True, False])
+def test_run_ahead_refuses_a_cycle_before_the_domains_own(alone):
+    # a callback at cycle 10 asks for cycle 3: neither path may move the
+    # domain back or store the event in the past
+    eng, dom = make_domain()
+    seen = []
+
+    def cb(ev):
+        with pytest.raises(StructuralError):
+            dom.run_ahead(ev, 3)
+        seen.append((dom.cycle, eng.now_ps, ev.enqueued, dom.next_pending_cycle()))
+
+    dom.enqueue(Event("cb", cb), 10)
+    if not alone:
+        dom.enqueue(Event("other", lambda e: None), 20)
+    eng.run()
+    assert seen == [(10, 10 * dom.period_ps, False, None if alone else 20)]
+
+
+def _store(dom, ev):
+    """What a store of `ev` into `dom` can have changed."""
+    return (ev.cycle, ev.enqueued, sorted((c, [e.owner for e in lst])
+                                          for c, lst in dom._buckets.items()),
+            list(dom._cycles), dom._far, dom.laps_completed, dom.overflow_promotions,
+            dom.cycle, dom.engine.now_ps)
+
+
+def _store_twin(delta, refused):
+    """A callback at cycle 10 stores itself `delta` cycles on, behind the
+    events "a" and "b" already stored there, by a refused `run_ahead` or by
+    `enqueue`.  Returns the store as that left it, and the whole run."""
+    eng, dom = make_domain()
+    target = 10 + delta
+    seen, log = [], []
+
+    def cb(ev):
+        log.append(("cb", dom.cycle))
+        if len(log) > 1:
+            return
+        if refused:
+            assert dom.run_ahead(ev, target) is False
+        else:
+            dom.enqueue(ev, delta)
+        seen.append(_store(dom, ev))
+        for again in (lambda: dom.run_ahead(ev, target), lambda: dom.enqueue(ev, delta)):
+            with pytest.raises(StructuralError):
+                again()                 # a second store of the same event
+        assert _store(dom, ev) == seen[0]
+
+    dom.enqueue(Event("cb", cb), 10)
+    for name in ("a", "b"):
+        dom.enqueue(Event(name, lambda e: log.append((e.owner, dom.cycle))), target)
+    eng.run()
+    return seen[0], log, eng.stats(), dom.events_executed
+
+
+@pytest.mark.parametrize("delta", [0, 5, 63, 64, 70])
+def test_refused_run_ahead_stores_the_caller_as_enqueue_does(delta):
+    store, log, stats, executed = _store_twin(delta, refused=True)
+    assert (store, log, stats, executed) == _store_twin(delta, refused=False)
+    assert store[:2] == (10 + delta, True if delta < 64 else _FAR)
+    assert dict(store[2])[10 + delta][-3:] == ["a", "b", "cb"]
+    assert log[-3:] == [("a", 10 + delta), ("b", 10 + delta), ("cb", 10 + delta)]
 
 
 @st.composite
